@@ -62,26 +62,111 @@ func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
 	h := s.At(1, func() { fired = true })
+	s.At(2, func() {})
 	h.Cancel()
 	h.Cancel() // double-cancel is a no-op
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d after cancelling one of two events, want 1", s.Pending())
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if s.Fired() != 0 {
-		t.Fatalf("fired count = %d, want 0", s.Fired())
+	if s.Fired() != 1 {
+		t.Fatalf("fired count = %d, want 1", s.Fired())
 	}
 }
 
 func TestCancelFromEvent(t *testing.T) {
 	s := New()
 	fired := false
-	var h *Handle
+	var h Handle
 	s.At(1, func() { h.Cancel() })
 	h = s.At(2, func() { fired = true })
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled at t=1 still fired at t=2")
+	}
+}
+
+func TestCancelFiredIsNoOp(t *testing.T) {
+	s := New()
+	count := 0
+	first := s.At(1, func() { count++ })
+	s.At(2, func() { count++ })
+	s.RunUntil(1.5)
+	first.Cancel() // already fired: must not disturb the queue
+	Handle{}.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d after cancelling a fired event, want 1", s.Pending())
+	}
+	s.Run()
+	if count != 2 {
+		t.Fatalf("fired %d events, want 2", count)
+	}
+}
+
+// TestCancelKeepsSimultaneousFIFO: removing events from the middle of the
+// heap must leave the survivors of one instant in scheduling order.
+func TestCancelKeepsSimultaneousFIFO(t *testing.T) {
+	stream := rng.New(5)
+	for trial := 0; trial < 20; trial++ {
+		s := New()
+		var order, want []int
+		handles := make([]Handle, 40)
+		for i := range handles {
+			i := i
+			// Interleave two instants so the heap holds more than one key.
+			handles[i] = s.At(float64(1+i%2), func() { order = append(order, i) })
+		}
+		cancelled := make([]bool, len(handles))
+		for i := range handles {
+			if stream.Bernoulli(0.4) {
+				handles[i].Cancel()
+				cancelled[i] = true
+			}
+		}
+		for _, odd := range []int{0, 1} {
+			for i := odd; i < len(handles); i += 2 {
+				if !cancelled[i] {
+					want = append(want, i)
+				}
+			}
+		}
+		if s.Pending() != len(want) {
+			t.Fatalf("trial %d: pending %d, want %d live events", trial, s.Pending(), len(want))
+		}
+		s.Run()
+		if len(order) != len(want) {
+			t.Fatalf("trial %d: fired %v, want %v", trial, order, want)
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("trial %d: fired %v, want %v", trial, order, want)
+			}
+		}
+	}
+}
+
+// TestEventPathAllocationFree: once the queue has grown to its working
+// depth, firing an event that reschedules a bound closure allocates nothing.
+func TestEventPathAllocationFree(t *testing.T) {
+	s := New()
+	k := 0
+	var tick func()
+	tick = func() {
+		k++
+		s.Schedule(1+float64(k%7)*0.125, tick)
+	}
+	for i := 0; i < 64; i++ {
+		s.Schedule(float64(i)/64, tick)
+	}
+	s.RunUntil(20)
+	if allocs := testing.AllocsPerRun(10000, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("%v allocations per event, want 0", allocs)
+	}
+	if s.Pending() != 64 {
+		t.Fatalf("chain depth %d, want 64", s.Pending())
 	}
 }
 
@@ -217,7 +302,7 @@ func TestRandomCancellationStress(t *testing.T) {
 		}
 		var recs []*rec
 		var fired []float64
-		var handles []*Handle
+		var handles []Handle
 		n := 50 + stream.Intn(200)
 		for i := 0; i < n; i++ {
 			r := &rec{time: stream.Float64() * 100}

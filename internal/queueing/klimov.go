@@ -185,107 +185,16 @@ func (k *KlimovNetwork) Simulate(order []int, horizon, burnin float64, s *rng.St
 	if horizon <= burnin || burnin < 0 {
 		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
 	}
-	n := len(k.Classes)
-	if len(order) != n {
-		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
-	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	rank, err := ranks(order, len(k.Classes))
+	if err != nil {
+		return nil, err
 	}
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
-	var waiting []job
-	inService := false
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	route := func(i int) (int, bool) {
-		u := routeStream.Float64()
-		acc := 0.0
-		for j := 0; j < n; j++ {
-			acc += k.Feedback.At(i, j)
-			if u < acc {
-				return j, true
-			}
-		}
-		return 0, false // exit
-	}
-
-	var startService func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		inService = true
-		dur := k.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			if next, stay := route(jb.class); stay {
-				count[next]++
-				observe(next)
-				waiting = append(waiting, job{class: next, arrival: sim.Now()})
-			}
-			startService()
-		})
-	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-		sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if k.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
-	})
+	t := newTally(sim, len(k.Classes), burnin)
+	k.bind(sim, rank, s, t.add)
+	t.snapshotAtBurnin()
 	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		cost += k.Classes[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+	return t.result(horizon, k.Classes), nil
 }
 
 // SimulateDiscounted runs the feedback network under a static priority
@@ -300,26 +209,11 @@ func (k *KlimovNetwork) SimulateDiscounted(order []int, discountRate, horizon fl
 	if discountRate <= 0 || horizon <= 0 {
 		return 0, fmt.Errorf("queueing: need positive discount rate and horizon")
 	}
-	n := len(k.Classes)
-	if len(order) != n {
-		return 0, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
-	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	rank, err := ranks(order, len(k.Classes))
+	if err != nil {
+		return 0, err
 	}
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
-	var waiting []job
-	inService := false
-	count := make([]int, n)
 	lastT := 0.0
 	costRate := 0.0 // current Σ c_j n_j
 	total := 0.0
@@ -333,67 +227,57 @@ func (k *KlimovNetwork) SimulateDiscounted(order []int, discountRate, horizon fl
 		}
 		lastT = now
 	}
-
-	adjust := func(j, delta int) {
+	k.bind(sim, rank, s, func(j, delta int) {
 		accrue()
-		count[j] += delta
 		costRate += float64(delta) * k.Classes[j].HoldCost
-	}
+	})
+	sim.RunUntil(horizon)
+	accrue()
+	return total, nil
+}
 
-	route := func(i int) (int, bool) {
-		u := routeStream.Float64()
-		acc := 0.0
-		for j := 0; j < n; j++ {
-			acc += k.Feedback.At(i, j)
-			if u < acc {
-				return j, true
-			}
-		}
-		return 0, false
-	}
+// bind sets up the feedback network's event loop on sim: Poisson arrivals,
+// one server taking the waiting job of the best rank (oldest first within
+// a class), and Markovian routing of each completed job, drawn from
+// substreams of s. Every change of a class's number in system is reported
+// to add(j, ±1) as it happens.
+func (k *KlimovNetwork) bind(sim *des.Simulator, rank []int, s *rng.Stream, add func(j, delta int)) {
+	n := len(k.Classes)
+	routeStream := s.Split()
+	arr, svc := splitStreams(s, n)
+	var waiting []job
+	var cur job // the job in service
+	inService := false
 
-	var startService func()
+	var startService, complete func()
 	startService = func() {
 		if inService || len(waiting) == 0 {
 			return
 		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
+		cur = take(&waiting, pick(waiting, rank))
+		inService = true
+		sim.Schedule(k.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
+	}
+	complete = func() {
+		inService = false
+		add(cur.class, -1)
+		// Route: become class j with probability P[cur][j], else exit.
+		u, acc := routeStream.Float64(), 0.0
+		for j := 0; j < n; j++ {
+			acc += k.Feedback.At(cur.class, j)
+			if u < acc {
+				add(j, +1)
+				waiting = append(waiting, job{class: j, arrival: sim.Now()})
+				break
 			}
 		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		inService = true
-		dur := k.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			adjust(jb.class, -1)
-			if next, stay := route(jb.class); stay {
-				adjust(next, +1)
-				waiting = append(waiting, job{class: next, arrival: sim.Now()})
-			}
-			startService()
-		})
+		startService()
 	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		adjust(j, +1)
+	poisson(sim, arr, rates(k.Classes), func(j int) {
+		add(j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		startService()
-		sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if k.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(k.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.RunUntil(horizon)
-	accrue()
-	return total, nil
+	})
 }
 
 // ReplicateKlimov aggregates replications of Simulate under one order on

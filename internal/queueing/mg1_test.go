@@ -319,3 +319,40 @@ func TestValidationMG1(t *testing.T) {
 		t.Error("burnin beyond horizon accepted")
 	}
 }
+
+// TestPriorityOrderMustBePermutation: an order that omits, repeats, or
+// invents a class is rejected before the run starts, by every simulator
+// that takes one — alone, mixed into a RandomMix, or as a plain order.
+func TestPriorityOrderMustBePermutation(t *testing.T) {
+	m := twoClassMM1()
+	mm := &MMm{Classes: m.Classes, Servers: 2}
+	k := NoFeedback(m)
+	for _, order := range [][]int{{0}, {1, 1}, {0, 2}, {-1, 0}, {0, 1, 0}} {
+		mix := RandomMix{
+			Disciplines: []Discipline{StaticPriority{Order: []int{0, 1}}, StaticPriority{Order: order}},
+			Weights:     []float64{0.5, 0.5},
+			Stream:      rng.New(2),
+		}
+		if _, err := m.Simulate(StaticPriority{Order: order}, 100, 10, rng.New(1)); err == nil {
+			t.Errorf("MG1.Simulate accepted order %v", order)
+		}
+		if _, err := m.Simulate(mix, 100, 10, rng.New(1)); err == nil {
+			t.Errorf("MG1.Simulate accepted order %v inside a RandomMix", order)
+		}
+		if _, err := m.SimulatePreemptive(order, 100, 10, rng.New(1)); err == nil {
+			t.Errorf("SimulatePreemptive accepted order %v", order)
+		}
+		if _, err := mm.Simulate(order, 100, 10, rng.New(1)); err == nil {
+			t.Errorf("MMm.Simulate accepted order %v", order)
+		}
+		if _, err := k.Simulate(order, 100, 10, rng.New(1)); err == nil {
+			t.Errorf("KlimovNetwork.Simulate accepted order %v", order)
+		}
+		if _, err := k.SimulateDiscounted(order, 0.1, 100, rng.New(1)); err == nil {
+			t.Errorf("SimulateDiscounted accepted order %v", order)
+		}
+	}
+	if _, err := m.Simulate(StaticPriority{Order: []int{1, 0}}, 100, 10, rng.New(1)); err != nil {
+		t.Errorf("a permutation was rejected: %v", err)
+	}
+}

@@ -79,13 +79,9 @@ func (m *MMm) Simulate(order []int, horizon, burnin float64, s *rng.Stream) (*Si
 	if horizon <= burnin || burnin < 0 {
 		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
 	}
-	n := len(m.Classes)
-	if len(order) != n {
-		return nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
-	}
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	rank, err := ranks(order, len(m.Classes))
+	if err != nil {
+		return nil, err
 	}
 	return m.simulate(rank, horizon, burnin, s)
 }
@@ -105,84 +101,40 @@ func (m *MMm) SimulateFIFO(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 }
 
 // simulate is the common event loop: rank maps class -> priority (lower is
-// served first; the strict < in dispatch breaks ties by arrival order, so
-// all-equal ranks degrade to FIFO).
+// served first; pick breaks ties by arrival order, so all-equal ranks
+// degrade to FIFO).
 func (m *MMm) simulate(rank []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	n := len(m.Classes)
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
+	arr, svc := splitStreams(s, n)
+	t := newTally(sim, n, burnin)
 	var waiting []job
 	freeServers := m.Servers
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
 
 	var dispatch func()
+	done := make([]func(), n) // one completion closure per class
+	for j := range done {
+		done[j] = func() {
+			freeServers++
+			t.add(j, -1)
+			dispatch()
+		}
+	}
 	dispatch = func() {
 		for freeServers > 0 && len(waiting) > 0 {
-			best, bestRank := -1, int(^uint(0)>>1)
-			for i, jb := range waiting {
-				if rank[jb.class] < bestRank {
-					best, bestRank = i, rank[jb.class]
-				}
-			}
-			jb := waiting[best]
-			waiting = append(waiting[:best], waiting[best+1:]...)
+			jb := take(&waiting, pick(waiting, rank))
 			freeServers--
-			dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-			sim.Schedule(dur, func() {
-				freeServers++
-				count[jb.class]--
-				observe(jb.class)
-				if sim.Now() >= burnin {
-					served[jb.class]++
-				}
-				dispatch()
-			})
+			sim.Schedule(m.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
 		}
 	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
+	poisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		dispatch()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
 	})
+	t.snapshotAtBurnin()
 	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		cost += m.Classes[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+	return t.result(horizon, m.Classes), nil
 }
 
 // CMuOrder returns the cµ priority order for the M/M/m classes.

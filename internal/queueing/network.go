@@ -8,7 +8,6 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Multi-station multiclass queueing networks. Each class is served at one
@@ -181,13 +180,8 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 	}
 
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
 	routeStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
+	arr, svc := splitStreams(s, n)
 	// nextClass resolves routing for a completed job of class cls.
 	nextClass := func(cls int) int {
 		c := &nw.Classes[cls]
@@ -207,71 +201,45 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 
 	waiting := make([][]job, nw.Stations)
 	busy := make([]bool, nw.Stations)
-	count := make([]int, n)
+	t := newTally(sim, n, burnin)
 	totalJobs := 0
-	lTrack := make([]stats.TimeWeighted, n)
 	var trajectory []float64
-
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
 
 	var enqueue func(cls int)
 	var startService func(st int)
-	startService = func(st int) {
-		if busy[st] || len(waiting[st]) == 0 {
-			return
-		}
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting[st] {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[st][best]
-		waiting[st] = append(waiting[st][:best], waiting[st][best+1:]...)
-		busy[st] = true
-		dur := nw.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
+	done := make([]func(), n) // one completion closure per class
+	for cls := range done {
+		st := nw.Classes[cls].Station
+		done[cls] = func() {
 			busy[st] = false
-			count[jb.class]--
-			observe(jb.class)
-			next := nextClass(jb.class)
-			if next == -1 {
+			t.add(cls, -1)
+			if next := nextClass(cls); next == -1 {
 				totalJobs--
 			} else {
 				enqueue(next)
 			}
 			startService(st)
-		})
+		}
+	}
+	startService = func(st int) {
+		if busy[st] || len(waiting[st]) == 0 {
+			return
+		}
+		jb := take(&waiting[st], pick(waiting[st], rank))
+		busy[st] = true
+		sim.Schedule(nw.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
 	}
 	enqueue = func(cls int) {
-		count[cls]++
-		observe(cls)
+		t.add(cls, +1)
 		st := nw.Classes[cls].Station
 		waiting[st] = append(waiting[st], job{class: cls, arrival: sim.Now()})
 		startService(st)
 	}
-
-	var arrive func(cls int)
-	arrive = func(cls int) {
+	poisson(sim, arr, func(j int) float64 { return nw.Classes[j].ArrivalRate }, func(cls int) {
 		totalJobs++
 		enqueue(cls)
-		sim.Schedule(arrStreams[cls].Exp(nw.Classes[cls].ArrivalRate), func() { arrive(cls) })
-	}
-	for j := 0; j < n; j++ {
-		if nw.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(nw.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
 	})
+	t.snapshotAtBurnin()
 	if sampleEvery > 0 {
 		var sample func()
 		sample = func() {
@@ -284,9 +252,8 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 	}
 	sim.RunUntil(horizon)
 
-	res := &NetworkResult{L: make([]float64, n), Trajectory: trajectory}
+	res := &NetworkResult{L: t.averages(horizon), Trajectory: trajectory}
 	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
 		res.CostRate += nw.Classes[j].HoldCost * res.L[j]
 	}
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Polling systems (Levy–Sidi 1990): one server cycles through queues,
@@ -90,53 +89,22 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 	}
 	n := len(p.Queues)
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
 	swStream := s.Split()
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
+	arr, svc := splitStreams(s, n)
 	queues := make([][]job, n)
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	wqSum := make([]float64, n)
-	wqN := make([]int64, n)
-	served := make([]int64, n)
+	t := newTally(sim, n, burnin)
 	at := 0 // queue the server is at
 	gate := 0
 
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
 	var visit func(first bool)
-	serveOne := func() {
-		jb := queues[at][0]
-		queues[at] = queues[at][1:]
-		if sim.Now() >= burnin {
-			wqSum[at] += sim.Now() - jb.arrival
-			wqN[at]++
-		}
-		dur := p.Queues[at].Service.Sample(svcStreams[at])
-		sim.Schedule(dur, func() {
-			count[at]--
-			observe(at)
-			if sim.Now() >= burnin {
-				served[at]++
-			}
-			gate--
-			visit(false)
-		})
+	complete := func() {
+		t.add(at, -1)
+		gate--
+		visit(false)
 	}
-	moveOn := func() {
-		sim.Schedule(p.Switch.Sample(swStream), func() {
-			at = (at + 1) % n
-			visit(true)
-		})
+	reach := func() { // the switchover ends at the next queue
+		at = (at + 1) % n
+		visit(true)
 	}
 	visit = func(first bool) {
 		if first {
@@ -149,47 +117,19 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 				gate = -1 // exhaustive: no gate
 			}
 		}
-		more := len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive)
-		if p.Regime != Exhaustive && gate == 0 {
-			more = false
-		}
-		if more {
-			serveOne()
+		if len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive) {
+			t.start(take(&queues[at], 0))
+			sim.Schedule(p.Queues[at].Service.Sample(svc[at]), complete)
 		} else {
-			moveOn()
+			sim.Schedule(p.Switch.Sample(swStream), reach)
 		}
 	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
+	poisson(sim, arr, rates(p.Queues), func(j int) {
+		t.add(j, +1)
 		queues[j] = append(queues[j], job{class: j, arrival: sim.Now()})
-		sim.Schedule(arrStreams[j].Exp(p.Queues[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if p.Queues[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(p.Queues[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
 	})
+	t.snapshotAtBurnin()
 	sim.At(0, func() { visit(true) })
 	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	cost := 0.0
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		if wqN[j] > 0 {
-			res.Wq[j] = wqSum[j] / float64(wqN[j])
-		}
-		cost += p.Queues[j].HoldCost * res.L[j]
-	}
-	res.CostRate = cost
-	return res, nil
+	return t.result(horizon, p.Queues), nil
 }

@@ -3,7 +3,6 @@ package queueing
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
@@ -40,19 +39,17 @@ func (FIFO) Name() string { return "FIFO" }
 // class. Order lists class indices, highest priority first.
 type StaticPriority struct{ Order []int }
 
-// Next implements Discipline.
+// Next implements Discipline. Simulate has checked that Order is a
+// permutation of the classes, so some waiting job always matches.
 func (p StaticPriority) Next(waiting []job) int {
-	rank := make(map[int]int, len(p.Order))
-	for r, cls := range p.Order {
-		rank[cls] = r
-	}
-	best, bestRank := -1, math.MaxInt32
-	for i, jb := range waiting {
-		if r := rank[jb.class]; r < bestRank {
-			best, bestRank = i, r
+	for _, cls := range p.Order {
+		for i, jb := range waiting {
+			if jb.class == cls {
+				return i
+			}
 		}
 	}
-	return best
+	return -1
 }
 
 // Name implements Discipline.
@@ -104,6 +101,23 @@ type StreamDiscipline interface {
 	WithStream(s *rng.Stream) Discipline
 }
 
+// checkOrders rejects a StaticPriority, alone or mixed into a RandomMix,
+// whose Order is not a permutation of the n classes.
+func checkOrders(d Discipline, n int) error {
+	switch d := d.(type) {
+	case StaticPriority:
+		_, err := ranks(d.Order, n)
+		return err
+	case RandomMix:
+		for _, inner := range d.Disciplines {
+			if err := checkOrders(inner, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // SimResult carries steady-state estimates from one replication.
 type SimResult struct {
 	L        []float64 // time-average number in system, per class
@@ -122,84 +136,39 @@ func (m *MG1) Simulate(d Discipline, horizon, burnin float64, s *rng.Stream) (*S
 		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
 	}
 	n := len(m.Classes)
+	if err := checkOrders(d, n); err != nil {
+		return nil, err
+	}
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
+	arr, svc := splitStreams(s, n)
+	t := newTally(sim, n, burnin)
 	var waiting []job
+	var cur job // the job in service
 	inService := false
-	count := make([]int, n) // jobs in system per class
-	lTrack := make([]stats.TimeWeighted, n)
-	wqSum := make([]float64, n)
-	wqN := make([]int64, n)
-	served := make([]int64, n)
 
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	var startService func()
+	var startService, complete func()
 	startService = func() {
 		if inService || len(waiting) == 0 {
 			return
 		}
-		idx := d.Next(waiting)
-		jb := waiting[idx]
-		waiting = append(waiting[:idx], waiting[idx+1:]...)
+		cur = take(&waiting, d.Next(waiting))
 		inService = true
-		if sim.Now() >= burnin {
-			wqSum[jb.class] += sim.Now() - jb.arrival
-			wqN[jb.class]++
-		}
-		dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		sim.Schedule(dur, func() {
-			inService = false
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			startService()
-		})
+		t.start(cur)
+		sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
 	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
+	complete = func() {
+		inService = false
+		t.add(cur.class, -1)
+		startService()
+	}
+	poisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		startService()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	// Snapshot the state at burnin so time averages start correctly.
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
 	})
+	t.snapshotAtBurnin()
 	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-		if wqN[j] > 0 {
-			res.Wq[j] = wqSum[j] / float64(wqN[j])
-		}
-	}
-	res.CostRate = m.HoldingCostRate(res.L)
-	return res, nil
+	return t.result(horizon, m.Classes), nil
 }
 
 // Replicate runs reps independent replications and returns per-class L and
@@ -265,92 +234,46 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
 	}
 	n := len(m.Classes)
-	rank := make([]int, n)
-	for r, cls := range order {
-		rank[cls] = r
+	rank, err := ranks(order, n)
+	if err != nil {
+		return nil, err
 	}
 	sim := des.New()
-	arrStreams := make([]*rng.Stream, n)
-	svcStreams := make([]*rng.Stream, n)
-	for j := 0; j < n; j++ {
-		arrStreams[j] = s.Split()
-		svcStreams[j] = s.Split()
-	}
-
+	arr, svc := splitStreams(s, n)
+	t := newTally(sim, n, burnin)
 	var waiting []job
-	var current *job
-	var completion *des.Handle
-	count := make([]int, n)
-	lTrack := make([]stats.TimeWeighted, n)
-	served := make([]int64, n)
+	var cur job // the job in service
+	inService := false
+	var completion des.Handle
 
-	observe := func(j int) {
-		if sim.Now() >= burnin {
-			lTrack[j].Observe(sim.Now(), float64(count[j]))
-		}
-	}
-
-	var dispatch func()
+	var dispatch, complete func()
 	dispatch = func() {
-		if current != nil || len(waiting) == 0 {
+		if inService || len(waiting) == 0 {
 			return
 		}
 		// Highest-priority waiting job (oldest within class).
-		best, bestRank := -1, math.MaxInt32
-		for i, jb := range waiting {
-			if rank[jb.class] < bestRank {
-				best, bestRank = i, rank[jb.class]
-			}
-		}
-		jb := waiting[best]
-		waiting = append(waiting[:best], waiting[best+1:]...)
-		current = &jb
-		dur := m.Classes[jb.class].Service.Sample(svcStreams[jb.class])
-		completion = sim.Schedule(dur, func() {
-			count[jb.class]--
-			observe(jb.class)
-			if sim.Now() >= burnin {
-				served[jb.class]++
-			}
-			current = nil
-			completion = nil
-			dispatch()
-		})
+		cur = take(&waiting, pick(waiting, rank))
+		inService = true
+		completion = sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
 	}
-
-	var arrive func(j int)
-	arrive = func(j int) {
-		count[j]++
-		observe(j)
+	complete = func() {
+		t.add(cur.class, -1)
+		inService = false
+		dispatch()
+	}
+	poisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		if current != nil && rank[j] < rank[current.class] {
+		if inService && rank[j] < rank[cur.class] {
 			// Preempt: return the job in service to the queue (memoryless
 			// services make resampling on resumption exact).
 			completion.Cancel()
-			waiting = append(waiting, *current)
-			current = nil
-			completion = nil
+			waiting = append(waiting, cur)
+			inService = false
 		}
 		dispatch()
-		sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-	}
-	for j := 0; j < n; j++ {
-		if m.Classes[j].ArrivalRate > 0 {
-			j := j
-			sim.Schedule(arrStreams[j].Exp(m.Classes[j].ArrivalRate), func() { arrive(j) })
-		}
-	}
-	sim.At(burnin, func() {
-		for j := 0; j < n; j++ {
-			lTrack[j].Observe(burnin, float64(count[j]))
-		}
 	})
+	t.snapshotAtBurnin()
 	sim.RunUntil(horizon)
-
-	res := &SimResult{L: make([]float64, n), Wq: make([]float64, n), Served: served}
-	for j := 0; j < n; j++ {
-		res.L[j] = lTrack[j].Average(horizon)
-	}
-	res.CostRate = m.HoldingCostRate(res.L)
-	return res, nil
+	return t.result(horizon, m.Classes), nil
 }

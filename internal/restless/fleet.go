@@ -3,7 +3,6 @@ package restless
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
@@ -47,15 +46,10 @@ func (f *Fleet) SimulateStaticPriority(score []float64, horizon, burnin int, s *
 	n := f.Type.N()
 	state := make([]int, f.N)
 	idx := make([]int, f.N)
+	bucket, slot := scoreBuckets(score), make([]int, n)
 	total := 0.0
 	for t := 0; t < horizon; t++ {
-		// Rank projects by score of their current state.
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return score[state[idx[a]]] > score[state[idx[b]]]
-		})
+		rankProjects(idx, state, bucket, slot)
 		reward := 0.0
 		for rank, proj := range idx {
 			act := Passive
@@ -72,6 +66,41 @@ func (f *Fleet) SimulateStaticPriority(score []float64, horizon, burnin int, s *
 		}
 	}
 	return total / float64(horizon-burnin), nil
+}
+
+// scoreBuckets maps each state to the number of states scoring strictly
+// higher than it: buckets in increasing order run from the highest score
+// down, and equal scores share one.
+func scoreBuckets(score []float64) []int {
+	bucket := make([]int, len(score))
+	for a := range bucket {
+		for b := range score {
+			if score[b] > score[a] {
+				bucket[a]++
+			}
+		}
+	}
+	return bucket
+}
+
+// rankProjects fills idx with the projects in decreasing score of their
+// current state, ties by project number. It is a counting sort over the
+// states' buckets, with slot (one entry per state) as scratch, so ranking
+// N projects costs O(N + states) and allocates nothing.
+func rankProjects(idx, state, bucket, slot []int) {
+	clear(slot)
+	for _, st := range state {
+		slot[bucket[st]]++
+	}
+	pos := 0
+	for k, size := range slot {
+		slot[k] = pos
+		pos += size
+	}
+	for proj, st := range state {
+		idx[slot[bucket[st]]] = proj
+		slot[bucket[st]]++
+	}
 }
 
 // SimulateRandomPolicy activates M uniformly random projects each epoch —

@@ -2,6 +2,8 @@ package restless
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"context"
@@ -167,5 +169,35 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := FleetUpperBound(p, 0, 0); err == nil {
 		t.Error("empty fleet accepted")
+	}
+}
+
+// TestRankProjectsMatchesStableSort: the counting sort ranks projects
+// exactly as a stable sort by decreasing score does, including states that
+// share a score.
+func TestRankProjectsMatchesStableSort(t *testing.T) {
+	s := rng.New(913)
+	for trial := 0; trial < 200; trial++ {
+		states := 1 + s.Intn(6)
+		score := make([]float64, states)
+		for i := range score {
+			score[i] = float64(s.Intn(3)) // few values, so ties across states
+		}
+		state := make([]int, 1+s.Intn(40))
+		for i := range state {
+			state[i] = s.Intn(states)
+		}
+		want := make([]int, len(state))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			return score[state[want[a]]] > score[state[want[b]]]
+		})
+		got := make([]int, len(state))
+		rankProjects(got, state, scoreBuckets(score), make([]int, states))
+		if !slices.Equal(got, want) {
+			t.Fatalf("score %v, state %v: ranked %v, want %v", score, state, got, want)
+		}
 	}
 }

@@ -33,6 +33,10 @@ func TestGoldenBodies(t *testing.T) {
 		{"simulate_polling", "simulate", ""},
 		{"simulate_mdp", "simulate", ""},
 		{"simulate_flowshop", "simulate", ""},
+		// The M/M/m event loop (cmu, two servers) and the Klimov feedback
+		// loop (mg1 with a feedback matrix).
+		{"simulate_mmm", "simulate", ""},
+		{"simulate_klimov", "simulate", ""},
 		// Target-precision mode with antithetic draws: the golden pins the
 		// stopping rule's spend (replications_used) end to end.
 		{"simulate_adaptive", "simulate", ""},

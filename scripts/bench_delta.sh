@@ -16,8 +16,9 @@
 # how many samples accumulate. bytes/op is deterministic and is the gate's
 # sharp edge.
 #
-# Regenerate the baselines with `make bench bench-simulate bench-precision`
-# after an intentional performance change.
+# Regenerate the baselines with
+# `make bench bench-simulate bench-precision bench-cluster` after an
+# intentional performance change.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -73,9 +73,11 @@ for ep in gittins whittle priority simulate; do
     check_endpoint "$ep"
 done
 # The registry's non-mg1 simulate kinds, through the same endpoint.
-for kind in restless batch jackson polling mdp flowshop; do
+for kind in restless batch jackson polling mdp flowshop mmm; do
     check_endpoint "simulate_$kind" simulate
 done
+# The Klimov feedback loop: mg1 with a feedback matrix under policy klimov.
+check_endpoint simulate_klimov simulate
 # Target-precision mode: the same endpoint with a precision block (and
 # antithetic draws) instead of a fixed budget; the golden pins the
 # sequential stopping rule's spend (replications_used) end to end.
@@ -284,7 +286,7 @@ stop_daemon
 # Determinism across parallelism: a fresh daemon at -parallel 8 must return
 # the exact same simulate bodies (its cache is empty, so this recomputes).
 start_daemon 8
-for stem in simulate simulate_restless simulate_batch simulate_jackson simulate_polling simulate_mdp simulate_flowshop simulate_adaptive; do
+for stem in simulate simulate_restless simulate_batch simulate_jackson simulate_polling simulate_mdp simulate_flowshop simulate_mmm simulate_klimov simulate_adaptive; do
     curl -fsS -X POST --data-binary "@$TESTDATA/${stem}_req.json" "$BASE/v1/simulate" -o "$TMP/${stem}_p8.json"
     if ! cmp -s "$TMP/${stem}_p8.json" "$TESTDATA/${stem}_golden.json"; then
         echo "FAIL: /v1/simulate ($stem) differs between -parallel 1 and -parallel 8:" >&2
