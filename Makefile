@@ -31,19 +31,20 @@ conformance:
 # Engine replication benchmark at parallelism 1/4/max, rendered as
 # machine-readable BENCH_engine.json for the performance trajectory.
 # Three runs folded to their best keep the baseline comparable with the
-# best-of-N measurement `make bench-check` gates against.
+# best-of-N measurement `make bench-check` gates against. Every bench
+# target pins -cpu 1, the GOMAXPROCS the gate measures at.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkEngineReplications -benchmem -count 3 . > bench_engine.out
+	$(GO) test -run '^$$' -bench BenchmarkEngineReplications -benchmem -count 3 -cpu 1 . > bench_engine.out
 	@cat bench_engine.out
 	$(GO) run ./cmd/bench2json < bench_engine.out > BENCH_engine.json
 	@rm -f bench_engine.out
 	@echo wrote BENCH_engine.json
 
 # Policy-service index-cache benchmark (cold compute vs warm sharded-cache
-# hit on /v1/gittins), rendered as BENCH_service.json. The warm path must be
+# hit on a bandit /v1/index request), rendered as BENCH_service.json. The warm path must be
 # at least 10x faster than the cold path.
 bench-service:
-	$(GO) test -run '^$$' -bench BenchmarkServiceIndexCache -benchmem . > bench_service.out
+	$(GO) test -run '^$$' -bench BenchmarkServiceIndexCache -benchmem -cpu 1 . > bench_service.out
 	@cat bench_service.out
 	$(GO) run ./cmd/bench2json < bench_service.out > BENCH_service.json
 	@rm -f bench_service.out
@@ -54,7 +55,7 @@ bench-service:
 # BENCH_simulate.json so the simulate path is tracked like the engine and
 # cache benches.
 bench-simulate:
-	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchmem -count 3 . > bench_simulate.out
+	$(GO) test -run '^$$' -bench BenchmarkSimulate -benchmem -count 3 -cpu 1 . > bench_simulate.out
 	@cat bench_simulate.out
 	$(GO) run ./cmd/bench2json < bench_simulate.out > BENCH_simulate.json
 	@rm -f bench_simulate.out
@@ -65,7 +66,7 @@ bench-simulate:
 # BENCH_batch.json. The batch must amortize per-call transport overhead
 # (batch faster per op than the N singles).
 bench-batch:
-	$(GO) test -run '^$$' -bench BenchmarkBatchVsSingle -benchmem . > bench_batch.out
+	$(GO) test -run '^$$' -bench BenchmarkBatchVsSingle -benchmem -cpu 1 . > bench_batch.out
 	@cat bench_batch.out
 	$(GO) run ./cmd/bench2json < bench_batch.out > BENCH_batch.json
 	@rm -f bench_batch.out
@@ -78,7 +79,7 @@ bench-batch:
 # implied replications to resolve a policy difference to ±1% with and
 # without common random numbers. Rendered as BENCH_precision.json.
 bench-precision:
-	$(GO) test -run '^$$' -bench BenchmarkAdaptivePrecision -benchmem -count 3 . > bench_precision.out
+	$(GO) test -run '^$$' -bench BenchmarkAdaptivePrecision -benchmem -count 3 -cpu 1 . > bench_precision.out
 	@cat bench_precision.out
 	$(GO) run ./cmd/bench2json < bench_precision.out > BENCH_precision.json
 	@rm -f bench_precision.out
@@ -89,7 +90,7 @@ bench-precision:
 # sweep on one node vs a 3-node ring fanning cells out to their owners.
 # Rendered as BENCH_cluster.json.
 bench-cluster:
-	$(GO) test -run '^$$' -bench BenchmarkCluster -benchmem -count 3 . > bench_cluster.out
+	$(GO) test -run '^$$' -bench BenchmarkCluster -benchmem -count 3 -cpu 1 . > bench_cluster.out
 	@cat bench_cluster.out
 	$(GO) run ./cmd/bench2json < bench_cluster.out > BENCH_cluster.json
 	@rm -f bench_cluster.out

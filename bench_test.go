@@ -75,13 +75,13 @@ func BenchmarkEngineReplications(b *testing.B) {
 	}
 }
 
-// serviceGittinsBody builds a /v1/gittins request body for a deterministic
-// n-state project; delta perturbs the first reward so each distinct value
-// yields a distinct spec hash (a guaranteed cache miss).
+// serviceGittinsBody builds a /v1/index bandit request body for a
+// deterministic n-state project; delta perturbs the first reward so each
+// distinct value yields a distinct spec hash (a guaranteed cache miss).
 func serviceGittinsBody(n int, delta float64) string {
 	s := rng.New(42)
 	var sb strings.Builder
-	sb.WriteString(`{"beta":0.9,"transitions":[`)
+	sb.WriteString(`{"kind":"bandit","bandit":{"beta":0.9,"transitions":[`)
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		sum := 0.0
@@ -112,11 +112,11 @@ func serviceGittinsBody(n int, delta float64) string {
 		}
 		fmt.Fprintf(&sb, "%.12g", r)
 	}
-	sb.WriteString(`]}`)
+	sb.WriteString(`]}}`)
 	return sb.String()
 }
 
-// BenchmarkServiceIndexCache measures the policy service's Gittins endpoint
+// BenchmarkServiceIndexCache measures the policy service's Gittins index
 // on a 30-state project along its two paths: "cold" defeats the cache with
 // a fresh spec every iteration (full index computation), "warm" repeats one
 // spec (sharded-cache lookup serving memoized bytes). The acceptance bar
@@ -127,7 +127,7 @@ func BenchmarkServiceIndexCache(b *testing.B) {
 		h := service.New(service.Config{}).Handler()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/gittins", strings.NewReader(body(i)))
+			req := httptest.NewRequest(http.MethodPost, "/v1/index", strings.NewReader(body(i)))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -205,7 +205,7 @@ func BenchmarkBatchVsSingle(b *testing.B) {
 	bodies := make([][]byte, n)
 	items := make([]api.BatchItem, n)
 	for i := range bodies {
-		body := fmt.Sprintf(`{"kind":"bandit","bandit":%s}`, serviceGittinsBody(3, float64(i+1)))
+		body := serviceGittinsBody(3, float64(i+1))
 		bodies[i] = []byte(body)
 		items[i] = api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(body)}
 		// Pre-warm: both variants below measure transport, not solving.

@@ -16,7 +16,9 @@
 // With -check BASELINE.json it becomes the regression gate `make
 // bench-check` runs: instead of emitting JSON it compares the measurements
 // on stdin against the checked-in baseline and exits 1 when any benchmark
-// regresses more than -tolerance percent in ns/op or bytes/op.
+// regresses more than -tolerance percent in ns/op or bytes/op, or when no
+// measurement matches a baseline entry at all (a run at another GOMAXPROCS
+// than the baseline's, say, so nothing was compared).
 package main
 
 import (
@@ -162,8 +164,9 @@ func best(entries []Entry) (map[benchKey]Entry, []benchKey) {
 
 // check compares the current measurements against the baseline and reports
 // one line per benchmark. It returns false when any benchmark present in
-// both regresses beyond tolerance percent on ns/op or bytes/op; benchmarks
-// new to the baseline (or missing from this run) are reported but pass.
+// both regresses beyond tolerance percent on ns/op or bytes/op, or when no
+// benchmark is present in both; benchmarks new to the baseline (or missing
+// from this run) are reported but pass.
 func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 	base, _ := best(baseline)
 	cur, order := best(current)
@@ -178,6 +181,7 @@ func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 		return (c - b) / b * 100
 	}
 	ok := true
+	compared := 0
 	for _, k := range order {
 		c := cur[k]
 		b, seen := base[k]
@@ -185,6 +189,7 @@ func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 			fmt.Fprintf(w, "NEW   %s-%d: %.0f ns/op (no baseline entry)\n", k.name, k.procs, c.NsPerOp)
 			continue
 		}
+		compared++
 		nsDelta := delta(b.NsPerOp, c.NsPerOp)
 		line := fmt.Sprintf("%s-%d: ns/op %.0f -> %.0f (%+.1f%%)", k.name, k.procs, b.NsPerOp, c.NsPerOp, nsDelta)
 		bad := nsDelta > tolerance
@@ -199,6 +204,10 @@ func check(w io.Writer, baseline, current []Entry, tolerance float64) bool {
 		} else {
 			fmt.Fprintf(w, "ok    %s\n", line)
 		}
+	}
+	if compared == 0 {
+		fmt.Fprintln(w, "bench2json: no benchmark matches a baseline entry (name and procs); nothing was compared")
+		return false
 	}
 	return ok
 }

@@ -85,3 +85,13 @@ func TestCheckFailsOnEmptyInput(t *testing.T) {
 		t.Error("empty benchmark run passed the gate")
 	}
 }
+
+// TestCheckFailsWhenNothingMatches: a run whose entries all miss the
+// baseline — here at GOMAXPROCS 2 against a procs-1 baseline — compares
+// nothing and must fail instead of passing on NEW lines alone.
+func TestCheckFailsWhenNothingMatches(t *testing.T) {
+	ok, out := checkAgainst(t, 1000, 500, "BenchmarkX-2 10 990 ns/op 500 B/op 3 allocs/op\n", 15)
+	if ok || !strings.Contains(out, "nothing was compared") {
+		t.Errorf("run with no baseline match passed the gate:\n%s", out)
+	}
+}

@@ -7,11 +7,11 @@
 //	  "rewards": [1, 0.3]
 //	}
 //
-// The spec is the canonical api.Bandit shape — the same one POST
-// /v1/gittins (and POST /v1/index with kind "bandit") of the policy
-// service accepts — and the command drives the service itself: the spec
-// goes through pkg/client into an in-process service handler, so the CLI
-// validates, hashes, and computes exactly like the daemon. It prints one
+// The spec is the canonical api.Bandit shape — the "bandit" payload POST
+// /v1/index of the policy service accepts — and the command drives the
+// service itself: the spec goes through pkg/client into an in-process
+// service handler, so the CLI validates, hashes, and computes exactly like
+// the daemon. It prints one
 // line per state with the index computed independently by the
 // restart-in-state and largest-index-first algorithms.
 package main

@@ -16,26 +16,32 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
+	"strconv"
+	"strings"
 
+	"stochsched/internal/dist"
+	"stochsched/internal/queueing"
 	"stochsched/internal/service"
-	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 	"stochsched/pkg/client"
 )
 
-// classList accumulates -class flags as canonical spec classes, so the CLI
-// shares its validation with the policy service: negative or zero
-// rates/means, negative costs, and malformed specs are rejected at parse
-// time instead of producing a nonsensical simulation.
-type classList []spec.Class
+// classList accumulates -class flags as wire classes. Malformed specs,
+// non-finite or nonpositive rates and means, and negative costs are
+// rejected at parse time instead of producing a nonsensical simulation.
+type classList []api.Class
 
 func (c *classList) String() string { return fmt.Sprint(*c) }
 
 func (c *classList) Set(v string) error {
-	cl, err := spec.ParseClass(v)
+	cl, err := parseClass(v)
 	if err != nil {
 		return err
 	}
@@ -43,33 +49,88 @@ func (c *classList) Set(v string) error {
 	return nil
 }
 
+// parseClass parses the class shorthand "rate:serviceMean:holdCost"
+// (exponential service). It rejects trailing garbage, missing or extra
+// fields, and every error names the offending input.
+func parseClass(v string) (api.Class, error) {
+	parts := strings.Split(v, ":")
+	if len(parts) != 3 {
+		return api.Class{}, fmt.Errorf("class %q: want rate:serviceMean:holdCost", v)
+	}
+	names := [3]string{"rate", "serviceMean", "holdCost"}
+	var f [3]float64
+	for i, p := range parts {
+		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+			return api.Class{}, fmt.Errorf("class %q: bad %s %q", v, names[i], p)
+		}
+		f[i] = x
+	}
+	switch {
+	case f[0] <= 0:
+		return api.Class{}, fmt.Errorf("class %q: rate must be positive", v)
+	case f[1] <= 0:
+		return api.Class{}, fmt.Errorf("class %q: serviceMean must be positive", v)
+	case f[2] < 0:
+		return api.Class{}, fmt.Errorf("class %q: holdCost must be nonnegative", v)
+	}
+	return api.Class{Rate: f[0], ServiceMean: f[1], HoldCost: f[2]}, nil
+}
+
+// model builds the exponential-service queueing model behind the load
+// factor and the exact FIFO values, which have no wire endpoint.
+func model(classes []api.Class) (*queueing.MG1, error) {
+	m := &queueing.MG1{}
+	for i, c := range classes {
+		name := c.Name
+		if name == "" {
+			name = fmt.Sprintf("c%d", i+1)
+		}
+		m.Classes = append(m.Classes, queueing.Class{
+			Name:        name,
+			ArrivalRate: c.Rate,
+			Service:     dist.Exponential{Rate: 1 / c.ServiceMean},
+			HoldCost:    c.HoldCost,
+		})
+	}
+	return m, m.Validate()
+}
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mg1", flag.ContinueOnError)
 	var classes classList
-	flag.Var(&classes, "class", "class spec rate:serviceMean:holdCost (repeatable)")
-	policy := flag.String("policy", "cmu", "discipline: cmu or fifo")
-	horizon := flag.Float64("horizon", 50000, "simulation horizon")
-	reps := flag.Int("replications", 1, "independent replications to average")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
+	fs.Var(&classes, "class", "class spec rate:serviceMean:holdCost (repeatable)")
+	policy := fs.String("policy", "cmu", "discipline: cmu or fifo")
+	horizon := fs.Float64("horizon", 50000, "simulation horizon")
+	reps := fs.Int("replications", 2, "independent replications to average (at least 2)")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage already printed; a clean exit, not a failure
+		}
+		return err
+	}
 
 	if len(classes) == 0 {
 		classes = classList{
 			{Name: "c1", Rate: 0.3, ServiceMean: 0.5, HoldCost: 4},
 			{Name: "c2", Rate: 0.2, ServiceMean: 1, HoldCost: 1},
 		}
-		fmt.Println("(no -class flags: using the built-in 2-class demo system)")
+		fmt.Fprintln(stdout, "(no -class flags: using the built-in 2-class demo system)")
 	}
 	sys := api.MG1{Classes: classes}
 	if *policy != "cmu" && *policy != "fifo" {
-		log.Fatalf("unknown policy %q (want cmu or fifo)", *policy)
+		return fmt.Errorf("unknown policy %q (want cmu or fifo)", *policy)
 	}
-
-	// The local model backs the load factor and the exact FIFO formulas
-	// (which have no wire endpoint); the simulation and the cµ exact
-	// values go through the service client.
-	m, err := spec.MG1Model(&sys)
+	m, err := model(classes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ctx := context.Background()
@@ -86,7 +147,7 @@ func main() {
 		Replications: *reps,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res := sim.MG1
 
@@ -95,7 +156,7 @@ func main() {
 	if *policy == "cmu" {
 		pr, err := c.Priority(ctx, &api.PriorityRequest{Kind: "mg1", MG1: &sys})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wqE, lE, costE = pr.Wq, pr.L, *pr.CostRate
 	} else {
@@ -103,10 +164,11 @@ func main() {
 		costE = m.HoldingCostRate(lE)
 	}
 
-	fmt.Printf("policy %s, load ρ = %.3f  (spec %.12s…)\n\n", res.Policy, m.Load(), sim.SpecHash)
-	fmt.Printf("class   L(sim)    L(exact)  Wq(sim)   Wq(exact)\n")
+	fmt.Fprintf(stdout, "policy %s, load ρ = %.3f  (spec %.12s…)\n\n", res.Policy, m.Load(), sim.SpecHash)
+	fmt.Fprintf(stdout, "class   L(sim)    L(exact)  Wq(sim)   Wq(exact)\n")
 	for j, cl := range m.Classes {
-		fmt.Printf("%-6s  %-8.4f  %-8.4f  %-8.4f  %-8.4f\n", cl.Name, res.L[j], lE[j], res.Wq[j], wqE[j])
+		fmt.Fprintf(stdout, "%-6s  %-8.4f  %-8.4f  %-8.4f  %-8.4f\n", cl.Name, res.L[j], lE[j], res.Wq[j], wqE[j])
 	}
-	fmt.Printf("\nholding-cost rate: sim %.4f, exact %.4f\n", res.CostRateMean, costE)
+	fmt.Fprintf(stdout, "\nholding-cost rate: sim %.4f, exact %.4f\n", res.CostRateMean, costE)
+	return nil
 }

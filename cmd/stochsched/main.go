@@ -13,7 +13,8 @@
 //	stochsched -run E09 -seed 1
 //	stochsched -run all -quick -parallel 8
 //	stochsched -run all -timeout 2m
-//	stochsched -catalog
+//
+// docs/catalog.md maps each index rule to the experiments exercising it.
 //
 // The sweep subcommand drives the parameter-sweep subsystem
 // (internal/sweep) in-process — same request JSON, same deterministic
@@ -56,7 +57,6 @@ import (
 	"runtime"
 	"strings"
 
-	"stochsched/internal/core"
 	"stochsched/internal/engine"
 	"stochsched/internal/experiments"
 )
@@ -77,7 +77,6 @@ func main() {
 		}
 	}
 	list := flag.Bool("list", false, "list all experiments and exit")
-	catalog := flag.Bool("catalog", false, "print the index-rule catalog and exit")
 	run := flag.String("run", "", "experiment ID to run (e.g. E09), comma-separated list, or 'all'")
 	seed := flag.Uint64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced replication counts")
@@ -89,11 +88,6 @@ func main() {
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%s  %-45s %s\n", e.ID, e.Title, e.Ref)
-		}
-	case *catalog:
-		for _, r := range core.Catalog() {
-			fmt.Printf("%-24s %-22s index: %-38s %s\n", r.Name, string(r.Family), r.Index, r.Ref)
-			fmt.Printf("%-24s optimal: %s; experiments %v\n", "", r.Optimality, r.Experiments)
 		}
 	case *run != "":
 		ctx := context.Background()

@@ -7,9 +7,6 @@
 //	stochschedd -addr :8080 -parallel 8
 //
 //	POST   /v1/index              kind + spec            → analytic indices (kind-dispatched)
-//	POST   /v1/gittins            bandit spec            → alias of /v1/index kind bandit
-//	POST   /v1/whittle            restless spec          → alias of /v1/index kind restless
-//	POST   /v1/priority           mg1 or batch spec      → alias of /v1/index (priority kinds)
 //	POST   /v1/simulate           spec + seed + reps     → replication estimates (any registered kind)
 //	POST   /v1/batch              [{op, body}, …]        → up to -batch-max-items calls, one round trip
 //	POST   /v1/sweep              base + grid + policies → async job id (202)

@@ -32,20 +32,19 @@
 //     reduce, so every simulator and the experiment suite produce
 //     byte-identical results for a given seed at any parallelism level,
 //     with context-based cancellation and timeouts throughout.
-//   - Wire contract (pkg/api) and specs (internal/spec): pkg/api defines
-//     every request/response JSON shape the service speaks — the problem
-//     specs (bandit, restless, multiclass M/G/1 with optional Klimov
-//     feedback, batch), the simulate/index/batch/sweep/stats envelopes,
-//     the standard error envelope, and the deterministic SHA-256 content
-//     hashing — with no internal dependencies, so external programs can
-//     import it. internal/spec aliases those shapes and adds strict deep
-//     validation plus conversion into the solver models. The CLIs and the
-//     policy service all parse into these types.
+//   - Wire contract (pkg/api): every request/response JSON shape the
+//     service speaks — the problem specs (bandit, restless, multiclass
+//     M/G/1 with optional Klimov feedback, batch, …), the
+//     simulate/index/batch/sweep/stats envelopes, the standard error
+//     envelope, and the deterministic SHA-256 content hashing — with no
+//     internal dependencies, so external programs can import it. The CLIs
+//     and the policy service all parse into these types.
 //   - Scenarios (internal/scenario): the pluggable model layer of the
 //     simulation service. One registered Scenario per simulate kind —
 //     mg1 (cµ/FIFO/Klimov), bandit (Gittins/greedy), restless fleets
-//     (Whittle/myopic/random), batch (WSEPT/SEPT/LEPT) — each owning
-//     strict payload parsing, spec validation, work-budget accounting,
+//     (Whittle/myopic/random), batch (WSEPT/SEPT/LEPT), and five more —
+//     each in one file owning strict payload parsing, deep spec
+//     validation and conversion into the solver model, work-budget accounting,
 //     policy enumeration with a sweep substitution path, the engine-backed
 //     simulation, and metric extraction for comparisons. Kinds with
 //     closed-form indices additionally implement the optional Indexer
@@ -55,8 +54,7 @@
 //     file plus its registration line.
 //   - Serving (internal/service, cmd/stochschedd): an HTTP/JSON policy
 //     server exposing the solvers — POST /v1/index (kind-dispatched
-//     analytic indices, with /v1/gittins, /v1/whittle, /v1/priority as
-//     byte-identical legacy aliases), /v1/simulate, and /v1/batch (up to
+//     analytic indices), /v1/simulate, and /v1/batch (up to
 //     N heterogeneous calls multiplexed into one round trip, executed
 //     concurrently on the shared pool with per-item status in item
 //     order) — behind a sharded memoization cache keyed by spec hash
@@ -74,7 +72,7 @@
 //     in-process transport the bundled CLIs run on.
 //   - Sweeps (internal/sweep): the asynchronous experiment platform on
 //     top of the service — a base /v1/simulate request, a declarative
-//     parameter grid (spec.Grid), and a policy list expand into a
+//     parameter grid (api.Grid), and a policy list expand into a
 //     deterministic DAG of simulation cells executed through the
 //     service's cache, folded into per-point policy-comparison rows
 //     (mean, CI half-width, regret vs the best policy) and streamed as
@@ -93,8 +91,8 @@
 // BenchmarkSimulate tracks the /v1/simulate path for every registered
 // scenario kind, and BenchmarkBatchVsSingle tracks the /v1/batch wire
 // amortization against single calls. Run
-// `stochsched -list` for the experiment index and `stochsched -catalog`
-// for the index-rule catalogue.
+// `stochsched -list` for the experiment index; docs/catalog.md is the
+// index-rule catalogue.
 //
 // Documentation lives in docs/: architecture.md (the layer diagram and
 // what each layer owns), api.md (the full HTTP reference for every /v1/*

@@ -16,8 +16,8 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/service"
-	"stochsched/internal/spec"
 	"stochsched/internal/sweep"
+	"stochsched/pkg/api"
 )
 
 func main() {
@@ -34,7 +34,7 @@ func main() {
 	}`
 	req := &sweep.Request{
 		Base: json.RawMessage(base),
-		Grid: spec.Grid{Axes: []spec.Axis{
+		Grid: api.Grid{Axes: []api.Axis{
 			{Path: "mg1.spec.classes.0.rate", Values: []float64{0.15, 0.25, 0.35, 0.45}},
 		}},
 		Policies: []string{"cmu", "fifo"},

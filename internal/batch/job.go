@@ -11,9 +11,9 @@
 // Simulation estimators (EstimateSingleMachine, EstimateParallel, the flow
 // shop and in-tree makespans) replicate on internal/engine, so their
 // estimates are byte-identical at any parallelism for a given seed. The
-// policy service exposes the WSEPT/SEPT/LEPT orders as POST /v1/priority
-// with kind "batch"; specs enter through internal/spec.Batch (see
-// docs/api.md).
+// policy service exposes the WSEPT/SEPT/LEPT orders through POST /v1/index
+// with kind "batch"; specs enter through the batch and flowshop kinds of
+// internal/scenario (see docs/api.md).
 package batch
 
 import (

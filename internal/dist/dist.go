@@ -150,7 +150,11 @@ func (d Uniform) String() string { return fmt.Sprintf("U[%g,%g]", d.Lo, d.Hi) }
 // Erlang
 
 // Erlang is the Erlang-K law: the sum of K iid exponentials with the given
-// rate (mean K/Rate). K must be ≥ 1.
+// rate (mean K/Rate). K must be ≥ 1. Sample multiplies K uniforms, whose
+// product has expected logarithm −K, so it underflows to zero (and the
+// draw to +Inf) as K nears 745: at K = 700 about one draw in twenty does.
+// The service caps K at 100 on the wire for that reason and because K is
+// per-draw work.
 type Erlang struct {
 	K    int
 	Rate float64

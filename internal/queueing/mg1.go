@@ -15,10 +15,11 @@
 // All replication loops (MG1.Replicate, ReplicateKlimov, and the M/M/m and
 // polling experiment helpers) run on internal/engine with per-replication
 // RNG substreams, so estimates are byte-identical at any parallelism for a
-// given seed. The policy service exposes the cµ/Klimov orders as
-// POST /v1/priority and the simulators as POST /v1/simulate — which the
+// given seed. The policy service exposes the cµ/Klimov orders through
+// POST /v1/index and the simulators through POST /v1/simulate — which the
 // sweep subsystem (internal/sweep) fans out over whole parameter grids;
-// specs enter through internal/spec.MG1 (see docs/api.md).
+// specs enter through the mg1, mmm, polling, and jackson kinds of
+// internal/scenario (see docs/api.md).
 package queueing
 
 import (

@@ -12,8 +12,9 @@
 //
 // Fleet replications fan out over internal/engine, so estimates are
 // byte-identical at any parallelism for a given seed. The policy service
-// exposes WhittleIndex and CheckIndexability as POST /v1/whittle (see
-// docs/api.md); specs enter through internal/spec.Restless.
+// exposes WhittleIndex and CheckIndexability through POST /v1/index with
+// kind "restless" (see docs/api.md); specs enter through the restless kind
+// of internal/scenario.
 package restless
 
 import (

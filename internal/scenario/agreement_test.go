@@ -12,7 +12,6 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 )
 
@@ -48,11 +47,11 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 		}
 	}
 
-	var nw spec.Network
+	var nw api.Network
 	if err := decodeStrictPayload([]byte(jacksonTandem), &nw); err != nil {
 		t.Fatal(err)
 	}
-	model, err := spec.NetworkModel(&nw)
+	model, err := networkModel(&nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestMDPOptimalGainMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := res.(*MDPResult)
+	sim := res.(*api.MDPResult)
 	tol := math.Max(3*sim.RewardCI95, 0.02)
 	if math.Abs(sim.RewardMean-analytic.Gain) > tol {
 		t.Errorf("simulated optimal reward %v ± %v vs analytic gain %v (tol %v)",
@@ -154,7 +153,7 @@ func TestRestlessLPBoundDominatesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := res.(*RestlessResult)
+	sim := res.(*api.RestlessResult)
 
 	// The relaxation bound dominates any feasible policy, the Whittle
 	// heuristic included: simulated reward must not exceed it beyond noise.

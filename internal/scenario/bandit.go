@@ -7,35 +7,23 @@ import (
 
 	"stochsched/internal/bandit"
 	"stochsched/internal/engine"
-	"stochsched/internal/spec"
+	"stochsched/internal/linalg"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(banditScenario{}) }
 
-// The bandit wire shapes live in the public contract; the aliases keep
-// this package's names stable for internal consumers.
-type (
-	// BanditSim parameterizes a bandit simulation: the system spec, the
-	// component start states, and the selection policy ("gittins", the
-	// default, or "greedy" — the one-step myopic baseline).
-	BanditSim = api.BanditSim
-	// BanditResult carries the discounted-reward estimate under the
-	// selected policy.
-	BanditResult = api.BanditResult
-)
-
 // banditScenario evaluates an index policy on a multi-project discounted
 // bandit; its Indexer capability computes Gittins indices of a single
-// project (the legacy /v1/gittins endpoint).
+// project.
 type banditScenario struct{}
 
 func (banditScenario) Kind() string { return "bandit" }
 
 // banditPolicy defaults the payload's policy knob: an absent policy means
 // "gittins", keeping pre-registry request bodies (and their hashes) valid.
-func banditPolicy(p *BanditSim) string {
+func banditPolicy(p *api.BanditSim) string {
 	if p.Policy == "" {
 		return "gittins"
 	}
@@ -43,7 +31,7 @@ func banditPolicy(p *BanditSim) string {
 }
 
 func (banditScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p BanditSim
+	var p api.BanditSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -61,18 +49,41 @@ func (banditScenario) ParsePayload(raw json.RawMessage) (any, error) {
 func (banditScenario) ReplicationWork(payload any) float64 {
 	// Episode length scales with the discounted horizon 1/(1−β). An
 	// out-of-range discount is reported by Validate, not the budget.
-	if beta := payload.(*BanditSim).Spec.Beta; beta > 0 && beta < 1 {
+	if beta := payload.(*api.BanditSim).Spec.Beta; beta > 0 && beta < 1 {
 		return 1 / (1 - beta)
 	}
 	return 0
 }
 
 func (s banditScenario) Validate(payload any) error {
-	p := payload.(*BanditSim)
-	if err := spec.ValidateBanditSystem(&p.Spec); err != nil {
+	p := payload.(*api.BanditSim)
+	// These two checks stay out of banditModel so that Simulate keeps
+	// answering the solver's own error text for such specs.
+	if !(p.Spec.Beta > 0 && p.Spec.Beta < 1) {
+		return fmt.Errorf("spec: discount beta %v outside (0,1)", p.Spec.Beta)
+	}
+	if len(p.Spec.Projects) == 0 {
+		return fmt.Errorf("spec: bandit system has no projects")
+	}
+	if _, err := banditModel(&p.Spec); err != nil {
 		return err
 	}
 	return s.checkPolicy(banditPolicy(p))
+}
+
+// banditModel converts the system spec into a validated solver model.
+func banditModel(b *api.BanditSystem) (*bandit.Bandit, error) {
+	out := &bandit.Bandit{Beta: b.Beta}
+	for i, a := range b.Projects {
+		if err := checkMatrix(a.Transitions, a.Rewards); err != nil {
+			return nil, fmt.Errorf("project %d: %w", i, err)
+		}
+		out.Projects = append(out.Projects, &bandit.Project{P: linalg.FromRows(a.Transitions), R: a.Rewards})
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (banditScenario) Policies(any) []string { return []string{"gittins", "greedy"} }
@@ -87,7 +98,7 @@ func (banditScenario) checkPolicy(policy string) error {
 }
 
 func (s banditScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*BanditSim)
+	p := payload.(*api.BanditSim)
 	policy := banditPolicy(p)
 	if err := s.checkPolicy(policy); err != nil {
 		return nil, 0, BadSpec{err}
@@ -95,7 +106,7 @@ func (s banditScenario) Simulate(ctx context.Context, pool *engine.Pool, payload
 	if opts.Antithetic {
 		return nil, 0, errAntithetic("bandit", "state transitions are categorical draws")
 	}
-	b, err := spec.BanditModel(&p.Spec)
+	b, err := banditModel(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -121,13 +132,13 @@ func (s banditScenario) Simulate(ctx context.Context, pool *engine.Pool, payload
 	if err != nil {
 		return nil, 0, err
 	}
-	return &BanditResult{Policy: policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
+	return &api.BanditResult{Policy: policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
 }
 
 func (banditScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string        `json:"spec_hash"`
-		Bandit   *BanditResult `json:"bandit"`
+		SpecHash string            `json:"spec_hash"`
+		Bandit   *api.BanditResult `json:"bandit"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding bandit simulate response: %v", err)
@@ -161,13 +172,29 @@ func (banditScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &b, nil
 }
 
-// IndexHash hashes the bare project spec — exactly the pre-v2 /v1/gittins
-// body, so legacy goldens and cache keys are preserved.
+// IndexHash hashes the bare project spec, the encoding the gittins golden
+// and its cache keys were pinned under.
 func (banditScenario) IndexHash(payload any) string { return api.Hash(payload.(*api.Bandit)) }
+
+// banditProject checks the discount, matrix shape, and row-stochasticity,
+// and converts the spec into a solver model.
+func banditProject(b *api.Bandit) (*bandit.Project, error) {
+	if !(b.Beta > 0 && b.Beta < 1) {
+		return nil, fmt.Errorf("spec: discount beta %v outside (0,1)", b.Beta)
+	}
+	if err := checkMatrix(b.Transitions, b.Rewards); err != nil {
+		return nil, err
+	}
+	p := &bandit.Project{P: linalg.FromRows(b.Transitions), R: b.Rewards}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
 func (banditScenario) ComputeIndex(payload any, hash string) (any, error) {
 	b := payload.(*api.Bandit)
-	p, err := spec.BanditProject(b)
+	p, err := banditProject(b)
 	if err != nil {
 		return nil, BadSpec{err}
 	}

@@ -8,39 +8,21 @@ import (
 	"stochsched/internal/batch"
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(batchScenario{}) }
 
-// The batch wire shapes live in the public contract; the aliases keep this
-// package's names stable for internal consumers.
-type (
-	// BatchSim parameterizes a parallel-machine batch simulation: the
-	// instance spec, the list policy computing the dispatch order
-	// ("wsept", "sept", or "lept"), and the objective sweeps compare on
-	// ("weighted_flowtime", the default; "flowtime"; or "makespan"). All
-	// three objectives are always reported — the objective knob only
-	// selects the comparison metric.
-	BatchSim = api.BatchSim
-	// BatchResult carries the replication estimates of one list policy on
-	// identical parallel machines: the dispatch order and all three
-	// realized objectives.
-	BatchResult = api.BatchResult
-)
-
 // batchScenario estimates list-policy objectives on identical parallel
 // machines via internal/batch; its Indexer capability computes the
-// WSEPT/SEPT/LEPT orders with Smith ratios (the batch half of the legacy
-// /v1/priority endpoint).
+// WSEPT/SEPT/LEPT orders with Smith ratios.
 type batchScenario struct{}
 
 func (batchScenario) Kind() string { return "batch" }
 
 // batchObjective defaults the payload's objective knob.
-func batchObjective(p *BatchSim) string {
+func batchObjective(p *api.BatchSim) string {
 	if p.Objective == "" {
 		return "weighted_flowtime"
 	}
@@ -48,7 +30,7 @@ func batchObjective(p *BatchSim) string {
 }
 
 func (batchScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p BatchSim
+	var p api.BatchSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -57,12 +39,12 @@ func (batchScenario) ParsePayload(raw json.RawMessage) (any, error) {
 
 func (batchScenario) ReplicationWork(payload any) float64 {
 	// One replication dispatches every job once.
-	return float64(len(payload.(*BatchSim).Spec.Jobs))
+	return float64(len(payload.(*api.BatchSim).Spec.Jobs))
 }
 
 func (s batchScenario) Validate(payload any) error {
-	p := payload.(*BatchSim)
-	if err := spec.ValidateBatch(&p.Spec); err != nil {
+	p := payload.(*api.BatchSim)
+	if _, err := batchInstance(&p.Spec); err != nil {
 		return err
 	}
 	if err := s.checkPolicy(p.Policy); err != nil {
@@ -91,8 +73,35 @@ func checkBatchObjective(objective string) error {
 	return fmt.Errorf("unknown batch objective %q (want weighted_flowtime, flowtime, or makespan)", objective)
 }
 
+// batchInstance checks every job and the machine count, and converts the
+// spec into a solver instance.
+func batchInstance(b *api.Batch) (*batch.Instance, error) {
+	if len(b.Jobs) == 0 {
+		return nil, fmt.Errorf("spec: batch has no jobs")
+	}
+	machines := b.Machines
+	if machines == 0 {
+		machines = 1
+	}
+	in := &batch.Instance{Machines: machines}
+	for i, j := range b.Jobs {
+		if j.Weight < 0 || !finite(j.Weight) {
+			return nil, fmt.Errorf("spec: job %d needs a nonnegative weight, got %v", i, j.Weight)
+		}
+		law, err := distLaw(&j.Dist)
+		if err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
+		in.Jobs = append(in.Jobs, batch.Job{ID: i, Weight: j.Weight, Dist: law})
+	}
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
 func (s batchScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*BatchSim)
+	p := payload.(*api.BatchSim)
 	if err := s.checkPolicy(p.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -100,7 +109,7 @@ func (s batchScenario) Simulate(ctx context.Context, pool *engine.Pool, payload 
 	if err := checkBatchObjective(objective); err != nil {
 		return nil, 0, BadSpec{err}
 	}
-	in, err := spec.BatchInstance(&p.Spec)
+	in, err := batchInstance(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -139,7 +148,7 @@ func (s batchScenario) Simulate(ctx context.Context, pool *engine.Pool, payload 
 	if err != nil {
 		return nil, 0, err
 	}
-	return &BatchResult{
+	return &api.BatchResult{
 		Policy:               p.Policy,
 		Objective:            objective,
 		Order:                order,
@@ -154,8 +163,8 @@ func (s batchScenario) Simulate(ctx context.Context, pool *engine.Pool, payload 
 
 func (batchScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string       `json:"spec_hash"`
-		Batch    *BatchResult `json:"batch"`
+		SpecHash string           `json:"spec_hash"`
+		Batch    *api.BatchResult `json:"batch"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding batch simulate response: %v", err)
@@ -196,16 +205,16 @@ func (batchScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &b, nil
 }
 
-// IndexHash hashes the {"kind":"batch","batch":…} priority envelope —
-// exactly the pre-v2 /v1/priority body, so legacy goldens and cache keys
-// are preserved.
+// IndexHash hashes the {"kind":"batch","batch":…} envelope as an
+// api.PriorityRequest, the encoding the batch index cache keys were pinned
+// under.
 func (batchScenario) IndexHash(payload any) string {
 	return api.Hash(&api.PriorityRequest{Kind: "batch", Batch: payload.(*api.Batch)})
 }
 
 func (s batchScenario) ComputeIndex(payload any, hash string) (any, error) {
 	b := payload.(*api.Batch)
-	in, err := spec.BatchInstance(b)
+	in, err := batchInstance(b)
 	if err != nil {
 		return nil, BadSpec{err}
 	}

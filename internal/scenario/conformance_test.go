@@ -129,13 +129,13 @@ func TestConformance(t *testing.T) {
 
 			// Indexer hash/compute round-trip: stable hash across re-parse,
 			// deterministic recomputation, spec_hash echoed in the response.
-			ir, err := ParseIndexBody(kind, []byte(payload))
+			ir, err := ParseIndexRequest([]byte(scenariotest.IndexBody(kind)))
 			if err != nil {
-				t.Fatalf("ParseIndexBody: %v", err)
+				t.Fatalf("ParseIndexRequest: %v", err)
 			}
-			ir2, err := ParseIndexBody(kind, []byte(payload))
+			ir2, err := ParseIndexRequest([]byte(scenariotest.IndexBody(kind)))
 			if err != nil {
-				t.Fatalf("re-ParseIndexBody: %v", err)
+				t.Fatalf("re-ParseIndexRequest: %v", err)
 			}
 			if ir.Hash() == "" || ir.Hash() != ir2.Hash() {
 				t.Errorf("index hash unstable across re-parse: %q vs %q", ir.Hash(), ir2.Hash())

@@ -8,23 +8,11 @@ import (
 	"stochsched/internal/batch"
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(flowshopScenario{}) }
-
-// The flowshop wire shapes live in the public contract; the aliases keep
-// this package's names stable for internal consumers.
-type (
-	// FlowShopSim parameterizes a batch-shop simulation; the policy set
-	// depends on the spec variant.
-	FlowShopSim = api.FlowShopSim
-	// FlowShopResult carries the replication estimate of the variant's
-	// objective.
-	FlowShopResult = api.FlowShopResult
-)
 
 // flowshopScenario simulates the batch-shop models under one kind, with
 // the variant selected by the spec: permutation flow shops (optionally
@@ -37,7 +25,7 @@ type flowshopScenario struct{}
 func (flowshopScenario) Kind() string { return "flowshop" }
 
 func (flowshopScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p FlowShopSim
+	var p api.FlowShopSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -48,7 +36,7 @@ func (flowshopScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (flowshopScenario) ReplicationWork(payload any) float64 {
-	p := payload.(*FlowShopSim)
+	p := payload.(*api.FlowShopSim)
 	switch p.Spec.Variant() {
 	case "flowshop":
 		return float64(len(p.Spec.Jobs) * len(p.Spec.Jobs[0].Stages))
@@ -60,18 +48,98 @@ func (flowshopScenario) ReplicationWork(payload any) float64 {
 }
 
 func (s flowshopScenario) Validate(payload any) error {
-	p := payload.(*FlowShopSim)
-	if err := spec.ValidateFlowShop(&p.Spec); err != nil {
+	p := payload.(*api.FlowShopSim)
+	var err error
+	switch p.Spec.Variant() {
+	case "flowshop":
+		_, err = flowShopJobs(&p.Spec)
+	case "tree":
+		_, _, err = treeModel(p.Spec.Tree)
+	case "sevcik":
+		_, err = discreteJobs(p.Spec.Sevcik)
+	default:
+		err = fmt.Errorf("spec: flowshop needs exactly one of jobs, tree, sevcik")
+	}
+	if err != nil {
 		return err
 	}
 	return s.checkPolicy(p)
+}
+
+// flowShopJobs converts the flow-shop variant into solver jobs; every job
+// must share one positive stage count.
+func flowShopJobs(f *api.FlowShop) ([]batch.FlowShopJob, error) {
+	stages := len(f.Jobs[0].Stages)
+	if stages == 0 {
+		return nil, fmt.Errorf("spec: flowshop job 0 has no stages")
+	}
+	out := make([]batch.FlowShopJob, 0, len(f.Jobs))
+	for i := range f.Jobs {
+		j := &f.Jobs[i]
+		if len(j.Stages) != stages {
+			return nil, fmt.Errorf("spec: flowshop job %d has %d stages, want %d", i, len(j.Stages), stages)
+		}
+		laws := make([]dist.Distribution, stages)
+		for k := range j.Stages {
+			law, err := distLaw(&j.Stages[k])
+			if err != nil {
+				return nil, fmt.Errorf("job %d stage %d: %w", i, k, err)
+			}
+			laws[k] = law
+		}
+		out = append(out, batch.FlowShopJob{ID: i, Stages: laws})
+	}
+	return out, nil
+}
+
+// treeModel converts the tree variant into a validated in-tree plus its
+// machine count (default 1).
+func treeModel(t *api.TreeSpec) (*batch.InTree, int, error) {
+	if !(t.Rate > 0) || !finite(t.Rate) {
+		return nil, 0, fmt.Errorf("spec: tree needs a positive task rate, got %v", t.Rate)
+	}
+	machines := t.Machines
+	if machines == 0 {
+		machines = 1
+	}
+	if machines < 1 {
+		return nil, 0, fmt.Errorf("spec: tree needs at least one machine, got %d", t.Machines)
+	}
+	tree, err := batch.NewInTree(t.Parent)
+	if err != nil {
+		return nil, 0, err
+	}
+	return tree, machines, nil
+}
+
+// discreteJobs converts the sevcik variant into solver jobs with validated
+// discrete laws (positive finite values, probabilities summing to 1).
+func discreteJobs(list []api.DiscreteJobSpec) ([]batch.DiscreteJob, error) {
+	out := make([]batch.DiscreteJob, 0, len(list))
+	for i := range list {
+		j := &list[i]
+		if j.Weight < 0 || !finite(j.Weight) {
+			return nil, fmt.Errorf("spec: sevcik job %d needs a nonnegative weight, got %v", i, j.Weight)
+		}
+		for k, v := range j.Values {
+			if !(v > 0) || !finite(v) {
+				return nil, fmt.Errorf("spec: sevcik job %d value %d must be positive and finite, got %v", i, k, v)
+			}
+		}
+		law, err := dist.NewDiscrete(j.Values, j.Probs)
+		if err != nil {
+			return nil, fmt.Errorf("sevcik job %d: %w", i, err)
+		}
+		out = append(out, batch.DiscreteJob{ID: i, Weight: j.Weight, Law: law})
+	}
+	return out, nil
 }
 
 // Policies is variant-dependent: "talwar" is listed only when it applies
 // (two stages, all exponential), so sweeps never enumerate a policy the
 // spec cannot run.
 func (flowshopScenario) Policies(payload any) []string {
-	p := payload.(*FlowShopSim)
+	p := payload.(*api.FlowShopSim)
 	switch p.Spec.Variant() {
 	case "flowshop":
 		if talwarApplies(&p.Spec) {
@@ -105,7 +173,7 @@ func talwarApplies(f *api.FlowShop) bool {
 	return len(f.Jobs) > 0
 }
 
-func (s flowshopScenario) checkPolicy(p *FlowShopSim) error {
+func (s flowshopScenario) checkPolicy(p *api.FlowShopSim) error {
 	for _, pol := range s.Policies(p) {
 		if pol == p.Policy {
 			return nil
@@ -116,7 +184,7 @@ func (s flowshopScenario) checkPolicy(p *FlowShopSim) error {
 }
 
 func (s flowshopScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*FlowShopSim)
+	p := payload.(*api.FlowShopSim)
 	if err := s.checkPolicy(p); err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -130,8 +198,8 @@ func (s flowshopScenario) Simulate(ctx context.Context, pool *engine.Pool, paylo
 	}
 }
 
-func (flowshopScenario) simulateFlowShop(ctx context.Context, pool *engine.Pool, p *FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	jobs, err := spec.FlowShopJobs(&p.Spec)
+func (flowshopScenario) simulateFlowShop(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+	jobs, err := flowShopJobs(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -166,7 +234,7 @@ func (flowshopScenario) simulateFlowShop(ctx context.Context, pool *engine.Pool,
 	if err != nil {
 		return nil, 0, err
 	}
-	return &FlowShopResult{
+	return &api.FlowShopResult{
 		Policy:  p.Policy,
 		Variant: "flowshop",
 		Metric:  "makespan",
@@ -176,11 +244,11 @@ func (flowshopScenario) simulateFlowShop(ctx context.Context, pool *engine.Pool,
 	}, used, nil
 }
 
-func (flowshopScenario) simulateTree(ctx context.Context, pool *engine.Pool, p *FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func (flowshopScenario) simulateTree(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
 	if opts.Antithetic {
 		return nil, 0, errAntithetic("flowshop", "the tree variant's finisher selection is a categorical draw")
 	}
-	tree, machines, err := spec.TreeModel(p.Spec.Tree)
+	tree, machines, err := treeModel(p.Spec.Tree)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -203,7 +271,7 @@ func (flowshopScenario) simulateTree(ctx context.Context, pool *engine.Pool, p *
 	if err != nil {
 		return nil, 0, err
 	}
-	return &FlowShopResult{
+	return &api.FlowShopResult{
 		Policy:  p.Policy,
 		Variant: "tree",
 		Metric:  "makespan",
@@ -212,11 +280,11 @@ func (flowshopScenario) simulateTree(ctx context.Context, pool *engine.Pool, p *
 	}, used, nil
 }
 
-func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p *FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
 	if opts.Antithetic {
 		return nil, 0, errAntithetic("flowshop", "the sevcik variant's discrete laws are not inverse-CDF sampled")
 	}
-	jobs, err := spec.DiscreteJobs(p.Spec.Sevcik)
+	jobs, err := discreteJobs(p.Spec.Sevcik)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -241,7 +309,7 @@ func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p
 	if err != nil {
 		return nil, 0, err
 	}
-	return &FlowShopResult{
+	return &api.FlowShopResult{
 		Policy:  p.Policy,
 		Variant: "sevcik",
 		Metric:  "weighted_flowtime",
@@ -253,8 +321,8 @@ func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p
 
 func (flowshopScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string          `json:"spec_hash"`
-		FlowShop *FlowShopResult `json:"flowshop"`
+		SpecHash string              `json:"spec_hash"`
+		FlowShop *api.FlowShopResult `json:"flowshop"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding flowshop simulate response: %v", err)

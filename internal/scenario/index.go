@@ -8,19 +8,18 @@ import (
 )
 
 // Indexer is the optional analytic capability of a Scenario: closed-form
-// index/priority computation for the kind, served by POST /v1/index (and
-// its legacy aliases /v1/gittins, /v1/whittle, /v1/priority). A scenario
-// that implements it becomes index-servable with no serving-layer edits —
-// the same registry-resolution contract Simulate has.
+// index/priority computation for the kind, served by POST /v1/index. A
+// scenario that implements it becomes index-servable with no serving-layer
+// edits — the same registry-resolution contract Simulate has.
 //
 // Unlike Simulate, index computation takes no seed, replications, or pool:
 // it is deterministic linear algebra, so the result is a pure function of
 // the payload alone.
 type Indexer interface {
-	// IndexFamily returns the legacy endpoint family this kind's index
-	// belongs to — "gittins", "whittle", or "priority". It prefixes the
-	// cache key (so a legacy route and its /v1/index equivalent share one
-	// cached body) and names the metrics bucket of the legacy alias.
+	// IndexFamily returns the cache-key namespace of the kind's index
+	// ("gittins", "whittle", "priority", or the kind name). It prefixes
+	// the family:hash cache key that ring routing and state snapshots are
+	// keyed on, so it must not change for a kind once served.
 	IndexFamily() string
 
 	// ParseIndexPayload strictly decodes the kind's index payload (unknown
@@ -30,9 +29,8 @@ type Indexer interface {
 
 	// IndexHash returns the canonical spec hash of a parsed payload — the
 	// memoization key suffix and the spec_hash echoed in the response. The
-	// encoding mirrors the pre-v2 endpoint bodies (e.g. the mg1/batch hash
-	// covers the {"kind":…,"mg1":…} priority envelope), so golden response
-	// bodies are stable across the /v1/index redesign.
+	// encoding is fixed per kind (e.g. the mg1/batch hash covers an
+	// api.PriorityRequest envelope), so golden response bodies stay stable.
 	IndexHash(payload any) string
 
 	// ComputeIndex fully validates the payload and computes the response
@@ -63,24 +61,12 @@ func (r *IndexRequest) Hash() string {
 	return r.hash
 }
 
-// Family returns the request's legacy endpoint family.
+// Family returns the request's cache-key namespace (see
+// Indexer.IndexFamily).
 func (r *IndexRequest) Family() string { return r.Indexer.IndexFamily() }
 
 // Compute runs the index computation on the parsed payload.
 func (r *IndexRequest) Compute() (any, error) { return r.Indexer.ComputeIndex(r.Payload, r.Hash()) }
-
-// lookupIndexer resolves a kind that carries the index capability.
-func lookupIndexer(kind string) (Scenario, Indexer, error) {
-	sc, ok := Lookup(kind)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown index kind %q (want %s)", kind, strings.Join(IndexKinds(), ", "))
-	}
-	idx, ok := sc.(Indexer)
-	if !ok {
-		return nil, nil, fmt.Errorf("kind %q has no analytic index (want %s)", kind, strings.Join(IndexKinds(), ", "))
-	}
-	return sc, idx, nil
-}
 
 // ParseIndexRequest strictly decodes a /v1/index body: a kind field plus
 // exactly one payload field named after the kind, dispatched through the
@@ -94,32 +80,19 @@ func ParseIndexRequest(body []byte) (*IndexRequest, error) {
 	if err := fields.take("kind", &kind); err != nil {
 		return nil, err
 	}
-	sc, idx, err := lookupIndexer(kind)
-	if err != nil {
-		return nil, err
+	sc, ok := Lookup(kind)
+	if !ok {
+		return nil, fmt.Errorf("unknown index kind %q (want %s)", kind, strings.Join(IndexKinds(), ", "))
+	}
+	idx, ok := sc.(Indexer)
+	if !ok {
+		return nil, fmt.Errorf("kind %q has no analytic index (want %s)", kind, strings.Join(IndexKinds(), ", "))
 	}
 	raw, err := fields.popPayload(kind)
 	if err != nil {
 		return nil, err
 	}
 	payload, err := idx.ParseIndexPayload(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexRequest{Kind: kind, Scenario: sc, Indexer: idx, Payload: payload}, nil
-}
-
-// ParseIndexBody decodes a legacy single-kind body (POST /v1/gittins,
-// /v1/whittle): the whole body is the payload of the given kind, with no
-// envelope. The parsed request is identical to what ParseIndexRequest
-// would produce for {"kind":<kind>,<kind>:<body>}, which is what makes the
-// legacy routes thin aliases over /v1/index.
-func ParseIndexBody(kind string, body []byte) (*IndexRequest, error) {
-	sc, idx, err := lookupIndexer(kind)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := idx.ParseIndexPayload(body)
 	if err != nil {
 		return nil, err
 	}

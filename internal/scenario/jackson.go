@@ -10,22 +10,11 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(jacksonScenario{}) }
-
-// The jackson wire shapes live in the public contract; the aliases keep
-// this package's names stable for internal consumers.
-type (
-	// JacksonSim parameterizes an open-network simulation: the network
-	// spec, the per-station priority rule, and the horizon.
-	JacksonSim = api.JacksonSim
-	// JacksonResult carries replication means for the network simulation.
-	JacksonResult = api.JacksonResult
-)
 
 // jacksonScenario simulates open multiclass queueing networks (one server
 // per station, deterministic or probabilistic routing) under per-station
@@ -39,7 +28,7 @@ type jacksonScenario struct{}
 func (jacksonScenario) Kind() string { return "jackson" }
 
 func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p JacksonSim
+	var p api.JacksonSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -50,15 +39,113 @@ func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (jacksonScenario) ReplicationWork(payload any) float64 {
-	return payload.(*JacksonSim).Horizon
+	return payload.(*api.JacksonSim).Horizon
 }
 
 func (s jacksonScenario) Validate(payload any) error {
-	p := payload.(*JacksonSim)
-	if err := spec.ValidateNetwork(&p.Spec); err != nil {
+	p := payload.(*api.JacksonSim)
+	if _, err := networkModel(&p.Spec); err != nil {
 		return err
 	}
 	return s.checkPolicy(p.Policy)
+}
+
+// networkModel checks every class, the routing graph, and that the traffic
+// equations have a finite nonnegative solution, and converts the spec into
+// a queueing network. Deliberately NOT checked: station loads below 1 —
+// simulating unstable networks (the Lu–Kumar example) is the point of the
+// kind. The product-form index separately demands stability.
+func networkModel(nw *api.Network) (*queueing.Network, error) {
+	if len(nw.Classes) == 0 {
+		return nil, fmt.Errorf("spec: network has no classes")
+	}
+	if nw.Stations <= 0 {
+		return nil, fmt.Errorf("spec: network needs a positive station count, got %d", nw.Stations)
+	}
+	out := &queueing.Network{Stations: nw.Stations}
+	external := false
+	for i := range nw.Classes {
+		c, err := netClass(&nw.Classes[i], i, len(nw.Classes))
+		if err != nil {
+			return nil, err
+		}
+		if c.ArrivalRate > 0 {
+			external = true
+		}
+		out.Classes = append(out.Classes, c)
+	}
+	if !external {
+		return nil, fmt.Errorf("spec: open network needs at least one class with a positive external rate")
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	lam, err := out.EffectiveRates()
+	if err != nil {
+		return nil, fmt.Errorf("spec: traffic equations: %w", err)
+	}
+	for i, l := range lam {
+		if l < -1e-9 || !finite(l) {
+			return nil, fmt.Errorf("spec: traffic equations give class %d effective rate %v", i, l)
+		}
+	}
+	return out, nil
+}
+
+// netClass checks and converts class i of an n-class network.
+func netClass(c *api.NetClass, i, n int) (queueing.NetClass, error) {
+	var zero queueing.NetClass
+	if c.Rate < 0 || !finite(c.Rate) {
+		return zero, fmt.Errorf("spec: class %d needs a nonnegative external rate, got %v", i, c.Rate)
+	}
+	if c.HoldCost < 0 || !finite(c.HoldCost) {
+		return zero, fmt.Errorf("spec: class %d needs a nonnegative holding cost, got %v", i, c.HoldCost)
+	}
+	if (c.ServiceMean != 0) == (c.Service != nil) {
+		return zero, fmt.Errorf("spec: class %d needs exactly one of service_mean, service", i)
+	}
+	var law dist.Distribution
+	if c.Service != nil {
+		var err error
+		if law, err = distLaw(c.Service); err != nil {
+			return zero, fmt.Errorf("class %d: %w", i, err)
+		}
+	} else {
+		if !(c.ServiceMean > 0) || !finite(c.ServiceMean) {
+			return zero, fmt.Errorf("spec: class %d needs a positive service mean, got %v", i, c.ServiceMean)
+		}
+		law = dist.Exponential{Rate: 1 / c.ServiceMean}
+	}
+	if c.Next != nil && len(c.Routes) > 0 {
+		return zero, fmt.Errorf("spec: class %d sets both next and routes", i)
+	}
+	next := -1
+	if c.Next != nil {
+		if *c.Next < 0 || *c.Next >= n {
+			return zero, fmt.Errorf("spec: class %d routes to class %d outside [0,%d)", i, *c.Next, n)
+		}
+		next = *c.Next
+	}
+	routes := make([]queueing.Route, 0, len(c.Routes))
+	for _, r := range c.Routes {
+		if !finite(r.Prob) {
+			return zero, fmt.Errorf("spec: class %d has a non-finite routing probability", i)
+		}
+		routes = append(routes, queueing.Route{To: r.To, Prob: r.Prob})
+	}
+	name := c.Name
+	if name == "" {
+		name = fmt.Sprintf("c%d", i+1)
+	}
+	return queueing.NetClass{
+		Name:        name,
+		Station:     c.Station,
+		ArrivalRate: c.Rate,
+		Service:     law,
+		Next:        next,
+		Routes:      routes,
+		HoldCost:    c.HoldCost,
+	}, nil
 }
 
 func (jacksonScenario) Policies(any) []string { return []string{"cmu", "fcfs", "lbfs"} }
@@ -101,11 +188,11 @@ func networkPolicy(nw *queueing.Network, rule string) *queueing.NetworkPolicy {
 }
 
 func (s jacksonScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*JacksonSim)
+	p := payload.(*api.JacksonSim)
 	if err := s.checkPolicy(p.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
-	nw, err := spec.NetworkModel(&p.Spec)
+	nw, err := networkModel(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -131,7 +218,7 @@ func (s jacksonScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &JacksonResult{
+	res := &api.JacksonResult{
 		Policy:       p.Policy,
 		L:            make([]float64, n),
 		CostRateMean: rep.CostRate.Mean(),
@@ -145,8 +232,8 @@ func (s jacksonScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 
 func (jacksonScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string         `json:"spec_hash"`
-		Jackson  *JacksonResult `json:"jackson"`
+		SpecHash string             `json:"spec_hash"`
+		Jackson  *api.JacksonResult `json:"jackson"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding jackson simulate response: %v", err)
@@ -187,7 +274,7 @@ func (jacksonScenario) IndexHash(payload any) string {
 }
 
 func (jacksonScenario) ComputeIndex(payload any, hash string) (any, error) {
-	nw, err := spec.NetworkModel(payload.(*api.Network))
+	nw, err := networkModel(payload.(*api.Network))
 	if err != nil {
 		return nil, BadSpec{err}
 	}

@@ -6,23 +6,13 @@ import (
 	"fmt"
 
 	"stochsched/internal/engine"
+	"stochsched/internal/linalg"
 	"stochsched/internal/markov"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(mdpScenario{}) }
-
-// The mdp wire shapes live in the public contract; the aliases keep this
-// package's names stable for internal consumers.
-type (
-	// MDPSim parameterizes an average-reward MDP simulation: the spec,
-	// the policy, the start state, and the epoch horizon.
-	MDPSim = api.MDPSim
-	// MDPResult carries the average-reward-per-epoch estimate.
-	MDPResult = api.MDPResult
-)
 
 // mdpScenario simulates finite average-reward MDPs under the RVI-optimal,
 // myopic, or random policy; its Indexer capability solves the model
@@ -39,7 +29,7 @@ const (
 )
 
 func (mdpScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MDPSim
+	var p api.MDPSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -53,12 +43,12 @@ func (mdpScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (mdpScenario) ReplicationWork(payload any) float64 {
-	return float64(payload.(*MDPSim).Horizon)
+	return float64(payload.(*api.MDPSim).Horizon)
 }
 
 func (s mdpScenario) Validate(payload any) error {
-	p := payload.(*MDPSim)
-	m, err := spec.MDPModel(&p.Spec)
+	p := payload.(*api.MDPSim)
+	m, err := mdpModel(&p.Spec)
 	if err != nil {
 		return err
 	}
@@ -66,6 +56,32 @@ func (s mdpScenario) Validate(payload any) error {
 		return fmt.Errorf("start state %d outside [0,%d)", p.Start, m.N())
 	}
 	return s.checkPolicy(p.Policy)
+}
+
+// mdpModel checks that every action shares one state count and is
+// row-stochastic with finite rewards, and converts the spec into a
+// markov.MDP.
+func mdpModel(m *api.MDP) (*markov.MDP, error) {
+	if len(m.Actions) == 0 {
+		return nil, fmt.Errorf("spec: mdp has no actions")
+	}
+	n := len(m.Actions[0].Transitions)
+	out := &markov.MDP{}
+	for a := range m.Actions {
+		act := &m.Actions[a]
+		if err := checkMatrix(act.Transitions, act.Rewards); err != nil {
+			return nil, fmt.Errorf("action %d: %w", a, err)
+		}
+		if len(act.Transitions) != n {
+			return nil, fmt.Errorf("spec: action %d has %d states, want %d", a, len(act.Transitions), n)
+		}
+		out.Transitions = append(out.Transitions, linalg.FromRows(act.Transitions))
+		out.Rewards = append(out.Rewards, act.Rewards)
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (mdpScenario) Policies(any) []string { return []string{"optimal", "myopic", "random"} }
@@ -81,14 +97,14 @@ func (mdpScenario) checkPolicy(policy string) error {
 }
 
 func (s mdpScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*MDPSim)
+	p := payload.(*api.MDPSim)
 	if err := s.checkPolicy(p.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
 	if opts.Antithetic {
 		return nil, 0, errAntithetic("mdp", "state transitions are categorical draws")
 	}
-	m, err := spec.MDPModel(&p.Spec)
+	m, err := mdpModel(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -120,7 +136,7 @@ func (s mdpScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	if err != nil {
 		return nil, 0, err
 	}
-	return &MDPResult{
+	return &api.MDPResult{
 		Policy:     p.Policy,
 		Actions:    actions,
 		RewardMean: est.Mean(),
@@ -130,8 +146,8 @@ func (s mdpScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 
 func (mdpScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string     `json:"spec_hash"`
-		MDP      *MDPResult `json:"mdp"`
+		SpecHash string         `json:"spec_hash"`
+		MDP      *api.MDPResult `json:"mdp"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding mdp simulate response: %v", err)
@@ -171,7 +187,7 @@ func (mdpScenario) IndexHash(payload any) string {
 }
 
 func (mdpScenario) ComputeIndex(payload any, hash string) (any, error) {
-	m, err := spec.MDPModel(payload.(*api.MDP))
+	m, err := mdpModel(payload.(*api.MDP))
 	if err != nil {
 		return nil, BadSpec{err}
 	}

@@ -7,36 +7,23 @@ import (
 
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
+	"stochsched/internal/linalg"
 	"stochsched/internal/queueing"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(mg1Scenario{}) }
 
-// The mg1 wire shapes live in the public contract; the aliases keep this
-// package's names stable for internal consumers.
-type (
-	// MG1Sim parameterizes an M/G/1 simulation: the system spec, the
-	// discipline ("cmu", "fifo", or "klimov" for feedback systems), and
-	// the horizon.
-	MG1Sim = api.MG1Sim
-	// MG1Result carries replication means for the queueing simulation.
-	// For feedback (Klimov) systems only the cost rate is estimated.
-	MG1Result = api.MG1Result
-)
-
 // mg1Scenario simulates the multiclass M/G/1 queue (and, with feedback,
 // Klimov's network) under a discipline; its Indexer capability computes
-// the cµ (or Klimov) priority order with exact Cobham delays (the mg1 half
-// of the legacy /v1/priority endpoint).
+// the cµ (or Klimov) priority order with exact Cobham delays.
 type mg1Scenario struct{}
 
 func (mg1Scenario) Kind() string { return "mg1" }
 
 func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MG1Sim
+	var p api.MG1Sim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -47,19 +34,70 @@ func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (mg1Scenario) ReplicationWork(payload any) float64 {
-	return payload.(*MG1Sim).Horizon
+	return payload.(*api.MG1Sim).Horizon
 }
 
 func (s mg1Scenario) Validate(payload any) error {
-	p := payload.(*MG1Sim)
-	if err := spec.ValidateMG1(&p.Spec); err != nil {
+	p := payload.(*api.MG1Sim)
+	var err error
+	if p.Spec.HasFeedback() {
+		_, err = klimovModel(&p.Spec)
+	} else {
+		_, err = mg1Model(&p.Spec)
+	}
+	if err != nil {
 		return err
 	}
 	return s.checkPolicy(&p.Spec, p.Policy)
 }
 
+// mg1Model converts a feedback-free spec into a validated queueing model.
+func mg1Model(m *api.MG1) (*queueing.MG1, error) {
+	cs, err := classes(m.Classes)
+	if err != nil {
+		return nil, err
+	}
+	out := &queueing.MG1{Classes: cs}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// klimovModel converts the spec into a validated Klimov network (a zero
+// feedback matrix is supplied when absent).
+func klimovModel(m *api.MG1) (*queueing.KlimovNetwork, error) {
+	cs, err := classes(m.Classes)
+	if err != nil {
+		return nil, err
+	}
+	n := len(cs)
+	fb := linalg.NewMatrix(n, n)
+	if m.HasFeedback() {
+		if len(m.Feedback) != n {
+			return nil, fmt.Errorf("spec: feedback has %d rows, want %d", len(m.Feedback), n)
+		}
+		for i, row := range m.Feedback {
+			if len(row) != n {
+				return nil, fmt.Errorf("spec: feedback row %d has %d entries, want %d", i, len(row), n)
+			}
+			for j, v := range row {
+				if v < 0 || !finite(v) {
+					return nil, fmt.Errorf("spec: feedback[%d][%d] = %v is negative or non-finite", i, j, v)
+				}
+				fb.Set(i, j, v)
+			}
+		}
+	}
+	out := &queueing.KlimovNetwork{Classes: cs, Feedback: fb}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func (mg1Scenario) Policies(payload any) []string {
-	if payload.(*MG1Sim).Spec.HasFeedback() {
+	if payload.(*api.MG1Sim).Spec.HasFeedback() {
 		return []string{"klimov"}
 	}
 	return []string{"cmu", "fifo"}
@@ -70,7 +108,7 @@ func (mg1Scenario) PolicyPath() string { return "mg1.policy" }
 // checkPolicy is the single source of truth for which simulate policies an
 // mg1 spec supports; submit-time validation (Validate) and execution
 // (Simulate) must never disagree.
-func (mg1Scenario) checkPolicy(m *spec.MG1, policy string) error {
+func (mg1Scenario) checkPolicy(m *api.MG1, policy string) error {
 	if m.HasFeedback() {
 		if policy != "klimov" {
 			return fmt.Errorf("feedback systems support policy \"klimov\", got %q", policy)
@@ -84,7 +122,7 @@ func (mg1Scenario) checkPolicy(m *spec.MG1, policy string) error {
 }
 
 func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	sim := payload.(*MG1Sim)
+	sim := payload.(*api.MG1Sim)
 	if err := s.checkPolicy(&sim.Spec, sim.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -92,7 +130,7 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 		if opts.Antithetic {
 			return nil, 0, errAntithetic("mg1", "feedback routing draws are categorical")
 		}
-		k, err := spec.KlimovModel(&sim.Spec)
+		k, err := klimovModel(&sim.Spec)
 		if err != nil {
 			return nil, 0, BadSpec{err}
 		}
@@ -110,7 +148,7 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 		if err != nil {
 			return nil, 0, err
 		}
-		return &MG1Result{
+		return &api.MG1Result{
 			Policy:       "klimov",
 			Order:        order,
 			CostRateMean: est.Mean(),
@@ -118,7 +156,7 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 		}, used, nil
 	}
 
-	m, err := spec.MG1Model(&sim.Spec)
+	m, err := mg1Model(&sim.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -149,7 +187,7 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &MG1Result{
+	res := &api.MG1Result{
 		Policy:       sim.Policy,
 		Order:        order,
 		L:            make([]float64, n),
@@ -166,8 +204,8 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 
 func (mg1Scenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string     `json:"spec_hash"`
-		MG1      *MG1Result `json:"mg1"`
+		SpecHash string         `json:"spec_hash"`
+		MG1      *api.MG1Result `json:"mg1"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding mg1 simulate response: %v", err)
@@ -201,9 +239,9 @@ func (mg1Scenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &m, nil
 }
 
-// IndexHash hashes the {"kind":"mg1","mg1":…} priority envelope — exactly
-// the pre-v2 /v1/priority body, so legacy goldens and cache keys are
-// preserved.
+// IndexHash hashes the {"kind":"mg1","mg1":…} envelope as an
+// api.PriorityRequest, the encoding the priority golden and its cache keys
+// were pinned under.
 func (mg1Scenario) IndexHash(payload any) string {
 	return api.Hash(&api.PriorityRequest{Kind: "mg1", MG1: payload.(*api.MG1)})
 }
@@ -211,7 +249,7 @@ func (mg1Scenario) IndexHash(payload any) string {
 func (s mg1Scenario) ComputeIndex(payload any, hash string) (any, error) {
 	m := payload.(*api.MG1)
 	if m.HasFeedback() {
-		k, err := spec.KlimovModel(m)
+		k, err := klimovModel(m)
 		if err != nil {
 			return nil, BadSpec{err}
 		}
@@ -221,7 +259,7 @@ func (s mg1Scenario) ComputeIndex(payload any, hash string) (any, error) {
 		}
 		return &api.PriorityResponse{SpecHash: hash, Rule: "klimov", Order: order, Indices: indices}, nil
 	}
-	q, err := spec.MG1Model(m)
+	q, err := mg1Model(m)
 	if err != nil {
 		return nil, BadSpec{err}
 	}

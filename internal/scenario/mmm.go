@@ -7,22 +7,11 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(mmmScenario{}) }
-
-// The mmm wire shapes live in the public contract; the aliases keep this
-// package's names stable for internal consumers.
-type (
-	// MMmSim parameterizes a multiclass M/M/m simulation: the system
-	// spec, the discipline ("cmu" or "fifo"), and the horizon.
-	MMmSim = api.MMmSim
-	// MMmResult carries replication means for the M/M/m simulation.
-	MMmResult = api.MMmResult
-)
 
 // mmmScenario simulates the multiclass M/M/m queue — m identical
 // exponential servers shared under a static nonpreemptive discipline — and
@@ -34,7 +23,7 @@ type mmmScenario struct{}
 func (mmmScenario) Kind() string { return "mmm" }
 
 func (mmmScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p MMmSim
+	var p api.MMmSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -45,15 +34,29 @@ func (mmmScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (mmmScenario) ReplicationWork(payload any) float64 {
-	return payload.(*MMmSim).Horizon
+	return payload.(*api.MMmSim).Horizon
 }
 
 func (s mmmScenario) Validate(payload any) error {
-	p := payload.(*MMmSim)
-	if err := spec.ValidateMMm(&p.Spec); err != nil {
+	p := payload.(*api.MMmSim)
+	if _, err := mmmModel(&p.Spec); err != nil {
 		return err
 	}
 	return s.checkPolicy(p.Policy)
+}
+
+// mmmModel checks every class (exponential services only), the server
+// count, and stability, and converts the spec into a queueing model.
+func mmmModel(m *api.MMm) (*queueing.MMm, error) {
+	cs, err := classes(m.Classes)
+	if err != nil {
+		return nil, err
+	}
+	out := &queueing.MMm{Classes: cs, Servers: m.Servers}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (mmmScenario) Policies(payload any) []string { return []string{"cmu", "fifo"} }
@@ -71,11 +74,11 @@ func (mmmScenario) checkPolicy(policy string) error {
 }
 
 func (s mmmScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	sim := payload.(*MMmSim)
+	sim := payload.(*api.MMmSim)
 	if err := s.checkPolicy(sim.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
-	m, err := spec.MMmModel(&sim.Spec)
+	m, err := mmmModel(&sim.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -98,7 +101,7 @@ func (s mmmScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &MMmResult{
+	res := &api.MMmResult{
 		Policy:       sim.Policy,
 		Order:        order,
 		Servers:      m.Servers,
@@ -114,8 +117,8 @@ func (s mmmScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 
 func (mmmScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string     `json:"spec_hash"`
-		MMm      *MMmResult `json:"mmm"`
+		SpecHash string         `json:"spec_hash"`
+		MMm      *api.MMmResult `json:"mmm"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding mmm simulate response: %v", err)
@@ -149,15 +152,14 @@ func (mmmScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &m, nil
 }
 
-// IndexHash hashes the {"kind":"mmm","mmm":…} index envelope. The kind is
-// new, so — unlike mg1 — there is no legacy single-kind body to mirror.
+// IndexHash hashes the {"kind":"mmm","mmm":…} index envelope.
 func (mmmScenario) IndexHash(payload any) string {
 	return api.Hash(&api.IndexRequest{Kind: "mmm", MMm: payload.(*api.MMm)})
 }
 
 func (mmmScenario) ComputeIndex(payload any, hash string) (any, error) {
 	m := payload.(*api.MMm)
-	q, err := spec.MMmModel(m)
+	q, err := mmmModel(m)
 	if err != nil {
 		return nil, BadSpec{err}
 	}

@@ -8,22 +8,11 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(pollingScenario{}) }
-
-// The polling wire shapes live in the public contract; the aliases keep
-// this package's names stable for internal consumers.
-type (
-	// PollingSim parameterizes a polling-system simulation: the spec, the
-	// service regime as the policy, and the horizon.
-	PollingSim = api.PollingSim
-	// PollingResult carries replication means for the polling simulation.
-	PollingResult = api.PollingResult
-)
 
 // pollingScenario simulates a cyclic polling system (one server walking
 // over the queues with switchover times). The service regime is the
@@ -34,7 +23,7 @@ type pollingScenario struct{}
 func (pollingScenario) Kind() string { return "polling" }
 
 func (pollingScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p PollingSim
+	var p api.PollingSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -45,16 +34,36 @@ func (pollingScenario) ParsePayload(raw json.RawMessage) (any, error) {
 }
 
 func (pollingScenario) ReplicationWork(payload any) float64 {
-	return payload.(*PollingSim).Horizon
+	return payload.(*api.PollingSim).Horizon
 }
 
 func (s pollingScenario) Validate(payload any) error {
-	p := payload.(*PollingSim)
-	if err := spec.ValidatePolling(&p.Spec); err != nil {
+	p := payload.(*api.PollingSim)
+	if _, err := pollingModel(&p.Spec, queueing.Exhaustive); err != nil {
 		return err
 	}
 	_, err := pollingRegime(p.Policy)
 	return err
+}
+
+// pollingModel checks the queues (positive rates, one service law each),
+// the switch-time law, and stability including switching overhead, and
+// converts the spec into a polling model under the given regime (the
+// regime is the simulate policy, not part of the spec).
+func pollingModel(p *api.Polling, regime queueing.PollingRegime) (*queueing.Polling, error) {
+	cs, err := classes(p.Queues)
+	if err != nil {
+		return nil, err
+	}
+	sw, err := distLaw(&p.Switch)
+	if err != nil {
+		return nil, fmt.Errorf("switch: %w", err)
+	}
+	out := &queueing.Polling{Queues: cs, Switch: sw, Regime: regime}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (pollingScenario) Policies(any) []string { return []string{"exhaustive", "gated", "limited"} }
@@ -76,12 +85,12 @@ func pollingRegime(policy string) (queueing.PollingRegime, error) {
 }
 
 func (s pollingScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*PollingSim)
+	p := payload.(*api.PollingSim)
 	regime, err := pollingRegime(p.Policy)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
-	model, err := spec.PollingModel(&p.Spec, regime)
+	model, err := pollingModel(&p.Spec, regime)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -106,7 +115,7 @@ func (s pollingScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 	if err != nil {
 		return nil, 0, err
 	}
-	res := &PollingResult{
+	res := &api.PollingResult{
 		Policy:       p.Policy,
 		L:            make([]float64, n),
 		Wq:           make([]float64, n),
@@ -122,8 +131,8 @@ func (s pollingScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 
 func (pollingScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string         `json:"spec_hash"`
-		Polling  *PollingResult `json:"polling"`
+		SpecHash string             `json:"spec_hash"`
+		Polling  *api.PollingResult `json:"polling"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding polling simulate response: %v", err)

@@ -190,12 +190,14 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 			return nil, fmt.Errorf("field \"precision\": %w", err)
 		}
 	}
+	// Two replications is the floor: a CI95 needs two samples, and below
+	// that every kind's half-width is +Inf, which JSON cannot encode.
 	budgetReps := req.BudgetReplications()
 	if lim.MaxReplications > 0 && budgetReps > lim.MaxReplications {
-		return nil, fmt.Errorf("replications %d outside [1, %d]", budgetReps, lim.MaxReplications)
+		return nil, fmt.Errorf("replications %d outside [2, %d]", budgetReps, lim.MaxReplications)
 	}
-	if budgetReps < 1 {
-		return nil, fmt.Errorf("replications %d must be at least 1", budgetReps)
+	if budgetReps < 2 {
+		return nil, fmt.Errorf("replications %d must be at least 2", budgetReps)
 	}
 	if req.Parallel < 0 || req.Parallel > 1024 {
 		return nil, fmt.Errorf("parallel %d outside [0, 1024]", req.Parallel)

@@ -6,39 +6,23 @@ import (
 	"fmt"
 
 	"stochsched/internal/engine"
+	"stochsched/internal/linalg"
 	"stochsched/internal/restless"
-	"stochsched/internal/spec"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
 func init() { Register(restlessScenario{}) }
 
-// The restless wire shapes live in the public contract; the aliases keep
-// this package's names stable for internal consumers.
-type (
-	// RestlessSim parameterizes a restless-fleet simulation: N iid copies
-	// of one two-action restless project, M of which are activated every
-	// epoch by a static state-priority rule — "whittle" (scores = Whittle
-	// indices), "myopic" (scores = one-step activation advantage R₁ − R₀),
-	// or "random" (the unprioritized baseline). Average reward per epoch
-	// is measured over [burnin, horizon).
-	RestlessSim = api.RestlessSim
-	// RestlessResult carries the average-reward-per-epoch estimate of the
-	// fleet under the selected activation rule.
-	RestlessResult = api.RestlessResult
-)
-
 // restlessScenario estimates fleet-scale activation heuristics
 // (Whittle vs myopic vs random) via internal/restless; its Indexer
-// capability computes Whittle indices of the single project (the legacy
-// /v1/whittle endpoint).
+// capability computes Whittle indices of the single project.
 type restlessScenario struct{}
 
 func (restlessScenario) Kind() string { return "restless" }
 
 func (restlessScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p RestlessSim
+	var p api.RestlessSim
 	if err := decodeStrictPayload(raw, &p); err != nil {
 		return nil, err
 	}
@@ -53,16 +37,41 @@ func (restlessScenario) ParsePayload(raw json.RawMessage) (any, error) {
 
 func (restlessScenario) ReplicationWork(payload any) float64 {
 	// Every epoch touches all N projects.
-	p := payload.(*RestlessSim)
+	p := payload.(*api.RestlessSim)
 	return float64(p.Horizon) * float64(p.N)
 }
 
 func (s restlessScenario) Validate(payload any) error {
-	p := payload.(*RestlessSim)
-	if err := spec.ValidateRestless(&p.Spec); err != nil {
+	p := payload.(*api.RestlessSim)
+	if _, err := restlessProject(&p.Spec); err != nil {
 		return err
 	}
 	return s.checkPolicy(p.Policy)
+}
+
+// restlessProject checks the discount and both actions' dynamics, and
+// converts the spec into a solver model.
+func restlessProject(r *api.Restless) (*restless.Project, error) {
+	if !(r.Beta > 0 && r.Beta < 1) {
+		return nil, fmt.Errorf("spec: discount beta %v outside (0,1)", r.Beta)
+	}
+	if err := checkMatrix(r.Passive.Transitions, r.Passive.Rewards); err != nil {
+		return nil, fmt.Errorf("passive: %w", err)
+	}
+	if err := checkMatrix(r.Active.Transitions, r.Active.Rewards); err != nil {
+		return nil, fmt.Errorf("active: %w", err)
+	}
+	if len(r.Passive.Transitions) != len(r.Active.Transitions) {
+		return nil, fmt.Errorf("spec: passive has %d states, active %d", len(r.Passive.Transitions), len(r.Active.Transitions))
+	}
+	p := &restless.Project{
+		P: [2]*linalg.Matrix{linalg.FromRows(r.Passive.Transitions), linalg.FromRows(r.Active.Transitions)},
+		R: [2][]float64{r.Passive.Rewards, r.Active.Rewards},
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func (restlessScenario) Policies(any) []string { return []string{"whittle", "myopic", "random"} }
@@ -78,14 +87,14 @@ func (restlessScenario) checkPolicy(policy string) error {
 }
 
 func (s restlessScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
-	p := payload.(*RestlessSim)
+	p := payload.(*api.RestlessSim)
 	if err := s.checkPolicy(p.Policy); err != nil {
 		return nil, 0, BadSpec{err}
 	}
 	if opts.Antithetic {
 		return nil, 0, errAntithetic("restless", "project transitions are categorical draws")
 	}
-	proj, err := spec.RestlessProject(&p.Spec)
+	proj, err := restlessProject(&p.Spec)
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
@@ -114,13 +123,13 @@ func (s restlessScenario) Simulate(ctx context.Context, pool *engine.Pool, paylo
 	if err != nil {
 		return nil, 0, err
 	}
-	return &RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
+	return &api.RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
 }
 
 func (restlessScenario) Outcome(policy string, resp []byte) (Outcome, error) {
 	var b struct {
-		SpecHash string          `json:"spec_hash"`
-		Restless *RestlessResult `json:"restless"`
+		SpecHash string              `json:"spec_hash"`
+		Restless *api.RestlessResult `json:"restless"`
 	}
 	if err := json.Unmarshal(resp, &b); err != nil {
 		return Outcome{}, fmt.Errorf("decoding restless simulate response: %v", err)
@@ -154,15 +163,15 @@ func (restlessScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	return &r, nil
 }
 
-// IndexHash hashes the flattened project-plus-knob struct — exactly the
-// pre-v2 /v1/whittle body, so legacy goldens and cache keys are preserved.
+// IndexHash hashes the flattened project-plus-knob struct, the encoding
+// the whittle golden and its cache keys were pinned under.
 func (restlessScenario) IndexHash(payload any) string {
 	return api.Hash(payload.(*api.WhittleRequest))
 }
 
 func (restlessScenario) ComputeIndex(payload any, hash string) (any, error) {
 	req := payload.(*api.WhittleRequest)
-	p, err := spec.RestlessProject(&req.Restless)
+	p, err := restlessProject(&req.Restless)
 	if err != nil {
 		return nil, BadSpec{err}
 	}

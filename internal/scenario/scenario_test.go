@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"stochsched/internal/engine"
-	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 )
 
@@ -63,7 +62,7 @@ func TestParseRequestEnvelope(t *testing.T) {
 	if req.Scenario.Kind() != "mg1" {
 		t.Errorf("scenario %q", req.Scenario.Kind())
 	}
-	if _, ok := req.Payload.(*MG1Sim); !ok {
+	if _, ok := req.Payload.(*api.MG1Sim); !ok {
 		t.Fatalf("payload %T", req.Payload)
 	}
 	if err := req.Scenario.Validate(req.Payload); err != nil {
@@ -97,6 +96,7 @@ func TestParseRequestRejects(t *testing.T) {
 		"two payloads":    strings.Replace(mg1Body, `"seed": 7`, `"bandit": {}, "seed": 7`, 1),
 		"unknown field":   strings.Replace(mg1Body, `"seed": 7`, `"sneed": 1, "seed": 7`, 1),
 		"zero reps":       strings.Replace(mg1Body, `"replications": 5`, `"replications": 0`, 1),
+		"one rep":         strings.Replace(mg1Body, `"replications": 5`, `"replications": 1`, 1),
 		"over reps":       strings.Replace(mg1Body, `"replications": 5`, `"replications": 1000`, 1),
 		"bad parallel":    strings.Replace(mg1Body, `"seed": 7`, `"parallel": -1, "seed": 7`, 1),
 		"huge parallel":   strings.Replace(mg1Body, `"seed": 7`, `"parallel": 5000, "seed": 7`, 1),
@@ -144,15 +144,15 @@ func TestReplicationWorkPerKind(t *testing.T) {
 		payload any
 		want    float64
 	}{
-		{"mg1", &MG1Sim{Horizon: 250}, 250},
-		{"mmm", &MMmSim{Horizon: 400}, 400},
-		{"bandit", &BanditSim{Spec: banditSystem(0.5)}, 2},
-		{"bandit", &BanditSim{Spec: banditSystem(1.5)}, 0}, // invalid β: Validate's problem, not the budget's
-		{"restless", &RestlessSim{Horizon: 100, N: 7}, 700},
-		{"batch", &BatchSim{Spec: batchSpec(3)}, 3},
-		{"jackson", &JacksonSim{Horizon: 300}, 300},
-		{"polling", &PollingSim{Horizon: 250}, 250},
-		{"mdp", &MDPSim{Horizon: 500}, 500},
+		{"mg1", &api.MG1Sim{Horizon: 250}, 250},
+		{"mmm", &api.MMmSim{Horizon: 400}, 400},
+		{"bandit", &api.BanditSim{Spec: banditSystem(0.5)}, 2},
+		{"bandit", &api.BanditSim{Spec: banditSystem(1.5)}, 0}, // invalid β: Validate's problem, not the budget's
+		{"restless", &api.RestlessSim{Horizon: 100, N: 7}, 700},
+		{"batch", &api.BatchSim{Spec: batchSpec(3)}, 3},
+		{"jackson", &api.JacksonSim{Horizon: 300}, 300},
+		{"polling", &api.PollingSim{Horizon: 250}, 250},
+		{"mdp", &api.MDPSim{Horizon: 500}, 500},
 	}
 	for _, c := range cases {
 		sc, _ := Lookup(c.kind)
@@ -168,14 +168,14 @@ func TestPoliciesPerKind(t *testing.T) {
 		payload any
 		want    string
 	}{
-		{"mg1", &MG1Sim{}, "[cmu fifo]"},
-		{"mmm", &MMmSim{}, "[cmu fifo]"},
-		{"bandit", &BanditSim{}, "[gittins greedy]"},
-		{"restless", &RestlessSim{}, "[whittle myopic random]"},
-		{"batch", &BatchSim{}, "[wsept sept lept]"},
-		{"jackson", &JacksonSim{}, "[cmu fcfs lbfs]"},
-		{"polling", &PollingSim{}, "[exhaustive gated limited]"},
-		{"mdp", &MDPSim{}, "[optimal myopic random]"},
+		{"mg1", &api.MG1Sim{}, "[cmu fifo]"},
+		{"mmm", &api.MMmSim{}, "[cmu fifo]"},
+		{"bandit", &api.BanditSim{}, "[gittins greedy]"},
+		{"restless", &api.RestlessSim{}, "[whittle myopic random]"},
+		{"batch", &api.BatchSim{}, "[wsept sept lept]"},
+		{"jackson", &api.JacksonSim{}, "[cmu fcfs lbfs]"},
+		{"polling", &api.PollingSim{}, "[exhaustive gated limited]"},
+		{"mdp", &api.MDPSim{}, "[optimal myopic random]"},
 	}
 	for _, c := range cases {
 		sc, _ := Lookup(c.kind)
@@ -185,7 +185,7 @@ func TestPoliciesPerKind(t *testing.T) {
 	}
 	// Feedback flips the mg1 policy set.
 	sc, _ := Lookup("mg1")
-	fb := &MG1Sim{}
+	fb := &api.MG1Sim{}
 	fb.Spec.Feedback = [][]float64{{0}}
 	if got := fmt.Sprint(sc.Policies(fb)); got != "[klimov]" {
 		t.Errorf("feedback policies = %v", got)
@@ -193,23 +193,23 @@ func TestPoliciesPerKind(t *testing.T) {
 	// The flowshop policy set follows the spec variant, and talwar is
 	// listed only where its rule is defined (two stages, all exponential).
 	fs, _ := Lookup("flowshop")
-	exp2 := &FlowShopSim{Spec: api.FlowShop{Jobs: []api.FlowShopJobSpec{
+	exp2 := &api.FlowShopSim{Spec: api.FlowShop{Jobs: []api.FlowShopJobSpec{
 		{Stages: []api.Dist{{Kind: "exp", Rate: 2}, {Kind: "exp", Rate: 1}}},
 	}}}
 	if got := fmt.Sprint(fs.Policies(exp2)); got != "[talwar sept lept]" {
 		t.Errorf("flowshop exp policies = %v", got)
 	}
-	det2 := &FlowShopSim{Spec: api.FlowShop{Jobs: []api.FlowShopJobSpec{
+	det2 := &api.FlowShopSim{Spec: api.FlowShop{Jobs: []api.FlowShopJobSpec{
 		{Stages: []api.Dist{{Kind: "det", Value: 1}, {Kind: "exp", Rate: 1}}},
 	}}}
 	if got := fmt.Sprint(fs.Policies(det2)); got != "[sept lept]" {
 		t.Errorf("flowshop det policies = %v", got)
 	}
-	tree := &FlowShopSim{Spec: api.FlowShop{Tree: &api.TreeSpec{Parent: []int{-1}, Rate: 1}}}
+	tree := &api.FlowShopSim{Spec: api.FlowShop{Tree: &api.TreeSpec{Parent: []int{-1}, Rate: 1}}}
 	if got := fmt.Sprint(fs.Policies(tree)); got != "[hlf llf random]" {
 		t.Errorf("flowshop tree policies = %v", got)
 	}
-	sev := &FlowShopSim{Spec: api.FlowShop{Sevcik: []api.DiscreteJobSpec{{Weight: 1, Values: []float64{1}, Probs: []float64{1}}}}}
+	sev := &api.FlowShopSim{Spec: api.FlowShop{Sevcik: []api.DiscreteJobSpec{{Weight: 1, Values: []float64{1}, Probs: []float64{1}}}}}
 	if got := fmt.Sprint(fs.Policies(sev)); got != "[sevcik wsept]" {
 		t.Errorf("flowshop sevcik policies = %v", got)
 	}
@@ -316,16 +316,16 @@ func TestSimulateBadSpecWrapped(t *testing.T) {
 	}
 }
 
-func banditSystem(beta float64) spec.BanditSystem {
-	return spec.BanditSystem{Beta: beta, Projects: []spec.Arm{
+func banditSystem(beta float64) api.BanditSystem {
+	return api.BanditSystem{Beta: beta, Projects: []api.Arm{
 		{Transitions: [][]float64{{1}}, Rewards: []float64{1}},
 	}}
 }
 
-func batchSpec(jobs int) spec.Batch {
-	var b spec.Batch
+func batchSpec(jobs int) api.Batch {
+	var b api.Batch
 	for i := 0; i < jobs; i++ {
-		b.Jobs = append(b.Jobs, spec.JobSpec{Weight: 1, Dist: spec.Dist{Kind: "det", Value: 1}})
+		b.Jobs = append(b.Jobs, api.JobSpec{Weight: 1, Dist: api.Dist{Kind: "det", Value: 1}})
 	}
 	return b
 }

@@ -112,7 +112,7 @@ func SimulateBody(kind string, seed uint64) string {
 }
 
 // IndexPayload returns the canonical index payload fragment of the kind
-// (the input of ParseIndexBody), or "" when none is registered.
+// (the input of its ParseIndexPayload), or "" when none is registered.
 func IndexPayload(kind string) string { return indexPayloads[kind] }
 
 // IndexBody returns the canonical /v1/index envelope of the kind, or ""

@@ -47,7 +47,7 @@ func TestBatchHeterogeneous(t *testing.T) {
 	simBody := fmt.Sprintf(mg1SimBody, 0)
 
 	w := post(t, h, "/v1/batch", batchOf(t,
-		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(indexEnvelope("bandit", []byte(gittinsBody)))},
+		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsIndexBody)},
 		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(priorityBody)},
 		api.BatchItem{Op: api.OpSimulate, Body: json.RawMessage(simBody)},
 	))
@@ -61,8 +61,8 @@ func TestBatchHeterogeneous(t *testing.T) {
 	singles := []struct {
 		path, body string
 	}{
-		{"/v1/gittins", gittinsBody},
-		{"/v1/priority", priorityBody},
+		{"/v1/index", gittinsIndexBody},
+		{"/v1/index", priorityBody},
 		{"/v1/simulate", simBody},
 	}
 	for i, item := range resp.Items {
@@ -79,10 +79,9 @@ func TestBatchHeterogeneous(t *testing.T) {
 	// The single calls above repeated the batch's specs: all three must
 	// have been cache hits, proving batched and unbatched traffic share
 	// one cache keyed identically.
-	for _, path := range []string{"/v1/gittins", "/v1/priority", "/v1/simulate"} {
-		idx := map[string]string{"/v1/gittins": gittinsBody, "/v1/priority": priorityBody, "/v1/simulate": simBody}
-		if w := post(t, h, path, idx[path]); w.Header().Get("X-Cache") != "hit" {
-			t.Errorf("%s after batch: X-Cache %q, want hit", path, w.Header().Get("X-Cache"))
+	for _, single := range singles {
+		if w := post(t, h, single.path, single.body); w.Header().Get("X-Cache") != "hit" {
+			t.Errorf("%s after batch: X-Cache %q, want hit", single.path, w.Header().Get("X-Cache"))
 		}
 	}
 }

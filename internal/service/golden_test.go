@@ -22,9 +22,10 @@ func TestGoldenBodies(t *testing.T) {
 	}
 	h := New(Config{}).Handler()
 	for _, tc := range []struct{ stem, ep, golden string }{
-		{"gittins", "gittins", ""},
-		{"whittle", "whittle", ""},
-		{"priority", "priority", ""},
+		// The whittle and priority goldens of the removed per-family
+		// routes, now answered through /v1/index.
+		{"whittle", "index", ""},
+		{"priority", "index", ""},
 		{"simulate", "simulate", ""},
 		// The registry's non-mg1 simulate kinds, through the same endpoint.
 		{"simulate_restless", "simulate", ""},
@@ -40,9 +41,8 @@ func TestGoldenBodies(t *testing.T) {
 		// Target-precision mode with antithetic draws: the golden pins the
 		// stopping rule's spend (replications_used) end to end.
 		{"simulate_adaptive", "simulate", ""},
-		// The v2 surface: the kind-dispatched index envelope answers the
-		// legacy gittins golden byte-identically, and a heterogeneous batch
-		// has its own golden.
+		// The bandit index envelope answers the gittins golden, and a
+		// heterogeneous batch has its own golden.
 		{"index", "index", "gittins"},
 		{"batch", "batch", ""},
 		// The analytic indexes of the network and MDP kinds.

@@ -14,66 +14,51 @@ import (
 	"stochsched/pkg/api"
 )
 
-// This file covers the /v1/index surface of the API redesign: the
-// kind-dispatched endpoint, the byte-identity of the legacy aliases, the
-// method-scoped routing (405 + Allow), and the standard error envelope.
+// This file covers the /v1/index surface: the kind-dispatched endpoint,
+// the removed legacy index routes, the method-scoped routing (405 +
+// Allow), and the standard error envelope.
 
-// indexEnvelope wraps a legacy single-kind body into its /v1/index form.
+// indexEnvelope wraps a kind's bare payload into its /v1/index form.
 func indexEnvelope(kind string, payload []byte) string {
 	return fmt.Sprintf(`{"kind":%q,%q:%s}`, kind, kind, payload)
 }
 
-// TestIndexGoldenCompat is the golden-compat half of the redesign's
-// acceptance bar: for every legacy index endpoint, the pre-redesign golden
-// body must come back byte-identical BOTH from the legacy route and from
-// the equivalent kind-dispatched /v1/index request — and the two must
-// share one cache entry (the second request is a hit).
+// TestIndexGoldenCompat pins the removal of the legacy per-family index
+// routes (gittins, whittle, priority under /v1/): each answers 404, and
+// the /v1/index body docs/api.md gives as its replacement still answers
+// the route's golden byte for byte, with a repeat served from the cache.
 func TestIndexGoldenCompat(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are amd64-exact; running on %s", runtime.GOARCH)
 	}
-	cases := []struct {
-		stem   string // testdata stem (request + golden)
-		legacy string // legacy route
-		index  string // equivalent /v1/index body ("" = legacy body as-is)
-	}{
-		{"gittins", "gittins", "wrap:bandit"},
-		{"whittle", "whittle", "wrap:restless"},
-		{"priority", "priority", "as-is"},
-	}
-	for _, tc := range cases {
+	for _, tc := range []struct{ route, stem, golden string }{
+		{"gittins", "index", "gittins"},
+		{"whittle", "whittle", "whittle"},
+		{"priority", "priority", "priority"},
+	} {
 		req, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_req.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := os.ReadFile(filepath.Join("testdata", tc.stem+"_golden.json"))
+		golden, err := os.ReadFile(filepath.Join("testdata", tc.golden+"_golden.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexBody := string(req)
-		if kind, ok := strings.CutPrefix(tc.index, "wrap:"); ok {
-			indexBody = indexEnvelope(kind, req)
-		}
-
 		h := New(Config{}).Handler()
-		legacy := post(t, h, "/v1/"+tc.legacy, string(req))
-		if legacy.Code != http.StatusOK {
-			t.Fatalf("/v1/%s: code %d: %s", tc.legacy, legacy.Code, legacy.Body)
+		if w := post(t, h, "/v1/"+tc.route, string(req)); w.Code != http.StatusNotFound {
+			t.Errorf("/v1/%s: code %d, want 404", tc.route, w.Code)
 		}
-		if got := legacy.Body.Bytes(); string(got) != string(golden) {
-			t.Errorf("/v1/%s drifted from golden:\ngot  %s\nwant %s", tc.legacy, got, golden)
-		}
-		idx := post(t, h, "/v1/index", indexBody)
-		if idx.Code != http.StatusOK {
-			t.Fatalf("/v1/index (%s): code %d: %s", tc.stem, idx.Code, idx.Body)
-		}
-		if got := idx.Body.Bytes(); string(got) != string(golden) {
-			t.Errorf("/v1/index (%s) differs from the legacy golden:\ngot  %s\nwant %s", tc.stem, got, golden)
-		}
-		// One computation served both routes: the /v1/index request joined
-		// the legacy route's cache entry.
-		if got := idx.Header().Get("X-Cache"); got != "hit" {
-			t.Errorf("/v1/index (%s) after /v1/%s: X-Cache = %q, want hit (shared key)", tc.stem, tc.legacy, got)
+		for i, want := range []string{"miss", "hit"} {
+			w := post(t, h, "/v1/index", string(req))
+			if w.Code != http.StatusOK {
+				t.Fatalf("/v1/index (%s): code %d: %s", tc.stem, w.Code, w.Body)
+			}
+			if got := w.Body.Bytes(); string(got) != string(golden) {
+				t.Errorf("/v1/index (%s) request %d differs from %s_golden.json:\ngot  %s\nwant %s", tc.stem, i, tc.golden, got, golden)
+			}
+			if got := w.Header().Get("X-Cache"); got != want {
+				t.Errorf("/v1/index (%s) request %d: X-Cache = %q, want %s", tc.stem, i, got, want)
+			}
 		}
 	}
 }
@@ -94,13 +79,7 @@ func TestIndexRejectsBadRequests(t *testing.T) {
 			t.Errorf("body %q: code %d, want 400 (%s)", body, w.Code, w.Body)
 		}
 	}
-	// /v1/priority is restricted to the priority family: a valid bandit
-	// index envelope is still a 400 there (legacy behavior).
-	banditBody := indexEnvelope("bandit", []byte(gittinsBody))
-	if w := post(t, h, "/v1/priority", banditBody); w.Code != http.StatusBadRequest {
-		t.Errorf("/v1/priority with bandit kind: code %d, want 400", w.Code)
-	}
-	if w := post(t, h, "/v1/index", banditBody); w.Code != http.StatusOK {
+	if w := post(t, h, "/v1/index", gittinsIndexBody); w.Code != http.StatusOK {
 		t.Errorf("/v1/index with bandit kind: code %d, want 200 (%s)", w.Code, w.Body)
 	}
 }
@@ -122,9 +101,6 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 		allow string // exact Allow header
 	}{
 		{"/v1/index", "POST"},
-		{"/v1/gittins", "POST"},
-		{"/v1/whittle", "POST"},
-		{"/v1/priority", "POST"},
 		{"/v1/simulate", "POST"},
 		{"/v1/batch", "POST"},
 		{"/v1/sweep", "POST"},
@@ -160,8 +136,7 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the standardized error body
-// {"error":{"code","message"}} across representative failure classes, and
-// the client-side compat shim that still reads the legacy string form.
+// {"error":{"code","message"}} across representative failure classes.
 func TestErrorEnvelopeShape(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
@@ -187,21 +162,11 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		}
 	}
 
-	check(post(t, h, "/v1/gittins", `not json`), http.StatusBadRequest, api.ErrCodeBadRequest)
+	check(post(t, h, "/v1/index", `not json`), http.StatusBadRequest, api.ErrCodeBadRequest)
 	check(post(t, h, "/v1/index", `{"kind":"quantum","quantum":{}}`), http.StatusBadRequest, api.ErrCodeBadRequest)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/sweep/swp-nope", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	check(w, http.StatusNotFound, api.ErrCodeNotFound)
-
-	// The compat shim: a pre-v2 string-form body decodes into the same
-	// ErrorResponse with an empty code.
-	var env api.ErrorResponse
-	if err := json.Unmarshal([]byte(`{"error":"server overloaded"}`), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Err.Code != "" || env.Err.Message != "server overloaded" {
-		t.Errorf("legacy form decoded as %+v", env.Err)
-	}
 }

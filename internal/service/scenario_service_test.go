@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"stochsched/internal/scenario/scenariotest"
 	"stochsched/internal/sweep"
 )
 
@@ -196,36 +200,85 @@ func TestSimulateRejectsBadNewKindRequests(t *testing.T) {
 	}
 }
 
-// TestStatsCacheEntriesCompat pins the /v1/stats JSON shape: the legacy
-// top-level cache_entries field is derived from cache.entries at marshal
-// time, so the two can never disagree.
+// TestSimulateRejectsOneReplication: a budget of one replication, fixed or
+// as the precision ceiling, answers 400 for every kind. Below two samples
+// the CI95 is +Inf, which JSON cannot encode (it used to answer 500).
+func TestSimulateRejectsOneReplication(t *testing.T) {
+	h := New(Config{}).Handler()
+	reps := regexp.MustCompile(`"replications":\d+`)
+	for _, kind := range scenariotest.SimulateKinds() {
+		body := scenariotest.SimulateBody(kind, 3)
+		for form, repl := range map[string]string{
+			"fixed":     `"replications":1`,
+			"precision": `"precision":{"target_ci95":0.1,"max_replications":1}`,
+		} {
+			w := post(t, h, "/v1/simulate", reps.ReplaceAllString(body, repl))
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "must be at least 2") {
+				t.Errorf("%s %s: code %d (%s), want 400", kind, form, w.Code, w.Body)
+			}
+		}
+	}
+}
+
+// TestErlangShapeBounded: an Erlang shape beyond the wire bound answers 400
+// before any sampling; unbounded, k = 1e12 would multiply 1e12 uniforms
+// per draw with no budget or timeout able to stop it.
+func TestErlangShapeBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	body := `{"kind":"batch","batch":{"spec":{"jobs":[
+		{"weight":1,"dist":{"kind":"erlang","k":1000000000000,"rate":1000000000000}}
+	]},"policy":"wsept"},"seed":1,"replications":2}`
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- post(t, h, "/v1/simulate", body) }()
+	select {
+	case w := <-done:
+		var env struct {
+			Err struct{ Message string } `json:"error"`
+		}
+		err := json.Unmarshal(w.Body.Bytes(), &env)
+		if err != nil || w.Code != http.StatusBadRequest || !strings.Contains(env.Err.Message, "k <= 100") {
+			t.Errorf("code %d (%s), want 400 naming the bound", w.Code, w.Body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("k = 1e12 was not rejected before sampling")
+	}
+	ok := strings.Replace(body, `"k":1000000000000,"rate":1000000000000`, `"k":100,"rate":100`, 1)
+	if w := post(t, h, "/v1/simulate", ok); w.Code != http.StatusOK {
+		t.Errorf("k = 100: code %d (%s), want 200", w.Code, w.Body)
+	}
+}
+
+// TestStatsCacheEntriesCompat pins the /v1/stats JSON shape: the cache
+// entry count is served once, as cache.entries, and the removed top-level
+// mirrors (cache_entries, in_flight, waiting) stay gone.
 func TestStatsCacheEntriesCompat(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	post(t, h, "/v1/gittins", gittinsBody)
-	post(t, h, "/v1/priority", `{"kind":"batch","batch":{"jobs":[{"weight":1,"dist":{"kind":"det","value":1}}]}}`)
+	post(t, h, "/v1/index", gittinsIndexBody)
+	post(t, h, "/v1/index", `{"kind":"batch","batch":{"jobs":[{"weight":1,"dist":{"kind":"det","value":1}}]}}`)
 
 	var raw map[string]json.RawMessage
 	if code := getJSON(t, h, "/v1/stats", &raw); code != http.StatusOK {
 		t.Fatalf("stats code %d", code)
 	}
-	for _, field := range []string{"endpoints", "cache", "sweeps", "in_flight", "waiting", "cache_entries"} {
+	for _, field := range []string{"endpoints", "cache", "sweeps", "engine"} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("stats body missing %q", field)
 		}
 	}
-	var top int
+	for _, field := range []string{"cache_entries", "in_flight", "waiting"} {
+		if _, ok := raw[field]; ok {
+			t.Errorf("stats body carries removed top-level %q", field)
+		}
+	}
 	var cache struct {
 		Entries int `json:"entries"`
-	}
-	if err := json.Unmarshal(raw["cache_entries"], &top); err != nil {
-		t.Fatal(err)
 	}
 	if err := json.Unmarshal(raw["cache"], &cache); err != nil {
 		t.Fatal(err)
 	}
-	if top != 2 || top != cache.Entries {
-		t.Errorf("cache_entries %d vs cache.entries %d, want both 2", top, cache.Entries)
+	if cache.Entries != 2 {
+		t.Errorf("cache.entries %d, want 2", cache.Entries)
 	}
 }
 

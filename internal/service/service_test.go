@@ -13,20 +13,20 @@ import (
 	"testing"
 	"time"
 
-	"stochsched/internal/scenario"
+	"stochsched/pkg/api"
 )
 
 // simResp decodes /v1/simulate bodies in tests. The server assembles
 // responses generically (envelope + kind-keyed fragment), so only tests
 // need a struct naming every kind.
 type simResp struct {
-	SpecHash     string                   `json:"spec_hash"`
-	Seed         uint64                   `json:"seed"`
-	Replications int64                    `json:"replications"`
-	MG1          *scenario.MG1Result      `json:"mg1"`
-	Bandit       *scenario.BanditResult   `json:"bandit"`
-	Restless     *scenario.RestlessResult `json:"restless"`
-	Batch        *scenario.BatchResult    `json:"batch"`
+	SpecHash     string              `json:"spec_hash"`
+	Seed         uint64              `json:"seed"`
+	Replications int64               `json:"replications"`
+	MG1          *api.MG1Result      `json:"mg1"`
+	Bandit       *api.BanditResult   `json:"bandit"`
+	Restless     *api.RestlessResult `json:"restless"`
+	Batch        *api.BatchResult    `json:"batch"`
 }
 
 // post sends body to path on the handler and returns the recorder.
@@ -40,18 +40,21 @@ func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRec
 
 const gittinsBody = `{"beta":0.9,"transitions":[[0.5,0.5],[0.2,0.8]],"rewards":[1,0.3]}`
 
+// gittinsIndexBody is gittinsBody as a /v1/index request.
+var gittinsIndexBody = indexEnvelope("bandit", []byte(gittinsBody))
+
 func TestGittinsEndpointCacheHitMiss(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
 
-	first := post(t, h, "/v1/gittins", gittinsBody)
+	first := post(t, h, "/v1/index", gittinsIndexBody)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first request: %d %s", first.Code, first.Body)
 	}
 	if got := first.Header().Get("X-Cache"); got != "miss" {
 		t.Errorf("first X-Cache = %q, want miss", got)
 	}
-	var resp GittinsResponse
+	var resp api.GittinsResponse
 	if err := json.Unmarshal(first.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestGittinsEndpointCacheHitMiss(t *testing.T) {
 		}
 	}
 
-	second := post(t, h, "/v1/gittins", gittinsBody)
+	second := post(t, h, "/v1/index", gittinsIndexBody)
 	if second.Code != http.StatusOK {
 		t.Fatalf("second request: %d", second.Code)
 	}
@@ -79,12 +82,12 @@ func TestGittinsEndpointCacheHitMiss(t *testing.T) {
 		t.Error("hit body differs from miss body")
 	}
 	// Whitespace-different but semantically identical spec also hits.
-	third := post(t, h, "/v1/gittins", "  "+gittinsBody+"\n")
+	third := post(t, h, "/v1/index", "  "+gittinsIndexBody+"\n")
 	if got := third.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("reformatted spec X-Cache = %q, want hit", got)
 	}
 
-	ep := s.eps["gittins"].snapshot()
+	ep := s.eps["index"].snapshot()
 	if ep.CacheMisses != 1 || ep.CacheHits != 2 || ep.Requests != 3 {
 		t.Errorf("stats %+v", ep)
 	}
@@ -97,19 +100,19 @@ func TestGittinsEndpointRejectsBadSpecs(t *testing.T) {
 	h := New(Config{}).Handler()
 	bad := []string{
 		`not json`,
-		`{"beta":1.5,"transitions":[[1]],"rewards":[1]}`,
-		`{"beta":0.9,"transitions":[[0.6,0.6],[0.2,0.8]],"rewards":[1,0.3]}`,
-		`{"beta":0.9,"transitions":[[1,0],[0,1]],"rewards":[1]}`,
-		gittinsBody + `{"again":true}`,
-		`{"beta":0.9,"transitions":[[1,0],[0,1]],"rewards":[1,0],"bogus":1}`,
+		indexEnvelope("bandit", []byte(`{"beta":1.5,"transitions":[[1]],"rewards":[1]}`)),
+		indexEnvelope("bandit", []byte(`{"beta":0.9,"transitions":[[0.6,0.6],[0.2,0.8]],"rewards":[1,0.3]}`)),
+		indexEnvelope("bandit", []byte(`{"beta":0.9,"transitions":[[1,0],[0,1]],"rewards":[1]}`)),
+		gittinsIndexBody + `{"again":true}`,
+		indexEnvelope("bandit", []byte(`{"beta":0.9,"transitions":[[1,0],[0,1]],"rewards":[1,0],"bogus":1}`)),
 	}
 	for _, body := range bad {
-		if w := post(t, h, "/v1/gittins", body); w.Code != http.StatusBadRequest {
+		if w := post(t, h, "/v1/index", body); w.Code != http.StatusBadRequest {
 			t.Errorf("spec %q: code %d, want 400", body, w.Code)
 		}
 	}
 	// Wrong method.
-	req := httptest.NewRequest(http.MethodGet, "/v1/gittins", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/index", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
@@ -224,7 +227,7 @@ func TestSingleflightDedupOverHTTP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := post(t, h, "/v1/gittins", gittinsBody)
+			w := post(t, h, "/v1/index", gittinsIndexBody)
 			if w.Code != http.StatusOK {
 				t.Errorf("request %d: code %d", i, w.Code)
 			}
@@ -237,7 +240,7 @@ func TestSingleflightDedupOverHTTP(t *testing.T) {
 			t.Fatalf("body %d differs", i)
 		}
 	}
-	ep := s.eps["gittins"].snapshot()
+	ep := s.eps["index"].snapshot()
 	if ep.CacheMisses != 1 {
 		t.Errorf("misses = %d, want 1 (dedup %d, hits %d)", ep.CacheMisses, ep.Deduplicated, ep.CacheHits)
 	}
@@ -310,15 +313,15 @@ func TestServerSheds429(t *testing.T) {
 		s.admit.Release()
 	}()
 
-	specB := strings.Replace(gittinsBody, "0.3]", "0.31]", 1)
-	specC := strings.Replace(gittinsBody, "0.3]", "0.32]", 1)
+	specB := strings.Replace(gittinsIndexBody, "0.3]", "0.31]", 1)
+	specC := strings.Replace(gittinsIndexBody, "0.3]", "0.32]", 1)
 
 	// One computation may wait for the slot.
 	waiting := make(chan int, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := post(t, h, "/v1/gittins", specB)
+		w := post(t, h, "/v1/index", specB)
 		waiting <- w.Code
 	}()
 	for s.admit.Waiting() != 1 {
@@ -326,14 +329,14 @@ func TestServerSheds429(t *testing.T) {
 	}
 
 	// The queue is now full: the next distinct computation must shed 429.
-	w := post(t, h, "/v1/gittins", specC)
+	w := post(t, h, "/v1/index", specC)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity request: code %d, want 429", w.Code)
 	}
 	if !strings.Contains(w.Body.String(), "overloaded") {
 		t.Errorf("shed body %q", w.Body)
 	}
-	if shed := s.eps["gittins"].snapshot().Shed; shed != 1 {
+	if shed := s.eps["index"].snapshot().Shed; shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
 	}
 
@@ -349,7 +352,7 @@ func TestServerSheds429(t *testing.T) {
 	if err := s.admit.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if w := post(t, h, "/v1/gittins", specB); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
+	if w := post(t, h, "/v1/index", specB); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
 		t.Fatalf("cache hit under full admission: code %d, X-Cache %q", w.Code, w.Header().Get("X-Cache"))
 	}
 	s.admit.Release()
@@ -537,7 +540,7 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 func TestWhittleEndpoint(t *testing.T) {
 	// MachineRepair(3, ...) is the canonical indexable project; its Whittle
 	// indices must be increasing in the deterioration state.
-	body := `{
+	body := `{"kind": "restless", "restless": {
 	  "beta": 0.9,
 	  "passive": {
 	    "transitions": [[0.7,0.3,0],[0,0.7,0.3],[0,0,1]],
@@ -548,13 +551,13 @@ func TestWhittleEndpoint(t *testing.T) {
 	    "rewards": [-0.5, -0.5, -0.5]
 	  },
 	  "check_indexability": true
-	}`
+	}}`
 	h := New(Config{}).Handler()
-	w := post(t, h, "/v1/whittle", body)
+	w := post(t, h, "/v1/index", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", w.Code, w.Body)
 	}
-	var resp WhittleResponse
+	var resp api.WhittleResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -575,11 +578,11 @@ func TestPriorityEndpointMG1(t *testing.T) {
 	  {"rate": 0.2, "service_mean": 1, "hold_cost": 1}
 	]}}`
 	h := New(Config{}).Handler()
-	w := post(t, h, "/v1/priority", body)
+	w := post(t, h, "/v1/index", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", w.Code, w.Body)
 	}
-	var resp PriorityResponse
+	var resp api.PriorityResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -611,11 +614,11 @@ func TestPriorityEndpointKlimovAndBatch(t *testing.T) {
 	  ],
 	  "feedback": [[0, 0.3], [0, 0]]
 	}}`
-	w := post(t, h, "/v1/priority", klimov)
+	w := post(t, h, "/v1/index", klimov)
 	if w.Code != http.StatusOK {
 		t.Fatalf("klimov code %d: %s", w.Code, w.Body)
 	}
-	var resp PriorityResponse
+	var resp api.PriorityResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -628,11 +631,11 @@ func TestPriorityEndpointKlimovAndBatch(t *testing.T) {
 	  {"weight": 4, "dist": {"kind": "det", "value": 1}},
 	  {"weight": 1, "dist": {"kind": "exp", "mean": 0.5}}
 	]}}`
-	w = post(t, h, "/v1/priority", batchBody)
+	w = post(t, h, "/v1/index", batchBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch code %d: %s", w.Code, w.Body)
 	}
-	resp = PriorityResponse{}
+	resp = api.PriorityResponse{}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -655,8 +658,8 @@ func TestPriorityEndpointKlimovAndBatch(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	post(t, h, "/v1/gittins", gittinsBody)
-	post(t, h, "/v1/gittins", gittinsBody)
+	post(t, h, "/v1/index", gittinsIndexBody)
+	post(t, h, "/v1/index", gittinsIndexBody)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 	w := httptest.NewRecorder()
@@ -664,13 +667,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("code %d", w.Code)
 	}
-	var resp StatsResponse
+	var resp api.StatsResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	g := resp.Endpoints["gittins"]
+	g := resp.Endpoints["index"]
 	if g.Requests != 2 || g.CacheHits != 1 || g.CacheMisses != 1 {
-		t.Errorf("gittins stats %+v", g)
+		t.Errorf("index stats %+v", g)
 	}
 	if resp.Cache.Entries != 1 {
 		t.Errorf("cache entries %d", resp.Cache.Entries)

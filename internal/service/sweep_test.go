@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"stochsched/internal/sweep"
+	"stochsched/pkg/api"
 )
 
 const sweepBody = `{
@@ -130,7 +131,7 @@ func TestSweepEndToEnd(t *testing.T) {
 
 	// Cells went through the shared cache: sweep_cells counters must show
 	// 4 lookups, and the cache must hold the 4 simulate bodies.
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, h, "/v1/stats", &stats)
 	sc := stats.Endpoints["sweep_cells"]
 	if sc.Requests != 4 || sc.CacheMisses != 4 {
@@ -196,7 +197,7 @@ func TestSweepJobStoreEvictionOverHTTP(t *testing.T) {
 	if code := getJSON(t, h, "/v1/sweep/"+ids[2], nil); code != http.StatusOK {
 		t.Errorf("latest job status code %d, want 200", code)
 	}
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, h, "/v1/stats", &stats)
 	if stats.Sweeps.Jobs != 2 || stats.Sweeps.Evictions != 1 {
 		t.Errorf("sweep store stats %+v", stats.Sweeps)

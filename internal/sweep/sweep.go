@@ -40,7 +40,6 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/scenario"
-	"stochsched/internal/spec"
 	"stochsched/pkg/api"
 )
 
@@ -86,7 +85,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 // sweep hash minted before the knob existed is unchanged.
 type identity struct {
 	Base               json.RawMessage `json:"base"`
-	Grid               spec.Grid       `json:"grid"`
+	Grid               api.Grid        `json:"grid"`
 	Policies           []string        `json:"policies,omitempty"`
 	IndependentStreams bool            `json:"independent_streams,omitempty"`
 }
@@ -99,7 +98,7 @@ type Plan struct {
 	Points   int
 	Policies []string // effective policy list: the request's, or [""] for "base as-is"
 	CRN      bool     // whether policies share common random numbers (the default)
-	grid     spec.Grid
+	grid     api.Grid
 	scn      scenario.Scenario // resolved from the base body's kind
 	cells    [][]byte
 }
@@ -183,7 +182,7 @@ func Expand(req *Request, be Backend, maxCells int) (*Plan, error) {
 			ErrTooLarge, points, len(policies), maxCells)
 	}
 	plan := &Plan{
-		Hash:     spec.Hash(&identity{Base: base, Grid: req.Grid, Policies: req.Policies, IndependentStreams: !crn}),
+		Hash:     api.Hash(&identity{Base: base, Grid: req.Grid, Policies: req.Policies, IndependentStreams: !crn}),
 		Points:   req.Grid.Size(),
 		Policies: policies,
 		CRN:      crn,
@@ -199,7 +198,7 @@ func Expand(req *Request, be Backend, maxCells int) (*Plan, error) {
 		for _, pol := range policies {
 			body := pointBody
 			if pol != "" {
-				if body, err = spec.SetString(pointBody, scn.PolicyPath(), pol); err != nil {
+				if body, err = api.SetString(pointBody, scn.PolicyPath(), pol); err != nil {
 					return nil, err
 				}
 				if !crn {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"stochsched/internal/engine"
-	"stochsched/internal/spec"
+	"stochsched/pkg/api"
 )
 
 // fakeBackend is a deterministic stand-in for the service: the "simulation"
@@ -94,7 +94,7 @@ const fakeBase = `{
 func fakeRequest(parallel int) *Request {
 	return &Request{
 		Base:     json.RawMessage(fakeBase),
-		Grid:     spec.Grid{Axes: []spec.Axis{{Path: "mg1.spec.classes.0.rate", Values: []float64{0.1, 0.2, 0.3}}}},
+		Grid:     api.Grid{Axes: []api.Axis{{Path: "mg1.spec.classes.0.rate", Values: []float64{0.1, 0.2, 0.3}}}},
 		Policies: []string{"cmu", "fifo"},
 		Parallel: parallel,
 	}
@@ -141,9 +141,9 @@ func TestExpandRejects(t *testing.T) {
 		{Base: json.RawMessage(fakeBase), Policies: []string{"cmu", "cmu"}},
 		{Base: json.RawMessage(fakeBase), Policies: []string{""}},
 		{Base: json.RawMessage(fakeBase), Parallel: -1},
-		{Base: json.RawMessage(fakeBase), Grid: spec.Grid{Axes: []spec.Axis{{Path: "nope.deep.path", Values: []float64{1}}}}},
+		{Base: json.RawMessage(fakeBase), Grid: api.Grid{Axes: []api.Axis{{Path: "nope.deep.path", Values: []float64{1}}}}},
 		// Backend validation failure (the fake rejects rate 666).
-		{Base: json.RawMessage(fakeBase), Grid: spec.Grid{Axes: []spec.Axis{{Path: "mg1.spec.classes.0.rate", Values: []float64{666}}}}},
+		{Base: json.RawMessage(fakeBase), Grid: api.Grid{Axes: []api.Axis{{Path: "mg1.spec.classes.0.rate", Values: []float64{666}}}}},
 	}
 	for i, req := range cases {
 		if _, err := Expand(&req, be, 0); err == nil {
@@ -341,15 +341,15 @@ func TestManagerRejectsOversizedSweep(t *testing.T) {
 // size alone — the backend must never see a single cell.
 func TestExpandRejectsDeclaredSizeBeforeMaterializing(t *testing.T) {
 	be := &fakeBackend{}
-	axes := make([]spec.Axis, 4)
+	axes := make([]api.Axis, 4)
 	for i := range axes {
 		vals := make([]float64, 1000)
 		for j := range vals {
 			vals[j] = float64(j + 1)
 		}
-		axes[i] = spec.Axis{Path: fmt.Sprintf("a%d", i), Values: vals}
+		axes[i] = api.Axis{Path: fmt.Sprintf("a%d", i), Values: vals}
 	}
-	req := &Request{Base: json.RawMessage(fakeBase), Grid: spec.Grid{Axes: axes}}
+	req := &Request{Base: json.RawMessage(fakeBase), Grid: api.Grid{Axes: axes}}
 	if _, err := Expand(req, be, 0); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("1e12-point grid err = %v, want ErrTooLarge", err)
 	}

@@ -1,4 +1,4 @@
-package spec
+package api
 
 import (
 	"encoding/json"
@@ -125,5 +125,22 @@ func TestGridHashStable(t *testing.T) {
 	g2.Axes[0].Values[1] = 3
 	if Hash(&g1) == Hash(&g2) {
 		t.Error("different grids hash equal")
+	}
+}
+
+func TestHashStableAndDiscriminating(t *testing.T) {
+	spec := func() Bandit {
+		return Bandit{Beta: 0.9, Transitions: [][]float64{{0.5, 0.5}, {0.2, 0.8}}, Rewards: []float64{1, 0.3}}
+	}
+	a, b := spec(), spec()
+	if Hash(&a) != Hash(&b) {
+		t.Fatal("identical specs hash differently")
+	}
+	b.Rewards[0] = 2
+	if Hash(&a) == Hash(&b) {
+		t.Fatal("different specs collide")
+	}
+	if len(Hash(&a)) != 64 {
+		t.Fatalf("hash length %d, want 64", len(Hash(&a)))
 	}
 }

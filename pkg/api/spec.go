@@ -2,8 +2,8 @@ package api
 
 // This file holds the canonical problem-spec shapes. They are pure data:
 // strict decoding, deep validation (row-stochasticity, queue stability),
-// and conversion into solver models happen server-side (internal/spec),
-// so the wire contract stays dependency-free.
+// and conversion into solver models happen server-side, in each kind's
+// file of internal/scenario, so the wire contract stays dependency-free.
 
 // Dist describes a nonnegative service/processing-time law. Kind selects
 // the family; the other fields parameterize it:
@@ -11,7 +11,7 @@ package api
 //	{"kind": "exp", "rate": 2}        exponential, rate 2 (or "mean": 0.5)
 //	{"kind": "det", "value": 1.5}     point mass
 //	{"kind": "uniform", "lo": 0, "hi": 2}
-//	{"kind": "erlang", "k": 3, "rate": 2}
+//	{"kind": "erlang", "k": 3, "rate": 2}   1 <= k <= 100
 type Dist struct {
 	Kind  string  `json:"kind"`
 	Rate  float64 `json:"rate,omitempty"`
@@ -22,10 +22,9 @@ type Dist struct {
 	K     int     `json:"k,omitempty"`
 }
 
-// Bandit is a single discounted bandit project: the body of POST
-// /v1/gittins (and the "bandit" payload of POST /v1/index). Beta is the
-// discount in (0,1); Transitions is a row-stochastic n×n matrix; Rewards
-// has length n.
+// Bandit is a single discounted bandit project: the "bandit" payload of
+// POST /v1/index. Beta is the discount in (0,1); Transitions is a
+// row-stochastic n×n matrix; Rewards has length n.
 type Bandit struct {
 	Beta        float64     `json:"beta"`
 	Transitions [][]float64 `json:"transitions"`
@@ -51,8 +50,8 @@ type Action struct {
 	Rewards     []float64   `json:"rewards"`
 }
 
-// Restless is a two-action restless project: the body of POST /v1/whittle
-// (minus the check_indexability knob — see WhittleRequest).
+// Restless is a two-action restless project: the "restless" index payload
+// of POST /v1/index minus its knobs (see WhittleRequest).
 type Restless struct {
 	Beta    float64 `json:"beta"`
 	Passive Action  `json:"passive"`

@@ -1,7 +1,5 @@
 package api
 
-import "encoding/json"
-
 // ---------------------------------------------------------------------------
 // GET /v1/stats — point-in-time service counters.
 
@@ -75,10 +73,9 @@ type EngineStats struct {
 	// configuration after defaulting).
 	Workers int `json:"workers"`
 	// InFlight is the number of computations currently holding an
-	// admission slot (mirrors the legacy top-level in_flight field).
+	// admission slot.
 	InFlight int `json:"in_flight"`
-	// QueueDepth is the number of admitted requests waiting for a slot
-	// (mirrors the legacy top-level waiting field).
+	// QueueDepth is the number of admitted requests waiting for a slot.
 	QueueDepth int64 `json:"queue_depth"`
 	// BusyNs is the cumulative wall-clock time worker and dispatcher
 	// goroutines spent executing task chunks on the pool.
@@ -132,25 +129,12 @@ type ClusterStats struct {
 	Peers []ClusterPeerStats `json:"peers"`
 }
 
-// StatsResponse is the body of GET /v1/stats. The legacy top-level
-// cache_entries field (kept for pre-sweep clients) is not a struct field:
-// MarshalJSON derives it from Cache.Entries, so the two can never disagree.
+// StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	Cache     CacheStats               `json:"cache"`
 	Sweeps    SweepStoreStats          `json:"sweeps"`
 	Engine    EngineStats              `json:"engine"`
 	// Cluster is present only when the node runs with -peers.
-	Cluster  *ClusterStats `json:"cluster,omitempty"`
-	InFlight int           `json:"in_flight"`
-	Waiting  int64         `json:"waiting"`
-}
-
-// MarshalJSON appends the derived cache_entries compatibility field.
-func (r StatsResponse) MarshalJSON() ([]byte, error) {
-	type alias StatsResponse // drops the method, avoiding recursion
-	return json.Marshal(struct {
-		alias
-		CacheEntries int `json:"cache_entries"`
-	}{alias(r), r.Cache.Entries})
+	Cluster *ClusterStats `json:"cluster,omitempty"`
 }

@@ -7,9 +7,11 @@ import (
 )
 
 // The pre-histogram wire shapes, frozen at the revision that introduced
-// latency histograms and engine-pool stats. The compat test below proves
-// every field that existed then still marshals byte-for-byte identically,
-// so the new fields are purely additive and old clients keep decoding.
+// latency histograms and engine-pool stats, minus the top-level in_flight,
+// waiting, and cache_entries mirrors since removed (engine.in_flight,
+// engine.queue_depth, and cache.entries carry them). The compat test below
+// proves every other field that existed then still marshals byte-for-byte
+// identically, so old clients keep decoding what remains.
 type legacyEndpointStats struct {
 	Requests     int64   `json:"requests"`
 	CacheHits    int64   `json:"cache_hits"`
@@ -26,16 +28,6 @@ type legacyStatsResponse struct {
 	Endpoints map[string]legacyEndpointStats `json:"endpoints"`
 	Cache     CacheStats                     `json:"cache"`
 	Sweeps    SweepStoreStats                `json:"sweeps"`
-	InFlight  int                            `json:"in_flight"`
-	Waiting   int64                          `json:"waiting"`
-}
-
-func (r legacyStatsResponse) MarshalJSON() ([]byte, error) {
-	type alias legacyStatsResponse
-	return json.Marshal(struct {
-		alias
-		CacheEntries int `json:"cache_entries"`
-	}{alias(r), r.Cache.Entries})
 }
 
 func TestStatsResponseCompatShape(t *testing.T) {
@@ -61,8 +53,6 @@ func TestStatsResponseCompatShape(t *testing.T) {
 		Cache:     cache,
 		Sweeps:    sweeps,
 		Engine:    EngineStats{Workers: 4, InFlight: 2, QueueDepth: 9},
-		InFlight:  2,
-		Waiting:   9,
 	}
 	legacyEp := func(e EndpointStats) legacyEndpointStats {
 		return legacyEndpointStats{
@@ -76,10 +66,8 @@ func TestStatsResponseCompatShape(t *testing.T) {
 			"simulate": legacyEp(now.Endpoints["simulate"]),
 			"index":    legacyEp(now.Endpoints["index"]),
 		},
-		Cache:    cache,
-		Sweeps:   sweeps,
-		InFlight: 2,
-		Waiting:  9,
+		Cache:  cache,
+		Sweeps: sweeps,
 	}
 
 	gotRaw, err := json.Marshal(now)
@@ -99,8 +87,7 @@ func TestStatsResponseCompatShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every pre-existing top-level field must be byte-identical, including
-	// the MarshalJSON-derived cache_entries compatibility field.
+	// Every pre-existing top-level field must be byte-identical.
 	for key, wantVal := range want {
 		if key == "endpoints" {
 			continue // compared field-by-field below
@@ -138,10 +125,16 @@ func TestStatsResponseCompatShape(t *testing.T) {
 		}
 	}
 
-	// The only new top-level key is engine (additive).
+	// The only new top-level key is engine (additive); the removed mirrors
+	// stay gone.
 	for key := range got {
 		if _, ok := want[key]; !ok && key != "engine" {
 			t.Errorf("unexpected new top-level field %q", key)
+		}
+	}
+	for _, key := range []string{"in_flight", "waiting", "cache_entries"} {
+		if _, ok := got[key]; ok {
+			t.Errorf("removed top-level field %q is back", key)
 		}
 	}
 
@@ -151,7 +144,7 @@ func TestStatsResponseCompatShape(t *testing.T) {
 	if err := json.Unmarshal(gotRaw, &redecoded); err != nil {
 		t.Fatalf("legacy client failed to decode new body: %v", err)
 	}
-	if redecoded.InFlight != 2 || redecoded.Waiting != 9 || redecoded.Cache.Entries != 5 {
+	if redecoded.Cache.Entries != 5 {
 		t.Errorf("legacy decode mismatch: %+v", redecoded)
 	}
 	if redecoded.Endpoints["simulate"].Requests != 120 {

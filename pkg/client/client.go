@@ -117,8 +117,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // APIError is a non-2xx response decoded from the service's error
-// envelope. Code is empty when a pre-v2 server answered the legacy string
-// form (the envelope decoder accepts both — see api.ErrorResponse).
+// envelope. Code is empty, and Message is the raw body text, when the body
+// was not an envelope.
 type APIError struct {
 	Status  int    // HTTP status
 	Code    string // machine-readable code (api.ErrCode…)
@@ -223,11 +223,12 @@ func (c *Client) attemptHeader(ctx context.Context, method, path string, body []
 	return data, resp.Header, nil
 }
 
-// decodeError turns a non-2xx body into an *APIError, tolerating both the
-// v2 envelope and the legacy string form (and, failing both, raw text).
+// decodeError turns a non-2xx body into an *APIError. A body that is not
+// the error envelope (a proxy's page, a plain-text 404, the pre-v2 string
+// form) reaches the caller as its raw text.
 func decodeError(status int, body []byte) *APIError {
 	var env api.ErrorResponse
-	if err := json.Unmarshal(body, &env); err != nil {
+	if err := json.Unmarshal(body, &env); err != nil || env.Err == (api.ErrorDetail{}) {
 		return &APIError{Status: status, Message: strings.TrimSpace(string(body))}
 	}
 	return &APIError{Status: status, Code: env.Err.Code, Message: env.Err.Message}

@@ -265,22 +265,25 @@ func TestClientRetriesOn429(t *testing.T) {
 	}
 }
 
-// TestClientLegacyErrorShim: a pre-v2 server answering the string error
-// form still yields a structured APIError (empty code).
+// TestClientLegacyErrorShim: a body that is not the error envelope — the
+// pre-v2 string form, or JSON without an error object — still yields an
+// APIError carrying the status and the body's raw text (empty code).
 func TestClientLegacyErrorShim(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		fmt.Fprintln(w, `{"error":"legacy message"}`)
-	}))
-	defer srv.Close()
-	c := client.New(srv.URL)
-	_, err := c.Gittins(context.Background(), banditSpec())
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("error %v", err)
-	}
-	if apiErr.Code != "" || apiErr.Message != "legacy message" || apiErr.Status != http.StatusBadRequest {
-		t.Errorf("legacy shim decoded %+v", apiErr)
+	for _, body := range []string{`{"error":"legacy message"}`, `{"message":"bad gateway"}`} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprintln(w, body)
+		}))
+		c := client.New(srv.URL)
+		_, err := c.Gittins(context.Background(), banditSpec())
+		srv.Close()
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("error %v", err)
+		}
+		if apiErr.Code != "" || apiErr.Message != body || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("body %s decoded as %+v", body, apiErr)
+		}
 	}
 }
 

@@ -11,27 +11,26 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Index endpoints. The typed calls speak POST /v1/index (the v2 surface);
-// the responses are byte-identical to the legacy per-family routes, which
-// remain available through IndexRaw for raw passthrough.
+// Index endpoints. The typed calls speak POST /v1/index; IndexRaw is the
+// raw passthrough.
 
 // Gittins computes the Gittins indices of one bandit project
-// (kind "bandit" on /v1/index; legacy POST /v1/gittins).
+// (kind "bandit" on /v1/index).
 func (c *Client) Gittins(ctx context.Context, spec *api.Bandit) (*api.GittinsResponse, error) {
 	return postJSON[api.GittinsResponse](ctx, c, "/v1/index",
 		&api.IndexRequest{Kind: "bandit", Bandit: spec})
 }
 
 // Whittle computes the Whittle indices of one restless project
-// (kind "restless" on /v1/index; legacy POST /v1/whittle).
+// (kind "restless" on /v1/index).
 func (c *Client) Whittle(ctx context.Context, req *api.WhittleRequest) (*api.WhittleResponse, error) {
 	return postJSON[api.WhittleResponse](ctx, c, "/v1/index",
 		&api.IndexRequest{Kind: "restless", Restless: req})
 }
 
 // Priority computes an index-rule priority order (kinds "mg1" and "batch"
-// on /v1/index; legacy POST /v1/priority). A PriorityRequest is already a
-// valid /v1/index envelope, so it is sent as-is.
+// on /v1/index). A PriorityRequest is already a valid /v1/index envelope,
+// so it is sent as-is.
 func (c *Client) Priority(ctx context.Context, req *api.PriorityRequest) (*api.PriorityResponse, error) {
 	return postJSON[api.PriorityResponse](ctx, c, "/v1/index", req)
 }

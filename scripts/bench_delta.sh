@@ -14,7 +14,9 @@
 # shared machines throttle in windows long enough to poison one whole
 # measurement pass, but a genuine regression fails every attempt no matter
 # how many samples accumulate. bytes/op is deterministic and is the gate's
-# sharp edge.
+# sharp edge. Every run pins -cpu 1, the GOMAXPROCS the baselines record:
+# entries are matched on name and procs, so a run at another GOMAXPROCS
+# would compare nothing (and bench2json -check fails when it does).
 #
 # Regenerate the baselines with
 # `make bench bench-simulate bench-precision bench-cluster` after an
@@ -39,7 +41,7 @@ gate() {
     attempt=1
     while :; do
         echo "== $pattern vs $baseline (tolerance ${TOL}%, best of $COUNT x $BTIME, attempt $attempt/$ATTEMPTS) =="
-        go test -run '^$' -bench "$pattern" -benchmem -count "$COUNT" -benchtime "$BTIME" . > "$TMP"
+        go test -run '^$' -bench "$pattern" -benchmem -cpu 1 -count "$COUNT" -benchtime "$BTIME" . > "$TMP"
         cat "$TMP" >> "$ALL"
         if go run ./cmd/bench2json -check "$baseline" -tolerance "$TOL" < "$ALL"; then
             return 0

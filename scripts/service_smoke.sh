@@ -69,9 +69,11 @@ check_endpoint() { # $1 = testdata stem, $2 = endpoint path (default /v1/$1), $3
 }
 
 start_daemon 1
-for ep in gittins whittle priority simulate; do
-    check_endpoint "$ep"
-done
+# The whittle and priority goldens, through the /v1/index envelope that
+# replaced their removed routes.
+check_endpoint whittle index
+check_endpoint priority index
+check_endpoint simulate
 # The registry's non-mg1 simulate kinds, through the same endpoint.
 for kind in restless batch jackson polling mdp flowshop mmm; do
     check_endpoint "simulate_$kind" simulate
@@ -83,10 +85,9 @@ check_endpoint simulate_klimov simulate
 # sequential stopping rule's spend (replications_used) end to end.
 check_endpoint simulate_adaptive simulate
 
-# The v2 index surface: the kind-dispatched /v1/index envelope must answer
-# the legacy gittins golden byte-identically (shared computation, shared
-# cache), and a heterogeneous /v1/batch (two index calls + one simulate)
-# pins its own golden.
+# The bandit /v1/index envelope answers the gittins golden, and a
+# heterogeneous /v1/batch (two index calls + one simulate) pins its own
+# golden.
 check_endpoint index index gittins
 check_endpoint batch
 
@@ -96,9 +97,9 @@ check_endpoint jackson_index index
 check_endpoint mdp_index index
 
 # A repeated request must be a cache hit.
-hdr="$(curl -fsS -D - -o /dev/null -X POST --data-binary "@$TESTDATA/gittins_req.json" "$BASE/v1/gittins")"
+hdr="$(curl -fsS -D - -o /dev/null -X POST --data-binary "@$TESTDATA/index_req.json" "$BASE/v1/index")"
 echo "$hdr" | grep -qi '^x-cache: hit' || {
-    echo "FAIL: repeated /v1/gittins was not a cache hit:" >&2
+    echo "FAIL: repeated /v1/index was not a cache hit:" >&2
     echo "$hdr" >&2
     exit 1
 }
@@ -148,10 +149,10 @@ bad="$(grep -v '^#' "$TMP/metrics.txt" | grep -cvE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{
     exit 1
 }
 for series in \
-    'stochsched_requests_total{endpoint="gittins"}' \
-    'stochsched_cache_hits_total{endpoint="gittins"}' \
-    'stochsched_request_duration_seconds_bucket{endpoint="gittins",le="+Inf"}' \
-    'stochsched_request_duration_seconds_count{endpoint="gittins"}' \
+    'stochsched_requests_total{endpoint="index"}' \
+    'stochsched_cache_hits_total{endpoint="index"}' \
+    'stochsched_request_duration_seconds_bucket{endpoint="index",le="+Inf"}' \
+    'stochsched_request_duration_seconds_count{endpoint="index"}' \
     'stochsched_cache_entries' \
     'stochsched_engine_busy_seconds_total' \
     'stochsched_inflight_requests'; do
