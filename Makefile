@@ -8,16 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrency-bearing packages (the engine and
-# everything that fans replications out over it).
+# Race-detector pass over every package, so a package that gains
+# concurrent code (the cluster's probe loop, the trace recorder) is checked
+# without editing a list.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/experiments/... \
-		./internal/queueing/... ./internal/batch/... \
-		./internal/bandit/... ./internal/restless/... \
-		./internal/markov/... ./internal/lp/... \
-		./internal/rng/... ./internal/stats/... \
-		./internal/service/... ./internal/sweep/... \
-		./internal/scenario/... ./pkg/...
+	$(GO) test -race ./...
 
 # The registry-wide conformance suites: every registered scenario kind
 # through the full Scenario/Indexer contract (internal/scenario) and all

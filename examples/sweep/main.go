@@ -32,7 +32,7 @@ func main() {
 	  },
 	  "seed": 7, "replications": 10
 	}`
-	req := &sweep.Request{
+	req := &api.SweepRequest{
 		Base: json.RawMessage(base),
 		Grid: api.Grid{Axes: []api.Axis{
 			{Path: "mg1.spec.classes.0.rate", Values: []float64{0.15, 0.25, 0.35, 0.45}},
@@ -51,8 +51,8 @@ func main() {
 		plan.Hash[:12], plan.Points, len(plan.Policies), plan.Cells())
 
 	fmt.Printf("%-8s %-12s %-22s %-22s %s\n", "point", "rate", "cmu", "fifo", "fifo regret")
-	err = sweep.Execute(context.Background(), be, plan, engine.NewPool(0), nil,
-		func(row sweep.Row, _ []byte) error {
+	err = sweep.Execute(context.Background(), be, plan, engine.NewPool(0), nil, nil,
+		func(row api.SweepRow, _ []byte) error {
 			cmu, fifo := row.Policies[0], row.Policies[1]
 			fmt.Printf("%-8d %-12.2f %8.4f ± %-10.4f %8.4f ± %-10.4f %+.4f\n",
 				row.Point, row.Params[0].Value, cmu.Mean, cmu.CI95, fifo.Mean, fifo.CI95, fifo.Regret)

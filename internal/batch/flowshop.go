@@ -182,18 +182,9 @@ func totalMeanKey(jobs []FlowShopJob) func(int) float64 {
 	}
 }
 
-// EstimateFlowShopBlocking estimates E[makespan] of order o under the
-// bufferless (blocking) recurrence over reps replications on the pool.
-func EstimateFlowShopBlocking(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateFlowShopBlockingInto(ctx, pool, jobs, o, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateFlowShopBlockingInto folds reps further replications into out,
-// continuing s's substream sequence.
+// EstimateFlowShopBlockingInto folds reps further replications of order
+// o's makespan under the bufferless (blocking) recurrence into out on the
+// pool, continuing s's substream sequence.
 func EstimateFlowShopBlockingInto(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream, out *stats.Running) error {
 	return engine.ReplicateInto(ctx, pool, 0, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {

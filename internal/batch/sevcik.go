@@ -154,19 +154,10 @@ func WSEPTDiscrete(jobs []DiscreteJob) Order {
 	return WSEPT(plain)
 }
 
-// EstimateSevcik aggregates replications of SimulateSevcik (the preemptive
-// Sevcik-index policy) on the pool, byte-identical for a given seed at any
-// parallelism level.
-func EstimateSevcik(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateSevcikInto(ctx, p, jobs, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateSevcikInto folds reps further replications into out, continuing
+// EstimateSevcikInto folds reps further replications of SimulateSevcik
+// (the preemptive Sevcik-index policy) into out on the pool, continuing
 // s's substream sequence — the accumulation form the adaptive rounds use.
+// The fold is byte-identical for a given seed at any parallelism level.
 func EstimateSevcikInto(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream, out *stats.Running) error {
 	return engine.ReplicateInto(ctx, p, 0, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
@@ -174,18 +165,9 @@ func EstimateSevcikInto(ctx context.Context, p *engine.Pool, jobs []DiscreteJob,
 		}, out)
 }
 
-// EstimateWSEPTDiscrete aggregates replications of the nonpreemptive WSEPT
-// baseline on the pool.
-func EstimateWSEPTDiscrete(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateWSEPTDiscreteInto(ctx, p, jobs, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateWSEPTDiscreteInto folds reps further replications into out,
-// continuing s's substream sequence.
+// EstimateWSEPTDiscreteInto folds reps further replications of the
+// nonpreemptive WSEPT baseline into out on the pool, continuing s's
+// substream sequence.
 func EstimateWSEPTDiscreteInto(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream, out *stats.Running) error {
 	return engine.ReplicateInto(ctx, p, 0, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {

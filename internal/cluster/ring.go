@@ -8,7 +8,7 @@
 // singleflight preserved end to end: the owner's local cache deduplicates
 // concurrent forwards from every peer.
 //
-// The package has four parts:
+// The package has three parts:
 //
 //   - Ring (this file): the pure routing table. Every node builds the
 //     identical ring from the same peer list, so all nodes agree on
@@ -18,10 +18,6 @@
 //     (serve locally when the owner is down rather than erroring), and
 //     the per-peer forward/fallback/latency counters surfaced in
 //     /v1/stats and /metrics.
-//   - Backend (backend.go): a sweep.Backend that routes each sweep cell to
-//     its owning peer, so N-node sweeps fan out across the cluster while
-//     the grid-order fold keeps the NDJSON stream byte-identical to a
-//     single node's.
 //   - Store (state.go): versioned on-disk snapshot/restore of a node's
 //     durable state (response cache + finished sweep jobs), so restarts
 //     are warm and long sweeps survive deploys.

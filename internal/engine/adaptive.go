@@ -20,10 +20,9 @@ import (
 	"stochsched/internal/stats"
 )
 
-// DefaultFirstRound is the first-round replication count when a Precision
-// does not set MinReplications: large enough for the variance estimate
-// driving the stopping rule to be meaningful, small enough that easy specs
-// stop almost immediately.
+// DefaultFirstRound is the first-round replication count: large enough
+// for the variance estimate driving the stopping rule to be meaningful,
+// small enough that easy specs stop almost immediately.
 const DefaultFirstRound = 32
 
 // Precision is a sequential stopping rule: run replications until the
@@ -39,8 +38,6 @@ type Precision struct {
 	Confidence float64
 	// MaxReplications is the hard work-budget ceiling.
 	MaxReplications int
-	// MinReplications sizes the first round (0 selects DefaultFirstRound).
-	MinReplications int
 }
 
 // Validate reports whether the rule is well-formed.
@@ -53,9 +50,6 @@ func (pr Precision) Validate() error {
 	}
 	if pr.MaxReplications < 1 {
 		return fmt.Errorf("engine: precision max_replications %d must be at least 1", pr.MaxReplications)
-	}
-	if pr.MinReplications < 0 {
-		return fmt.Errorf("engine: precision min_replications %d must be nonnegative", pr.MinReplications)
 	}
 	return nil
 }
@@ -80,17 +74,8 @@ func (pr Precision) Met(r *stats.Running) bool {
 	return pr.Z()*r.SE() <= pr.TargetRelCI*math.Abs(r.Mean())
 }
 
-// firstRound returns the size of round one, clamped to the budget.
-func (pr Precision) firstRound() int {
-	first := pr.MinReplications
-	if first <= 0 {
-		first = DefaultFirstRound
-	}
-	return min(first, pr.MaxReplications)
-}
-
 // AdaptiveRounds drives the deterministic round schedule: round sizes
-// grow the cumulative total geometrically (first MinReplications, then
+// grow the cumulative total geometrically (first DefaultFirstRound, then
 // doubling, capped at MaxReplications), round(start, n) executes
 // replications [start, start+n), and met() is consulted only at round
 // boundaries — so whether the run stops after N replications is a
@@ -101,7 +86,7 @@ func AdaptiveRounds(ctx context.Context, pr Precision, round func(ctx context.Co
 		return 0, err
 	}
 	done := 0
-	target := pr.firstRound()
+	target := min(DefaultFirstRound, pr.MaxReplications)
 	for {
 		if err := round(ctx, done, target-done); err != nil {
 			return done, err
@@ -130,21 +115,4 @@ func ReplicateInto(ctx context.Context, p *Pool, start, reps int, src *rng.Strea
 		func(_ int, args []rng.Stream) { src.SplitInto(args) },
 		func(ctx context.Context, i int, s *rng.Stream) (float64, error) { return fn(ctx, start+i, s) },
 		func(_ int, v float64) error { into.Add(v); return nil }, nil)
-}
-
-// ReplicateAdaptive fans scalar replications out in adaptive rounds until
-// the precision rule is met (or its budget spent), returning the
-// accumulated estimate and the replication count used. Stopping at N
-// yields the same bytes as Replicate with reps = N.
-func ReplicateAdaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
-	var r stats.Running
-	used, err := AdaptiveRounds(ctx, pr,
-		func(ctx context.Context, start, n int) error {
-			return ReplicateInto(ctx, p, start, n, src, fn, &r)
-		},
-		func() bool { return pr.Met(&r) })
-	if err != nil {
-		return nil, used, err
-	}
-	return &r, used, nil
 }

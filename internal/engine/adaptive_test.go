@@ -15,6 +15,20 @@ func noisyMean(_ context.Context, _ int, s *rng.Stream) (float64, error) {
 	return 0.5 + s.Float64(), nil
 }
 
+// adaptive runs fn in adaptive rounds until pr is met (or its budget
+// spent), composing AdaptiveRounds and ReplicateInto the way
+// scenario.runReplications does: each round folds further replications
+// into one accumulator, continuing src's substream sequence.
+func adaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
+	var r stats.Running
+	used, err := AdaptiveRounds(ctx, pr,
+		func(ctx context.Context, start, n int) error {
+			return ReplicateInto(ctx, p, start, n, src, fn, &r)
+		},
+		func() bool { return pr.Met(&r) })
+	return &r, used, err
+}
+
 // TestAdaptiveMatchesFixedBitwise: an adaptive run that stops at N must be
 // byte-identical to a fixed run of N replications — same mean, same m2,
 // same every digit — because rounds continue the substream sequence and
@@ -22,7 +36,7 @@ func noisyMean(_ context.Context, _ int, s *rng.Stream) (float64, error) {
 func TestAdaptiveMatchesFixedBitwise(t *testing.T) {
 	ctx := context.Background()
 	pr := Precision{TargetRelCI: 0.01, MaxReplications: 100000}
-	r, used, err := ReplicateAdaptive(ctx, NewPool(4), pr, rng.New(5), noisyMean)
+	r, used, err := adaptive(ctx, NewPool(4), pr, rng.New(5), noisyMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +58,11 @@ func TestAdaptiveMatchesFixedBitwise(t *testing.T) {
 func TestAdaptiveParallelismInvariant(t *testing.T) {
 	ctx := context.Background()
 	pr := Precision{TargetRelCI: 0.005, MaxReplications: 200000}
-	r1, used1, err := ReplicateAdaptive(ctx, NewPool(1), pr, rng.New(17), noisyMean)
+	r1, used1, err := adaptive(ctx, NewPool(1), pr, rng.New(17), noisyMean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, used8, err := ReplicateAdaptive(ctx, NewPool(8), pr, rng.New(17), noisyMean)
+	r8, used8, err := adaptive(ctx, NewPool(8), pr, rng.New(17), noisyMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +105,7 @@ func TestAdaptiveSchedule(t *testing.T) {
 // TestAdaptiveStopsEarlyOnEasySpec: a deterministic observable must stop
 // at the first round, far below the ceiling.
 func TestAdaptiveStopsEarlyOnEasySpec(t *testing.T) {
-	_, used, err := ReplicateAdaptive(context.Background(), nil,
+	_, used, err := adaptive(context.Background(), nil,
 		Precision{TargetRelCI: 0.01, MaxReplications: 100000}, rng.New(1),
 		func(_ context.Context, _ int, _ *rng.Stream) (float64, error) { return 3.5, nil })
 	if err != nil {
@@ -116,7 +130,7 @@ func TestSequentialCICoverage(t *testing.T) {
 	const seeds = 400
 	covered := 0
 	for seed := uint64(0); seed < seeds; seed++ {
-		r, _, err := ReplicateAdaptive(ctx, nil, pr, rng.New(seed), noisyMean)
+		r, _, err := adaptive(ctx, nil, pr, rng.New(seed), noisyMean)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +172,6 @@ func TestPrecisionValidate(t *testing.T) {
 		{TargetRelCI: 0.01, MaxReplications: 0},
 		{TargetRelCI: 0.01, MaxReplications: 10, Confidence: 1},
 		{TargetRelCI: 0.01, MaxReplications: 10, Confidence: -0.5},
-		{TargetRelCI: 0.01, MaxReplications: 10, MinReplications: -1},
 	}
 	for i, pr := range bad {
 		if err := pr.Validate(); err == nil {

@@ -16,7 +16,7 @@
 //     deadlocking. Chunking bounds coordination overhead: a replication
 //     loop costs a handful of goroutines and a recycled working set of
 //     chunk buffers, not a goroutine and an allocation per task.
-//   - Streams: per-replication RNG substreams split from a parent stream in
+//   - Substreams: per-replication RNG substreams split from a parent stream in
 //     replication order before any work is dispatched, so the randomness a
 //     replication consumes is a function of (seed, replication index) only.
 //     Substreams are split in blocks (rng.SplitInto) into chunk-owned
@@ -163,17 +163,6 @@ func (p *Pool) release() {
 		p.parent.release()
 	}
 	<-p.slots
-}
-
-// Streams splits n independent substreams off src in index order. The i-th
-// stream depends only on src's state and i, never on execution order, so
-// handing streams[i] to replication i keeps parallel runs seed-stable.
-func Streams(src *rng.Stream, n int) []*rng.Stream {
-	out := make([]*rng.Stream, n)
-	for i := range out {
-		out[i] = src.Split()
-	}
-	return out
 }
 
 // chunk carries one contiguous block of tasks through the fan-out: args

@@ -99,19 +99,6 @@ func TestReplicateMatchesNilPool(t *testing.T) {
 	}
 }
 
-func TestStreamsDeterministic(t *testing.T) {
-	a := Streams(rng.New(5), 4)
-	b := Streams(rng.New(5), 4)
-	for i := range a {
-		if a[i].Uint64() != b[i].Uint64() {
-			t.Fatalf("stream %d diverges between identical splits", i)
-		}
-	}
-	if a[0] == a[1] {
-		t.Fatal("Streams returned aliased streams")
-	}
-}
-
 func TestMapOrderAndValues(t *testing.T) {
 	out, err := Map(context.Background(), NewPool(4), 64, func(_ context.Context, i int) (int, error) {
 		return i * i, nil

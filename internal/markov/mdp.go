@@ -96,15 +96,8 @@ func UniformChooser(actions int) ActionChooser {
 	return func(_ int, s *rng.Stream) int { return s.Intn(actions) }
 }
 
-// SimulateAverage runs one trajectory of horizon epochs from start and
+// simulateAverage runs one trajectory of horizon epochs from start and
 // returns the average reward per epoch over [burnin, horizon).
-func (m *MDP) SimulateAverage(choose ActionChooser, start, horizon, burnin int, s *rng.Stream) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	return m.simulateAverage(choose, start, horizon, burnin, s)
-}
-
 func (m *MDP) simulateAverage(choose ActionChooser, start, horizon, burnin int, s *rng.Stream) (float64, error) {
 	n := m.N()
 	if start < 0 || start >= n {
@@ -128,7 +121,7 @@ func (m *MDP) simulateAverage(choose ActionChooser, start, horizon, burnin int, 
 	return total / float64(horizon-burnin), nil
 }
 
-// Replicate aggregates independent replications of SimulateAverage on the
+// Replicate aggregates independent replications of simulateAverage on the
 // pool: per-replication substreams, replication-order fold, byte-identical
 // for a given seed at any parallelism level.
 func (m *MDP) Replicate(ctx context.Context, p *engine.Pool, choose ActionChooser, start, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {

@@ -293,11 +293,20 @@ func RootSpan(ctx context.Context) *Span {
 	return FromContext(ctx).Root()
 }
 
+// CurrentSpan returns ctx's current span — the trace root in a request
+// handler, or the span Start last entered — and nil when ctx is untraced.
+// Opening children on it directly (StartChild) costs no context
+// allocation.
+func CurrentSpan(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
+}
+
 // Start opens a child of ctx's current span and returns a context whose
 // current span is the new one. Without a trace in ctx it returns ctx
 // unchanged and a nil span — zero allocation on the untraced path.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent, _ := ctx.Value(spanKey{}).(*Span)
+	parent := CurrentSpan(ctx)
 	if parent == nil {
 		return ctx, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"stochsched/internal/des"
 	"stochsched/internal/engine"
@@ -164,16 +163,6 @@ func (k *KlimovNetwork) KlimovIndices() ([]float64, []int, error) {
 		order[n-1-i] = cls
 	}
 	return indices, order, nil
-}
-
-// KlimovOrderByIndex returns classes sorted by nonincreasing Klimov index.
-func KlimovOrderByIndex(indices []float64) []int {
-	o := make([]int, len(indices))
-	for i := range o {
-		o[i] = i
-	}
-	sort.SliceStable(o, func(a, b int) bool { return indices[o[a]] > indices[o[b]] })
-	return o
 }
 
 // Simulate runs the feedback network under a static nonpreemptive priority

@@ -48,7 +48,7 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 	}
 
 	var nw api.Network
-	if err := decodeStrictPayload([]byte(jacksonTandem), &nw); err != nil {
+	if err := DecodeStrict([]byte(jacksonTandem), &nw); err != nil {
 		t.Fatal(err)
 	}
 	model, err := networkModel(&nw)

@@ -32,7 +32,7 @@ func banditPolicy(p *api.BanditSim) string {
 
 func (banditScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.BanditSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if len(p.Start) != len(p.Spec.Projects) {
@@ -135,28 +135,10 @@ func (s banditScenario) Simulate(ctx context.Context, pool *engine.Pool, payload
 	return &api.BanditResult{Policy: policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
 }
 
-func (banditScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string            `json:"spec_hash"`
-		Bandit   *api.BanditResult `json:"bandit"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding bandit simulate response: %v", err)
-	}
-	if b.Bandit == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no bandit result")
-	}
-	if policy == "" {
-		policy = b.Bandit.Policy
-	}
-	return Outcome{
-		Policy:         policy,
-		SpecHash:       b.SpecHash,
-		Metric:         "reward",
-		HigherIsBetter: true,
-		Mean:           b.Bandit.RewardMean,
-		CI95:           b.Bandit.RewardCI95,
-	}, nil
+func (s banditScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.BanditResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "reward", HigherIsBetter: true, Mean: r.RewardMean, CI95: r.RewardCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +148,7 @@ func (banditScenario) IndexFamily() string { return "gittins" }
 
 func (banditScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var b api.Bandit
-	if err := decodeStrictPayload(raw, &b); err != nil {
+	if err := DecodeStrict(raw, &b); err != nil {
 		return nil, err
 	}
 	return &b, nil

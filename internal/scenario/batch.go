@@ -31,7 +31,7 @@ func batchObjective(p *api.BatchSim) string {
 
 func (batchScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.BatchSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	return &p, nil
@@ -161,35 +161,20 @@ func (s batchScenario) Simulate(ctx context.Context, pool *engine.Pool, payload 
 	}, used, nil
 }
 
-func (batchScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string           `json:"spec_hash"`
-		Batch    *api.BatchResult `json:"batch"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding batch simulate response: %v", err)
-	}
-	if b.Batch == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no batch result")
-	}
-	if policy == "" {
-		policy = b.Batch.Policy
-	}
-	out := Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   b.Batch.Objective,
-	}
-	switch b.Batch.Objective {
-	case "makespan":
-		out.Mean, out.CI95 = b.Batch.MakespanMean, b.Batch.MakespanCI95
-	case "flowtime":
-		out.Mean, out.CI95 = b.Batch.FlowtimeMean, b.Batch.FlowtimeCI95
-	default:
-		out.Metric = "weighted_flowtime"
-		out.Mean, out.CI95 = b.Batch.WeightedFlowtimeMean, b.Batch.WeightedFlowtimeCI95
-	}
-	return out, nil
+func (s batchScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.BatchResult) Outcome {
+		out := Outcome{Policy: r.Policy, Metric: r.Objective}
+		switch r.Objective {
+		case "makespan":
+			out.Mean, out.CI95 = r.MakespanMean, r.MakespanCI95
+		case "flowtime":
+			out.Mean, out.CI95 = r.FlowtimeMean, r.FlowtimeCI95
+		default:
+			out.Metric = "weighted_flowtime"
+			out.Mean, out.CI95 = r.WeightedFlowtimeMean, r.WeightedFlowtimeCI95
+		}
+		return out
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +184,7 @@ func (batchScenario) IndexFamily() string { return "priority" }
 
 func (batchScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var b api.Batch
-	if err := decodeStrictPayload(raw, &b); err != nil {
+	if err := DecodeStrict(raw, &b); err != nil {
 		return nil, err
 	}
 	return &b, nil

@@ -26,7 +26,7 @@ func (flowshopScenario) Kind() string { return "flowshop" }
 
 func (flowshopScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.FlowShopSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Spec.Variant() == "" {
@@ -319,25 +319,8 @@ func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p
 	}, used, nil
 }
 
-func (flowshopScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string              `json:"spec_hash"`
-		FlowShop *api.FlowShopResult `json:"flowshop"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding flowshop simulate response: %v", err)
-	}
-	if b.FlowShop == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no flowshop result")
-	}
-	if policy == "" {
-		policy = b.FlowShop.Policy
-	}
-	return Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   b.FlowShop.Metric,
-		Mean:     b.FlowShop.Mean,
-		CI95:     b.FlowShop.CI95,
-	}, nil
+func (s flowshopScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.FlowShopResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: r.Metric, Mean: r.Mean, CI95: r.CI95}
+	})
 }

@@ -29,7 +29,7 @@ func (jacksonScenario) Kind() string { return "jackson" }
 
 func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.JacksonSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Burnin < 0 || p.Horizon <= p.Burnin {
@@ -230,27 +230,10 @@ func (s jacksonScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 	return res, used, nil
 }
 
-func (jacksonScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string             `json:"spec_hash"`
-		Jackson  *api.JacksonResult `json:"jackson"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding jackson simulate response: %v", err)
-	}
-	if b.Jackson == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no jackson result")
-	}
-	if policy == "" {
-		policy = b.Jackson.Policy
-	}
-	return Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   "cost_rate",
-		Mean:     b.Jackson.CostRateMean,
-		CI95:     b.Jackson.CostRateCI95,
-	}, nil
+func (s jacksonScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.JacksonResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +246,7 @@ func (jacksonScenario) IndexFamily() string { return "jackson" }
 
 func (jacksonScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var n api.Network
-	if err := decodeStrictPayload(raw, &n); err != nil {
+	if err := DecodeStrict(raw, &n); err != nil {
 		return nil, err
 	}
 	return &n, nil

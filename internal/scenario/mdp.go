@@ -30,7 +30,7 @@ const (
 
 func (mdpScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.MDPSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Burnin < 0 || p.Horizon <= p.Burnin {
@@ -144,28 +144,10 @@ func (s mdpScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	}, used, nil
 }
 
-func (mdpScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string         `json:"spec_hash"`
-		MDP      *api.MDPResult `json:"mdp"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding mdp simulate response: %v", err)
-	}
-	if b.MDP == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no mdp result")
-	}
-	if policy == "" {
-		policy = b.MDP.Policy
-	}
-	return Outcome{
-		Policy:         policy,
-		SpecHash:       b.SpecHash,
-		Metric:         "reward",
-		HigherIsBetter: true,
-		Mean:           b.MDP.RewardMean,
-		CI95:           b.MDP.RewardCI95,
-	}, nil
+func (s mdpScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.MDPResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "reward", HigherIsBetter: true, Mean: r.RewardMean, CI95: r.RewardCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -176,7 +158,7 @@ func (mdpScenario) IndexFamily() string { return "mdp" }
 
 func (mdpScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var m api.MDP
-	if err := decodeStrictPayload(raw, &m); err != nil {
+	if err := DecodeStrict(raw, &m); err != nil {
 		return nil, err
 	}
 	return &m, nil

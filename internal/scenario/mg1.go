@@ -24,7 +24,7 @@ func (mg1Scenario) Kind() string { return "mg1" }
 
 func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.MG1Sim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Burnin < 0 || p.Horizon <= p.Burnin {
@@ -202,27 +202,10 @@ func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	return res, used, nil
 }
 
-func (mg1Scenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string         `json:"spec_hash"`
-		MG1      *api.MG1Result `json:"mg1"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding mg1 simulate response: %v", err)
-	}
-	if b.MG1 == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no mg1 result")
-	}
-	if policy == "" {
-		policy = b.MG1.Policy
-	}
-	return Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   "cost_rate",
-		Mean:     b.MG1.CostRateMean,
-		CI95:     b.MG1.CostRateCI95,
-	}, nil
+func (s mg1Scenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.MG1Result) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +216,7 @@ func (mg1Scenario) IndexFamily() string { return "priority" }
 
 func (mg1Scenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var m api.MG1
-	if err := decodeStrictPayload(raw, &m); err != nil {
+	if err := DecodeStrict(raw, &m); err != nil {
 		return nil, err
 	}
 	return &m, nil

@@ -24,7 +24,7 @@ func (mmmScenario) Kind() string { return "mmm" }
 
 func (mmmScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.MMmSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Burnin < 0 || p.Horizon <= p.Burnin {
@@ -115,27 +115,10 @@ func (s mmmScenario) Simulate(ctx context.Context, pool *engine.Pool, payload an
 	return res, used, nil
 }
 
-func (mmmScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string         `json:"spec_hash"`
-		MMm      *api.MMmResult `json:"mmm"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding mmm simulate response: %v", err)
-	}
-	if b.MMm == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no mmm result")
-	}
-	if policy == "" {
-		policy = b.MMm.Policy
-	}
-	return Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   "cost_rate",
-		Mean:     b.MMm.CostRateMean,
-		CI95:     b.MMm.CostRateCI95,
-	}, nil
+func (s mmmScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.MMmResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +129,7 @@ func (mmmScenario) IndexFamily() string { return "priority" }
 
 func (mmmScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var m api.MMm
-	if err := decodeStrictPayload(raw, &m); err != nil {
+	if err := DecodeStrict(raw, &m); err != nil {
 		return nil, err
 	}
 	return &m, nil

@@ -24,7 +24,7 @@ func (pollingScenario) Kind() string { return "polling" }
 
 func (pollingScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.PollingSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.Burnin < 0 || p.Horizon <= p.Burnin {
@@ -129,25 +129,8 @@ func (s pollingScenario) Simulate(ctx context.Context, pool *engine.Pool, payloa
 	return res, used, nil
 }
 
-func (pollingScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string             `json:"spec_hash"`
-		Polling  *api.PollingResult `json:"polling"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding polling simulate response: %v", err)
-	}
-	if b.Polling == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no polling result")
-	}
-	if policy == "" {
-		policy = b.Polling.Policy
-	}
-	return Outcome{
-		Policy:   policy,
-		SpecHash: b.SpecHash,
-		Metric:   "cost_rate",
-		Mean:     b.Polling.CostRateMean,
-		CI95:     b.Polling.CostRateCI95,
-	}, nil
+func (s pollingScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.PollingResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+	})
 }

@@ -167,7 +167,7 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 	prRaw, hasPrecision := fields.pop("precision")
 	if hasPrecision {
 		var pr api.Precision
-		if err := decodeStrictPayload(prRaw, &pr); err != nil {
+		if err := DecodeStrict(prRaw, &pr); err != nil {
 			return nil, fmt.Errorf("field \"precision\": %w", err)
 		}
 		req.Precision = &pr
@@ -304,9 +304,11 @@ func Run(ctx context.Context, req *Request, pool *engine.Pool) ([]byte, error) {
 	return append(out, '}', '\n'), nil
 }
 
-// decodeStrictPayload unmarshals raw into v, rejecting unknown fields and
-// trailing garbage — the same strictness the envelope applies.
-func decodeStrictPayload(raw json.RawMessage, v any) error {
+// DecodeStrict unmarshals raw into v, rejecting unknown fields and
+// trailing garbage — the same strictness the envelope applies. Every
+// strict JSON body in the service decodes through here: kind payloads,
+// /v1/batch envelopes, and sweep submissions.
+func DecodeStrict(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -23,7 +23,7 @@ func (restlessScenario) Kind() string { return "restless" }
 
 func (restlessScenario) ParsePayload(raw json.RawMessage) (any, error) {
 	var p api.RestlessSim
-	if err := decodeStrictPayload(raw, &p); err != nil {
+	if err := DecodeStrict(raw, &p); err != nil {
 		return nil, err
 	}
 	if p.N < 1 || p.M < 0 || p.M > p.N {
@@ -126,28 +126,10 @@ func (s restlessScenario) Simulate(ctx context.Context, pool *engine.Pool, paylo
 	return &api.RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
 }
 
-func (restlessScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	var b struct {
-		SpecHash string              `json:"spec_hash"`
-		Restless *api.RestlessResult `json:"restless"`
-	}
-	if err := json.Unmarshal(resp, &b); err != nil {
-		return Outcome{}, fmt.Errorf("decoding restless simulate response: %v", err)
-	}
-	if b.Restless == nil {
-		return Outcome{}, fmt.Errorf("simulate response carries no restless result")
-	}
-	if policy == "" {
-		policy = b.Restless.Policy
-	}
-	return Outcome{
-		Policy:         policy,
-		SpecHash:       b.SpecHash,
-		Metric:         "reward",
-		HigherIsBetter: true,
-		Mean:           b.Restless.RewardMean,
-		CI95:           b.Restless.RewardCI95,
-	}, nil
+func (s restlessScenario) Outcome(policy string, resp []byte) (Outcome, error) {
+	return decodeOutcome(s.Kind(), policy, resp, func(r *api.RestlessResult) Outcome {
+		return Outcome{Policy: r.Policy, Metric: "reward", HigherIsBetter: true, Mean: r.RewardMean, CI95: r.RewardCI95}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -157,7 +139,7 @@ func (restlessScenario) IndexFamily() string { return "whittle" }
 
 func (restlessScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
 	var r api.WhittleRequest
-	if err := decodeStrictPayload(raw, &r); err != nil {
+	if err := DecodeStrict(raw, &r); err != nil {
 		return nil, err
 	}
 	return &r, nil

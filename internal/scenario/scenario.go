@@ -164,14 +164,52 @@ type Outcome struct {
 	HigherIsBetter bool
 	// Mean and CI95 are the replication mean and 95% CI half-width.
 	Mean, CI95 float64
-	// ReplicationsUsed is the sequential stopping rule's spend, decoded
-	// generically from the response envelope by the sweep layer (zero for
-	// fixed-budget cells).
+	// ReplicationsUsed is the sequential stopping rule's spend, read from
+	// the kind-independent response envelope (zero for fixed-budget
+	// cells).
 	ReplicationsUsed int64
 }
 
-// BadSpec marks an error as the client's fault — a malformed or infeasible
-// spec discovered after parsing. The serving layer maps it to HTTP 400.
+// decodeOutcome is every kind's Outcome: it decodes a simulate response
+// body of kind once — spec_hash and replications_used from the envelope,
+// the result fragment under the kind's name into R — and lets pick name
+// the compared metric. Only pick differs between kinds. pick labels the
+// cell with the fragment's own policy; a substituted policy (non-empty)
+// overrides it.
+func decodeOutcome[R any](kind, policy string, resp []byte, pick func(*R) Outcome) (Outcome, error) {
+	var (
+		fields   map[string]json.RawMessage
+		frag     *R
+		specHash string
+		used     int64
+	)
+	err := json.Unmarshal(resp, &fields)
+	for _, f := range []struct {
+		name string
+		dst  any
+	}{{"spec_hash", &specHash}, {"replications_used", &used}, {kind, &frag}} {
+		if raw, ok := fields[f.name]; ok && err == nil {
+			err = json.Unmarshal(raw, f.dst)
+		}
+	}
+	if err != nil {
+		return Outcome{}, fmt.Errorf("decoding %s simulate response: %v", kind, err)
+	}
+	if frag == nil {
+		return Outcome{}, fmt.Errorf("simulate response carries no %s result", kind)
+	}
+	out := pick(frag)
+	if policy != "" {
+		out.Policy = policy
+	}
+	out.SpecHash, out.ReplicationsUsed = specHash, used
+	return out, nil
+}
+
+// BadSpec marks an error as the client's fault — a malformed request or a
+// malformed or infeasible spec. It is the serving layer's one 400 marker:
+// parse failures, validation failures and spec errors discovered during a
+// computation all map to HTTP 400 through it.
 type BadSpec struct{ Err error }
 
 func (e BadSpec) Error() string { return e.Err.Error() }

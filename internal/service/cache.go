@@ -161,14 +161,6 @@ func (c *Cache) Len() int {
 	return total
 }
 
-// CacheStats is a point-in-time view of the cache for /v1/stats: total and
-// per-shard entry counts (including in-flight entries) and the cumulative
-// number of evictions (the wire shape lives in the public contract as
-// api.CacheStats). Watching entries plateau while evictions climb is
-// how an over-budget working set shows up; watching entries grow with zero
-// evictions across a warm sweep is how per-point cache reuse shows up.
-type CacheStats = api.CacheStats
-
 // ---------------------------------------------------------------------------
 // Snapshot / restore (the durability layer — see internal/cluster.Store)
 
@@ -217,8 +209,8 @@ func (c *Cache) Snapshot() CacheSnapshot {
 // bound, and dropping an arbitrary completed entry is exactly the
 // eviction policy (without billing the eviction counter, since nothing
 // was ever resident). The snapshot's eviction count is credited to shard
-// 0 — per-shard attribution is not preserved, but CacheStats only ever
-// sums evictions, so the restored view is indistinguishable.
+// 0 — per-shard attribution is not preserved, but api.CacheStats only
+// ever sums evictions, so the restored view is indistinguishable.
 func (c *Cache) Restore(snap CacheSnapshot) {
 	for _, ent := range snap.Entries {
 		sh := c.shard(ent.Key)
@@ -239,8 +231,8 @@ func (c *Cache) Restore(snap CacheSnapshot) {
 
 // Stats gathers per-shard counters. Shards are locked one at a time, so the
 // view is per-shard consistent, not globally atomic.
-func (c *Cache) Stats() CacheStats {
-	st := CacheStats{ShardEntries: make([]int, len(c.shards))}
+func (c *Cache) Stats() api.CacheStats {
+	st := api.CacheStats{ShardEntries: make([]int, len(c.shards))}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -5,102 +5,44 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
-	"stochsched/internal/cluster"
 	"stochsched/internal/obs"
 	"stochsched/internal/sweep"
-	"stochsched/pkg/api"
 	"stochsched/pkg/client"
 )
 
-// This file is the serving layer's cluster integration: relaying requests
-// whose cache key another peer owns (with the depth-1 forwarded guard and
-// degraded-mode local fallback), and the snapshot/restore surface the
-// daemon persists through internal/cluster.Store. The ring itself, the
-// per-peer clients, and the health probing live in internal/cluster.
+// This file is the serving layer's cluster integration: forward, the one
+// routing decision every call makes in a ring (see call in server.go), and
+// the snapshot/restore surface the daemon persists through
+// internal/cluster.Store. The ring itself, the per-peer clients, and the
+// health probing live in internal/cluster.
 
-// maybeForward routes one parsed request on the ring and, when a healthy
-// remote peer owns its cache key, relays the request there and writes the
-// peer's response (or relays its error envelope). It reports whether the
-// response has been written — false means "serve locally": single-node
-// deployments, self-owned keys, requests already forwarded once (the loop
-// guard), and transport failures against an owner that just went down
-// (Forward has marked it; this request falls back rather than erroring).
-func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, path, key string, body []byte) bool {
-	if s.cluster == nil || r.Header.Get(cluster.ForwardHeader) != "" {
-		return false
-	}
+// forward routes one call on the ring by its cache key. When a healthy
+// remote peer owns the key, it relays body to path there and returns the
+// owner's answer: its response bytes, or the *client.APIError envelope it
+// answered with (the owner did serve the call). A nil body with a nil
+// error means "serve locally": a self-owned key, or an owner that is down
+// — already marked (Route's degraded-mode fallback) or failing this very
+// forward (Forward marks it). Local bytes equal the owner's; that is the
+// determinism contract degraded mode rests on. Routing is by cache key,
+// so calls that share a cached body also share an owner.
+func (s *Server) forward(ctx context.Context, path, key string, body []byte) ([]byte, error) {
+	sp := obs.CurrentSpan(ctx)
 	d := s.cluster.Route(key)
-	if !d.Forward {
-		if d.Fallback {
-			obs.RootSpan(r.Context()).Annotate("cluster", "fallback")
+	if d.Forward {
+		fsp := sp.StartChild("forward")
+		fsp.Annotate("peer", d.Peer)
+		resp, err := s.cluster.Forward(ctx, d.Peer, path, body)
+		fsp.End()
+		if err == nil || errors.As(err, new(*client.APIError)) {
+			return resp, err
 		}
-		return false
 	}
-	root := obs.RootSpan(r.Context())
-	fsp := root.StartChild("forward")
-	fsp.Annotate("peer", d.Peer)
-	resp, err := s.cluster.Forward(r.Context(), d.Peer, path, body)
-	fsp.End()
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			// The owner served the request and answered an error: relay it
-			// verbatim — writeError reproduces the identical envelope, so a
-			// forwarded rejection is byte-identical to a local one.
-			if apiErr.Status == http.StatusTooManyRequests {
-				m.shed.Add(1)
-			} else {
-				m.errors.Add(1)
-			}
-			root.Annotate("outcome", "forward")
-			writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
-			return true
-		}
-		// Transport failure: the peer is marked down; serve locally. The
-		// response is byte-identical either way — that is the determinism
-		// contract degraded mode rests on.
-		root.Annotate("cluster", "fallback")
-		return false
+	if d.Forward || d.Fallback {
+		sp.Annotate("cluster", "fallback")
 	}
-	root.Annotate("outcome", "forward")
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "forward")
-	w.Write(resp)
-	return true
-}
-
-// forwardItem is maybeForward for one /v1/batch item: same routing, same
-// loop guard (the caller suppresses it on forwarded batches), same
-// degraded-mode fallback, rendered as a per-item result instead of an
-// HTTP response. handled false means "serve the item locally".
-func (s *Server) forwardItem(ctx context.Context, m *EndpointMetrics, path, key string, body []byte) (res api.BatchItemResult, handled bool) {
-	if s.cluster == nil {
-		return res, false
-	}
-	d := s.cluster.Route(key)
-	if !d.Forward {
-		return res, false
-	}
-	fctx, fsp := obs.Start(ctx, "forward")
-	fsp.Annotate("peer", d.Peer)
-	resp, err := s.cluster.Forward(fctx, d.Peer, path, body)
-	fsp.End()
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			if apiErr.Status == http.StatusTooManyRequests {
-				m.shed.Add(1)
-			} else {
-				m.errors.Add(1)
-			}
-			return batchItemError(apiErr.Status, apiErr.Code, apiErr.Message), true
-		}
-		return res, false // owner down: compute the item locally
-	}
-	return api.BatchItemResult{Status: http.StatusOK, Body: resp}, true
+	return nil, nil
 }
 
 // ---------------------------------------------------------------------------

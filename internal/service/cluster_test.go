@@ -15,6 +15,7 @@ import (
 	"stochsched/internal/cluster"
 	"stochsched/internal/scenario"
 	"stochsched/internal/scenario/scenariotest"
+	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 	"stochsched/pkg/client"
 )
@@ -102,11 +103,85 @@ func ownerIndex(t *testing.T, servers []*Server, key string) int {
 // returns its routing key.
 func simulateKeyFor(t *testing.T, s *Server, body string) string {
 	t.Helper()
-	req, err := s.parseSimulate([]byte(body))
+	p, err := parseSimulate(s, []byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return "simulate:" + req.Hash()
+	return p.key
+}
+
+// sweepCellKeys expands a sweep body the way the job store does and
+// returns each cell's routing key, in cell order.
+func sweepCellKeys(t *testing.T, s *Server, body string) []string {
+	t.Helper()
+	req, err := sweep.DecodeRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sweep.Expand(req, s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, plan.Cells())
+	for i := range keys {
+		keys[i] = simulateKeyFor(t, s, string(plan.Cell(i)))
+	}
+	return keys
+}
+
+// remoteOwned counts the keys a peer other than s owns on the ring: the
+// calls s must forward when every peer is healthy.
+func remoteOwned(s *Server, keys []string) int64 {
+	n := int64(0)
+	for _, k := range keys {
+		if s.cluster.Ring().Owner(k) != s.cluster.Self() {
+			n++
+		}
+	}
+	return n
+}
+
+// forwards sums the forwards s made to every peer.
+func forwards(s *Server) int64 {
+	n := int64(0)
+	for _, p := range s.cluster.Stats().Peers {
+		n += p.Forwards
+	}
+	return n
+}
+
+// ringMisses sums cache misses over every bucket of every node: the
+// number of computations the whole ring ran.
+func ringMisses(servers []*Server) int64 {
+	n := int64(0)
+	for _, s := range servers {
+		for _, m := range s.eps {
+			n += m.misses.Load()
+		}
+	}
+	return n
+}
+
+// runSweep submits a sweep body to h, waits for it to settle, and returns
+// its final status and NDJSON result stream.
+func runSweep(t *testing.T, h http.Handler, body string) (api.SweepStatus, []byte) {
+	t.Helper()
+	c := client.NewInProcess(h)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := c.SweepSubmitRaw(ctx, []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.SweepWait(ctx, st.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.SweepResults(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *final, rows
 }
 
 // ---------------------------------------------------------------------------
@@ -169,40 +244,37 @@ func TestClusterIndexByteIdentity(t *testing.T) {
 // TestClusterSweepNDJSONByteIdentity runs the same sweep on a single node
 // and through every node of a 3-node ring (cells fanning out to their
 // owners) and requires the NDJSON result stream byte-identical everywhere.
+// Local compute yields the same bytes, so the test also pins that the
+// cells are really routed: node 0 forwards exactly the cells a remote
+// peer owns, bills every cell to sweep_cells, and the ring computes each
+// cell once.
 func TestClusterSweepNDJSONByteIdentity(t *testing.T) {
 	sweepBody := fmt.Sprintf(
 		`{"base": %s, "grid": {"axes": [{"path":"mg1.spec.classes.0.rate","values":[0.2,0.25,0.3]}]}, "policies": ["cmu","fifo"]}`,
 		scenariotest.SimulateBody("mg1", 23))
 
-	runSweep := func(h http.Handler) []byte {
-		t.Helper()
-		c := client.NewInProcess(h)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		st, err := c.SweepSubmitRaw(ctx, []byte(sweepBody))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.SweepWait(ctx, st.ID, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		rows, err := c.SweepResults(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-
-	want := runSweep(New(Config{}).Handler())
+	_, want := runSweep(t, New(Config{}).Handler(), sweepBody)
 	if len(bytes.Split(bytes.TrimSpace(want), []byte("\n"))) != 3 {
 		t.Fatalf("single-node sweep produced %q, want 3 rows (one per grid point)", want)
 	}
 	servers, _ := newRing(t, 3, nil)
+	keys := sweepCellKeys(t, servers[0], sweepBody)
 	for i, s := range servers {
-		got := runSweep(s.Handler())
+		_, got := runSweep(t, s.Handler(), sweepBody)
 		if !bytes.Equal(got, want) {
 			t.Errorf("node %d sweep NDJSON differs from single-node:\n got %s\nwant %s", i, got, want)
 		}
+		if i == 0 {
+			if got, want := forwards(s), remoteOwned(s, keys); got != want {
+				t.Errorf("node 0 forwarded %d cells, want the %d a remote peer owns", got, want)
+			}
+			if got := s.eps["sweep_cells"].requests.Load(); got != int64(len(keys)) {
+				t.Errorf("node 0 billed %d sweep_cells requests, want all %d cells", got, len(keys))
+			}
+		}
+	}
+	if got := ringMisses(servers); got != int64(len(keys)) {
+		t.Errorf("ring computed %d times, want each of the %d cells once", got, len(keys))
 	}
 }
 
@@ -315,10 +387,16 @@ func TestClusterSingleflightAcrossPeers(t *testing.T) {
 
 // TestClusterBatchItemsRouteIndividually: one batch posted to one node
 // fans items out to their owners, and the batch response is byte-identical
-// to the single-node one.
+// to the single-node one. Node 0 forwards exactly the items a remote peer
+// owns, and the ring computes each item once.
 func TestClusterBatchItemsRouteIndividually(t *testing.T) {
-	batchBody := fmt.Sprintf(`{"items":[{"op":"simulate","body":%s},{"op":"simulate","body":%s},{"op":"index","body":%s}]}`,
-		scenariotest.SimulateBody("mg1", 43), scenariotest.SimulateBody("bandit", 43), scenariotest.IndexBody("bandit"))
+	items := []struct{ op, body string }{
+		{api.OpSimulate, scenariotest.SimulateBody("mg1", 43)},
+		{api.OpSimulate, scenariotest.SimulateBody("bandit", 43)},
+		{api.OpIndex, scenariotest.IndexBody("bandit")},
+	}
+	batchBody := fmt.Sprintf(`{"items":[{"op":%q,"body":%s},{"op":%q,"body":%s},{"op":%q,"body":%s}]}`,
+		items[0].op, items[0].body, items[1].op, items[1].body, items[2].op, items[2].body)
 
 	w := post(t, New(Config{}).Handler(), "/v1/batch", batchBody)
 	if w.Code != http.StatusOK {
@@ -327,6 +405,18 @@ func TestClusterBatchItemsRouteIndividually(t *testing.T) {
 	want := w.Body.Bytes()
 
 	servers, _ := newRing(t, 3, nil)
+	keys := make([]string, len(items))
+	for i, it := range items {
+		parse := parseSimulate
+		if it.op == api.OpIndex {
+			parse = parseIndex
+		}
+		p, err := parse(servers[0], []byte(it.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = p.key
+	}
 	for i, s := range servers {
 		wc := post(t, s.Handler(), "/v1/batch", batchBody)
 		if wc.Code != http.StatusOK {
@@ -335,6 +425,75 @@ func TestClusterBatchItemsRouteIndividually(t *testing.T) {
 		if !bytes.Equal(wc.Body.Bytes(), want) {
 			t.Errorf("node %d batch body differs from single-node", i)
 		}
+		if i == 0 {
+			if got, want := forwards(s), remoteOwned(s, keys); got != want {
+				t.Errorf("node 0 forwarded %d items, want the %d a remote peer owns", got, want)
+			}
+		}
+	}
+	if got := ringMisses(servers); got != int64(len(items)) {
+		t.Errorf("ring computed %d times, want each of the %d items once", got, len(items))
+	}
+}
+
+// TestClusterOwnerErrorPolicy pins what each front door does when the
+// owner answers with an error envelope (here 429, a shedding peer): an
+// interactive call relays the owner's envelope, while a sweep cell — a
+// shed cell would fail its whole job — computes locally, so the sweep
+// still settles done with single-node bytes.
+func TestClusterOwnerErrorPolicy(t *testing.T) {
+	sweepBody := fmt.Sprintf(
+		`{"base": %s, "grid": {"axes": [{"path":"mg1.spec.classes.0.rate","values":[0.2,0.25,0.3]}]}, "policies": ["cmu","fifo"]}`,
+		scenariotest.SimulateBody("mg1", 29))
+	_, want := runSweep(t, New(Config{}).Handler(), sweepBody)
+
+	servers, reg := newRing(t, 3, nil)
+	req, err := sweep.DecodeRequest([]byte(sweepBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sweep.Expand(req, servers[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shedding peer is the owner of the first cell node 0 does not own.
+	var peer, cell string
+	for i := 0; i < plan.Cells() && peer == ""; i++ {
+		if owner := servers[0].cluster.Ring().Owner(simulateKeyFor(t, servers[0], string(plan.Cell(i)))); owner != servers[0].cluster.Self() {
+			peer, cell = owner, string(plan.Cell(i))
+		}
+	}
+	if peer == "" {
+		t.Fatal("node 0 owns every cell: the owner-error path is untested")
+	}
+	reg.set(peer, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeError(w, http.StatusTooManyRequests, api.ErrCodeOverloaded, "server overloaded: admission queue full")
+	}))
+
+	w := post(t, servers[0].Handler(), "/v1/simulate", cell)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("interactive call to a shedding owner: code %d, want 429: %s", w.Code, w.Body)
+	}
+	var env api.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Err.Code != api.ErrCodeOverloaded {
+		t.Errorf("relayed envelope %s (%v), want code %s", w.Body, err, api.ErrCodeOverloaded)
+	}
+	if n := servers[0].eps["simulate"].shed.Load(); n != 1 {
+		t.Errorf("relayed 429 billed %d sheds, want 1", n)
+	}
+	if !servers[0].cluster.Healthy(peer) {
+		t.Error("an owner answering 429 was marked down; an error envelope is not a health signal")
+	}
+
+	final, got := runSweep(t, servers[0].Handler(), sweepBody)
+	if final.State != api.SweepDone {
+		t.Fatalf("sweep with a shedding owner settled %q (%s), want done", final.State, final.Error)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sweep with a shedding owner differs from single-node:\n got %s\nwant %s", got, want)
+	}
+	if n := servers[0].eps["sweep_cells"].requests.Load(); n != int64(plan.Cells()) {
+		t.Errorf("node 0 billed %d sweep_cells requests, want all %d cells", n, plan.Cells())
 	}
 }
 
@@ -395,18 +554,7 @@ func TestClusterKillOnePeerFallsBackLocally(t *testing.T) {
 	sweepBody := fmt.Sprintf(
 		`{"base": %s, "grid": {"axes": [{"path":"mg1.spec.classes.0.rate","values":[0.2,0.3]}]}}`,
 		scenariotest.SimulateBody("mg1", 57))
-	c := client.NewInProcess(servers2[0].Handler())
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st, err := c.SweepSubmitRaw(ctx, []byte(sweepBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.SweepWait(ctx, st.ID, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != api.SweepDone {
+	if final, _ := runSweep(t, servers2[0].Handler(), sweepBody); final.State != api.SweepDone {
 		t.Fatalf("degraded sweep settled %q (%s), want done", final.State, final.Error)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"stochsched/internal/scenario"
 	"stochsched/internal/scenario/scenariotest"
-	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 )
 
@@ -81,7 +80,7 @@ func TestEveryKindSweeps(t *testing.T) {
 			scenariotest.SimulateBody(kind, 11), axis)
 		st := submitSweep(t, h, body)
 		final := waitSweep(t, h, st.ID)
-		if final.State != sweep.StateDone {
+		if final.State != api.SweepDone {
 			t.Fatalf("%s: sweep finished %q: %+v", kind, final.State, final)
 		}
 		if final.RowsReady != 2 {

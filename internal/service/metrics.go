@@ -29,23 +29,21 @@ func (m *EndpointMetrics) observeLatency(d time.Duration) {
 	m.hist.record(d)
 }
 
-func (m *EndpointMetrics) observe(out Outcome) {
-	switch out {
-	case Hit:
+// observe counts one served call by its X-Cache outcome. A forwarded
+// call counts as neither hit nor miss: the owner counts it.
+func (m *EndpointMetrics) observe(outcome string) {
+	switch outcome {
+	case "hit":
 		m.hits.Add(1)
-	case Miss:
+	case "miss":
 		m.misses.Add(1)
-	case Dedup:
+	case "dedup":
 		m.dedups.Add(1)
 	}
 }
 
-// EndpointSnapshot is the JSON form of one endpoint's counters (the wire
-// shape lives in the public contract as api.EndpointStats).
-type EndpointSnapshot = api.EndpointStats
-
-func (m *EndpointMetrics) snapshot() EndpointSnapshot {
-	s := EndpointSnapshot{
+func (m *EndpointMetrics) snapshot() api.EndpointStats {
+	s := api.EndpointStats{
 		Requests:     m.requests.Load(),
 		CacheHits:    m.hits.Load(),
 		CacheMisses:  m.misses.Load(),

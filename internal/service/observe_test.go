@@ -130,6 +130,35 @@ func TestTraceCoversMissAndHit(t *testing.T) {
 	}
 }
 
+// TestTraceBatchItemRunsCallPipeline: a batch item's span holds the same
+// call pipeline a single request's root does — parse and cache (with
+// admission and compute on a miss) — and carries the item's kind and
+// outcome.
+func TestTraceBatchItemRunsCallPipeline(t *testing.T) {
+	h := New(Config{}).Handler()
+	w := post(t, h, "/v1/batch", `{"items":[{"op":"simulate","body":`+simulateBody+`}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", w.Code, w.Body)
+	}
+	tr := fetchTrace(t, h, w)
+	spans := map[string]*api.Span{}
+	spanNames(&tr.Root, spans)
+	item := spans["item[0]"]
+	if item == nil {
+		t.Fatalf("batch trace lacks the item span (have %v)", keys(spans))
+	}
+	under := map[string]*api.Span{}
+	spanNames(item, under)
+	for _, want := range []string{"parse", "cache", "admission", "compute"} {
+		if under[want] == nil {
+			t.Errorf("item span lacks %q (has %v)", want, keys(under))
+		}
+	}
+	if attr(item, "kind") != "mg1" || attr(item, "outcome") != "miss" || attr(item, "status") != "200" {
+		t.Errorf("item annotations %+v", item.Attrs)
+	}
+}
+
 func keys(m map[string]*api.Span) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"stochsched/internal/scenario/scenariotest"
-	"stochsched/internal/sweep"
+	"stochsched/pkg/api"
 )
 
 // This file covers the scenario-registry surface of the service: the
@@ -313,7 +313,7 @@ func TestSweepRestlessKind(t *testing.T) {
 		if st.Points != 2 || st.CellsTotal != 6 {
 			t.Fatalf("accepted status %+v", st)
 		}
-		if final := waitSweep(t, h, st.ID); final.State != sweep.StateDone {
+		if final := waitSweep(t, h, st.ID); final.State != api.SweepDone {
 			t.Fatalf("sweep ended %q: %+v", final.State, final)
 		}
 		return sweepResults(t, h, st.ID)
@@ -324,7 +324,7 @@ func TestSweepRestlessKind(t *testing.T) {
 		t.Fatalf("stream has %d rows:\n%s", len(lines), stream)
 	}
 	for i, line := range lines {
-		var row sweep.Row
+		var row api.SweepRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			t.Fatal(err)
 		}
@@ -365,14 +365,14 @@ func TestSweepBatchKind(t *testing.T) {
 	}`, fmt.Sprintf(batchSimBody, 0))
 	h := New(Config{}).Handler()
 	st := submitSweep(t, h, body)
-	if final := waitSweep(t, h, st.ID); final.State != sweep.StateDone {
+	if final := waitSweep(t, h, st.ID); final.State != api.SweepDone {
 		t.Fatalf("sweep ended %q: %+v", final.State, final)
 	}
 	lines := bytes.Split(bytes.TrimRight(sweepResults(t, h, st.ID), "\n"), []byte("\n"))
 	if len(lines) != 2 {
 		t.Fatalf("stream has %d rows", len(lines))
 	}
-	var row sweep.Row
+	var row api.SweepRow
 	if err := json.Unmarshal(lines[0], &row); err != nil {
 		t.Fatal(err)
 	}

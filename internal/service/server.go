@@ -20,7 +20,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +36,7 @@ import (
 	"stochsched/internal/scenario"
 	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
+	"stochsched/pkg/client"
 )
 
 // Config tunes the server. Zero values select the documented defaults.
@@ -178,27 +178,13 @@ func New(cfg Config) *Server {
 		cluster: cfg.Cluster,
 	}
 	// sweep and sweep_cells are pseudo-endpoints: submissions of /v1/sweep
-	// and the individual simulate cells sweeps execute through the cache.
+	// and the individual simulate cells sweeps execute through the pipeline.
 	for _, name := range []string{"index", "simulate", "batch", "sweep", "sweep_cells"} {
 		s.eps[name] = &EndpointMetrics{}
 	}
-	// In a cluster, sweep cells route to their owning peer exactly like
-	// interactive /v1/simulate traffic for the same spec would, so the
-	// whole ring is one memoization domain for sweeps too. The routing key
-	// is the simulate cache key, built by the service's own request parser
-	// — sweep routing and interactive routing can never disagree on
-	// ownership.
-	var be sweep.Backend = s
-	if s.cluster != nil {
-		be = cluster.NewBackend(s.cluster, s, func(body []byte) (string, error) {
-			req, err := s.parseSimulate(body)
-			if err != nil {
-				return "", err
-			}
-			return "simulate:" + req.Hash(), nil
-		})
-	}
-	s.sweeps = sweep.NewManager(be, sweep.Config{
+	// The server is its own sweep backend: every cell is one simulate call
+	// through the same pipeline as HTTP traffic (see Simulate in sweep.go).
+	s.sweeps = sweep.NewManager(s, sweep.Config{
 		MaxJobs:  cfg.SweepMaxJobs,
 		MaxCells: cfg.SweepMaxCells,
 		Parallel: cfg.Parallel,
@@ -220,10 +206,13 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(method+" "+pattern, h)
 		mux.HandleFunc(pattern, s.methodNotAllowed(name, allow))
 	}
-	route(http.MethodPost, "/v1/index", "index", s.solverEndpoint("index", parseIndex), "POST")
-	route(http.MethodPost, "/v1/simulate", "simulate", s.solverEndpoint("simulate", computeSimulate), "POST")
-	route(http.MethodPost, "/v1/batch", "batch", s.handleBatch, "POST")
-	route(http.MethodPost, "/v1/sweep", "sweep", s.handleSweepSubmit, "POST")
+	post := func(pattern, name string, h bodyHandler) {
+		route(http.MethodPost, pattern, name, s.endpoint(name, h), "POST")
+	}
+	post("/v1/index", "index", s.solve(indexOp))
+	post("/v1/simulate", "simulate", s.solve(simulateOp))
+	post("/v1/batch", "batch", s.handleBatch)
+	post("/v1/sweep", "sweep", s.handleSweepSubmit)
 	mux.HandleFunc("GET /v1/sweep/{id}", s.handleSweepStatus)
 	mux.HandleFunc("DELETE /v1/sweep/{id}", s.handleSweepCancel)
 	mux.HandleFunc("/v1/sweep/{id}", s.methodNotAllowed("sweep", "GET, DELETE"))
@@ -259,40 +248,75 @@ func (s *Server) methodNotAllowed(name, allow string) http.HandlerFunc {
 	}
 }
 
-// badRequest marks an error as the client's fault (HTTP 400).
-type badRequest struct{ err error }
+// bodyHandler serves a POST route once endpoint has done the shared
+// bookkeeping: it gets the route's metrics bucket and the request body,
+// already read under the size cap, and bills its own outcome to m.
+type bodyHandler func(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, body []byte)
 
-func (e badRequest) Error() string { return e.err.Error() }
-func (e badRequest) Unwrap() error { return e.err }
-
-// asClientFault rewraps scenario-level spec errors as badRequest so the
-// shared error mapping classifies them 400.
-func asClientFault(err error) error {
-	var bs scenario.BadSpec
-	if errors.As(err, &bs) {
-		return badRequest{err}
+// endpoint wraps a POST route in the bookkeeping all four share: the
+// request counter and latency of its metrics bucket, the endpoint
+// annotation on the trace root, and the body read under the configured
+// cap (negative MaxBodyBytes means uncapped; an unreadable body is a 400
+// billed as an error). The body is read before anything else, so a slow
+// client trickling it — network I/O, not compute — never pins an
+// execution slot.
+func (s *Server) endpoint(name string, h bodyHandler) http.HandlerFunc {
+	m := s.eps[name]
+	return func(w http.ResponseWriter, r *http.Request) {
+		begin := time.Now()
+		m.requests.Add(1)
+		defer func() { m.observeLatency(time.Since(begin)) }()
+		obs.RootSpan(r.Context()).Annotate("endpoint", name)
+		rd := r.Body
+		if s.cfg.MaxBodyBytes >= 0 {
+			rd = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		}
+		body, err := io.ReadAll(rd)
+		if err != nil {
+			m.errors.Add(1)
+			writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, fmt.Sprintf("reading body: %v", err))
+			return
+		}
+		h(w, r, m, body)
 	}
-	return err
 }
 
-// errorStatus maps a request-path error onto its HTTP status and
-// machine-readable envelope code.
-func errorStatus(err error) (int, string) {
-	var br badRequest
+// failure maps a failed call onto its HTTP status and error envelope. An
+// owner's relayed *client.APIError keeps the owner's status, code and
+// message, so a forwarded rejection is byte-identical to a local one.
+func failure(err error) (status int, code, msg string) {
+	var owner *client.APIError
 	switch {
+	case errors.As(err, &owner):
+		return owner.Status, owner.Code, owner.Message
 	case errors.Is(err, ErrShed):
-		return http.StatusTooManyRequests, api.ErrCodeOverloaded
+		return http.StatusTooManyRequests, api.ErrCodeOverloaded, "server overloaded: admission queue full"
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable, api.ErrCodeUnavailable
-	case errors.As(err, &br):
-		return http.StatusBadRequest, api.ErrCodeBadRequest
+		return http.StatusServiceUnavailable, api.ErrCodeUnavailable, err.Error()
+	case errors.As(err, new(scenario.BadSpec)):
+		return http.StatusBadRequest, api.ErrCodeBadRequest, err.Error()
 	default:
-		return http.StatusInternalServerError, api.ErrCodeInternal
+		return http.StatusInternalServerError, api.ErrCodeInternal, err.Error()
 	}
 }
 
-// parsed is the outcome of decoding one request: a cache key, the
-// computation producing the encoded response body, and the request's
+// writeFailure renders a failed call as an HTTP error response.
+func writeFailure(w http.ResponseWriter, err error) {
+	status, code, msg := failure(err)
+	writeError(w, status, code, msg)
+}
+
+// ---------------------------------------------------------------------------
+// The call pipeline
+//
+// Every index or simulate call — an HTTP request, a /v1/batch item, a
+// sweep cell — takes the same path: parse, then either the ring owner
+// (forward, in cluster.go) or the local cache and admission queue
+// (serve), billed to its bucket in one place (call). The front doors
+// only render the answer.
+
+// parsed is one decoded call: its cache key (also its ring routing key),
+// the computation producing the encoded response body, and the request's
 // scenario kind and spec hash for the access log and trace annotations.
 // compute receives the serving context so spans recorded inside the
 // computation attach to the initiating request's trace.
@@ -303,25 +327,101 @@ type parsed struct {
 	compute func(ctx context.Context) ([]byte, error)
 }
 
-// readBody reads a request body under the configured size cap (negative
-// MaxBodyBytes means uncapped).
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if s.cfg.MaxBodyBytes < 0 {
-		return io.ReadAll(r.Body)
-	}
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// op is one kind of call: the path a peer serves it at (the forward
+// target) and the parser decoding its body.
+type op struct {
+	path  string
+	parse func(s *Server, body []byte) (parsed, error)
 }
 
-// serve runs one parsed computation through the shared machinery: the
-// sharded cache (hits and singleflight joins bypass admission entirely)
-// and the bounded admission queue. Both the single-call endpoints and the
-// /v1/batch items execute through here. The trace (if any) gets a "cache"
-// span covering the lookup, annotated with the outcome; a miss nests
-// "admission" (queue wait) and the computation's own spans under it.
-func (s *Server) serve(ctx context.Context, p parsed) ([]byte, Outcome, error) {
-	sp := obs.RootSpan(ctx).StartChild("cache")
-	// The cache span enters the context only inside the miss closure, so
-	// hits and dedup joins pay no context allocation.
+var (
+	indexOp    = op{"/v1/index", parseIndex}
+	simulateOp = op{"/v1/simulate", parseSimulate}
+)
+
+// callMode is how a call reached this node.
+type callMode int
+
+const (
+	// interactive is a client's HTTP request or batch item: routed on the
+	// ring, an owner's error envelope relayed, a full admission queue
+	// shed with 429.
+	interactive callMode = iota
+	// relayed is a call a peer already forwarded once — the depth-1 loop
+	// guard: it is served here, whatever the ring says.
+	relayed
+	// background is a sweep cell: routed on the ring, but computed here
+	// whenever the owner does not answer with bytes (down, or shedding),
+	// and waiting for an execution slot instead of shedding — a shed cell
+	// would fail its whole job, and cells are bounded by their job's
+	// parallelism. Local bytes equal the owner's, so the fallback is
+	// always sound.
+	background
+)
+
+// modeOf reads an HTTP request's call mode off the forwarding header.
+func modeOf(r *http.Request) callMode {
+	if r.Header.Get(cluster.ForwardHeader) != "" {
+		return relayed
+	}
+	return interactive
+}
+
+// call answers one call and bills it to m — the only place a call is
+// billed: shed for a 429, errors for any other failure, and the outcome
+// for a success. The outcome is the X-Cache value — hit, miss, dedup, or
+// forward, which counts as neither hit nor miss (the owner counts it).
+func (s *Server) call(ctx context.Context, m *EndpointMetrics, o op, body []byte, mode callMode) ([]byte, string, error) {
+	resp, outcome, err := s.answer(ctx, o, body, mode)
+	if err == nil {
+		m.observe(outcome)
+	} else if status, _, _ := failure(err); status == http.StatusTooManyRequests {
+		m.shed.Add(1)
+	} else {
+		m.errors.Add(1)
+	}
+	return resp, outcome, err
+}
+
+// answer runs one call through the pipeline, unbilled. Spans open under
+// ctx's current span — the request root of an HTTP call, the item span of
+// a batch item — which also carries the call's kind, spec hash, and
+// outcome. The outcome of a local failure is empty; anything the owner
+// answered, its error envelope included, is "forward".
+func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) ([]byte, string, error) {
+	sp := obs.CurrentSpan(ctx)
+	psp := sp.StartChild("parse")
+	p, err := o.parse(s, body)
+	psp.End()
+	if err != nil {
+		return nil, "", err
+	}
+	sp.Annotate("kind", p.kind)
+	sp.Annotate("spec_hash", p.hash)
+	if s.cluster != nil && mode != relayed {
+		resp, err := s.forward(ctx, o.path, p.key, body)
+		if resp != nil || (err != nil && mode == interactive) {
+			sp.Annotate("outcome", "forward")
+			return resp, "forward", err
+		}
+	}
+	resp, outcome, err := s.serve(ctx, p, mode == background)
+	if err != nil {
+		return nil, "", err
+	}
+	sp.Annotate("outcome", outcome)
+	return resp, outcome, nil
+}
+
+// serve runs one parsed call on this node: the sharded cache (hits and
+// singleflight joins bypass admission entirely), then on a miss the
+// admission queue and the computation. A background call waits for a slot
+// rather than shedding. It returns the lookup's outcome as its X-Cache
+// value. The trace (if any) gets a "cache" span covering the lookup,
+// annotated with the outcome; a miss nests "admission" (queue wait) and
+// the computation's own spans under it.
+func (s *Server) serve(ctx context.Context, p parsed, background bool) ([]byte, string, error) {
+	sp := obs.CurrentSpan(ctx).StartChild("cache")
 	sctx := obs.WithSpan(ctx, sp)
 	// Admission wraps only the computation: cache hits are map lookups
 	// and singleflight waiters are parked channel reads, so neither
@@ -329,7 +429,12 @@ func (s *Server) serve(ctx context.Context, p parsed) ([]byte, Outcome, error) {
 	// cheap traffic on other keys.
 	body, outcome, err := s.cache.Do(sctx, p.key, func() ([]byte, error) {
 		asp := sp.StartChild("admission")
-		err := s.admit.Acquire(sctx)
+		var err error
+		if background {
+			err = s.admit.AcquireBlocking(sctx)
+		} else {
+			err = s.admit.Acquire(sctx)
+		}
 		asp.End()
 		if err != nil {
 			return nil, err
@@ -339,66 +444,24 @@ func (s *Server) serve(ctx context.Context, p parsed) ([]byte, Outcome, error) {
 		// admission wait under the cache span.
 		return p.compute(sctx)
 	})
-	sp.Annotate("outcome", outcomeHeader(outcome))
+	label := outcomeHeader(outcome)
+	sp.Annotate("outcome", label)
 	sp.End()
-	return body, outcome, err
+	return body, label, err
 }
 
-// solverEndpoint wraps a solver endpoint with the shared machinery:
-// body limits, admission control, memoization, metrics, and tracing.
-func (s *Server) solverEndpoint(name string, parse func(s *Server, body []byte) (parsed, error)) http.HandlerFunc {
-	m := s.eps[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		begin := time.Now()
-		m.requests.Add(1)
-		defer func() { m.observeLatency(time.Since(begin)) }()
-		ctx := r.Context()
-		root := obs.RootSpan(ctx)
-		root.Annotate("endpoint", name)
-
-		// Read and parse before admission: a slow client trickling its body
-		// is network I/O, not compute, and must not pin an execution slot.
-		body, err := s.readBody(w, r)
+// solve serves /v1/index or /v1/simulate: one call, rendered as the HTTP
+// response with its X-Cache outcome.
+func (s *Server) solve(o op) bodyHandler {
+	return func(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, body []byte) {
+		resp, outcome, err := s.call(r.Context(), m, o, body, modeOf(r))
 		if err != nil {
-			m.errors.Add(1)
-			writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, fmt.Sprintf("reading body: %v", err))
+			writeFailure(w, err)
 			return
 		}
-		psp := root.StartChild("parse")
-		p, err := parse(s, body)
-		psp.End()
-		if err != nil {
-			m.errors.Add(1)
-			writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, err.Error())
-			return
-		}
-		root.Annotate("kind", p.kind)
-		root.Annotate("spec_hash", p.hash)
-		// In a cluster, a spec hash another peer owns is relayed there —
-		// unless this request is itself a forward (depth-1 loop guard) or
-		// the owner is down (degraded-mode local fallback). Routing is by
-		// cache key, so requests that share a cached body also share an
-		// owner.
-		if s.maybeForward(w, r, m, "/v1/"+name, p.key, body) {
-			return
-		}
-		resp, outcome, err := s.serve(ctx, p)
-		if err != nil {
-			status, code := errorStatus(err)
-			if status == http.StatusTooManyRequests {
-				m.shed.Add(1)
-				writeError(w, status, code, "server overloaded: admission queue full")
-			} else {
-				m.errors.Add(1)
-				writeError(w, status, code, err.Error())
-			}
-			return
-		}
-		m.observe(outcome)
-		root.Annotate("outcome", outcomeHeader(outcome))
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", outcomeHeader(outcome))
-		wsp := root.StartChild("write")
+		w.Header().Set("X-Cache", outcome)
+		wsp := obs.RootSpan(r.Context()).StartChild("write")
 		w.Write(resp)
 		wsp.End()
 	}
@@ -447,7 +510,7 @@ func marshal(v any) ([]byte, error) {
 func parseIndex(_ *Server, body []byte) (parsed, error) {
 	req, err := scenario.ParseIndexRequest(body)
 	if err != nil {
-		return parsed{}, badRequest{err}
+		return parsed{}, scenario.BadSpec{Err: err}
 	}
 	return parsed{
 		key:  req.Family() + ":" + req.Hash(),
@@ -460,7 +523,7 @@ func parseIndex(_ *Server, body []byte) (parsed, error) {
 			resp, err := req.Compute()
 			csp.End()
 			if err != nil {
-				return nil, asClientFault(err)
+				return nil, err
 			}
 			_, esp := obs.Start(ctx, "encode")
 			defer esp.End()
@@ -472,18 +535,18 @@ func parseIndex(_ *Server, body []byte) (parsed, error) {
 // ---------------------------------------------------------------------------
 // /v1/simulate
 
-// parseSimulate decodes a /v1/simulate body through the scenario registry
-// and enforces the request-level invariants (shape, replication cap, work
-// budget — uniformly across every registered kind). Spec-level validation
-// is deferred to the computation (hits skip it); ValidateSimulate in
-// sweep.go performs both for sweep submissions.
-func (s *Server) parseSimulate(body []byte) (*scenario.Request, error) {
+// simulateRequest decodes a /v1/simulate body through the scenario
+// registry and enforces the request-level invariants (shape, replication
+// cap, work budget — uniformly across every registered kind). Spec-level
+// validation is deferred to the computation (hits skip it);
+// ValidateSimulate in sweep.go performs both for sweep submissions.
+func (s *Server) simulateRequest(body []byte) (*scenario.Request, error) {
 	req, err := scenario.ParseRequest(body, scenario.Limits{
 		MaxReplications: s.cfg.MaxReplications,
 		MaxSimWork:      s.cfg.MaxSimWork,
 	})
 	if err != nil {
-		return nil, badRequest{err}
+		return nil, scenario.BadSpec{Err: err}
 	}
 	return req, nil
 }
@@ -499,12 +562,13 @@ func (s *Server) requestPool(parallel int) *engine.Pool {
 	return s.pool.Limit(parallel)
 }
 
-func computeSimulate(s *Server, body []byte) (parsed, error) {
-	req, err := s.parseSimulate(body)
+// parseSimulate decodes a /v1/simulate body into its cache key and
+// computation.
+func parseSimulate(s *Server, body []byte) (parsed, error) {
+	req, err := s.simulateRequest(body)
 	if err != nil {
 		return parsed{}, err
 	}
-
 	// The cache key deliberately omits Parallel: the engine makes the
 	// response a function of (spec, seed, replications) only, so requests
 	// differing only in parallelism share one cached body.
@@ -514,26 +578,16 @@ func computeSimulate(s *Server, body []byte) (parsed, error) {
 		kind: req.Kind,
 		hash: req.Hash(),
 		compute: func(ctx context.Context) ([]byte, error) {
-			return s.simulateResponse(ctx, req, pool)
+			// Server-side timeout detached from the request's cancellation
+			// (but not its values — the trace rides along): singleflight
+			// waiters may be sharing this computation after the initiating
+			// client leaves. Response assembly lives in scenario.Run, so the
+			// serving layer carries no kind-specific response types.
+			ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ComputeTimeout)
+			defer cancel()
+			return scenario.Run(ctx, req, pool)
 		},
 	}, nil
-}
-
-// simulateResponse executes a parsed request through its scenario.
-// Response assembly (envelope + kind-keyed fragment) lives in
-// scenario.Run, so the serving layer carries no kind-specific response
-// types — a new scenario needs no edits here.
-func (s *Server) simulateResponse(ctx context.Context, req *scenario.Request, pool *engine.Pool) ([]byte, error) {
-	// Server-side timeout detached from the request's cancellation (but
-	// not its values — the trace rides along): singleflight waiters may be
-	// sharing this computation after the initiating client leaves.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ComputeTimeout)
-	defer cancel()
-	body, err := scenario.Run(ctx, req, pool)
-	if err != nil {
-		return nil, asClientFault(err)
-	}
-	return body, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -542,25 +596,13 @@ func (s *Server) simulateResponse(ctx context.Context, req *scenario.Request, po
 // handleBatch serves POST /v1/batch: up to BatchMaxItems heterogeneous
 // index/simulate calls multiplexed into one HTTP round trip. Items execute
 // concurrently on the server's shared engine pool, each through the same
-// cache, admission, and compute path as its single-call endpoint, and the
-// response lists per-item status and body in item order — deterministically,
-// whatever the completion interleaving. One invalid or shed item never
-// fails its siblings.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	m := s.eps["batch"]
-	begin := time.Now()
-	m.requests.Add(1)
-	defer func() { m.observeLatency(time.Since(begin)) }()
-	obs.RootSpan(r.Context()).Annotate("endpoint", "batch")
-
-	body, err := s.readBody(w, r)
-	if err != nil {
-		m.errors.Add(1)
-		writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
+// call pipeline as its single-call endpoint, and the response lists
+// per-item status and body in item order — deterministically, whatever the
+// completion interleaving. One invalid or shed item never fails its
+// siblings.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, m *EndpointMetrics, body []byte) {
 	var req api.BatchRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := scenario.DecodeStrict(body, &req); err != nil {
 		m.errors.Add(1)
 		writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, err.Error())
 		return
@@ -578,28 +620,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	m.batchItems.Add(int64(len(req.Items)))
 
-	// Forwarded batches serve every item locally (depth-1 loop guard):
-	// the peer that forwarded already made the routing decision.
-	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
-
 	// engine.Map fans the items out over the shared pool (degrading to
 	// inline execution when it is saturated) and returns results in item
 	// order. Item functions never return errors — failures are encoded
 	// into the item result — so the only Map error is the request context
 	// dying mid-batch, which gets the same unavailable mapping as every
-	// other endpoint.
+	// other endpoint. A relayed batch serves every item here.
+	mode := modeOf(r)
 	results, err := engine.Map(r.Context(), s.pool, len(req.Items),
 		func(ctx context.Context, i int) (api.BatchItemResult, error) {
 			ictx, isp := obs.Start(ctx, fmt.Sprintf("item[%d]", i))
-			res := s.batchItem(ictx, m, req.Items[i], forwarded)
+			res := s.batchItem(ictx, m, req.Items[i], mode)
 			isp.Annotate("status", fmt.Sprint(res.Status))
 			isp.End()
 			return res, nil
 		})
 	if err != nil {
 		m.errors.Add(1)
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		writeFailure(w, err)
 		return
 	}
 	resp, err := marshal(api.BatchResponse{Items: results})
@@ -612,70 +650,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(resp)
 }
 
-// batchItem executes one batch item end to end and renders its outcome as
-// the per-item status/body pair — the same status and body the single-call
-// endpoint would have produced. In a cluster, each item routes on its own
-// cache key (forwarded set suppresses re-routing on relayed batches), so
-// one batch fans out across every peer that owns one of its items.
-func (s *Server) batchItem(ctx context.Context, m *EndpointMetrics, item api.BatchItem, forwarded bool) api.BatchItemResult {
-	var p parsed
-	var path string
-	var err error
+// batchItem runs one batch item as a call and renders its answer as the
+// per-item status/body pair — the status and body its single-call
+// endpoint would have produced. In a ring each item routes on its own
+// cache key, so one batch fans out across every peer that owns one of its
+// items.
+func (s *Server) batchItem(ctx context.Context, m *EndpointMetrics, item api.BatchItem, mode callMode) api.BatchItemResult {
+	o := indexOp
 	switch item.Op {
 	case api.OpIndex:
-		p, err = parseIndex(s, item.Body)
-		path = "/v1/index"
 	case api.OpSimulate:
-		p, err = computeSimulate(s, item.Body)
-		path = "/v1/simulate"
+		o = simulateOp
 	default:
-		err = badRequest{fmt.Errorf("unknown batch op %q (want %s or %s)", item.Op, api.OpIndex, api.OpSimulate)}
-	}
-	if err != nil {
-		m.errors.Add(1)
-		return batchItemError(http.StatusBadRequest, api.ErrCodeBadRequest, err.Error())
-	}
-	if !forwarded {
-		if res, handled := s.forwardItem(ctx, m, path, p.key, item.Body); handled {
-			return res
+		o.parse = func(*Server, []byte) (parsed, error) {
+			return parsed{}, scenario.BadSpec{Err: fmt.Errorf("unknown batch op %q (want %s or %s)", item.Op, api.OpIndex, api.OpSimulate)}
 		}
 	}
-	resp, outcome, err := s.serve(ctx, p)
-	if err != nil {
-		status, code := errorStatus(err)
-		if status == http.StatusTooManyRequests {
-			m.shed.Add(1)
-			return batchItemError(status, code, "server overloaded: admission queue full")
-		}
-		m.errors.Add(1)
-		return batchItemError(status, code, err.Error())
+	resp, _, err := s.call(ctx, m, o, item.Body, mode)
+	if err == nil {
+		return api.BatchItemResult{Status: http.StatusOK, Body: resp}
 	}
-	m.observe(outcome)
-	return api.BatchItemResult{Status: http.StatusOK, Body: resp}
-}
-
-// batchItemError renders a failed item as its HTTP-equivalent status plus
-// the standard error envelope.
-func batchItemError(status int, code, msg string) api.BatchItemResult {
+	status, code, msg := failure(err)
 	body, err := json.Marshal(api.ErrorResponse{Err: api.ErrorDetail{Code: code, Message: msg}})
 	if err != nil {
 		body = []byte(`{"error":{"code":"internal","message":"encoding error body"}}`)
 	}
 	return api.BatchItemResult{Status: status, Body: body}
-}
-
-// decodeStrict unmarshals body into v, rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest{fmt.Errorf("parsing request: %w", err)}
-	}
-	if dec.More() {
-		return badRequest{fmt.Errorf("parsing request: trailing data after JSON value")}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -684,7 +684,7 @@ func decodeStrict(body []byte, v any) error {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	pm := s.pool.Metrics()
 	resp := api.StatsResponse{
-		Endpoints: make(map[string]EndpointSnapshot, len(s.eps)),
+		Endpoints: make(map[string]api.EndpointStats, len(s.eps)),
 		Cache:     s.cache.Stats(),
 		Sweeps:    s.sweeps.Stats(),
 		Engine: api.EngineStats{

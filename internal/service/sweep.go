@@ -3,18 +3,18 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"stochsched/internal/obs"
+	"stochsched/internal/scenario"
 	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 )
 
 // This file is the serving layer of the sweep subsystem: the sweep.Backend
-// implementation (so sweep cells share the /v1/simulate cache, singleflight,
-// and admission queue with interactive traffic) and the four HTTP routes —
+// implementation (so sweep cells share the call pipeline — ring routing,
+// cache, singleflight, and admission queue — with interactive traffic) and
+// the four HTTP routes —
 //
 //	POST   /v1/sweep              submit → 202 + job status
 //	GET    /v1/sweep/{id}         status + progress counters
@@ -29,65 +29,36 @@ import (
 // halves resolve through the scenario registry, so any registered kind is
 // sweepable.
 func (s *Server) ValidateSimulate(body []byte) error {
-	req, err := s.parseSimulate(body)
+	req, err := s.simulateRequest(body)
 	if err != nil {
 		return err
 	}
 	if err := req.Scenario.Validate(req.Payload); err != nil {
-		return badRequest{err}
+		return scenario.BadSpec{Err: err}
 	}
 	return nil
 }
 
 // Simulate implements sweep.Backend: one sweep cell is exactly one
-// /v1/simulate computation, keyed by the same canonical hash and served
-// through the same sharded cache and admission queue as HTTP traffic — a
-// cell another sweep (or a curl) already computed is a map lookup. Traffic
-// is observed on the sweep_cells pseudo-endpoint in /v1/stats, which is
-// where warm-sweep cache reuse becomes visible.
+// /v1/simulate call through the shared pipeline, keyed by the same
+// canonical hash — a cell another sweep (or a curl) already computed is a
+// map lookup, on this node or on the cell's ring owner. The call runs in
+// background mode: it computes here whenever the owner does not answer
+// with bytes, and waits for an execution slot instead of shedding. Cells
+// are billed to the sweep_cells pseudo-endpoint in /v1/stats, which is
+// where warm-sweep cache reuse becomes visible; a cell its owner answered
+// counts in requests and latency, but in neither hits nor misses.
 func (s *Server) Simulate(ctx context.Context, body []byte) ([]byte, error) {
 	m := s.eps["sweep_cells"]
 	begin := time.Now()
 	m.requests.Add(1)
 	defer func() { m.observeLatency(time.Since(begin)) }()
-
-	p, err := computeSimulate(s, body)
-	if err != nil {
-		m.errors.Add(1)
-		return nil, err
-	}
-	// AcquireBlocking, not Acquire: a shed cell would fail the whole job,
-	// and background cells (bounded by the sweep's parallelism) can afford
-	// to wait for a slot where an interactive client cannot.
-	resp, outcome, err := s.cache.Do(ctx, p.key, func() ([]byte, error) {
-		if err := s.admit.AcquireBlocking(ctx); err != nil {
-			return nil, err
-		}
-		defer s.admit.Release()
-		return p.compute(ctx)
-	})
-	if err != nil {
-		m.errors.Add(1)
-		return nil, err
-	}
-	m.observe(outcome)
-	return resp, nil
+	resp, _, err := s.call(ctx, m, simulateOp, body, background)
+	return resp, err
 }
 
 // handleSweepSubmit serves POST /v1/sweep.
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	m := s.eps["sweep"]
-	begin := time.Now()
-	m.requests.Add(1)
-	defer func() { m.observeLatency(time.Since(begin)) }()
-	obs.RootSpan(r.Context()).Annotate("endpoint", "sweep")
-
-	body, err := s.readBody(w, r)
-	if err != nil {
-		m.errors.Add(1)
-		writeError(w, http.StatusBadRequest, api.ErrCodeBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
+func (s *Server) handleSweepSubmit(w http.ResponseWriter, _ *http.Request, m *EndpointMetrics, body []byte) {
 	req, err := sweep.DecodeRequest(body)
 	if err != nil {
 		m.errors.Add(1)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 )
 
@@ -33,13 +32,13 @@ const sweepBody = `{
 }`
 
 // submitSweep posts a sweep and returns its accepted status.
-func submitSweep(t *testing.T, h http.Handler, body string) sweep.Status {
+func submitSweep(t *testing.T, h http.Handler, body string) api.SweepStatus {
 	t.Helper()
 	w := post(t, h, "/v1/sweep", body)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit: code %d: %s", w.Code, w.Body)
 	}
-	var st sweep.Status
+	var st api.SweepStatus
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +60,15 @@ func getJSON(t *testing.T, h http.Handler, path string, v any) int {
 }
 
 // waitSweep polls the status endpoint until the job is terminal.
-func waitSweep(t *testing.T, h http.Handler, id string) sweep.Status {
+func waitSweep(t *testing.T, h http.Handler, id string) api.SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var st sweep.Status
+		var st api.SweepStatus
 		if code := getJSON(t, h, "/v1/sweep/"+id, &st); code != http.StatusOK {
 			t.Fatalf("status: code %d", code)
 		}
-		if st.State != sweep.StateRunning {
+		if st.State != api.SweepRunning {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -103,7 +102,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("accepted status %+v", st)
 	}
 	final := waitSweep(t, h, st.ID)
-	if final.State != sweep.StateDone || final.CellsDone != 4 || final.RowsReady != 2 {
+	if final.State != api.SweepDone || final.CellsDone != 4 || final.RowsReady != 2 {
 		t.Fatalf("final status %+v", final)
 	}
 
@@ -113,7 +112,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("stream has %d rows, want 2:\n%s", len(lines), stream)
 	}
 	for i, line := range lines {
-		var row sweep.Row
+		var row api.SweepRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +146,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	// A warm, overlapping second sweep (same grid, one more policy point
 	// shared) is served from cache: hits, not misses.
 	st2 := submitSweep(t, h, fmt.Sprintf(sweepBody, 0))
-	if waitSweep(t, h, st2.ID).State != sweep.StateDone {
+	if waitSweep(t, h, st2.ID).State != api.SweepDone {
 		t.Fatal("warm sweep failed")
 	}
 	getJSON(t, h, "/v1/stats", &stats)
@@ -169,7 +168,7 @@ func TestSweepNDJSONByteIdenticalAcrossParallelism(t *testing.T) {
 	run := func(parallel int) []byte {
 		h := New(Config{}).Handler()
 		st := submitSweep(t, h, fmt.Sprintf(sweepBody, parallel))
-		if waitSweep(t, h, st.ID).State != sweep.StateDone {
+		if waitSweep(t, h, st.ID).State != api.SweepDone {
 			t.Fatalf("parallel %d sweep failed", parallel)
 		}
 		return sweepResults(t, h, st.ID)
@@ -224,7 +223,7 @@ func TestSweepCancellationViaDELETE(t *testing.T) {
 	}
 
 	final := waitSweep(t, h, st.ID)
-	if final.State != sweep.StateCancelled {
+	if final.State != api.SweepCancelled {
 		t.Fatalf("state %q, want cancelled (status %+v)", final.State, final)
 	}
 	if final.RowsReady != 0 {

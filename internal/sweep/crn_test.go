@@ -17,6 +17,7 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/scenario"
+	"stochsched/pkg/api"
 )
 
 func boolPtr(b bool) *bool { return &b }
@@ -91,7 +92,7 @@ func TestCRNHashAndSeeds(t *testing.T) {
 	}
 
 	// Without a policy list there is nothing to decorrelate.
-	bare := &Request{Base: json.RawMessage(fakeBase), CRN: boolPtr(false)}
+	bare := &api.SweepRequest{Base: json.RawMessage(fakeBase), CRN: boolPtr(false)}
 	if _, err := Expand(bare, be, 0); err == nil || !strings.Contains(err.Error(), "policy") {
 		t.Errorf("crn false without policies err = %v", err)
 	}
@@ -156,7 +157,7 @@ func flowshopBase(seed uint64, tail string) json.RawMessage {
 func TestCRNReducesPairedVariance(t *testing.T) {
 	be := scenarioBackend{pool: engine.NewPool(2)}
 	diff := func(seed uint64, crn bool) float64 {
-		req := &Request{
+		req := &api.SweepRequest{
 			Base:     flowshopBase(seed, `"replications":16`),
 			Policies: []string{"sept", "lept"},
 			CRN:      boolPtr(crn),
@@ -189,8 +190,8 @@ func TestCRNReducesPairedVariance(t *testing.T) {
 // stays byte-identical across parallelism (stopping happens inside the
 // deterministic cell, never in the sweep layer).
 func TestSweepOverAdaptiveCells(t *testing.T) {
-	req := func() *Request {
-		return &Request{
+	req := func() *api.SweepRequest {
+		return &api.SweepRequest{
 			Base:     flowshopBase(7, `"precision":{"target_ci95":0.1,"max_replications":256}`),
 			Policies: []string{"sept", "lept"},
 		}
@@ -211,7 +212,7 @@ func TestSweepOverAdaptiveCells(t *testing.T) {
 	}
 
 	// Fixed-budget rows keep the legacy shape: no replications_used member.
-	fixedReq := &Request{
+	fixedReq := &api.SweepRequest{
 		Base:     flowshopBase(7, `"replications":16`),
 		Policies: []string{"sept", "lept"},
 	}

@@ -21,19 +21,8 @@ var ErrStoreFull = errors.New("sweep: job store full of running jobs")
 // declares more cells than allowed. The HTTP layer maps it to 400.
 var ErrTooLarge = errors.New("sweep: grid expands beyond the cell budget")
 
-// State is a job's lifecycle stage (the wire shape lives in the public
-// contract as api.SweepState).
-type State = api.SweepState
-
-const (
-	StateRunning   = api.SweepRunning
-	StateDone      = api.SweepDone
-	StateFailed    = api.SweepFailed
-	StateCancelled = api.SweepCancelled
-)
-
 // terminal reports whether no further rows will be produced in state s.
-func terminal(s State) bool { return s != StateRunning }
+func terminal(s api.SweepState) bool { return s != api.SweepRunning }
 
 // Config tunes a Manager. Zero values select the documented defaults.
 type Config struct {
@@ -96,7 +85,7 @@ func (m *Manager) jobPool(parallel int) *engine.Pool {
 // Submit expands and validates req, stores a new running job, and starts
 // executing it. The call returns as soon as the job is scheduled; rows
 // stream in through the job's reader methods.
-func (m *Manager) Submit(req *Request) (*Job, error) {
+func (m *Manager) Submit(req *api.SweepRequest) (*Job, error) {
 	plan, err := Expand(req, m.be, m.cfg.MaxCells)
 	if err != nil {
 		return nil, err
@@ -108,7 +97,7 @@ func (m *Manager) Submit(req *Request) (*Job, error) {
 		Points:   plan.Points,
 		Policies: plan.Policies,
 		Cells:    plan.Cells(),
-		state:    StateRunning,
+		state:    api.SweepRunning,
 		updated:  make(chan struct{}),
 		cancel:   cancel,
 		started:  time.Now(),
@@ -135,13 +124,13 @@ func (m *Manager) Submit(req *Request) (*Job, error) {
 // store-lifetime counters.
 func (m *Manager) run(ctx context.Context, job *Job, plan *Plan, pool *engine.Pool) {
 	defer job.cancel() // release the context once settled
-	err := ExecuteObserved(ctx, m.be, plan, pool, job.observeProgress,
+	err := Execute(ctx, m.be, plan, pool, job.observeProgress,
 		func(_ int, d time.Duration) {
 			job.observeCell(d)
 			m.cellsExecuted.Add(1)
 			m.computeNs.Add(d.Nanoseconds())
 		},
-		func(_ Row, line []byte) error { return job.appendRow(line) })
+		func(_ api.SweepRow, line []byte) error { return job.appendRow(line) })
 	job.finish(err)
 }
 
@@ -172,7 +161,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 }
 
 // Cancel requests cancellation of the job with the given id. Finished jobs
-// are unaffected; the job settles to StateCancelled once in-flight cells
+// are unaffected; the job settles to api.SweepCancelled once in-flight cells
 // drain.
 func (m *Manager) Cancel(id string) (*Job, bool) {
 	j, ok := m.Get(id)
@@ -182,15 +171,11 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	return j, ok
 }
 
-// ManagerStats summarizes the store for /v1/stats (the wire shape lives
-// in the public contract as api.SweepStoreStats).
-type ManagerStats = api.SweepStoreStats
-
-// Stats returns current store counters.
-func (m *Manager) Stats() ManagerStats {
+// Stats returns current store counters for /v1/stats.
+func (m *Manager) Stats() api.SweepStoreStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := ManagerStats{
+	st := api.SweepStoreStats{
 		Jobs:          len(m.jobs),
 		Evictions:     m.evictions.Load(),
 		CellsExecuted: m.cellsExecuted.Load(),
@@ -213,18 +198,18 @@ func (m *Manager) Stats() ManagerStats {
 // the encoded NDJSON rows exactly as streamed, so a restored job's results
 // endpoint serves byte-identical output across a restart.
 type JobSnapshot struct {
-	ID        string   `json:"id"`
-	Hash      string   `json:"hash"`
-	Points    int      `json:"points"`
-	Policies  []string `json:"policies"`
-	Cells     int      `json:"cells"`
-	State     State    `json:"state"`
-	Error     string   `json:"error,omitempty"`
-	CellsDone int      `json:"cells_done"`
-	Rows      [][]byte `json:"rows"`
-	StartedNs int64    `json:"started_unix_ns"`
-	EndedNs   int64    `json:"finished_unix_ns"`
-	CellNs    int64    `json:"cell_ns"`
+	ID        string         `json:"id"`
+	Hash      string         `json:"hash"`
+	Points    int            `json:"points"`
+	Policies  []string       `json:"policies"`
+	Cells     int            `json:"cells"`
+	State     api.SweepState `json:"state"`
+	Error     string         `json:"error,omitempty"`
+	CellsDone int            `json:"cells_done"`
+	Rows      [][]byte       `json:"rows"`
+	StartedNs int64          `json:"started_unix_ns"`
+	EndedNs   int64          `json:"finished_unix_ns"`
+	CellNs    int64          `json:"cell_ns"`
 }
 
 // StoreSnapshot is the job store's durable form: every terminal job in
@@ -331,7 +316,7 @@ type Job struct {
 	updated   chan struct{}
 	rows      [][]byte // encoded NDJSON lines, grid order
 	cellsDone int
-	state     State
+	state     api.SweepState
 	errMsg    string
 	// started/finished bound the job's wall time (finished zero while
 	// running); cellNs accumulates the per-cell execution time — compute
@@ -342,15 +327,8 @@ type Job struct {
 	cellNs   int64
 }
 
-// Status is the JSON body of GET /v1/sweep/{id} (the wire shape lives in
-// the public contract as api.SweepStatus). CellsDone counts cells whose
-// execution has settled in arrival order — computed, failed, or (after
-// cancellation) abandoned — so it reaches CellsTotal even for a cancelled
-// job; RowsReady is the count of completed result rows.
-type Status = api.SweepStatus
-
 // Snapshot returns the job's current status.
-func (j *Job) Snapshot() Status {
+func (j *Job) Snapshot() api.SweepStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	policies := make([]string, len(j.Policies))
@@ -361,7 +339,7 @@ func (j *Job) Snapshot() Status {
 	if end.IsZero() {
 		end = time.Now()
 	}
-	return Status{
+	return api.SweepStatus{
 		ID:         j.ID,
 		SweepHash:  j.Hash,
 		State:      j.state,
@@ -411,12 +389,12 @@ func (j *Job) finish(err error) {
 	j.finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = StateDone
+		j.state = api.SweepDone
 	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
+		j.state = api.SweepCancelled
 		j.errMsg = "cancelled"
 	default:
-		j.state = StateFailed
+		j.state = api.SweepFailed
 		j.errMsg = err.Error()
 	}
 	j.broadcastLocked()
@@ -449,7 +427,7 @@ func (j *Job) NextRow(ctx context.Context, i int) (line []byte, ok bool, err err
 
 // Wait blocks until the job reaches a terminal state (or ctx is done) and
 // returns its final status.
-func (j *Job) Wait(ctx context.Context) (Status, error) {
+func (j *Job) Wait(ctx context.Context) (api.SweepStatus, error) {
 	for {
 		j.mu.Lock()
 		if terminal(j.state) {

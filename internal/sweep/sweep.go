@@ -8,7 +8,7 @@
 //
 // The subsystem has two halves:
 //
-//   - Execution (this file): Expand turns a Request into a Plan — the
+//   - Execution (this file): Expand turns a request into a Plan — the
 //     ordered list of fully-substituted request bodies — and Execute runs a
 //     plan, streaming one comparison Row per grid point. Rows are reduced
 //     strictly in grid order by engine.ReduceProgress, so the NDJSON
@@ -24,9 +24,10 @@
 //
 // The package deliberately does not import internal/service: it consumes a
 // small Backend interface (validate one cell, execute one cell), which the
-// service implements on top of its sharded cache and admission queue — so
-// every cell a sweep shares with earlier traffic, or with another point of
-// the same sweep, is a cache hit rather than a recompute.
+// service implements with the call pipeline its HTTP traffic takes — ring
+// routing, sharded cache, admission queue — so every cell a sweep shares
+// with earlier traffic, or with another point of the same sweep, is a
+// cache hit rather than a recompute.
 package sweep
 
 import (
@@ -44,8 +45,8 @@ import (
 )
 
 // Backend executes individual sweep cells. internal/service implements it
-// over the sharded response cache (hits are shared with HTTP traffic);
-// tests implement it directly.
+// with its call pipeline (hits are shared with HTTP traffic); tests
+// implement it directly.
 type Backend interface {
 	// ValidateSimulate reports whether body is a well-formed, fully valid
 	// /v1/simulate request, without executing it.
@@ -55,32 +56,22 @@ type Backend interface {
 	Simulate(ctx context.Context, body []byte) ([]byte, error)
 }
 
-// Request is a sweep submission: the body of POST /v1/sweep. The wire
-// shape lives in the public contract (api.SweepRequest); policies are
-// substituted at the base kind's policy path
-// (scenario.Scenario.PolicyPath — e.g. mg1.policy, restless.policy), one
-// simulation per policy per grid point.
-type Request = api.SweepRequest
-
-// DecodeRequest parses data as a Request with the strictness the API
-// promises: unknown fields and trailing data are errors. The HTTP handler
-// and the CLI both decode through here, so they can never disagree about
-// what a well-formed sweep request is.
-func DecodeRequest(data []byte) (*Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("sweep: parsing request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("sweep: parsing request: trailing data after JSON value")
+// DecodeRequest parses data as a sweep submission (the body of POST
+// /v1/sweep) with the strictness the API promises: unknown fields and
+// trailing data are errors. The HTTP handler and the CLI both decode
+// through here, so they can never disagree about what a well-formed sweep
+// request is.
+func DecodeRequest(data []byte) (*api.SweepRequest, error) {
+	var req api.SweepRequest
+	if err := scenario.DecodeStrict(data, &req); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	return &req, nil
 }
 
-// identity is the hashed portion of a Request: everything that determines
-// the results, nothing that only determines the execution schedule.
+// identity is the hashed portion of a sweep request: everything that
+// determines the results, nothing that only determines the execution
+// schedule.
 // IndependentStreams is set only when CRN is explicitly disabled, so every
 // sweep hash minted before the knob existed is unchanged.
 type identity struct {
@@ -120,7 +111,7 @@ const DefaultMaxCells = 4096
 // The backend then validates each cell eagerly, so a grid point that
 // produces an invalid spec (an unstable queue, a malformed policy) is
 // rejected at submission instead of failing the job halfway through.
-func Expand(req *Request, be Backend, maxCells int) (*Plan, error) {
+func Expand(req *api.SweepRequest, be Backend, maxCells int) (*Plan, error) {
 	if maxCells <= 0 {
 		maxCells = DefaultMaxCells
 	}
@@ -237,36 +228,23 @@ func label(policy string) string {
 // ---------------------------------------------------------------------------
 // Rows
 
-// The row wire shapes live in the public contract; the aliases keep this
-// package's names stable for internal consumers.
-type (
-	// Param is one grid coordinate of a row: the axis path and the value
-	// this point takes on it.
-	Param = api.SweepParam
-	// PolicyResult is one policy's performance at one grid point.
-	PolicyResult = api.SweepPolicyResult
-	// Row is one grid point's policy comparison: the NDJSON record
-	// streamed by GET /v1/sweep/{id}/results, in grid order.
-	Row = api.SweepRow
-)
-
 // buildRow folds one grid point's cell outcomes (in policy order) into a
 // comparison row. Pure float arithmetic on values that are themselves
 // parallelism-invariant, so the row is too. The metric name and its
 // orientation come from the scenario's Outcome, so the comparison works for
 // every registered kind without the sweep layer naming any.
-func buildRow(plan *Plan, point int, cells []scenario.Outcome) Row {
-	row := Row{
+func buildRow(plan *Plan, point int, cells []scenario.Outcome) api.SweepRow {
+	row := api.SweepRow{
 		Point:    point,
 		Metric:   cells[0].Metric,
 		CRN:      plan.CRN,
-		Policies: make([]PolicyResult, len(cells)),
+		Policies: make([]api.SweepPolicyResult, len(cells)),
 	}
 	if n := len(plan.grid.Axes); n > 0 {
 		vals := plan.grid.Point(point)
-		row.Params = make([]Param, n)
+		row.Params = make([]api.SweepParam, n)
 		for k, a := range plan.grid.Axes {
-			row.Params[k] = Param{Path: a.Path, Value: vals[k]}
+			row.Params[k] = api.SweepParam{Path: a.Path, Value: vals[k]}
 		}
 	}
 	best := 0
@@ -285,7 +263,7 @@ func buildRow(plan *Plan, point int, cells []scenario.Outcome) Row {
 		if cells[0].HigherIsBetter {
 			regret = cells[best].Mean - c.Mean
 		}
-		row.Policies[i] = PolicyResult{
+		row.Policies[i] = api.SweepPolicyResult{
 			Policy:           c.Policy,
 			SpecHash:         c.SpecHash,
 			Mean:             c.Mean,
@@ -301,18 +279,13 @@ func buildRow(plan *Plan, point int, cells []scenario.Outcome) Row {
 // completed row in grid order, together with its encoded NDJSON line
 // (json.Marshal output plus a trailing newline — the exact bytes the
 // results endpoint streams). progress, if non-nil, observes completed-cell
-// counts in arrival order (see engine.ReduceProgress); emit errors abort
-// the run. Cancellation arrives through ctx.
-func Execute(ctx context.Context, be Backend, plan *Plan, pool *engine.Pool, progress func(done, total int), emit func(Row, []byte) error) error {
-	return ExecuteObserved(ctx, be, plan, pool, progress, nil, emit)
-}
-
-// ExecuteObserved is Execute with per-cell timing: observe, if non-nil,
-// receives each cell's index and the wall-clock time its execution took
-// to settle — computed, joined, or failed — as it happens (from worker
-// goroutines; the observer must be safe for concurrent use). The job
-// layer aggregates these into per-job and store-wide compute time.
-func ExecuteObserved(ctx context.Context, be Backend, plan *Plan, pool *engine.Pool, progress func(done, total int), observe func(i int, d time.Duration), emit func(Row, []byte) error) error {
+// counts in arrival order (see engine.ReduceProgress); observe, if
+// non-nil, receives each cell's index and the wall-clock time its
+// execution took to settle — computed, joined, or failed — as it happens
+// (from worker goroutines; the observer must be safe for concurrent use).
+// The job layer aggregates these into per-job and store-wide compute
+// time. emit errors abort the run. Cancellation arrives through ctx.
+func Execute(ctx context.Context, be Backend, plan *Plan, pool *engine.Pool, progress func(done, total int), observe func(i int, d time.Duration), emit func(api.SweepRow, []byte) error) error {
 	perPoint := len(plan.Policies)
 	buf := make([]scenario.Outcome, 0, perPoint)
 	return engine.ReduceProgress(ctx, pool, plan.Cells(),
@@ -346,15 +319,6 @@ func ExecuteObserved(ctx context.Context, be Backend, plan *Plan, pool *engine.P
 			out, err := plan.scn.Outcome(plan.Policies[i%perPoint], resp)
 			if err != nil {
 				return scenario.Outcome{}, fmt.Errorf("sweep: cell %d: %v", i, err)
-			}
-			// The stopping rule's spend lives in the kind-independent
-			// envelope, so it is decoded here instead of in every
-			// scenario's Outcome (zero for fixed-budget cells).
-			var env struct {
-				ReplicationsUsed int64 `json:"replications_used"`
-			}
-			if err := json.Unmarshal(resp, &env); err == nil {
-				out.ReplicationsUsed = env.ReplicationsUsed
 			}
 			return out, nil
 		},

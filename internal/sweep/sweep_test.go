@@ -91,8 +91,8 @@ const fakeBase = `{
   "seed": 7, "replications": 5
 }`
 
-func fakeRequest(parallel int) *Request {
-	return &Request{
+func fakeRequest(parallel int) *api.SweepRequest {
+	return &api.SweepRequest{
 		Base:     json.RawMessage(fakeBase),
 		Grid:     api.Grid{Axes: []api.Axis{{Path: "mg1.spec.classes.0.rate", Values: []float64{0.1, 0.2, 0.3}}}},
 		Policies: []string{"cmu", "fifo"},
@@ -135,7 +135,7 @@ func TestExpandCellOrder(t *testing.T) {
 
 func TestExpandRejects(t *testing.T) {
 	be := &fakeBackend{}
-	cases := []Request{
+	cases := []api.SweepRequest{
 		{},                               // no base
 		{Base: json.RawMessage(`{"x":`)}, // invalid JSON
 		{Base: json.RawMessage(fakeBase), Policies: []string{"cmu", "cmu"}},
@@ -153,15 +153,15 @@ func TestExpandRejects(t *testing.T) {
 }
 
 // runPlan executes a request and returns the concatenated NDJSON stream.
-func runPlan(t *testing.T, be Backend, req *Request, pool *engine.Pool) ([]Row, []byte) {
+func runPlan(t *testing.T, be Backend, req *api.SweepRequest, pool *engine.Pool) ([]api.SweepRow, []byte) {
 	t.Helper()
 	plan, err := Expand(req, be, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []Row
+	var rows []api.SweepRow
 	var stream bytes.Buffer
-	err = Execute(context.Background(), be, plan, pool, nil, func(r Row, line []byte) error {
+	err = Execute(context.Background(), be, plan, pool, nil, nil, func(r api.SweepRow, line []byte) error {
 		rows = append(rows, r)
 		stream.Write(line)
 		return nil
@@ -210,7 +210,7 @@ func TestExecuteByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 func TestSinglePolicySweepUsesResponseLabel(t *testing.T) {
-	req := &Request{Base: json.RawMessage(fakeBase)}
+	req := &api.SweepRequest{Base: json.RawMessage(fakeBase)}
 	rows, _ := runPlan(t, &fakeBackend{}, req, nil)
 	if len(rows) != 1 || len(rows[0].Policies) != 1 {
 		t.Fatalf("rows %+v", rows)
@@ -231,7 +231,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || st.CellsDone != 6 || st.RowsReady != 3 {
+	if st.State != api.SweepDone || st.CellsDone != 6 || st.RowsReady != 3 {
 		t.Fatalf("final status %+v", st)
 	}
 	if got, ok := m.Get(job.ID); !ok || got != job {
@@ -243,7 +243,7 @@ func TestManagerLifecycle(t *testing.T) {
 		if err != nil || !more {
 			t.Fatalf("row %d: more=%v err=%v", i, more, err)
 		}
-		var row Row
+		var row api.SweepRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestManagerShedsWhenFullOfRunningJobs(t *testing.T) {
 		t.Fatalf("second submit err = %v, want ErrStoreFull", err)
 	}
 	close(be.block)
-	if st, err := job.Wait(context.Background()); err != nil || st.State != StateDone {
+	if st, err := job.Wait(context.Background()); err != nil || st.State != api.SweepDone {
 		t.Fatalf("job did not finish: %+v %v", st, err)
 	}
 }
@@ -314,7 +314,7 @@ func TestManagerCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateCancelled {
+	if st.State != api.SweepCancelled {
 		t.Fatalf("state %q, want cancelled", st.State)
 	}
 	if st.RowsReady != 0 {
@@ -349,7 +349,7 @@ func TestExpandRejectsDeclaredSizeBeforeMaterializing(t *testing.T) {
 		}
 		axes[i] = api.Axis{Path: fmt.Sprintf("a%d", i), Values: vals}
 	}
-	req := &Request{Base: json.RawMessage(fakeBase), Grid: api.Grid{Axes: axes}}
+	req := &api.SweepRequest{Base: json.RawMessage(fakeBase), Grid: api.Grid{Axes: axes}}
 	if _, err := Expand(req, be, 0); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("1e12-point grid err = %v, want ErrTooLarge", err)
 	}
@@ -376,7 +376,7 @@ func TestInheritedCancellationIsRetriedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone {
+	if st.State != api.SweepDone {
 		t.Fatalf("state %q (err %q), want done", st.State, st.Error)
 	}
 	var stream bytes.Buffer
@@ -405,7 +405,7 @@ func TestBackendFailureSettlesFailedNotCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateFailed {
+		if st.State != api.SweepFailed {
 			t.Fatalf("simErr %v: state %q, want failed", simErr, st.State)
 		}
 		if !strings.Contains(st.Error, "cell") {

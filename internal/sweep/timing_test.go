@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"testing"
+
+	"stochsched/pkg/api"
 )
 
 // TestJobTiming pins the per-job observability surface: a finished job
@@ -19,7 +21,7 @@ func TestJobTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone {
+	if st.State != api.SweepDone {
 		t.Fatalf("state %v", st.State)
 	}
 	if st.ElapsedMs <= 0 {

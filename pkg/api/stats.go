@@ -45,7 +45,9 @@ type LatencyHistogram struct {
 
 // CacheStats is a point-in-time view of the response cache: total and
 // per-shard entry counts (including in-flight entries) and the cumulative
-// number of evictions.
+// number of evictions. Watching entries plateau while evictions climb is
+// how an over-budget working set shows up; watching entries grow with zero
+// evictions across a warm sweep is how per-point cache reuse shows up.
 type CacheStats struct {
 	Entries      int   `json:"entries"`
 	Evictions    int64 `json:"evictions"`
