@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race conformance bench bench-service bench-simulate bench-batch bench-precision bench-cluster bench-check loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test race conformance fuzz bench bench-service bench-simulate bench-batch bench-precision bench-cluster bench-check loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,25 @@ race:
 	$(GO) test -race ./...
 
 # The registry-wide conformance suites: every registered scenario kind
-# through the full Scenario/Indexer contract (internal/scenario) and all
-# four public endpoints (internal/service), plus the analytic-vs-simulation
-# agreement tests. A named gate so a kind that regresses the registry
-# contract is called out by name in CI.
+# through the full Scenario contract, Index included (internal/scenario),
+# and all four public endpoints (internal/service), sweep submission's
+# agreement with /v1/simulate, plus the analytic-vs-simulation agreement
+# tests. A named gate so a kind that regresses the registry contract is
+# called out by name in CI. The golden tests then run at GOMAXPROCS 1, 2
+# and 4: response bytes must not depend on the core count.
 conformance:
-	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
+	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestValidateSimulateAgreement|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
 		./internal/scenario/... ./internal/service/...
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows' ./internal/service
+
+# Fuzz the /v1/simulate and /v1/index request parsers, one -fuzz run per
+# target for FUZZTIME each. A crasher is written under
+# internal/scenario/testdata/fuzz; check it in with the fix, and it joins
+# the seed corpus every plain `go test` runs.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzParseIndexRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
 
 # Engine replication benchmark at parallelism 1/4/max, rendered as
 # machine-readable BENCH_engine.json for the performance trajectory.
@@ -140,4 +152,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test race conformance smoke cluster-smoke docs-check bench-check loadgen-smoke
+ci: build vet fmt-check test race conformance fuzz smoke cluster-smoke docs-check bench-check loadgen-smoke

@@ -11,7 +11,8 @@
 // service — the same /v1/simulate path (spec validation, canonical
 // hashing, engine-backed replication) the daemon serves — and, for the cµ
 // discipline, the exact delays come from the same /v1/index priority
-// computation. Supported policies are the service's: cmu and fifo.
+// computation. Supported policies are the service's mg1 policies, and an
+// unknown one is rejected with the service's message.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"stochsched/internal/dist"
 	"stochsched/internal/queueing"
+	"stochsched/internal/scenario"
 	"stochsched/internal/service"
 	"stochsched/pkg/api"
 	"stochsched/pkg/client"
@@ -106,7 +108,8 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mg1", flag.ContinueOnError)
 	var classes classList
 	fs.Var(&classes, "class", "class spec rate:serviceMean:holdCost (repeatable)")
-	policy := fs.String("policy", "cmu", "discipline: cmu or fifo")
+	mg1, _ := scenario.Lookup("mg1")
+	policy := fs.String("policy", "cmu", "discipline: "+strings.Join(mg1.Policies(&api.MG1Sim{}), " or "))
 	horizon := fs.Float64("horizon", 50000, "simulation horizon")
 	reps := fs.Int("replications", 2, "independent replications to average (at least 2)")
 	seed := fs.Uint64("seed", 1, "random seed")
@@ -125,9 +128,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "(no -class flags: using the built-in 2-class demo system)")
 	}
 	sys := api.MG1{Classes: classes}
-	if *policy != "cmu" && *policy != "fifo" {
-		return fmt.Errorf("unknown policy %q (want cmu or fifo)", *policy)
-	}
 	m, err := model(classes)
 	if err != nil {
 		return err

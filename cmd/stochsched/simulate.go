@@ -123,17 +123,13 @@ policies at, and the analytic index family (if any) /v1/index computes.`)
 	}
 	fs.Parse(args)
 
-	indexers := make(map[string]bool)
-	for _, kind := range scenario.IndexKinds() {
-		indexers[kind] = true
-	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "kind\tsweep policy path\tindex")
 	for _, kind := range scenario.Kinds() {
 		sc, _ := scenario.Lookup(kind)
 		family := "-"
-		if indexers[kind] {
-			family = sc.(scenario.Indexer).IndexFamily()
+		if sc.Index != nil {
+			family = sc.Index.Family
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", kind, sc.PolicyPath(), family)
 	}

@@ -43,13 +43,13 @@
 //     simulation service. One registered Scenario per simulate kind —
 //     mg1 (cµ/FIFO/Klimov), bandit (Gittins/greedy), restless fleets
 //     (Whittle/myopic/random), batch (WSEPT/SEPT/LEPT), and five more —
-//     each in one file owning strict payload parsing, deep spec
-//     validation and conversion into the solver model, work-budget accounting,
-//     policy enumeration with a sweep substitution path, the engine-backed
-//     simulation, and metric extraction for comparisons. Kinds with
-//     closed-form indices additionally implement the optional Indexer
-//     capability (Gittins, Whittle, cµ/Klimov/WSEPT), which is how
-//     POST /v1/index computes. The service, the sweep engine, and the
+//     each in one file owning strict payload parsing, work-budget
+//     accounting, its one policy list, one prepare step (policy, spec
+//     conversion into the solver model, antithetic admissibility) that
+//     both sweep validation and the engine-backed simulation run, and
+//     metric extraction for comparisons. Kinds with closed-form indices
+//     additionally carry the optional Index capability (Gittins, Whittle,
+//     cµ/Klimov/WSEPT), which is how POST /v1/index computes. The service, the sweep engine, and the
 //     CLIs all resolve kinds through the registry, so a new kind is one
 //     file plus its registration line.
 //   - Serving (internal/service, cmd/stochschedd): an HTTP/JSON policy

@@ -17,7 +17,7 @@ func noisyMean(_ context.Context, _ int, s *rng.Stream) (float64, error) {
 
 // adaptive runs fn in adaptive rounds until pr is met (or its budget
 // spent), composing AdaptiveRounds and ReplicateInto the way
-// scenario.runReplications does: each round folds further replications
+// scenario.Exec.Rounds does: each round folds further replications
 // into one accumulator, continuing src's substream sequence.
 func adaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
 	var r stats.Running

@@ -150,7 +150,7 @@ func TestAdaptiveConformance(t *testing.T) {
 			}
 
 			// Budget enforcement runs against the precision ceiling.
-			work := req.Scenario.ReplicationWork(req.Payload)
+			work := req.Scenario.Work(req.Payload)
 			tight := Limits{MaxSimWork: work * maxReps / 2}
 			if _, err := ParseRequest(body, tight); err == nil {
 				t.Errorf("ParseRequest accepted an adaptive request exceeding MaxSimWork %g", tight.MaxSimWork)

@@ -1,6 +1,6 @@
 package scenario
 
-// Analytic-vs-simulation agreement: the analytic Indexer answers and the
+// Analytic-vs-simulation agreement: the analytic Index answers and the
 // simulated estimates must agree for specs where theory gives the exact
 // value. These are the cross-checks that make the dual analytic/simulation
 // surface trustworthy — a drift in either path breaks the comparison here.
@@ -29,13 +29,13 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	sc, _ := Lookup("jackson")
-	idx := sc.(Indexer)
+	idx := sc.Index
 
-	payload, err := idx.ParseIndexPayload([]byte(jacksonTandem))
+	payload, err := idx.Parse([]byte(jacksonTandem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := idx.Compute(payload, idx.Hash(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +75,17 @@ func TestMDPOptimalGainMatchesSimulation(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	sc, _ := Lookup("mdp")
-	idx := sc.(Indexer)
+	idx := sc.Index
 
 	mdpSpec := `{"actions":[
 		{"transitions":[[0.9,0.1],[0.6,0.4]],"rewards":[1,0]},
 		{"transitions":[[0.2,0.8],[0.3,0.7]],"rewards":[2,-1]}
 	]}`
-	payload, err := idx.ParseIndexPayload([]byte(mdpSpec))
+	payload, err := idx.Parse([]byte(mdpSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := idx.Compute(payload, idx.Hash(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +122,17 @@ func TestRestlessLPBoundDominatesSimulation(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	sc, _ := Lookup("restless")
-	idx := sc.(Indexer)
+	idx := sc.Index
 
 	spec := `{"beta":0.9,
 		"passive":{"transitions":[[0.7,0.3,0],[0,0.7,0.3],[0,0,1]],"rewards":[1,0.6,0.1]},
 		"active":{"transitions":[[1,0,0],[1,0,0],[1,0,0]],"rewards":[-0.5,-0.5,-0.5]},
 		"n":10,"m":3}`
-	payload, err := idx.ParseIndexPayload([]byte(spec))
+	payload, err := idx.Parse([]byte(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := idx.ComputeIndex(payload, idx.IndexHash(payload))
+	v, err := idx.Compute(payload, idx.Hash(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

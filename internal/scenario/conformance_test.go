@@ -31,15 +31,15 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseRequest: %v", err)
 			}
-			if err := req.Scenario.Validate(req.Payload); err != nil {
+			if err := req.Scenario.Validate(req.Payload, req.Opts()); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
 
-			// ReplicationWork must be positive and finite: the work budget
+			// Work must be positive and finite: the work budget
 			// and sweep cost accounting depend on it.
-			work := req.Scenario.ReplicationWork(req.Payload)
+			work := req.Scenario.Work(req.Payload)
 			if !(work > 0) || math.IsInf(work, 0) {
-				t.Fatalf("ReplicationWork = %v, want positive finite", work)
+				t.Fatalf("Work = %v, want positive finite", work)
 			}
 
 			// Budget enforcement: a ceiling below the request's work must
@@ -94,7 +94,7 @@ func TestConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("policy %q: ParseRequest: %v", pol, err)
 				}
-				if err := pr.Scenario.Validate(pr.Payload); err != nil {
+				if err := pr.Scenario.Validate(pr.Payload, pr.Opts()); err != nil {
 					t.Errorf("policy %q rejected by Validate: %v", pol, err)
 				}
 			}
@@ -112,22 +112,22 @@ func TestConformance(t *testing.T) {
 				t.Errorf("Outcome incomplete: metric=%q policy=%q", out.Metric, out.Policy)
 			}
 
-			idx, isIndexer := req.Scenario.(Indexer)
+			idx := req.Scenario.Index
 			payload := scenariotest.IndexPayload(kind)
-			if !isIndexer {
+			if idx == nil {
 				if payload != "" {
-					t.Fatalf("scenariotest has an index payload for %q but the kind has no Indexer", kind)
+					t.Fatalf("scenariotest has an index payload for %q but the kind has no Index", kind)
 				}
 				return
 			}
 			if payload == "" {
-				t.Fatalf("kind %q has an Indexer but no canonical index payload in scenariotest", kind)
+				t.Fatalf("kind %q has an Index but no canonical index payload in scenariotest", kind)
 			}
-			if idx.IndexFamily() == "" {
-				t.Error("IndexFamily() is empty")
+			if idx.Family == "" {
+				t.Error("Index.Family is empty")
 			}
 
-			// Indexer hash/compute round-trip: stable hash across re-parse,
+			// Index hash/compute round-trip: stable hash across re-parse,
 			// deterministic recomputation, spec_hash echoed in the response.
 			ir, err := ParseIndexRequest([]byte(scenariotest.IndexBody(kind)))
 			if err != nil {

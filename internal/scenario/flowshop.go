@@ -2,68 +2,47 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"slices"
 
 	"stochsched/internal/batch"
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
-func init() { Register(flowshopScenario{}) }
-
-// flowshopScenario simulates the batch-shop models under one kind, with
-// the variant selected by the spec: permutation flow shops (optionally
+// flowshop simulates the batch-shop models under one kind, with the
+// variant selected by the spec: permutation flow shops (optionally
 // bufferless/blocking) under Talwar/SEPT/LEPT sequences, in-tree
 // precedence on identical machines under HLF/LLF/random selectors, and
 // Sevcik's preemptive discrete-law single machine vs the nonpreemptive
 // WSEPT baseline.
-type flowshopScenario struct{}
-
-func (flowshopScenario) Kind() string { return "flowshop" }
-
-func (flowshopScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p api.FlowShopSim
-	if err := DecodeStrict(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Spec.Variant() == "" {
-		return nil, fmt.Errorf("flowshop spec needs exactly one of jobs, tree, sevcik")
-	}
-	return &p, nil
-}
-
-func (flowshopScenario) ReplicationWork(payload any) float64 {
-	p := payload.(*api.FlowShopSim)
-	switch p.Spec.Variant() {
-	case "flowshop":
-		return float64(len(p.Spec.Jobs) * len(p.Spec.Jobs[0].Stages))
-	case "tree":
-		return float64(len(p.Spec.Tree.Parent))
-	default: // sevcik
-		return float64(len(p.Spec.Sevcik))
-	}
-}
-
-func (s flowshopScenario) Validate(payload any) error {
-	p := payload.(*api.FlowShopSim)
-	var err error
-	switch p.Spec.Variant() {
-	case "flowshop":
-		_, err = flowShopJobs(&p.Spec)
-	case "tree":
-		_, _, err = treeModel(p.Spec.Tree)
-	case "sevcik":
-		_, err = discreteJobs(p.Spec.Sevcik)
-	default:
-		err = fmt.Errorf("spec: flowshop needs exactly one of jobs, tree, sevcik")
-	}
-	if err != nil {
-		return err
-	}
-	return s.checkPolicy(p)
+func init() {
+	Register(&Scenario{
+		Name: "flowshop",
+		Parse: checked(func(p *api.FlowShopSim) error {
+			if p.Spec.Variant() == "" {
+				return fmt.Errorf("flowshop spec needs exactly one of jobs, tree, sevcik")
+			}
+			return nil
+		}),
+		Work: func(payload any) float64 {
+			p := payload.(*api.FlowShopSim)
+			switch p.Spec.Variant() {
+			case "flowshop":
+				return float64(len(p.Spec.Jobs) * len(p.Spec.Jobs[0].Stages))
+			case "tree":
+				return float64(len(p.Spec.Tree.Parent))
+			default: // sevcik
+				return float64(len(p.Spec.Sevcik))
+			}
+		},
+		Policies: flowshopPolicies,
+		Prepare:  prepareFlowshop,
+		Outcome: outcome("flowshop", func(r *api.FlowShopResult) Outcome {
+			return Outcome{Policy: r.Policy, Metric: r.Metric, Mean: r.Mean, CI95: r.CI95}
+		}),
+	})
 }
 
 // flowShopJobs converts the flow-shop variant into solver jobs; every job
@@ -135,26 +114,31 @@ func discreteJobs(list []api.DiscreteJobSpec) ([]batch.DiscreteJob, error) {
 	return out, nil
 }
 
-// Policies is variant-dependent: "talwar" is listed only when it applies
-// (two stages, all exponential), so sweeps never enumerate a policy the
-// spec cannot run.
-func (flowshopScenario) Policies(payload any) []string {
+var (
+	flowshopTalwar = []string{"talwar", "sept", "lept"}
+	flowshopSEPT   = []string{"sept", "lept"}
+	flowshopTree   = []string{"hlf", "llf", "random"}
+	flowshopSevcik = []string{"sevcik", "wsept"}
+)
+
+// flowshopPolicies is variant-dependent: "talwar" is listed only when it
+// applies (two stages, all exponential), so sweeps never enumerate a policy
+// the spec cannot run.
+func flowshopPolicies(payload any) []string {
 	p := payload.(*api.FlowShopSim)
 	switch p.Spec.Variant() {
 	case "flowshop":
 		if talwarApplies(&p.Spec) {
-			return []string{"talwar", "sept", "lept"}
+			return flowshopTalwar
 		}
-		return []string{"sept", "lept"}
+		return flowshopSEPT
 	case "tree":
-		return []string{"hlf", "llf", "random"}
+		return flowshopTree
 	case "sevcik":
-		return []string{"sevcik", "wsept"}
+		return flowshopSevcik
 	}
 	return nil
 }
-
-func (flowshopScenario) PolicyPath() string { return "flowshop.policy" }
 
 // talwarApplies reports whether Talwar's rule is defined for the flow-shop
 // variant: exactly two stages per job, every stage exponential (checked on
@@ -173,154 +157,132 @@ func talwarApplies(f *api.FlowShop) bool {
 	return len(f.Jobs) > 0
 }
 
-func (s flowshopScenario) checkPolicy(p *api.FlowShopSim) error {
-	for _, pol := range s.Policies(p) {
-		if pol == p.Policy {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown flowshop policy %q for the %s variant (want one of %v)",
-		p.Policy, p.Spec.Variant(), s.Policies(p))
-}
-
-func (s flowshopScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareFlowshop(payload any, opts SimOpts) (Sim, error) {
 	p := payload.(*api.FlowShopSim)
-	if err := s.checkPolicy(p); err != nil {
-		return nil, 0, BadSpec{err}
+	if pols := flowshopPolicies(p); !slices.Contains(pols, p.Policy) {
+		return nil, fmt.Errorf("unknown flowshop policy %q for the %s variant (want one of %v)",
+			p.Policy, p.Spec.Variant(), pols)
 	}
 	switch p.Spec.Variant() {
 	case "flowshop":
-		return s.simulateFlowShop(ctx, pool, p, seed, reps, opts)
+		return prepareFlowShopJobs(p, opts)
 	case "tree":
-		return s.simulateTree(ctx, pool, p, seed, reps, opts)
+		return prepareTree(p, opts)
 	default:
-		return s.simulateSevcik(ctx, pool, p, seed, reps, opts)
+		return prepareSevcik(p, opts)
 	}
 }
 
-func (flowshopScenario) simulateFlowShop(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareFlowShopJobs(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 	jobs, err := flowShopJobs(&p.Spec)
 	if err != nil {
-		return nil, 0, BadSpec{err}
+		return nil, err
 	}
 	if opts.Antithetic {
 		for j := range jobs {
 			for k, d := range jobs[j].Stages {
 				if !dist.Invertible(d) {
-					return nil, 0, errAntithetic("flowshop", fmt.Sprintf("job %d stage %d law %v is not inverse-CDF sampled", j, k, d))
+					return nil, errAntithetic("flowshop", fmt.Sprintf("job %d stage %d law %v is not inverse-CDF sampled", j, k, d))
 				}
 			}
 		}
 	}
-	var order batch.Order
-	switch p.Policy {
-	case "talwar":
-		order = batch.TalwarOrder(jobs)
-	case "sept":
-		order = batch.FlowShopSEPT(jobs)
-	case "lept":
-		order = batch.FlowShopLEPT(jobs)
-	}
-	var est stats.Running
-	src := opts.stream(seed)
-	round := func(ctx context.Context, nr int) error {
-		if p.Spec.Blocking {
-			return batch.EstimateFlowShopBlockingInto(ctx, pool, jobs, order, nr, src, &est)
+	return func(ctx context.Context, x *Exec) (any, error) {
+		var order batch.Order
+		switch p.Policy {
+		case "talwar":
+			order = batch.TalwarOrder(jobs)
+		case "sept":
+			order = batch.FlowShopSEPT(jobs)
+		case "lept":
+			order = batch.FlowShopLEPT(jobs)
 		}
-		return batch.EstimateFlowShopInto(ctx, pool, jobs, order, nr, src, &est)
-	}
-	used, err := runReplications(ctx, opts, reps, round,
-		func() *stats.Running { return &est })
-	if err != nil {
-		return nil, 0, err
-	}
-	return &api.FlowShopResult{
-		Policy:  p.Policy,
-		Variant: "flowshop",
-		Metric:  "makespan",
-		Order:   order,
-		Mean:    est.Mean(),
-		CI95:    est.CI95(),
-	}, used, nil
+		var est stats.Running
+		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
+			if p.Spec.Blocking {
+				return batch.EstimateFlowShopBlockingInto(ctx, x.Pool, jobs, order, nr, x.Src, &est)
+			}
+			return batch.EstimateFlowShopInto(ctx, x.Pool, jobs, order, nr, x.Src, &est)
+		}); err != nil {
+			return nil, err
+		}
+		return &api.FlowShopResult{
+			Policy:  p.Policy,
+			Variant: "flowshop",
+			Metric:  "makespan",
+			Order:   order,
+			Mean:    est.Mean(),
+			CI95:    est.CI95(),
+		}, nil
+	}, nil
 }
 
-func (flowshopScenario) simulateTree(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareTree(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 	if opts.Antithetic {
-		return nil, 0, errAntithetic("flowshop", "the tree variant's finisher selection is a categorical draw")
+		return nil, errAntithetic("flowshop", "the tree variant's finisher selection is a categorical draw")
 	}
 	tree, machines, err := treeModel(p.Spec.Tree)
 	if err != nil {
-		return nil, 0, BadSpec{err}
+		return nil, err
 	}
-	var sel batch.TreeSelector
-	switch p.Policy {
-	case "hlf":
-		sel = batch.HLF
-	case "llf":
-		sel = batch.LLF
-	case "random":
-		sel = batch.RandomSelector
-	}
-	var est stats.Running
-	src := opts.stream(seed)
-	used, err := runReplications(ctx, opts, reps,
-		func(ctx context.Context, nr int) error {
-			return batch.EstimateTreeMakespanInto(ctx, pool, tree, machines, p.Spec.Tree.Rate, sel, nr, src, &est)
-		},
-		func() *stats.Running { return &est })
-	if err != nil {
-		return nil, 0, err
-	}
-	return &api.FlowShopResult{
-		Policy:  p.Policy,
-		Variant: "tree",
-		Metric:  "makespan",
-		Mean:    est.Mean(),
-		CI95:    est.CI95(),
-	}, used, nil
+	return func(ctx context.Context, x *Exec) (any, error) {
+		var sel batch.TreeSelector
+		switch p.Policy {
+		case "hlf":
+			sel = batch.HLF
+		case "llf":
+			sel = batch.LLF
+		case "random":
+			sel = batch.RandomSelector
+		}
+		var est stats.Running
+		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
+			return batch.EstimateTreeMakespanInto(ctx, x.Pool, tree, machines, p.Spec.Tree.Rate, sel, nr, x.Src, &est)
+		}); err != nil {
+			return nil, err
+		}
+		return &api.FlowShopResult{
+			Policy:  p.Policy,
+			Variant: "tree",
+			Metric:  "makespan",
+			Mean:    est.Mean(),
+			CI95:    est.CI95(),
+		}, nil
+	}, nil
 }
 
-func (flowshopScenario) simulateSevcik(ctx context.Context, pool *engine.Pool, p *api.FlowShopSim, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareSevcik(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 	if opts.Antithetic {
-		return nil, 0, errAntithetic("flowshop", "the sevcik variant's discrete laws are not inverse-CDF sampled")
+		return nil, errAntithetic("flowshop", "the sevcik variant's discrete laws are not inverse-CDF sampled")
 	}
 	jobs, err := discreteJobs(p.Spec.Sevcik)
 	if err != nil {
-		return nil, 0, BadSpec{err}
+		return nil, err
 	}
-	var est stats.Running
-	var order batch.Order
-	src := opts.stream(seed)
-	var round func(ctx context.Context, nr int) error
-	if p.Policy == "wsept" {
-		order = batch.WSEPTDiscrete(jobs)
-		round = func(ctx context.Context, nr int) error {
-			return batch.EstimateWSEPTDiscreteInto(ctx, pool, jobs, nr, src, &est)
-		}
-	} else {
+	return func(ctx context.Context, x *Exec) (any, error) {
+		var est stats.Running
+		var order batch.Order
 		// The Sevcik rule is dynamic (preemptive, index recomputed at
 		// milestones) — no static order to report.
-		round = func(ctx context.Context, nr int) error {
-			return batch.EstimateSevcikInto(ctx, pool, jobs, nr, src, &est)
+		round := func(ctx context.Context, nr int) error {
+			return batch.EstimateSevcikInto(ctx, x.Pool, jobs, nr, x.Src, &est)
 		}
-	}
-	used, err := runReplications(ctx, opts, reps, round,
-		func() *stats.Running { return &est })
-	if err != nil {
-		return nil, 0, err
-	}
-	return &api.FlowShopResult{
-		Policy:  p.Policy,
-		Variant: "sevcik",
-		Metric:  "weighted_flowtime",
-		Order:   order,
-		Mean:    est.Mean(),
-		CI95:    est.CI95(),
-	}, used, nil
-}
-
-func (s flowshopScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	return decodeOutcome(s.Kind(), policy, resp, func(r *api.FlowShopResult) Outcome {
-		return Outcome{Policy: r.Policy, Metric: r.Metric, Mean: r.Mean, CI95: r.CI95}
-	})
+		if p.Policy == "wsept" {
+			order = batch.WSEPTDiscrete(jobs)
+			round = func(ctx context.Context, nr int) error {
+				return batch.EstimateWSEPTDiscreteInto(ctx, x.Pool, jobs, nr, x.Src, &est)
+			}
+		}
+		if err := x.Rounds(ctx, &est, round); err != nil {
+			return nil, err
+		}
+		return &api.FlowShopResult{
+			Policy:  p.Policy,
+			Variant: "sevcik",
+			Metric:  "weighted_flowtime",
+			Order:   order,
+			Mean:    est.Mean(),
+			CI95:    est.CI95(),
+		}, nil
+	}, nil
 }

@@ -2,52 +2,42 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
-func init() { Register(jacksonScenario{}) }
+// jackson simulates open multiclass queueing networks (one server per
+// station, deterministic or probabilistic routing) under per-station
+// static priority rules; its Index computes the product-form (Jackson)
+// steady state where it applies — exponential services, one shared rate
+// per station, every station stable. The simulate side has no stability
+// requirement: reproducing instability under nominal loads < 1 (the
+// Lu–Kumar network) is part of the kind's job.
+var jacksonPolicies = []string{"cmu", "fcfs", "lbfs"}
 
-// jacksonScenario simulates open multiclass queueing networks (one server
-// per station, deterministic or probabilistic routing) under per-station
-// static priority rules; its Indexer capability computes the product-form
-// (Jackson) steady state where it applies — exponential services, one
-// shared rate per station, every station stable. The simulate side has no
-// stability requirement: reproducing instability under nominal loads < 1
-// (the Lu–Kumar network) is part of the kind's job.
-type jacksonScenario struct{}
-
-func (jacksonScenario) Kind() string { return "jackson" }
-
-func (jacksonScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p api.JacksonSim
-	if err := DecodeStrict(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
-}
-
-func (jacksonScenario) ReplicationWork(payload any) float64 {
-	return payload.(*api.JacksonSim).Horizon
-}
-
-func (s jacksonScenario) Validate(payload any) error {
-	p := payload.(*api.JacksonSim)
-	if _, err := networkModel(&p.Spec); err != nil {
-		return err
-	}
-	return s.checkPolicy(p.Policy)
+func init() {
+	Register(&Scenario{
+		Name:     "jackson",
+		Parse:    checked(func(p *api.JacksonSim) error { return window(p.Burnin, p.Horizon) }),
+		Work:     func(p any) float64 { return p.(*api.JacksonSim).Horizon },
+		Policies: func(any) []string { return jacksonPolicies },
+		Prepare:  prepareJackson,
+		Outcome: outcome("jackson", func(r *api.JacksonResult) Outcome {
+			return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+		}),
+		Index: &Index{
+			Family:  "jackson",
+			Parse:   strict[api.Network],
+			Hash:    func(p any) string { return api.Hash(&api.IndexRequest{Kind: "jackson", Jackson: p.(*api.Network)}) },
+			Compute: jacksonIndex,
+		},
+	})
 }
 
 // networkModel checks every class, the routing graph, and that the traffic
@@ -148,18 +138,6 @@ func netClass(c *api.NetClass, i, n int) (queueing.NetClass, error) {
 	}, nil
 }
 
-func (jacksonScenario) Policies(any) []string { return []string{"cmu", "fcfs", "lbfs"} }
-
-func (jacksonScenario) PolicyPath() string { return "jackson.policy" }
-
-func (jacksonScenario) checkPolicy(policy string) error {
-	switch policy {
-	case "cmu", "fcfs", "lbfs":
-		return nil
-	}
-	return fmt.Errorf("unknown jackson policy %q (want cmu, fcfs, or lbfs)", policy)
-}
-
 // networkPolicy derives the per-station priority orders of the named rule:
 // "fcfs" serves classes in spec order, "lbfs" in reverse spec order (the
 // last-buffer-first direction that destabilizes the Lu–Kumar network),
@@ -187,76 +165,47 @@ func networkPolicy(nw *queueing.Network, rule string) *queueing.NetworkPolicy {
 	return &queueing.NetworkPolicy{StationOrder: orders}
 }
 
-func (s jacksonScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareJackson(payload any, opts SimOpts) (Sim, error) {
 	p := payload.(*api.JacksonSim)
-	if err := s.checkPolicy(p.Policy); err != nil {
-		return nil, 0, BadSpec{err}
+	if err := checkPolicy("jackson", p.Policy, jacksonPolicies); err != nil {
+		return nil, err
 	}
 	nw, err := networkModel(&p.Spec)
 	if err != nil {
-		return nil, 0, BadSpec{err}
+		return nil, err
 	}
 	if opts.Antithetic {
 		for j, c := range nw.Classes {
 			if len(c.Routes) > 0 {
-				return nil, 0, errAntithetic("jackson", fmt.Sprintf("class %d uses probabilistic routing", j))
+				return nil, errAntithetic("jackson", fmt.Sprintf("class %d uses probabilistic routing", j))
 			}
 			if !dist.Invertible(c.Service) {
-				return nil, 0, errAntithetic("jackson", fmt.Sprintf("class %d service law %v is not inverse-CDF sampled", j, c.Service))
+				return nil, errAntithetic("jackson", fmt.Sprintf("class %d service law %v is not inverse-CDF sampled", j, c.Service))
 			}
 		}
 	}
-	n := len(nw.Classes)
-	rep := &queueing.ReplicatedNetworkResult{L: make([]stats.Running, n)}
-	src := opts.stream(seed)
-	pol := networkPolicy(nw, p.Policy)
-	used, err := runReplications(ctx, opts, reps,
-		func(ctx context.Context, nr int) error {
-			return nw.ReplicateInto(ctx, pool, pol, p.Horizon, p.Burnin, nr, src, rep)
-		},
-		func() *stats.Running { return &rep.CostRate })
-	if err != nil {
-		return nil, 0, err
-	}
-	res := &api.JacksonResult{
-		Policy:       p.Policy,
-		L:            make([]float64, n),
-		CostRateMean: rep.CostRate.Mean(),
-		CostRateCI95: rep.CostRate.CI95(),
-	}
-	for j := 0; j < n; j++ {
-		res.L[j] = rep.L[j].Mean()
-	}
-	return res, used, nil
+	return func(ctx context.Context, x *Exec) (any, error) {
+		rep := &queueing.ReplicatedNetworkResult{L: make([]stats.Running, len(nw.Classes))}
+		pol := networkPolicy(nw, p.Policy)
+		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
+			return nw.ReplicateInto(ctx, x.Pool, pol, p.Horizon, p.Burnin, nr, x.Src, rep)
+		}); err != nil {
+			return nil, err
+		}
+		return &api.JacksonResult{
+			Policy:       p.Policy,
+			L:            means(rep.L),
+			CostRateMean: rep.CostRate.Mean(),
+			CostRateCI95: rep.CostRate.CI95(),
+		}, nil
+	}, nil
 }
 
-func (s jacksonScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	return decodeOutcome(s.Kind(), policy, resp, func(r *api.JacksonResult) Outcome {
-		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Indexer capability: the product-form (Jackson) steady state. Applies only
-// when every class is exponential, classes at one station share one rate,
-// and every station is stable — anything else is a BadSpec, not an
+// jacksonIndex computes the product-form (Jackson) steady state. It applies
+// only when every class is exponential, classes at one station share one
+// rate, and every station is stable — anything else is a BadSpec, not an
 // approximation.
-
-func (jacksonScenario) IndexFamily() string { return "jackson" }
-
-func (jacksonScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var n api.Network
-	if err := DecodeStrict(raw, &n); err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
-
-func (jacksonScenario) IndexHash(payload any) string {
-	return api.Hash(&api.IndexRequest{Kind: "jackson", Jackson: payload.(*api.Network)})
-}
-
-func (jacksonScenario) ComputeIndex(payload any, hash string) (any, error) {
+func jacksonIndex(payload any, hash string) (any, error) {
 	nw, err := networkModel(payload.(*api.Network))
 	if err != nil {
 		return nil, BadSpec{err}

@@ -2,53 +2,39 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"slices"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/queueing"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
-func init() { Register(mg1Scenario{}) }
-
-// mg1Scenario simulates the multiclass M/G/1 queue (and, with feedback,
-// Klimov's network) under a discipline; its Indexer capability computes
-// the cµ (or Klimov) priority order with exact Cobham delays.
-type mg1Scenario struct{}
-
-func (mg1Scenario) Kind() string { return "mg1" }
-
-func (mg1Scenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p api.MG1Sim
-	if err := DecodeStrict(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%v horizon=%v", p.Burnin, p.Horizon)
-	}
-	return &p, nil
-}
-
-func (mg1Scenario) ReplicationWork(payload any) float64 {
-	return payload.(*api.MG1Sim).Horizon
-}
-
-func (s mg1Scenario) Validate(payload any) error {
-	p := payload.(*api.MG1Sim)
-	var err error
-	if p.Spec.HasFeedback() {
-		_, err = klimovModel(&p.Spec)
-	} else {
-		_, err = mg1Model(&p.Spec)
-	}
-	if err != nil {
-		return err
-	}
-	return s.checkPolicy(&p.Spec, p.Policy)
+// mg1 simulates the multiclass M/G/1 queue (and, with feedback, Klimov's
+// network) under a discipline; its Index computes the cµ (or Klimov)
+// priority order with exact Cobham delays.
+func init() {
+	Register(&Scenario{
+		Name:     "mg1",
+		Parse:    checked(func(p *api.MG1Sim) error { return window(p.Burnin, p.Horizon) }),
+		Work:     func(p any) float64 { return p.(*api.MG1Sim).Horizon },
+		Policies: mg1Policies,
+		Prepare:  prepareMG1,
+		Outcome: outcome("mg1", func(r *api.MG1Result) Outcome {
+			return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
+		}),
+		Index: &Index{
+			Family: "priority",
+			Parse:  strict[api.MG1],
+			// The {"kind":"mg1","mg1":…} envelope as an api.PriorityRequest,
+			// the encoding the priority golden and its cache keys were pinned
+			// under.
+			Hash:    func(p any) string { return api.Hash(&api.PriorityRequest{Kind: "mg1", MG1: p.(*api.MG1)}) },
+			Compute: mg1Index,
+		},
+	})
 }
 
 // mg1Model converts a feedback-free spec into a validated queueing model.
@@ -96,140 +82,99 @@ func klimovModel(m *api.MG1) (*queueing.KlimovNetwork, error) {
 	return out, nil
 }
 
-func (mg1Scenario) Policies(payload any) []string {
+var (
+	mg1Plain    = []string{"cmu", "fifo"}
+	mg1Feedback = []string{"klimov"}
+)
+
+// mg1Policies: a feedback system runs Klimov's rule only.
+func mg1Policies(payload any) []string {
 	if payload.(*api.MG1Sim).Spec.HasFeedback() {
-		return []string{"klimov"}
+		return mg1Feedback
 	}
-	return []string{"cmu", "fifo"}
+	return mg1Plain
 }
 
-func (mg1Scenario) PolicyPath() string { return "mg1.policy" }
-
-// checkPolicy is the single source of truth for which simulate policies an
-// mg1 spec supports; submit-time validation (Validate) and execution
-// (Simulate) must never disagree.
-func (mg1Scenario) checkPolicy(m *api.MG1, policy string) error {
-	if m.HasFeedback() {
-		if policy != "klimov" {
-			return fmt.Errorf("feedback systems support policy \"klimov\", got %q", policy)
-		}
-		return nil
-	}
-	if policy != "cmu" && policy != "fifo" {
-		return fmt.Errorf("unknown mg1 policy %q (want cmu or fifo)", policy)
-	}
-	return nil
-}
-
-func (s mg1Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareMG1(payload any, opts SimOpts) (Sim, error) {
 	sim := payload.(*api.MG1Sim)
-	if err := s.checkPolicy(&sim.Spec, sim.Policy); err != nil {
-		return nil, 0, BadSpec{err}
+	pols := mg1Policies(sim)
+	if !sim.Spec.HasFeedback() {
+		if err := checkPolicy("mg1", sim.Policy, pols); err != nil {
+			return nil, err
+		}
+		return prepareCobham(sim, opts)
 	}
-	if sim.Spec.HasFeedback() {
-		if opts.Antithetic {
-			return nil, 0, errAntithetic("mg1", "feedback routing draws are categorical")
-		}
-		k, err := klimovModel(&sim.Spec)
-		if err != nil {
-			return nil, 0, BadSpec{err}
-		}
+	if !slices.Contains(pols, sim.Policy) {
+		return nil, fmt.Errorf("feedback systems support policy %q, got %q", pols[0], sim.Policy)
+	}
+	if opts.Antithetic {
+		return nil, errAntithetic("mg1", "feedback routing draws are categorical")
+	}
+	k, err := klimovModel(&sim.Spec)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, x *Exec) (any, error) {
 		_, order, err := k.KlimovIndices()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		var est stats.Running
-		src := opts.stream(seed)
-		used, err := runReplications(ctx, opts, reps,
-			func(ctx context.Context, n int) error {
-				return k.ReplicateKlimovInto(ctx, pool, order, sim.Horizon, sim.Burnin, n, src, &est)
-			},
-			func() *stats.Running { return &est })
-		if err != nil {
-			return nil, 0, err
+		if err := x.Rounds(ctx, &est, func(ctx context.Context, n int) error {
+			return k.ReplicateKlimovInto(ctx, x.Pool, order, sim.Horizon, sim.Burnin, n, x.Src, &est)
+		}); err != nil {
+			return nil, err
 		}
 		return &api.MG1Result{
 			Policy:       "klimov",
 			Order:        order,
 			CostRateMean: est.Mean(),
 			CostRateCI95: est.CI95(),
-		}, used, nil
-	}
+		}, nil
+	}, nil
+}
 
+// prepareCobham prepares a feedback-free system under cmu or fifo.
+func prepareCobham(sim *api.MG1Sim, opts SimOpts) (Sim, error) {
 	m, err := mg1Model(&sim.Spec)
 	if err != nil {
-		return nil, 0, BadSpec{err}
+		return nil, err
 	}
 	if opts.Antithetic {
 		for j, c := range m.Classes {
 			if !dist.Invertible(c.Service) {
-				return nil, 0, errAntithetic("mg1", fmt.Sprintf("class %d service law %v is not inverse-CDF sampled", j, c.Service))
+				return nil, errAntithetic("mg1", fmt.Sprintf("class %d service law %v is not inverse-CDF sampled", j, c.Service))
 			}
 		}
 	}
-	// checkPolicy above admits exactly cmu and fifo here.
-	var d queueing.Discipline
-	var order []int
-	if sim.Policy == "cmu" {
-		order = m.CMuOrder()
-		d = queueing.StaticPriority{Order: order}
-	} else {
-		d = queueing.FIFO{}
-	}
-	n := len(m.Classes)
-	rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-	src := opts.stream(seed)
-	used, err := runReplications(ctx, opts, reps,
-		func(ctx context.Context, nr int) error {
-			return m.ReplicateInto(ctx, pool, d, sim.Horizon, sim.Burnin, nr, src, rep)
-		},
-		func() *stats.Running { return &rep.CostRate })
-	if err != nil {
-		return nil, 0, err
-	}
-	res := &api.MG1Result{
-		Policy:       sim.Policy,
-		Order:        order,
-		L:            make([]float64, n),
-		Wq:           make([]float64, n),
-		CostRateMean: rep.CostRate.Mean(),
-		CostRateCI95: rep.CostRate.CI95(),
-	}
-	for j := 0; j < n; j++ {
-		res.L[j] = rep.L[j].Mean()
-		res.Wq[j] = rep.Wq[j].Mean()
-	}
-	return res, used, nil
+	return func(ctx context.Context, x *Exec) (any, error) {
+		var d queueing.Discipline = queueing.FIFO{}
+		var order []int
+		if sim.Policy == "cmu" {
+			order = m.CMuOrder()
+			d = queueing.StaticPriority{Order: order}
+		}
+		n := len(m.Classes)
+		rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
+		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
+			return m.ReplicateInto(ctx, x.Pool, d, sim.Horizon, sim.Burnin, nr, x.Src, rep)
+		}); err != nil {
+			return nil, err
+		}
+		return &api.MG1Result{
+			Policy:       sim.Policy,
+			Order:        order,
+			L:            means(rep.L),
+			Wq:           means(rep.Wq),
+			CostRateMean: rep.CostRate.Mean(),
+			CostRateCI95: rep.CostRate.CI95(),
+		}, nil
+	}, nil
 }
 
-func (s mg1Scenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	return decodeOutcome(s.Kind(), policy, resp, func(r *api.MG1Result) Outcome {
-		return Outcome{Policy: r.Policy, Metric: "cost_rate", Mean: r.CostRateMean, CI95: r.CostRateCI95}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Indexer capability: the cµ order with exact Cobham delays (or Klimov's
-// indices for feedback systems).
-
-func (mg1Scenario) IndexFamily() string { return "priority" }
-
-func (mg1Scenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var m api.MG1
-	if err := DecodeStrict(raw, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// IndexHash hashes the {"kind":"mg1","mg1":…} envelope as an
-// api.PriorityRequest, the encoding the priority golden and its cache keys
-// were pinned under.
-func (mg1Scenario) IndexHash(payload any) string {
-	return api.Hash(&api.PriorityRequest{Kind: "mg1", MG1: payload.(*api.MG1)})
-}
-
-func (s mg1Scenario) ComputeIndex(payload any, hash string) (any, error) {
+// mg1Index computes the cµ order with exact Cobham delays, or Klimov's
+// indices for a feedback system.
+func mg1Index(payload any, hash string) (any, error) {
 	m := payload.(*api.MG1)
 	if m.HasFeedback() {
 		k, err := klimovModel(m)

@@ -118,7 +118,7 @@ func TestMMmSimulateRejectsBadPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := req.Scenario.Validate(req.Payload); err == nil || !strings.Contains(err.Error(), "unknown mmm policy") {
+	if err := req.Scenario.Validate(req.Payload, req.Opts()); err == nil || !strings.Contains(err.Error(), "unknown mmm policy") {
 		t.Fatalf("validate error: %v", err)
 	}
 	// Execution must agree with submit-time validation and mark it BadSpec.

@@ -20,7 +20,7 @@ import (
 type Limits struct {
 	// MaxReplications bounds the replication count of one request.
 	MaxReplications int
-	// MaxSimWork bounds ReplicationWork × replications.
+	// MaxSimWork bounds Work × replications.
 	MaxSimWork float64
 }
 
@@ -31,7 +31,7 @@ type Request struct {
 	Seed         uint64
 	Replications int
 	Parallel     int
-	Scenario     Scenario
+	Scenario     *Scenario
 	Payload      any
 	// Precision, when non-nil, selects target-precision mode (mutually
 	// exclusive with Replications; Replications is 0). Antithetic opts the
@@ -53,6 +53,12 @@ func (r *Request) enginePrecision() *engine.Precision {
 		Confidence:      r.Precision.Confidence,
 		MaxReplications: r.Precision.MaxReplications,
 	}
+}
+
+// Opts returns the request's execution options, the knobs Validate and
+// Simulate take beside the payload.
+func (r *Request) Opts() SimOpts {
+	return SimOpts{Precision: r.enginePrecision(), Antithetic: r.Antithetic}
 }
 
 // BudgetReplications is the replication count the work budget multiplies:
@@ -79,10 +85,17 @@ func parseFields(body []byte) (fieldSet, error) {
 	if err := dec.Decode(&fields); err != nil {
 		return nil, fmt.Errorf("parsing request: %w", err)
 	}
-	if dec.More() {
+	if trailing(dec, body) {
 		return nil, fmt.Errorf("parsing request: trailing data after JSON value")
 	}
 	return fields, nil
+}
+
+// trailing reports whether anything but JSON whitespace follows the value
+// dec just decoded from body. Decoder.More alone misses a stray ']' or '}',
+// which it takes for the end of an enclosing value.
+func trailing(dec *json.Decoder, body []byte) bool {
+	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
 }
 
 // pop removes and returns the field named name.
@@ -144,7 +157,8 @@ func (f fieldSet) popPayload(kind string) (json.RawMessage, error) {
 // invariants — replication and parallelism ranges, the work budget — are
 // enforced here so every consumer (HTTP handler, sweep cell validation, the
 // CLI) agrees on what a well-formed request is. Spec-level validation is
-// NOT performed; call req.Scenario.Validate(req.Payload) for that.
+// NOT performed; call req.Scenario.Validate(req.Payload, req.Opts()) for
+// that.
 func ParseRequest(body []byte, lim Limits) (*Request, error) {
 	fields, err := parseFields(body)
 	if err != nil {
@@ -213,7 +227,7 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := sc.ParsePayload(raw)
+	payload, err := sc.Parse(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +237,7 @@ func ParseRequest(body []byte, lim Limits) (*Request, error) {
 		// NaN-propagating comparison: a non-finite work estimate fails too.
 		// In target-precision mode the budget is charged for the worst case
 		// (the max_replications ceiling).
-		if work := sc.ReplicationWork(payload) * float64(req.BudgetReplications()); !(work <= lim.MaxSimWork) {
+		if work := sc.Work(payload) * float64(req.BudgetReplications()); !(work <= lim.MaxSimWork) {
 			return nil, fmt.Errorf("work estimate per replication × replications = %g exceeds the work budget %g", work, lim.MaxSimWork)
 		}
 	}
@@ -245,7 +259,7 @@ func (r *Request) Hash() string {
 	h, err := api.SimulateHashOpts(r.Kind, r.Payload, r.Seed, r.Replications, r.Precision, r.Antithetic)
 	if err != nil {
 		// Payloads are plain data decoded from JSON; marshaling cannot
-		// fail on anything ParsePayload accepts.
+		// fail on anything Parse accepts.
 		panic(fmt.Sprintf("scenario: unhashable payload: %v", err))
 	}
 	r.hash = h
@@ -264,8 +278,7 @@ func Run(ctx context.Context, req *Request, pool *engine.Pool) ([]byte, error) {
 	// Spans never feed back into the computation, so the body stays
 	// byte-identical with tracing on or off.
 	cctx, csp := obs.Start(ctx, "compute")
-	opts := SimOpts{Precision: req.enginePrecision(), Antithetic: req.Antithetic}
-	body, used, err := req.Scenario.Simulate(cctx, pool, req.Payload, req.Seed, req.Replications, opts)
+	body, used, err := req.Scenario.Simulate(cctx, pool, req.Payload, req.Seed, req.Replications, req.Opts())
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -314,7 +327,7 @@ func DecodeStrict(raw []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parsing request: %w", err)
 	}
-	if dec.More() {
+	if trailing(dec, raw) {
 		return fmt.Errorf("parsing request: trailing data after JSON value")
 	}
 	return nil

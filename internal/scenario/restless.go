@@ -2,51 +2,47 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/restless"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
-func init() { Register(restlessScenario{}) }
+// restless estimates fleet-scale activation heuristics (Whittle vs myopic
+// vs random) via internal/restless; its Index computes Whittle indices of
+// the single project.
+var restlessPolicies = []string{"whittle", "myopic", "random"}
 
-// restlessScenario estimates fleet-scale activation heuristics
-// (Whittle vs myopic vs random) via internal/restless; its Indexer
-// capability computes Whittle indices of the single project.
-type restlessScenario struct{}
-
-func (restlessScenario) Kind() string { return "restless" }
-
-func (restlessScenario) ParsePayload(raw json.RawMessage) (any, error) {
-	var p api.RestlessSim
-	if err := DecodeStrict(raw, &p); err != nil {
-		return nil, err
-	}
-	if p.N < 1 || p.M < 0 || p.M > p.N {
-		return nil, fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", p.N, p.M)
-	}
-	if p.Burnin < 0 || p.Horizon <= p.Burnin {
-		return nil, fmt.Errorf("need 0 <= burnin < horizon, got burnin=%d horizon=%d", p.Burnin, p.Horizon)
-	}
-	return &p, nil
-}
-
-func (restlessScenario) ReplicationWork(payload any) float64 {
-	// Every epoch touches all N projects.
-	p := payload.(*api.RestlessSim)
-	return float64(p.Horizon) * float64(p.N)
-}
-
-func (s restlessScenario) Validate(payload any) error {
-	p := payload.(*api.RestlessSim)
-	if _, err := restlessProject(&p.Spec); err != nil {
-		return err
-	}
-	return s.checkPolicy(p.Policy)
+func init() {
+	Register(&Scenario{
+		Name: "restless",
+		Parse: checked(func(p *api.RestlessSim) error {
+			if p.N < 1 || p.M < 0 || p.M > p.N {
+				return fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", p.N, p.M)
+			}
+			return window(p.Burnin, p.Horizon)
+		}),
+		// Every epoch touches all N projects.
+		Work: func(payload any) float64 {
+			p := payload.(*api.RestlessSim)
+			return float64(p.Horizon) * float64(p.N)
+		},
+		Policies: func(any) []string { return restlessPolicies },
+		Prepare:  prepareRestless,
+		Outcome: outcome("restless", func(r *api.RestlessResult) Outcome {
+			return Outcome{Policy: r.Policy, Metric: "reward", HigherIsBetter: true, Mean: r.RewardMean, CI95: r.RewardCI95}
+		}),
+		Index: &Index{
+			Family: "whittle",
+			Parse:  strict[api.WhittleRequest],
+			// The flattened project-plus-knob struct, the encoding the
+			// whittle golden and its cache keys were pinned under.
+			Hash:    func(p any) string { return api.Hash(p.(*api.WhittleRequest)) },
+			Compute: restlessIndex,
+		},
+	})
 }
 
 // restlessProject checks the discount and both actions' dynamics, and
@@ -74,84 +70,46 @@ func restlessProject(r *api.Restless) (*restless.Project, error) {
 	return p, nil
 }
 
-func (restlessScenario) Policies(any) []string { return []string{"whittle", "myopic", "random"} }
-
-func (restlessScenario) PolicyPath() string { return "restless.policy" }
-
-func (restlessScenario) checkPolicy(policy string) error {
-	switch policy {
-	case "whittle", "myopic", "random":
-		return nil
-	}
-	return fmt.Errorf("unknown restless policy %q (want whittle, myopic, or random)", policy)
-}
-
-func (s restlessScenario) Simulate(ctx context.Context, pool *engine.Pool, payload any, seed uint64, reps int, opts SimOpts) (any, int, error) {
+func prepareRestless(payload any, opts SimOpts) (Sim, error) {
 	p := payload.(*api.RestlessSim)
-	if err := s.checkPolicy(p.Policy); err != nil {
-		return nil, 0, BadSpec{err}
+	if err := checkPolicy("restless", p.Policy, restlessPolicies); err != nil {
+		return nil, err
 	}
 	if opts.Antithetic {
-		return nil, 0, errAntithetic("restless", "project transitions are categorical draws")
+		return nil, errAntithetic("restless", "project transitions are categorical draws")
 	}
 	proj, err := restlessProject(&p.Spec)
 	if err != nil {
-		return nil, 0, BadSpec{err}
-	}
-	fleet := &restless.Fleet{Type: proj, N: p.N, M: p.M}
-	var est stats.Running
-	var round func(ctx context.Context, nr int) error
-	src := opts.stream(seed)
-	switch p.Policy {
-	case "random":
-		round = func(ctx context.Context, nr int) error {
-			return fleet.EstimateRandomPolicyInto(ctx, pool, p.Horizon, p.Burnin, nr, src, &est)
-		}
-	default:
-		score := restless.MyopicScore(proj)
-		if p.Policy == "whittle" {
-			if score, err = restless.WhittleIndex(proj, p.Spec.Beta); err != nil {
-				return nil, 0, err
-			}
-		}
-		round = func(ctx context.Context, nr int) error {
-			return fleet.EstimateStaticPriorityInto(ctx, pool, score, p.Horizon, p.Burnin, nr, src, &est)
-		}
-	}
-	used, err := runReplications(ctx, opts, reps, round,
-		func() *stats.Running { return &est })
-	if err != nil {
-		return nil, 0, err
-	}
-	return &api.RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, used, nil
-}
-
-func (s restlessScenario) Outcome(policy string, resp []byte) (Outcome, error) {
-	return decodeOutcome(s.Kind(), policy, resp, func(r *api.RestlessResult) Outcome {
-		return Outcome{Policy: r.Policy, Metric: "reward", HigherIsBetter: true, Mean: r.RewardMean, CI95: r.RewardCI95}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Indexer capability: Whittle indices (+ optional indexability check).
-
-func (restlessScenario) IndexFamily() string { return "whittle" }
-
-func (restlessScenario) ParseIndexPayload(raw json.RawMessage) (any, error) {
-	var r api.WhittleRequest
-	if err := DecodeStrict(raw, &r); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return func(ctx context.Context, x *Exec) (any, error) {
+		fleet := &restless.Fleet{Type: proj, N: p.N, M: p.M}
+		var est stats.Running
+		round := func(ctx context.Context, nr int) error {
+			return fleet.EstimateRandomPolicyInto(ctx, x.Pool, p.Horizon, p.Burnin, nr, x.Src, &est)
+		}
+		if p.Policy != "random" {
+			score := restless.MyopicScore(proj)
+			if p.Policy == "whittle" {
+				var err error
+				if score, err = restless.WhittleIndex(proj, p.Spec.Beta); err != nil {
+					return nil, err
+				}
+			}
+			round = func(ctx context.Context, nr int) error {
+				return fleet.EstimateStaticPriorityInto(ctx, x.Pool, score, p.Horizon, p.Burnin, nr, x.Src, &est)
+			}
+		}
+		if err := x.Rounds(ctx, &est, round); err != nil {
+			return nil, err
+		}
+		return &api.RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, nil
+	}, nil
 }
 
-// IndexHash hashes the flattened project-plus-knob struct, the encoding
-// the whittle golden and its cache keys were pinned under.
-func (restlessScenario) IndexHash(payload any) string {
-	return api.Hash(payload.(*api.WhittleRequest))
-}
-
-func (restlessScenario) ComputeIndex(payload any, hash string) (any, error) {
+// restlessIndex computes Whittle indices, optionally with an
+// indexability check and, given n and m, the LP relaxation bound.
+func restlessIndex(payload any, hash string) (any, error) {
 	req := payload.(*api.WhittleRequest)
 	p, err := restlessProject(&req.Restless)
 	if err != nil {

@@ -41,7 +41,7 @@ func TestRegisterPanicsOnDuplicate(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register(mg1Scenario{})
+	Register(&Scenario{Name: "mg1"})
 }
 
 const mg1Body = `{
@@ -65,7 +65,7 @@ func TestParseRequestEnvelope(t *testing.T) {
 	if _, ok := req.Payload.(*api.MG1Sim); !ok {
 		t.Fatalf("payload %T", req.Payload)
 	}
-	if err := req.Scenario.Validate(req.Payload); err != nil {
+	if err := req.Scenario.Validate(req.Payload, req.Opts()); err != nil {
 		t.Errorf("validate: %v", err)
 	}
 }
@@ -90,6 +90,7 @@ func TestParseRequestRejects(t *testing.T) {
 	bad := map[string]string{
 		"not json":        `nope`,
 		"trailing":        mg1Body + `{"again":true}`,
+		"trailing brace":  mg1Body + `}`,
 		"unknown kind":    `{"kind":"quantum","quantum":{},"seed":1,"replications":5}`,
 		"no payload":      `{"kind":"mg1","seed":1,"replications":5}`,
 		"wrong payload":   `{"kind":"mg1","bandit":{},"seed":1,"replications":5}`,
@@ -156,7 +157,7 @@ func TestReplicationWorkPerKind(t *testing.T) {
 	}
 	for _, c := range cases {
 		sc, _ := Lookup(c.kind)
-		if got := sc.ReplicationWork(c.payload); got != c.want {
+		if got := sc.Work(c.payload); got != c.want {
 			t.Errorf("%s work = %v, want %v", c.kind, got, c.want)
 		}
 	}

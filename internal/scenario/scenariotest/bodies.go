@@ -65,7 +65,7 @@ var simulateBodies = map[string]string{
 }
 
 // indexPayloads maps kind -> the canonical index payload fragment (what
-// the kind's ParseIndexPayload accepts) for every kind with an Indexer.
+// the kind's Index.Parse accepts) for every kind with an Index.
 var indexPayloads = map[string]string{
 	"bandit": `{"beta":0.9,"transitions":[[0.5,0.5],[0.2,0.8]],"rewards":[1,0.3]}`,
 
@@ -112,7 +112,7 @@ func SimulateBody(kind string, seed uint64) string {
 }
 
 // IndexPayload returns the canonical index payload fragment of the kind
-// (the input of its ParseIndexPayload), or "" when none is registered.
+// (the input of its Index.Parse), or "" when none is registered.
 func IndexPayload(kind string) string { return indexPayloads[kind] }
 
 // IndexBody returns the canonical /v1/index envelope of the kind, or ""

@@ -2,7 +2,7 @@ package service
 
 // Endpoint conformance: every registered scenario kind must be reachable
 // through all four public surfaces — /v1/simulate, /v1/sweep, /v1/batch,
-// and (for kinds with an Indexer) /v1/index — using the canonical bodies
+// and (for kinds with an Index) /v1/index — using the canonical bodies
 // from scenariotest. A kind that registers without wiring one of these
 // paths fails here.
 
@@ -186,6 +186,78 @@ func TestEveryIndexerKindIndexes(t *testing.T) {
 		}
 		if !bytes.Equal(w.Body.Bytes(), again.Body.Bytes()) {
 			t.Errorf("%s: cache hit body differs from miss body", kind)
+		}
+	}
+}
+
+// withField returns the JSON object body with one top-level member set to
+// the raw JSON value.
+func withField(t *testing.T, body []byte, name, value string) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	m[name] = json.RawMessage(value)
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestValidateSimulateAgreement pins the one-check contract: sweep
+// submission (Server.ValidateSimulate) rejects exactly the bodies POST
+// /v1/simulate answers 400, with the same message. Per kind it probes the
+// canonical body, its antithetic twin, and a policy outside the kind's
+// list; for bandit also the spec faults only the solver reports (a
+// discount outside (0,1), no projects).
+func TestValidateSimulateAgreement(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	probes := map[string][]byte{}
+	for _, kind := range scenariotest.SimulateKinds() {
+		body := []byte(scenariotest.SimulateBody(kind, 11))
+		sc, ok := scenario.Lookup(kind)
+		if !ok {
+			t.Fatalf("kind %q is not registered", kind)
+		}
+		badPolicy, err := api.SetString(body, sc.PolicyPath(), "no-such-policy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes[kind] = body
+		probes[kind+"/antithetic"] = withField(t, body, "antithetic", "true")
+		probes[kind+"/unknown policy"] = badPolicy
+	}
+	beta2, err := api.SetNumber([]byte(scenariotest.SimulateBody("bandit", 11)), "bandit.spec.beta", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes["bandit/beta=2"] = beta2
+	probes["bandit/no projects"] = []byte(`{"kind":"bandit","bandit":{"spec":{"beta":0.9,"projects":[]},"start":[],"policy":"gittins"},"seed":11,"replications":10}`)
+
+	for name, body := range probes {
+		verr := s.ValidateSimulate(body)
+		w := post(t, h, "/v1/simulate", string(body))
+		switch w.Code {
+		case http.StatusOK:
+			if verr != nil {
+				t.Errorf("%s: /v1/simulate answers 200 but ValidateSimulate rejects: %v", name, verr)
+			}
+		case http.StatusBadRequest:
+			var e api.ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: error envelope %s: %v", name, w.Body, err)
+			}
+			switch {
+			case verr == nil:
+				t.Errorf("%s: /v1/simulate answers 400 %q but ValidateSimulate accepts", name, e.Err.Message)
+			case verr.Error() != e.Err.Message:
+				t.Errorf("%s: messages differ:\nValidateSimulate: %s\n/v1/simulate:     %s", name, verr, e.Err.Message)
+			}
+		default:
+			t.Errorf("%s: /v1/simulate code %d: %s", name, w.Code, w.Body)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package service exposes the repository's solvers as an HTTP/JSON policy
 // service: analytic index computation (Gittins, Whittle, cµ/Klimov/WSEPT
-// priority orders) through the scenario registry's Indexer capability,
+// priority orders) through the scenario registry's Index capability,
 // engine-backed Monte Carlo evaluation of every simulate kind registered
 // in internal/scenario, and request batching — behind a sharded
 // memoization cache with singleflight deduplication, a bounded admission
@@ -66,7 +66,7 @@ type Config struct {
 	// may ask for: replications × the scenario's per-replication work
 	// estimate (horizon for queueing models, the discounted episode scale
 	// 1/(1−β) for bandits, epochs × fleet size for restless fleets, job
-	// count for batch — see scenario.Scenario.ReplicationWork). Requests
+	// count for batch — see scenario.Scenario.Work). Requests
 	// beyond it are rejected with 400 instead of monopolizing execution
 	// slots, uniformly across every registered kind. Default 1e8; negative
 	// disables the bound.
@@ -500,10 +500,10 @@ func marshal(v any) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // /v1/index
 //
-// Index computation is resolved through the scenario registry's Indexer
+// Index computation is resolved through the scenario registry's Index
 // capability — the serving layer carries no per-kind solver code, exactly
 // like /v1/simulate. The cache key is the request's family:hash (see
-// scenario.Indexer.IndexFamily).
+// scenario.Index.Family).
 
 // parseIndex decodes a kind-dispatched /v1/index body into its cache key
 // and computation.

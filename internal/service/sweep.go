@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"stochsched/internal/scenario"
 	"stochsched/internal/sweep"
 	"stochsched/pkg/api"
 )
@@ -24,19 +23,17 @@ import (
 // See docs/api.md for the request/response schemas.
 
 // ValidateSimulate implements sweep.Backend: it fully validates a
-// /v1/simulate body — request shape, work budget, spec, and policy — without
-// executing it, so malformed sweep cells are rejected at submission. Both
-// halves resolve through the scenario registry, so any registered kind is
-// sweepable.
+// /v1/simulate body — request shape, work budget, policy, spec, and
+// antithetic admissibility under the body's own flag — without executing
+// it, so malformed sweep cells are rejected at submission with the message
+// /v1/simulate would answer. Both halves resolve through the scenario
+// registry, so any registered kind is sweepable.
 func (s *Server) ValidateSimulate(body []byte) error {
 	req, err := s.simulateRequest(body)
 	if err != nil {
 		return err
 	}
-	if err := req.Scenario.Validate(req.Payload); err != nil {
-		return scenario.BadSpec{Err: err}
-	}
-	return nil
+	return req.Scenario.Validate(req.Payload, req.Opts())
 }
 
 // Simulate implements sweep.Backend: one sweep cell is exactly one

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsched/internal/scenario/scenariotest"
 	"stochsched/pkg/api"
 )
 
@@ -241,6 +242,27 @@ func TestSweepCancellationViaDELETE(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusNotFound {
 		t.Errorf("unknown DELETE code %d", w.Code)
+	}
+}
+
+// TestSweepSubmitRejectsAntitheticCell: a cell /v1/simulate would reject
+// for its own antithetic flag is rejected at submission, naming the point,
+// instead of being accepted and failing the job when the cell runs.
+func TestSweepSubmitRejectsAntitheticCell(t *testing.T) {
+	h := New(Config{}).Handler()
+	base := withField(t, []byte(scenariotest.SimulateBody("mdp", 7)), "antithetic", "true")
+	body := fmt.Sprintf(`{"base":%s,"grid":{"axes":[{"path":"mdp.burnin","values":[40,50]}]},"policies":["optimal","myopic"]}`, base)
+	w := post(t, h, "/v1/sweep", body)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("antithetic mdp sweep: code %d, want 400: %s", w.Code, w.Body)
+	}
+	var e api.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sweep: point 0 policy "optimal": kind mdp does not support antithetic replications: state transitions are categorical draws`
+	if e.Err.Message != want {
+		t.Errorf("message %q, want %q", e.Err.Message, want)
 	}
 }
 

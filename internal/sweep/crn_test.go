@@ -127,7 +127,7 @@ func (scenarioBackend) ValidateSimulate(body []byte) error {
 	if err != nil {
 		return err
 	}
-	return req.Scenario.Validate(req.Payload)
+	return req.Scenario.Validate(req.Payload, req.Opts())
 }
 
 func (b scenarioBackend) Simulate(ctx context.Context, body []byte) ([]byte, error) {

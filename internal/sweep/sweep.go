@@ -49,7 +49,8 @@ import (
 // implement it directly.
 type Backend interface {
 	// ValidateSimulate reports whether body is a well-formed, fully valid
-	// /v1/simulate request, without executing it.
+	// /v1/simulate request, without executing it: the checks /v1/simulate
+	// runs, under the body's own options, with its messages.
 	ValidateSimulate(body []byte) error
 	// Simulate executes (or serves from cache) a /v1/simulate request body
 	// and returns the encoded response.
@@ -90,7 +91,7 @@ type Plan struct {
 	Policies []string // effective policy list: the request's, or [""] for "base as-is"
 	CRN      bool     // whether policies share common random numbers (the default)
 	grid     api.Grid
-	scn      scenario.Scenario // resolved from the base body's kind
+	scn      *scenario.Scenario // resolved from the base body's kind
 	cells    [][]byte
 }
 

@@ -56,7 +56,7 @@ type Precision struct {
 	// stopping point.
 	Confidence float64 `json:"confidence,omitempty"`
 	// MaxReplications is the hard budget ceiling; the work-budget check
-	// (ReplicationWork × MaxReplications) is enforced against it.
+	// (per-replication work × MaxReplications) is enforced against it.
 	MaxReplications int `json:"max_replications"`
 }
 
