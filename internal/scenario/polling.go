@@ -14,11 +14,24 @@ import (
 // polling simulates a cyclic polling system (one server walking over the
 // queues with switchover times). The service regime is the policy —
 // "exhaustive", "gated", or "limited" (1-limited) — so regimes are
-// directly comparable in sweeps. pollingRegimes is aligned with
-// pollingPolicies.
+// directly comparable in sweeps. pollingRegimes is the one table of
+// policies and the regimes they name; pollingPolicies lists its names.
 var (
-	pollingPolicies = []string{"exhaustive", "gated", "limited"}
-	pollingRegimes  = []queueing.PollingRegime{queueing.Exhaustive, queueing.Gated, queueing.Limited1}
+	pollingRegimes = []struct {
+		policy string
+		regime queueing.PollingRegime
+	}{
+		{"exhaustive", queueing.Exhaustive},
+		{"gated", queueing.Gated},
+		{"limited", queueing.Limited1},
+	}
+	pollingPolicies = func() []string {
+		out := make([]string, len(pollingRegimes))
+		for i, r := range pollingRegimes {
+			out[i] = r.policy
+		}
+		return out
+	}()
 )
 
 func init() {
@@ -59,7 +72,7 @@ func preparePolling(payload any, opts SimOpts) (Sim, error) {
 	if err := checkPolicy("polling", p.Policy, pollingPolicies); err != nil {
 		return nil, err
 	}
-	model, err := pollingModel(&p.Spec, pollingRegimes[slices.Index(pollingPolicies, p.Policy)])
+	model, err := pollingModel(&p.Spec, pollingRegimes[slices.Index(pollingPolicies, p.Policy)].regime)
 	if err != nil {
 		return nil, err
 	}

@@ -116,9 +116,6 @@ type SimOpts struct {
 	Antithetic bool
 }
 
-// Kind returns the wire name.
-func (s *Scenario) Kind() string { return s.Name }
-
 // PolicyPath returns the dot-path inside the request body where sweeps
 // substitute Policies values: always "<kind>.policy".
 func (s *Scenario) PolicyPath() string { return s.Name + ".policy" }

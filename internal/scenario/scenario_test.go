@@ -23,8 +23,8 @@ func TestRegistryHasBuiltins(t *testing.T) {
 		if !ok {
 			t.Fatalf("kind %q not registered", kind)
 		}
-		if sc.Kind() != kind {
-			t.Errorf("kind %q registered under %q", sc.Kind(), kind)
+		if sc.Name != kind {
+			t.Errorf("kind %q registered under %q", sc.Name, kind)
 		}
 		if !strings.HasPrefix(sc.PolicyPath(), kind+".") {
 			t.Errorf("kind %q policy path %q does not live under its payload", kind, sc.PolicyPath())
@@ -59,8 +59,8 @@ func TestParseRequestEnvelope(t *testing.T) {
 	if req.Kind != "mg1" || req.Seed != 7 || req.Replications != 5 || req.Parallel != 0 {
 		t.Fatalf("envelope %+v", req)
 	}
-	if req.Scenario.Kind() != "mg1" {
-		t.Errorf("scenario %q", req.Scenario.Kind())
+	if req.Scenario.Name != "mg1" {
+		t.Errorf("scenario %q", req.Scenario.Name)
 	}
 	if _, ok := req.Payload.(*api.MG1Sim); !ok {
 		t.Fatalf("payload %T", req.Payload)
