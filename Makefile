@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race conformance fuzz bench bench-service bench-simulate bench-batch bench-precision bench-cluster bench-check loadgen-smoke smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,16 @@ conformance:
 		./internal/scenario/... ./internal/service/...
 	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows' ./internal/service
 
-# Fuzz the /v1/simulate and /v1/index request parsers, one -fuzz run per
-# target for FUZZTIME each. A crasher is written under
-# internal/scenario/testdata/fuzz; check it in with the fix, and it joins
-# the seed corpus every plain `go test` runs.
+# Fuzz the /v1/simulate and /v1/index request parsers and the grid
+# substitution behind sweeps and the CLI's body rewrites, one -fuzz run per
+# target for FUZZTIME each. A crasher is written under the package's
+# testdata/fuzz; check it in with the fix, and it joins the seed corpus
+# every plain `go test` runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndexRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzSetPath$$' -fuzztime $(FUZZTIME) ./pkg/api
 
 # Engine replication benchmark at parallelism 1/4/max, rendered as
 # machine-readable BENCH_engine.json for the performance trajectory.
@@ -47,16 +49,6 @@ bench:
 	@rm -f bench_engine.out
 	@echo wrote BENCH_engine.json
 
-# Policy-service index-cache benchmark (cold compute vs warm sharded-cache
-# hit on a bandit /v1/index request), rendered as BENCH_service.json. The warm path must be
-# at least 10x faster than the cold path.
-bench-service:
-	$(GO) test -run '^$$' -bench BenchmarkServiceIndexCache -benchmem -cpu 1 . > bench_service.out
-	@cat bench_service.out
-	$(GO) run ./cmd/bench2json < bench_service.out > BENCH_service.json
-	@rm -f bench_service.out
-	@echo wrote BENCH_service.json
-
 # Simulate-path benchmark: every registered scenario kind through
 # /v1/simulate, cold (computing) and warm (cached bytes), rendered as
 # BENCH_simulate.json so the simulate path is tracked like the engine and
@@ -67,17 +59,6 @@ bench-simulate:
 	$(GO) run ./cmd/bench2json < bench_simulate.out > BENCH_simulate.json
 	@rm -f bench_simulate.out
 	@echo wrote BENCH_simulate.json
-
-# Batching benchmark: N warm index calls as N single HTTP round trips
-# through pkg/client vs one POST /v1/batch carrying all N, rendered as
-# BENCH_batch.json. The batch must amortize per-call transport overhead
-# (batch faster per op than the N singles).
-bench-batch:
-	$(GO) test -run '^$$' -bench BenchmarkBatchVsSingle -benchmem -cpu 1 . > bench_batch.out
-	@cat bench_batch.out
-	$(GO) run ./cmd/bench2json < bench_batch.out > BENCH_batch.json
-	@rm -f bench_batch.out
-	@echo wrote BENCH_batch.json
 
 # Adaptive-precision benchmark: per kind, the conservative fixed budget a
 # user would provision for ±1% CI95 versus target-precision mode stopping
@@ -114,12 +95,6 @@ bench-cluster:
 bench-check:
 	./scripts/bench_delta.sh
 
-# Loadgen smoke: start a real daemon and soak it through `stochsched
-# loadgen -check` — zero non-429 errors and populated /v1/stats latency
-# histograms required. LOADGEN_DURATION overrides the 30s default.
-loadgen-smoke:
-	./scripts/loadgen_smoke.sh
-
 # End-to-end smoke of the stochschedd HTTP server: build, start, curl every
 # endpoint against golden bodies, verify cache hits, sweep submit/poll/
 # stream against golden rows, and cross-parallelism determinism of both
@@ -152,4 +127,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test race conformance fuzz smoke cluster-smoke docs-check bench-check loadgen-smoke
+ci: build vet fmt-check test race conformance fuzz smoke cluster-smoke docs-check bench-check

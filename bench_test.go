@@ -119,9 +119,8 @@ func serviceGittinsBody(n int, delta float64) string {
 // BenchmarkServiceIndexCache measures the policy service's Gittins index
 // on a 30-state project along its two paths: "cold" defeats the cache with
 // a fresh spec every iteration (full index computation), "warm" repeats one
-// spec (sharded-cache lookup serving memoized bytes). The acceptance bar
-// for the serving layer is warm ≥ 10× faster than cold; `make bench-service`
-// renders the measurements as BENCH_service.json.
+// spec (sharded-cache lookup serving memoized bytes). No baseline gates
+// it; run it with `go test -run '^$' -bench BenchmarkServiceIndexCache .`.
 func BenchmarkServiceIndexCache(b *testing.B) {
 	run := func(b *testing.B, body func(i int) string) {
 		h := service.New(service.Config{}).Handler()
@@ -193,8 +192,8 @@ func BenchmarkSimulate(b *testing.B) {
 // specs are small (the realistic high-traffic shape: many cheap index
 // queries) and pre-warmed, so both variants measure per-call transport and
 // cache-lookup overhead — exactly the cost batching exists to amortize.
-// `make bench-batch` renders the measurements as BENCH_batch.json; the
-// acceptance bar is batch beating singles per op.
+// No baseline gates it; run it with
+// `go test -run '^$' -bench BenchmarkBatchVsSingle .`.
 func BenchmarkBatchVsSingle(b *testing.B) {
 	const n = 16
 	srv := httptest.NewServer(service.New(service.Config{}).Handler())

@@ -24,22 +24,15 @@
 //	stochsched sweep -f request.json
 //	stochsched sweep -f request.json -ndjson   # raw result rows
 //
-// The simulate and scenarios subcommands resolve the same scenario
-// registry the daemon serves — simulate drives one /v1/simulate body
-// through pkg/client against an in-process service handler
-// (byte-identical to the HTTP response), scenarios lists the registered
-// kinds with their sweep policy paths and index families:
+// The simulate, index and scenarios subcommands resolve the same scenario
+// registry the daemon serves — simulate and index drive one /v1/simulate
+// or /v1/index body through pkg/client against an in-process service
+// handler (byte-identical to the HTTP response), scenarios lists the
+// registered kinds with their sweep policy paths and index families:
 //
 //	stochsched simulate -f request.json
+//	stochsched index -f request.json
 //	stochsched scenarios
-//
-// The loadgen subcommand soaks a daemon (or an in-process service) through
-// the Go SDK with a weighted index/simulate/batch mix and reports latency
-// quantiles from both sides — the client's measurements and the server's
-// /v1/stats histograms:
-//
-//	stochsched loadgen -rps 100 -concurrency 8 -duration 30s
-//	stochsched loadgen -addr http://localhost:8080 -mix index=2,batch=1
 //
 // The trace subcommand renders the span tree of one request — either a
 // request already served (by the X-Request-Id its response carried) or a
@@ -70,8 +63,8 @@ func main() {
 			os.Exit(runSimulate(os.Args[2:]))
 		case "scenarios":
 			os.Exit(runScenarios(os.Args[2:]))
-		case "loadgen":
-			os.Exit(runLoadgen(os.Args[2:]))
+		case "index":
+			os.Exit(runIndex(os.Args[2:], os.Stdout))
 		case "trace":
 			os.Exit(runTrace(os.Args[2:]))
 		}

@@ -71,26 +71,6 @@ func bernoulliPrefersArm(a, b int, beta, lambda float64, depth int) bool {
 	return prev[0] > retire+1e-13
 }
 
-// BernoulliIndexTable computes indices for all states with a+b ≤ maxTotal,
-// returned as table[a][b] (zero entries where undefined).
-func BernoulliIndexTable(maxTotal int, beta float64, depth int) ([][]float64, error) {
-	table := make([][]float64, maxTotal+1)
-	for a := 1; a <= maxTotal; a++ {
-		table[a] = make([]float64, maxTotal+1)
-		for b := 1; a+b <= maxTotal; b++ {
-			v, err := BernoulliIndex(a, b, beta, depth)
-			if err != nil {
-				return nil, err
-			}
-			table[a][b] = v
-		}
-	}
-	if maxTotal >= 0 && len(table) > 0 && table[0] == nil {
-		table[0] = make([]float64, maxTotal+1)
-	}
-	return table, nil
-}
-
 // BernoulliMean returns the posterior mean a/(a+b), the myopic (greedy)
 // index for comparison.
 func BernoulliMean(a, b int) float64 {

@@ -69,20 +69,6 @@ func TestBernoulliExplorationShrinksWithEvidence(t *testing.T) {
 	}
 }
 
-func TestBernoulliIndexTable(t *testing.T) {
-	table, err := BernoulliIndexTable(6, 0.8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table[2][3] <= 0 || table[2][3] >= 1 {
-		t.Fatalf("table[2][3] = %v", table[2][3])
-	}
-	// Rows increasing in a for fixed b.
-	if !(table[3][2] > table[2][2]) {
-		t.Fatalf("table not monotone in a: %v vs %v", table[3][2], table[2][2])
-	}
-}
-
 func TestBernoulliValidation(t *testing.T) {
 	if _, err := BernoulliIndex(0, 1, 0.9, 100); err == nil {
 		t.Error("a=0 accepted")

@@ -1,12 +1,13 @@
 package bandit
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"context"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func randomBandit(nProj, maxStates int, s *rng.Stream) *Bandit {
@@ -95,8 +96,8 @@ func TestSimulationMatchesPolicyValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := make([]int, len(b.Projects))
-	est, err := EstimateDiscounted(context.Background(), engine.NewPool(0), b, pol, start, 4000, s.Split())
-	if err != nil {
+	var est stats.Running
+	if err := EstimateDiscountedInto(context.Background(), engine.NewPool(0), b, pol, start, 4000, s.Split(), &est); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.Mean()-exact[0]) > 4*est.CI95() {

@@ -39,22 +39,12 @@ func SimulateDiscounted(b *Bandit, pol Policy, start []int, tol float64, s *rng.
 	}
 }
 
-// EstimateDiscounted aggregates independent replications of
-// SimulateDiscounted on the pool. Replications run concurrently (the
-// policy must be safe for concurrent read-only use, which every index
-// policy is), and the aggregate is byte-identical for a given seed at any
-// parallelism level.
-func EstimateDiscounted(ctx context.Context, p *engine.Pool, b *Bandit, pol Policy, start []int, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateDiscountedInto(ctx, p, b, pol, start, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateDiscountedInto folds reps further replications into out,
-// continuing s's substream sequence — the accumulation form the adaptive
-// (target-precision) rounds use.
+// EstimateDiscountedInto folds reps further independent replications of
+// SimulateDiscounted into out, continuing s's substream sequence — the
+// accumulation form the adaptive (target-precision) rounds use.
+// Replications run concurrently on the pool (the policy must be safe for
+// concurrent read-only use, which every index policy is), and the aggregate
+// is byte-identical for a given seed at any parallelism level.
 func EstimateDiscountedInto(ctx context.Context, p *engine.Pool, b *Bandit, pol Policy, start []int, reps int, s *rng.Stream, out *stats.Running) error {
 	return engine.ReplicateInto(ctx, p, 0, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {

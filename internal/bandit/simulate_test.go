@@ -7,6 +7,7 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func TestSimulateDiscountedBounded(t *testing.T) {
@@ -42,8 +43,8 @@ func TestEstimateDiscountedMatchesPolicyValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := make([]int, len(b.Projects))
-	est, err := EstimateDiscounted(context.Background(), engine.NewPool(4), b, pol, start, 6000, s.Split())
-	if err != nil {
+	var est stats.Running
+	if err := EstimateDiscountedInto(context.Background(), engine.NewPool(4), b, pol, start, 6000, s.Split(), &est); err != nil {
 		t.Fatal(err)
 	}
 	if est.N() != 6000 {
@@ -61,8 +62,8 @@ func TestEstimateDiscountedDeterministicAcrossParallelism(t *testing.T) {
 	start := make([]int, len(b.Projects))
 	var want [2]uint64
 	for i, par := range []int{1, 8} {
-		est, err := EstimateDiscounted(context.Background(), engine.NewPool(par), b, pol, start, 400, rng.New(23))
-		if err != nil {
+		var est stats.Running
+		if err := EstimateDiscountedInto(context.Background(), engine.NewPool(par), b, pol, start, 400, rng.New(23), &est); err != nil {
 			t.Fatal(err)
 		}
 		got := [2]uint64{math.Float64bits(est.Mean()), math.Float64bits(est.Var())}
@@ -80,7 +81,8 @@ func TestEstimateDiscountedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := make([]int, len(b.Projects))
-	if _, err := EstimateDiscounted(ctx, engine.NewPool(2), b, GreedyPolicy(b), start, 100, s.Split()); err == nil {
+	var est stats.Running
+	if err := EstimateDiscountedInto(ctx, engine.NewPool(2), b, GreedyPolicy(b), start, 100, s.Split(), &est); err == nil {
 		t.Fatal("cancelled estimate reported no error")
 	}
 }

@@ -25,13 +25,6 @@ const (
 	Makespan
 )
 
-func (o Objective) String() string {
-	if o == Flowtime {
-		return "flowtime"
-	}
-	return "makespan"
-}
-
 // ExpOptimalDP computes, by dynamic programming over subsets of uncompleted
 // jobs, the minimal expected objective for jobs with exponential rates on m
 // identical machines, over all nonanticipative policies (preemptive or not —

@@ -50,24 +50,16 @@ func getMachineHeap(m int) *machineHeap {
 	return h
 }
 
-// SimulateParallel runs one replication of a list policy on in.Machines
+// simulateList runs one replication of a list policy on in.Machines
 // identical machines: whenever a machine frees, the next unstarted job in
-// order o begins there. Returns the realized objectives.
+// order o begins there. Returns the realized objectives. The order must be
+// valid; estimators validate it once per estimate rather than once per
+// replication.
 //
 // For nonpreemptive scheduling of a fixed batch this list mechanism is the
 // standard dynamic implementation of SEPT/LEPT/WSEPT: the order is computed
 // from the distributions up front, and jobs are dispatched as capacity
 // becomes available.
-func SimulateParallel(in *Instance, o Order, s *rng.Stream) ParallelResult {
-	if !validOrder(o, len(in.Jobs)) {
-		panic("batch: invalid order")
-	}
-	return simulateList(in, o, s)
-}
-
-// simulateList is SimulateParallel after order validation — the replication
-// hot path, which validates the shared order once per estimate rather than
-// once per replication.
 func simulateList(in *Instance, o Order, s *rng.Stream) ParallelResult {
 	hp := getMachineHeap(in.Machines)
 	defer heapScratch.Put(hp)

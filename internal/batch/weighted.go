@@ -1,20 +1,16 @@
 package batch
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
-
-	"stochsched/internal/engine"
-	"stochsched/internal/rng"
 )
 
-// Weighted-flowtime extensions of the exponential-case DP, plus a uniform-
-// machines simulator. For a single machine the wµ rule (the exponential
-// instance of Smith's ratio) is optimal; on parallel machines it is optimal
-// under agreeability conditions (Kämpke) and near-optimal in general — the
-// ablation measured by experiment E24.
+// Weighted-flowtime extensions of the exponential-case DP. For a single
+// machine the wµ rule (the exponential instance of Smith's ratio) is
+// optimal; on parallel machines it is optimal under agreeability conditions
+// (Kämpke) and near-optimal in general — the ablation measured by
+// experiment E24.
 
 // ExpOptimalWeightedDP computes the minimal E[Σ w_j C_j] for exponential
 // jobs with the given rates and weights on m identical machines, by subset
@@ -126,67 +122,4 @@ func WMuOrder(rates, weights []float64) Order {
 		return weights[o[a]]*rates[o[a]] > weights[o[b]]*rates[o[b]]
 	})
 	return o
-}
-
-// ---------------------------------------------------------------------------
-// Uniform machines, simulated
-
-// UniformInstance is a batch instance on machines with speed factors: a job
-// with sampled work x occupies machine i for x / Speeds[i].
-type UniformInstance struct {
-	Jobs   []Job
-	Speeds []float64
-}
-
-// SimulateUniformList runs one replication of a list policy on uniform
-// machines: when any machine frees, the next job in order starts on the
-// fastest free machine. Returns realized flowtime, weighted flowtime and
-// makespan.
-func SimulateUniformList(in *UniformInstance, o Order, s *rng.Stream) ParallelResult {
-	if !validOrder(o, len(in.Jobs)) {
-		panic("batch: invalid order")
-	}
-	m := len(in.Speeds)
-	free := make([]float64, m) // time each machine becomes free
-	var res ParallelResult
-	for _, idx := range o {
-		// Earliest-free machine; among ties prefer the fastest.
-		best := 0
-		for i := 1; i < m; i++ {
-			if free[i] < free[best]-1e-15 ||
-				(free[i] <= free[best]+1e-15 && in.Speeds[i] > in.Speeds[best]) {
-				best = i
-			}
-		}
-		work := in.Jobs[idx].Dist.Sample(s)
-		done := free[best] + work/in.Speeds[best]
-		free[best] = done
-		res.Flowtime += done
-		res.WeightedFlowtime += in.Jobs[idx].Weight * done
-		if done > res.Makespan {
-			res.Makespan = done
-		}
-	}
-	return res
-}
-
-// EstimateUniformList aggregates replications of SimulateUniformList on
-// the pool, byte-identical for a given seed at any parallelism level. The
-// only possible error is cancellation of ctx.
-func EstimateUniformList(ctx context.Context, p *engine.Pool, in *UniformInstance, o Order, reps int, s *rng.Stream) (*ParallelEstimate, error) {
-	var est ParallelEstimate
-	err := engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (ParallelResult, error) {
-			return SimulateUniformList(in, o, sub), nil
-		},
-		func(_ int, r ParallelResult) error {
-			est.Flowtime.Add(r.Flowtime)
-			est.WeightedFlowtime.Add(r.WeightedFlowtime)
-			est.Makespan.Add(r.Makespan)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &est, nil
 }

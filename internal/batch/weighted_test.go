@@ -1,12 +1,10 @@
 package batch
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 )
 
@@ -102,57 +100,6 @@ func TestWeightedSimulationMatchesDP(t *testing.T) {
 	est := mustEstimateParallel(t, in, o, 40000, s)
 	if math.Abs(est.WeightedFlowtime.Mean()-exact) > 4*est.WeightedFlowtime.CI95() {
 		t.Fatalf("simulated %v (±%v), exact %v", est.WeightedFlowtime.Mean(), est.WeightedFlowtime.CI95(), exact)
-	}
-}
-
-func TestUniformListSimulation(t *testing.T) {
-	// Deterministic check: speeds (2, 1), jobs with work 4 and 4:
-	// first job on fast machine done at 2; second on slow done at 4.
-	in := &UniformInstance{
-		Jobs: []Job{
-			{ID: 0, Weight: 1, Dist: dist.Deterministic{Value: 4}},
-			{ID: 1, Weight: 1, Dist: dist.Deterministic{Value: 4}},
-		},
-		Speeds: []float64{2, 1},
-	}
-	r := SimulateUniformList(in, Order{0, 1}, rng.New(1))
-	if r.Makespan != 4 || r.Flowtime != 6 {
-		t.Fatalf("uniform sim: makespan %v flowtime %v, want 4 / 6", r.Makespan, r.Flowtime)
-	}
-}
-
-func TestUniformListMatchesIdenticalWhenSpeedsEqual(t *testing.T) {
-	s := rng.New(654)
-	jobs := jobsFromRates(randRates(6, s))
-	o := SEPT(jobs)
-	uni := &UniformInstance{Jobs: jobs, Speeds: []float64{1, 1}}
-	ident := &Instance{Jobs: jobs, Machines: 2}
-	a, err := EstimateUniformList(context.Background(), engine.NewPool(0), uni, o, 20000, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mustEstimateParallel(t, ident, o, 20000, rng.New(77))
-	if math.Abs(a.Flowtime.Mean()-b.Flowtime.Mean()) > 3*(a.Flowtime.CI95()+b.Flowtime.CI95()) {
-		t.Fatalf("unit-speed uniform %v vs identical %v", a.Flowtime.Mean(), b.Flowtime.Mean())
-	}
-}
-
-func TestFasterMachinesHelp(t *testing.T) {
-	s := rng.New(655)
-	jobs := jobsFromRates(randRates(8, s))
-	o := SEPT(jobs)
-	slow := &UniformInstance{Jobs: jobs, Speeds: []float64{1, 0.5}}
-	fast := &UniformInstance{Jobs: jobs, Speeds: []float64{1.5, 1}}
-	a, err := EstimateUniformList(context.Background(), engine.NewPool(0), slow, o, 8000, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EstimateUniformList(context.Background(), engine.NewPool(0), fast, o, 8000, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Makespan.Mean() >= a.Makespan.Mean() {
-		t.Fatalf("faster speeds did not reduce makespan: %v vs %v", b.Makespan.Mean(), a.Makespan.Mean())
 	}
 }
 

@@ -60,11 +60,10 @@ func (e *event) before(o *event) bool {
 // Simulator is a discrete-event simulation clock and event queue. The zero
 // value is ready to use.
 type Simulator struct {
-	now    float64
-	queue  []event // binary min-heap on (time, seq)
-	seq    uint64
-	fired  uint64
-	halted bool
+	now   float64
+	queue []event // binary min-heap on (time, seq)
+	seq   uint64
+	fired uint64
 }
 
 // New returns a fresh simulator at time 0.
@@ -100,9 +99,6 @@ func (s *Simulator) At(t float64, action func()) Handle {
 	return h
 }
 
-// Halt stops Run/RunUntil after the current event completes.
-func (s *Simulator) Halt() { s.halted = true }
-
 // Step executes the next pending event, if any, and reports whether one
 // fired.
 func (s *Simulator) Step() bool {
@@ -117,26 +113,21 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// RunUntil executes events in order until the queue is exhausted, the next
-// event lies beyond horizon, or Halt is called. The clock is left at the
-// horizon if it was reached, else at the last event time.
+// RunUntil executes events in order until the queue is exhausted or the
+// next event lies beyond horizon. The clock is left at the horizon if it
+// was reached, else at the last event time.
 func (s *Simulator) RunUntil(horizon float64) {
-	s.halted = false
-	for !s.halted {
-		if len(s.queue) == 0 || s.queue[0].time > horizon {
-			if s.now < horizon {
-				s.now = horizon
-			}
-			return
-		}
+	for len(s.queue) > 0 && s.queue[0].time <= horizon {
 		s.Step()
+	}
+	if s.now < horizon {
+		s.now = horizon
 	}
 }
 
-// Run executes all pending events until the queue drains or Halt is called.
+// Run executes all pending events until the queue drains.
 func (s *Simulator) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 }
 

@@ -189,27 +189,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("fired %d events after halt, want 3", count)
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("resume fired %d total, want 10", count)
-	}
-}
-
 func TestSchedulingPastPanics(t *testing.T) {
 	s := New()
 	s.At(5, func() {

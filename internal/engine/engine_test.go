@@ -222,18 +222,18 @@ func TestNestedPoolSharedAcrossLevels(t *testing.T) {
 	// replication loop on the same pool. Saturated slots fall back to
 	// inline execution, so this must complete and stay deterministic.
 	p := NewPool(4)
-	run := func() [2]uint64 {
+	run := func() [6][2]uint64 {
 		outer, err := Map(context.Background(), p, 6, func(ctx context.Context, i int) (*stats.Running, error) {
 			return Replicate(ctx, p, 100, rng.New(uint64(i)+1), simWork)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var total stats.Running
-		for _, r := range outer {
-			total.Merge(r)
+		var bits [6][2]uint64
+		for i, r := range outer {
+			bits[i] = runningBits(r)
 		}
-		return runningBits(&total)
+		return bits
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("nested runs disagree: %v vs %v", a, b)

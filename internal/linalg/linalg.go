@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra kernel the
 // scheduling library needs: matrix/vector arithmetic, LU factorization with
-// partial pivoting, linear solves, and inverses.
+// partial pivoting, and linear solves.
 //
 // Matrices in the models here are tiny (tens to a few hundreds of states), so
 // a straightforward O(n³) dense LU is the right tool; no sparsity or blocking
@@ -10,7 +10,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -65,16 +64,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] += b.Data[i]
-	}
-	return c
-}
-
 // Sub returns m - b.
 func (m *Matrix) Sub(b *Matrix) *Matrix {
 	m.checkSameShape(b)
@@ -90,28 +79,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	c := m.Clone()
 	for i := range c.Data {
 		c.Data[i] *= s
-	}
-	return c
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
-			rowC := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for j, bv := range rowB {
-				rowC[j] += a * bv
-			}
-		}
 	}
 	return c
 }
@@ -150,23 +117,10 @@ func (m *Matrix) checkSameShape(b *Matrix) {
 	}
 }
 
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			fmt.Fprintf(&sb, "% .6g ", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // LU is an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // Factorize computes the LU factorization of the square matrix a. It returns
@@ -181,7 +135,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |entry| in column k at or below row k.
 		p := k
@@ -199,7 +152,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				lu.Data[p*n+j], lu.Data[k*n+j] = lu.Data[k*n+j], lu.Data[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		inv := 1 / lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -213,7 +165,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A x = b for the factorized A.
@@ -245,15 +197,6 @@ func (f *LU) Solve(b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves A x = b directly (one-shot convenience).
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -261,28 +204,6 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns A⁻¹ or an error if A is singular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }
 
 // Dot returns the inner product of a and b.
@@ -295,25 +216,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// NormInf returns max |a_i|.
-func NormInf(a []float64) float64 {
-	m := 0.0
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }

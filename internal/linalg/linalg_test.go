@@ -8,30 +8,6 @@ import (
 	"stochsched/internal/rng"
 )
 
-func TestMulIdentity(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.Mul(Identity(2))
-	for i := range a.Data {
-		if got.Data[i] != a.Data[i] {
-			t.Fatalf("A*I != A: %v vs %v", got.Data, a.Data)
-		}
-	}
-}
-
-func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	c := a.Mul(b)
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("C[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
 func TestSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{3, 5})
@@ -80,32 +56,6 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := a.Mul(inv)
-	id := Identity(2)
-	for i := range prod.Data {
-		if math.Abs(prod.Data[i]-id.Data[i]) > 1e-12 {
-			t.Fatalf("A*A⁻¹ = %v, want identity", prod.Data)
-		}
-	}
-}
-
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{{3, 8}, {4, 6}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-(-14)) > 1e-10 {
-		t.Fatalf("det = %v, want -14", f.Det())
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := a.Transpose()
@@ -122,13 +72,9 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestSubScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	sum := a.Add(b)
-	if sum.At(1, 1) != 12 {
-		t.Fatalf("add wrong: %v", sum.Data)
-	}
 	diff := b.Sub(a)
 	if diff.At(0, 0) != 4 {
 		t.Fatalf("sub wrong: %v", diff.Data)
@@ -143,19 +89,11 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestDotAXPYNorm(t *testing.T) {
+func TestDot(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
 	if Dot(a, b) != 32 {
 		t.Fatalf("dot = %v, want 32", Dot(a, b))
-	}
-	y := []float64{1, 1, 1}
-	AXPY(2, a, y)
-	if y[2] != 7 {
-		t.Fatalf("axpy = %v", y)
-	}
-	if NormInf([]float64{-5, 3}) != 5 {
-		t.Fatal("norminf wrong")
 	}
 }
 
@@ -166,8 +104,8 @@ func TestPanicsOnBadShapes(t *testing.T) {
 		}
 	}()
 	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3)
-	a.Mul(b)
+	b := NewMatrix(3, 2)
+	a.Sub(b)
 }
 
 func BenchmarkSolve50(b *testing.B) {

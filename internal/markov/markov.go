@@ -1,6 +1,5 @@
 // Package markov provides finite Markov-chain analysis: stationary
-// distributions, absorbing-chain quantities, discounted value evaluation, and
-// continuous-time uniformization.
+// distributions, discounted value evaluation, and MDP solvers.
 //
 // The bandit models (Gittins, Whittle) and the Klimov network all reduce to
 // computations on small finite chains; this package is their shared engine.
@@ -11,7 +10,6 @@ import (
 	"math"
 
 	"stochsched/internal/linalg"
-	"stochsched/internal/rng"
 )
 
 // Chain is a finite discrete-time Markov chain with transition matrix P.
@@ -43,12 +41,6 @@ func NewChain(p *linalg.Matrix) (*Chain, error) {
 
 // N returns the number of states.
 func (c *Chain) N() int { return c.P.Rows }
-
-// Step samples the next state from state i.
-func (c *Chain) Step(i int, s *rng.Stream) int {
-	row := c.P.Data[i*c.P.Cols : (i+1)*c.P.Cols]
-	return s.Categorical(row)
-}
 
 // Stationary returns the stationary distribution π with π P = π, Σπ = 1,
 // computed by solving the linear system (replacing one balance equation with
@@ -102,119 +94,6 @@ func (c *Chain) DiscountedValue(r []float64, beta float64) ([]float64, error) {
 		return nil, fmt.Errorf("markov: discounted solve failed: %w", err)
 	}
 	return v, nil
-}
-
-// Absorbing analyzes a chain whose states are partitioned into transient
-// states and absorbing states (P[a][a] = 1). It is created by
-// NewAbsorbing.
-type Absorbing struct {
-	Transient []int // indices of transient states in the original chain
-	N         *linalg.Matrix
-	// N = (I − Q)⁻¹ is the fundamental matrix: N[i][j] is the expected
-	// number of visits to transient state j starting from transient state i.
-}
-
-// NewAbsorbing identifies absorbing states (rows with P[i][i] == 1) and
-// computes the fundamental matrix over the remaining transient states.
-func NewAbsorbing(c *Chain) (*Absorbing, error) {
-	n := c.N()
-	var transient []int
-	for i := 0; i < n; i++ {
-		if math.Abs(c.P.At(i, i)-1) > 1e-12 {
-			transient = append(transient, i)
-		}
-	}
-	if len(transient) == n {
-		return nil, fmt.Errorf("markov: chain has no absorbing states")
-	}
-	t := len(transient)
-	if t == 0 {
-		return &Absorbing{}, nil
-	}
-	q := linalg.NewMatrix(t, t)
-	for a, i := range transient {
-		for b, j := range transient {
-			q.Set(a, b, c.P.At(i, j))
-		}
-	}
-	fund, err := linalg.Inverse(linalg.Identity(t).Sub(q))
-	if err != nil {
-		return nil, fmt.Errorf("markov: fundamental matrix: %w", err)
-	}
-	return &Absorbing{Transient: transient, N: fund}, nil
-}
-
-// ExpectedStepsToAbsorption returns, for each transient state (in the order
-// of Transient), the expected number of steps before absorption.
-func (a *Absorbing) ExpectedStepsToAbsorption() []float64 {
-	t := len(a.Transient)
-	out := make([]float64, t)
-	for i := 0; i < t; i++ {
-		s := 0.0
-		for j := 0; j < t; j++ {
-			s += a.N.At(i, j)
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// CTMC is a continuous-time Markov chain given by a generator matrix Q
-// (off-diagonal rates, rows summing to zero).
-type CTMC struct {
-	Q *linalg.Matrix
-}
-
-// NewCTMC validates the generator: nonnegative off-diagonals, rows summing
-// to ~0.
-func NewCTMC(q *linalg.Matrix) (*CTMC, error) {
-	if q.Rows != q.Cols {
-		return nil, fmt.Errorf("markov: generator must be square")
-	}
-	for i := 0; i < q.Rows; i++ {
-		sum := 0.0
-		for j := 0; j < q.Cols; j++ {
-			v := q.At(i, j)
-			if i != j && v < -1e-12 {
-				return nil, fmt.Errorf("markov: negative rate Q[%d][%d] = %v", i, j, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum) > 1e-9 {
-			return nil, fmt.Errorf("markov: generator row %d sums to %v, want 0", i, sum)
-		}
-	}
-	return &CTMC{Q: q.Clone()}, nil
-}
-
-// Uniformize converts the CTMC into a DTMC via uniformization with rate
-// Λ ≥ max_i |Q[i][i]|: P = I + Q/Λ. It returns the DTMC and the rate used.
-func (c *CTMC) Uniformize() (*Chain, float64, error) {
-	lambda := 0.0
-	for i := 0; i < c.Q.Rows; i++ {
-		if v := -c.Q.At(i, i); v > lambda {
-			lambda = v
-		}
-	}
-	if lambda == 0 {
-		lambda = 1 // all-absorbing generator
-	}
-	p := linalg.Identity(c.Q.Rows).Add(c.Q.Scale(1 / lambda))
-	ch, err := NewChain(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ch, lambda, nil
-}
-
-// Stationary returns the stationary distribution of the CTMC (πQ = 0,
-// Σπ = 1) via uniformization.
-func (c *CTMC) Stationary() ([]float64, error) {
-	ch, _, err := c.Uniformize()
-	if err != nil {
-		return nil, err
-	}
-	return ch.Stationary()
 }
 
 // ValueIteration computes the optimal value function of a finite

@@ -96,22 +96,6 @@ func TestStationaryIsFixedPoint(t *testing.T) {
 	}
 }
 
-func TestStepFrequencies(t *testing.T) {
-	c := twoState(0.3, 0.1)
-	s := rng.New(42)
-	const n = 200000
-	visits := [2]int{}
-	state := 0
-	for i := 0; i < n; i++ {
-		state = c.Step(state, s)
-		visits[state]++
-	}
-	frac1 := float64(visits[1]) / n
-	if math.Abs(frac1-0.75) > 0.01 {
-		t.Fatalf("long-run fraction in state 1 = %v, want 0.75", frac1)
-	}
-}
-
 func TestDiscountedValueConstantReward(t *testing.T) {
 	// With r ≡ 1, v = 1/(1-β) from every state.
 	c := twoState(0.4, 0.2)
@@ -154,76 +138,6 @@ func TestDiscountedValidation(t *testing.T) {
 	}
 	if _, err := c.DiscountedValue([]float64{1, 1}, 1.0); err == nil {
 		t.Error("beta = 1 accepted")
-	}
-}
-
-func TestAbsorbingGamblersRuin(t *testing.T) {
-	// States 0..4; 0 and 4 absorbing, fair coin between.
-	m := linalg.FromRows([][]float64{
-		{1, 0, 0, 0, 0},
-		{0.5, 0, 0.5, 0, 0},
-		{0, 0.5, 0, 0.5, 0},
-		{0, 0, 0.5, 0, 0.5},
-		{0, 0, 0, 0, 1},
-	})
-	c, err := NewChain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := NewAbsorbing(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(abs.Transient) != 3 {
-		t.Fatalf("transient states = %v", abs.Transient)
-	}
-	steps := abs.ExpectedStepsToAbsorption()
-	// Known: expected steps from i is i*(4-i): 3, 4, 3.
-	want := []float64{3, 4, 3}
-	for i := range want {
-		if math.Abs(steps[i]-want[i]) > 1e-9 {
-			t.Fatalf("steps = %v, want %v", steps, want)
-		}
-	}
-}
-
-func TestAbsorbingNoAbsorbing(t *testing.T) {
-	c := twoState(0.5, 0.5)
-	if _, err := NewAbsorbing(c); err == nil {
-		t.Error("chain without absorbing states accepted")
-	}
-}
-
-func TestCTMCStationaryBirthDeath(t *testing.T) {
-	// M/M/1/2 with λ=1, µ=2: π ∝ (1, ρ, ρ²), ρ=0.5.
-	q := linalg.FromRows([][]float64{
-		{-1, 1, 0},
-		{2, -3, 1},
-		{0, 2, -2},
-	})
-	c, err := NewCTMC(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := c.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := 1 + 0.5 + 0.25
-	want := []float64{1 / z, 0.5 / z, 0.25 / z}
-	for i := range want {
-		if math.Abs(pi[i]-want[i]) > 1e-9 {
-			t.Fatalf("π = %v, want %v", pi, want)
-		}
-	}
-}
-
-func TestCTMCValidation(t *testing.T) {
-	if _, err := NewCTMC(linalg.FromRows([][]float64{{-1, 0.5}, {1, -1}})); err == nil {
-		t.Error("non-conservative generator accepted")
-	}
-	if _, err := NewCTMC(linalg.FromRows([][]float64{{1, -1}, {1, -1}})); err == nil {
-		t.Error("negative off-diagonal accepted")
 	}
 }
 

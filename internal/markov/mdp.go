@@ -121,17 +121,6 @@ func (m *MDP) simulateAverage(choose ActionChooser, start, horizon, burnin int, 
 	return total / float64(horizon-burnin), nil
 }
 
-// Replicate aggregates independent replications of simulateAverage on the
-// pool: per-replication substreams, replication-order fold, byte-identical
-// for a given seed at any parallelism level.
-func (m *MDP) Replicate(ctx context.Context, p *engine.Pool, choose ActionChooser, start, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := m.ReplicateInto(ctx, p, choose, start, horizon, burnin, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // ReplicateInto folds reps further replications into out, continuing s's
 // substream sequence — the accumulation form the adaptive rounds use.
 func (m *MDP) ReplicateInto(ctx context.Context, p *engine.Pool, choose ActionChooser, start, horizon, burnin, reps int, s *rng.Stream, out *stats.Running) error {

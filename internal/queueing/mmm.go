@@ -8,7 +8,6 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Multiclass M/M/m: m identical exponential servers shared by N classes
@@ -232,24 +231,11 @@ func (m *MMm) ExactPriority(order []int) (wq []float64, l []float64, err error) 
 	return wq, l, nil
 }
 
-// Replicate aggregates independent replications of Simulate (or, with a
-// nil order, SimulateFIFO) on the pool. Each replication draws from its
-// own substream and the per-class statistics are folded in replication
-// order, so the result is byte-identical for a given seed at any
-// parallelism level. The Wq accumulators stay empty: the M/M/m simulator
-// tracks time-average occupancy, not per-job waits.
-func (m *MMm) Replicate(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
-	n := len(m.Classes)
-	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-	if err := m.ReplicateInto(ctx, p, order, horizon, burnin, reps, s, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReplicateInto folds reps further replications into out, continuing s's
-// substream sequence — see MG1.ReplicateInto for the accumulation
-// contract the adaptive rounds rely on.
+// ReplicateInto folds reps further independent replications of Simulate
+// (or, with a nil order, SimulateFIFO) into out, continuing s's substream
+// sequence — see MG1.ReplicateInto for the accumulation contract the
+// adaptive rounds rely on. The Wq accumulators are left untouched: the
+// M/M/m simulator tracks time-average occupancy, not per-job waits.
 func (m *MMm) ReplicateInto(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
 	n := len(m.Classes)
 	return engine.ReplicateReduce(ctx, p, reps, s,

@@ -7,7 +7,19 @@ import (
 
 	"stochsched/internal/dist"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
+
+// replicateMMm folds reps replications into a fresh result through
+// ReplicateInto.
+func replicateMMm(t *testing.T, m *MMm, order []int, horizon, burnin float64, reps int, s *rng.Stream) *ReplicatedResult {
+	t.Helper()
+	out := &ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
+	if err := m.ReplicateInto(context.Background(), nil, order, horizon, burnin, reps, s, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func mmmSystem(scale float64) *MMm {
 	// 3 servers, 2 classes; scale sweeps the load toward heavy traffic.
@@ -125,10 +137,7 @@ func TestMMmExactPriorityMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := m.HoldingCostRate(l)
-	rep, err := m.Replicate(context.Background(), nil, order, 30000, 3000, 8, rng.New(1303))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replicateMMm(t, m, order, 30000, 3000, 8, rng.New(1303))
 	if got := rep.CostRate.Mean(); math.Abs(got-exact) > 0.05*exact {
 		t.Errorf("simulated cµ cost %v, Cobham multiserver exact %v", got, exact)
 	}
@@ -168,14 +177,8 @@ func TestMMmExactPriorityOneServerIsCobham(t *testing.T) {
 // prioritizing by cµ must not cost more than FIFO.
 func TestMMmFIFO(t *testing.T) {
 	m := mmmSystem(1)
-	fifo, err := m.Replicate(context.Background(), nil, nil, 20000, 2000, 6, rng.New(1304))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmu, err := m.Replicate(context.Background(), nil, m.CMuOrder(), 20000, 2000, 6, rng.New(1304))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fifo := replicateMMm(t, m, nil, 20000, 2000, 6, rng.New(1304))
+	cmu := replicateMMm(t, m, m.CMuOrder(), 20000, 2000, 6, rng.New(1304))
 	if cmu.CostRate.Mean() > fifo.CostRate.Mean() {
 		t.Errorf("cµ cost %v above FIFO cost %v", cmu.CostRate.Mean(), fifo.CostRate.Mean())
 	}

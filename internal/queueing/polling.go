@@ -33,19 +33,6 @@ const (
 	Limited1
 )
 
-func (r PollingRegime) String() string {
-	switch r {
-	case Exhaustive:
-		return "exhaustive"
-	case Gated:
-		return "gated"
-	case Limited1:
-		return "1-limited"
-	default:
-		return fmt.Sprintf("PollingRegime(%d)", int(r))
-	}
-}
-
 // Polling is a cyclic polling system.
 type Polling struct {
 	Queues []Class

@@ -3,11 +3,10 @@ package queueing
 // Engine-backed replication for the network and polling models, mirroring
 // MG1.Replicate: per-replication substreams, replication-order folds,
 // byte-identical results for a given seed at any parallelism level. Each
-// model also exposes a ReplicateInto variant folding into caller-owned
-// accumulators — repeated calls sharing the source stream and the
-// accumulator are bitwise-equal to one call with the summed count, which
-// is what lets the adaptive (target-precision) rounds stop anywhere on
-// the fixed-budget trajectory.
+// model's ReplicateInto folds into caller-owned accumulators — repeated
+// calls sharing the source stream and the accumulator are bitwise-equal to
+// one call with the summed count, which is what lets the adaptive
+// (target-precision) rounds stop anywhere on the fixed-budget trajectory.
 
 import (
 	"context"
@@ -52,20 +51,9 @@ func (nw *Network) ReplicateInto(ctx context.Context, p *engine.Pool, pol *Netwo
 		})
 }
 
-// Replicate aggregates independent replications of Simulate on the pool,
-// reusing ReplicatedResult (the polling per-replication result has the
-// same shape as the M/G/1 one).
-func (p *Polling) Replicate(ctx context.Context, pool *engine.Pool, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
-	n := len(p.Queues)
-	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-	if err := p.ReplicateInto(ctx, pool, horizon, burnin, reps, s, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReplicateInto folds reps further replications into out, continuing s's
-// substream sequence.
+// ReplicateInto folds reps further replications of Simulate into out,
+// continuing s's substream sequence. Polling reuses ReplicatedResult: its
+// per-replication result has the same shape as the M/G/1 one.
 func (p *Polling) ReplicateInto(ctx context.Context, pool *engine.Pool, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
 	n := len(p.Queues)
 	return engine.ReplicateReduce(ctx, pool, reps, s,

@@ -276,72 +276,6 @@ func (s *Stream) Norm() float64 {
 	}
 }
 
-// Gamma returns a gamma variate with the given shape and scale
-// (mean shape*scale). It panics if shape <= 0 or scale <= 0.
-// Marsaglia–Tsang for shape >= 1; boosting for shape < 1.
-func (s *Stream) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Gamma with nonpositive parameter")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}
-		u := s.Float64Open()
-		return s.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := s.Norm()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := s.Float64Open()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// Beta returns a beta(a, b) variate via the two-gamma construction.
-func (s *Stream) Beta(a, b float64) float64 {
-	x := s.Gamma(a, 1)
-	y := s.Gamma(b, 1)
-	return x / (x + y)
-}
-
-// Poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth multiplication; for large means, the PTRS transformed-rejection
-// method would be overkill here, so a normal approximation with continuity
-// correction is used beyond mean 500 (adequate for workload generation).
-func (s *Stream) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 500 {
-		k := int(math.Round(mean + math.Sqrt(mean)*s.Norm()))
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	k := 0
-	for p > limit {
-		p *= s.Float64Open()
-		k++
-	}
-	return k - 1
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)

@@ -133,61 +133,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestGammaMoments(t *testing.T) {
-	s := New(10)
-	for _, shape := range []float64{0.5, 1, 2.5, 9} {
-		const scale, n = 1.5, 100000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += s.Gamma(shape, scale)
-		}
-		mean := sum / n
-		want := shape * scale
-		if math.Abs(mean-want) > 0.05*want+0.02 {
-			t.Fatalf("gamma(shape=%v) mean = %v, want %v", shape, mean, want)
-		}
-	}
-}
-
-func TestBetaRange(t *testing.T) {
-	s := New(11)
-	for i := 0; i < 10000; i++ {
-		b := s.Beta(2, 5)
-		if b <= 0 || b >= 1 {
-			t.Fatalf("beta out of (0,1): %v", b)
-		}
-	}
-}
-
-func TestBetaMean(t *testing.T) {
-	s := New(12)
-	const a, b, n = 2.0, 5.0, 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Beta(a, b)
-	}
-	mean := sum / n
-	want := a / (a + b)
-	if math.Abs(mean-want) > 0.01 {
-		t.Fatalf("beta mean = %v, want %v", mean, want)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	s := New(13)
-	for _, mean := range []float64{0.5, 3, 30} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.02 {
-			t.Fatalf("poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(14)
 	err := quick.Check(func(nRaw uint8) bool {
@@ -248,8 +193,6 @@ func TestPanics(t *testing.T) {
 		{"Uint64n zero", func() { s.Uint64n(0) }},
 		{"Intn zero", func() { s.Intn(0) }},
 		{"Exp nonpositive", func() { s.Exp(0) }},
-		{"Gamma nonpositive", func() { s.Gamma(0, 1) }},
-		{"Poisson negative", func() { s.Poisson(-1) }},
 		{"Categorical all zero", func() { s.Categorical([]float64{0, 0}) }},
 		{"Categorical negative", func() { s.Categorical([]float64{1, -1}) }},
 	}

@@ -85,17 +85,10 @@ func parseFields(body []byte) (fieldSet, error) {
 	if err := dec.Decode(&fields); err != nil {
 		return nil, fmt.Errorf("parsing request: %w", err)
 	}
-	if trailing(dec, body) {
+	if api.Trailing(dec, body) {
 		return nil, fmt.Errorf("parsing request: trailing data after JSON value")
 	}
 	return fields, nil
-}
-
-// trailing reports whether anything but JSON whitespace follows the value
-// dec just decoded from body. Decoder.More alone misses a stray ']' or '}',
-// which it takes for the end of an enclosing value.
-func trailing(dec *json.Decoder, body []byte) bool {
-	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
 }
 
 // pop removes and returns the field named name.
@@ -327,7 +320,7 @@ func DecodeStrict(raw []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parsing request: %w", err)
 	}
-	if trailing(dec, raw) {
+	if api.Trailing(dec, raw) {
 		return fmt.Errorf("parsing request: trailing data after JSON value")
 	}
 	return nil

@@ -1,20 +1,17 @@
 // Package stats provides the streaming estimators used to report simulation
 // results: running moments (Welford), confidence intervals over independent
-// replications, batch means for steady-state time averages, P² quantile
-// estimation, and time-weighted averages for queue-length processes.
+// replications, and time-weighted averages for queue-length processes.
 //
 // Every estimator is order-sensitive in its last floating-point digits,
 // which is why the engine folds observations into them in replication
 // order (see docs/determinism.md): the CI half-widths reported by
 // /v1/simulate responses and sweep comparison rows are Running.CI95 over
-// replication streams fed in index order. Merge supports combining
-// per-replication accumulators without losing that stability.
+// replication streams fed in index order.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates count, mean and variance of a stream of observations
@@ -24,23 +21,11 @@ type Running struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
@@ -62,12 +47,6 @@ func (r *Running) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation seen.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation seen.
-func (r *Running) Max() float64 { return r.max }
 
 // SE returns the standard error of the mean.
 func (r *Running) SE() float64 {
@@ -147,29 +126,6 @@ func normInv(p float64) float64 {
 	}
 }
 
-// Merge folds other into r, as if r had also seen other's observations.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	nA, nB := float64(r.n), float64(other.n)
-	delta := other.mean - r.mean
-	tot := nA + nB
-	r.mean += delta * nB / tot
-	r.m2 += other.m2 + delta*delta*nA*nB/tot
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n += other.n
-}
-
 // String formats mean ± CI95.
 func (r *Running) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", r.Mean(), r.CI95(), r.n)
@@ -213,157 +169,6 @@ func (tw *TimeWeighted) Average(t float64) float64 {
 	}
 	total := tw.integral + tw.lastV*(t-tw.lastT)
 	return total / (t - tw.startT)
-}
-
-// ---------------------------------------------------------------------------
-// Batch means
-
-// BatchMeans estimates the steady-state mean of a correlated stationary
-// sequence by grouping observations into fixed-size batches and treating the
-// batch means as approximately independent.
-type BatchMeans struct {
-	batchSize int
-	current   Running
-	batches   Running
-}
-
-// NewBatchMeans returns an estimator with the given batch size (≥ 1).
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize < 1 {
-		panic("stats: batch size must be >= 1")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add incorporates one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.N() == int64(b.batchSize) {
-		b.batches.Add(b.current.Mean())
-		b.current = Running{}
-	}
-}
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// CI95 returns the CI half-width over completed batches.
-func (b *BatchMeans) CI95() float64 { return b.batches.CI95() }
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int64 { return b.batches.N() }
-
-// ---------------------------------------------------------------------------
-// P² quantile estimation
-
-// P2Quantile estimates a single quantile online with the P² algorithm of
-// Jain and Chlamtac (1985), using five markers and O(1) memory.
-type P2Quantile struct {
-	p       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	desired [5]float64
-	inc     [5]float64
-	initial []float64
-}
-
-// NewP2Quantile returns an estimator for the p-quantile, 0 < p < 1.
-func NewP2Quantile(p float64) *P2Quantile {
-	if p <= 0 || p >= 1 {
-		panic("stats: quantile p must be in (0,1)")
-	}
-	q := &P2Quantile{p: p}
-	q.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q
-}
-
-// Add incorporates one observation.
-func (q *P2Quantile) Add(x float64) {
-	if q.n < 5 {
-		q.initial = append(q.initial, x)
-		q.n++
-		if q.n == 5 {
-			sort.Float64s(q.initial)
-			copy(q.heights[:], q.initial)
-			for i := 0; i < 5; i++ {
-				q.pos[i] = float64(i + 1)
-				q.desired[i] = 1 + 4*q.inc[i]
-			}
-			q.initial = nil
-		}
-		return
-	}
-	q.n++
-	// Locate cell.
-	var k int
-	switch {
-	case x < q.heights[0]:
-		q.heights[0] = x
-		k = 0
-	case x >= q.heights[4]:
-		q.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < q.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		q.pos[i]++
-	}
-	// Desired positions: n' = 1 + (n-1)*marker fraction.
-	for i := 0; i < 5; i++ {
-		q.desired[i] = 1 + float64(q.n-1)*q.inc[i]
-	}
-	// Adjust interior markers.
-	for i := 1; i <= 3; i++ {
-		d := q.desired[i] - q.pos[i]
-		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
-			}
-			h := q.parabolic(i, s)
-			if q.heights[i-1] < h && h < q.heights[i+1] {
-				q.heights[i] = h
-			} else {
-				q.heights[i] = q.linear(i, s)
-			}
-			q.pos[i] += s
-		}
-	}
-}
-
-func (q *P2Quantile) parabolic(i int, d float64) float64 {
-	return q.heights[i] + d/(q.pos[i+1]-q.pos[i-1])*
-		((q.pos[i]-q.pos[i-1]+d)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
-			(q.pos[i+1]-q.pos[i]-d)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
-}
-
-func (q *P2Quantile) linear(i int, d float64) float64 {
-	di := int(d)
-	return q.heights[i] + d*(q.heights[i+di]-q.heights[i])/(q.pos[i+di]-q.pos[i])
-}
-
-// Value returns the current quantile estimate. With fewer than 5
-// observations it falls back to the sample order statistic.
-func (q *P2Quantile) Value() float64 {
-	if q.n == 0 {
-		return math.NaN()
-	}
-	if q.n < 5 {
-		tmp := append([]float64(nil), q.initial...)
-		sort.Float64s(tmp)
-		idx := int(q.p * float64(len(tmp)))
-		if idx >= len(tmp) {
-			idx = len(tmp) - 1
-		}
-		return tmp[idx]
-	}
-	return q.heights[2]
 }
 
 // ---------------------------------------------------------------------------

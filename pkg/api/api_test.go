@@ -118,8 +118,10 @@ func TestSetNumber(t *testing.T) {
 	if doc.Parallel != 8 || doc.Seed != 7 || doc.Kind != "mg1" {
 		t.Errorf("document %+v", doc)
 	}
-	if _, err := SetNumber([]byte(`not json`), "parallel", 8); err == nil {
-		t.Error("invalid document accepted")
+	for _, doc := range []string{`not json`, `{"a":1}}`, `{"a":1}]`, `{"a":1} {}`} {
+		if _, err := SetNumber([]byte(doc), "a", 8); err == nil {
+			t.Errorf("invalid document %s accepted", doc)
+		}
 	}
 	if _, err := SetNumber([]byte(`{"a":{"b":1}}`), "a.c.d", 8); err == nil {
 		t.Error("missing intermediate key accepted")

@@ -157,10 +157,17 @@ func decodeTree(base []byte) (any, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("api: parsing base document: %w", err)
 	}
-	if dec.More() {
+	if Trailing(dec, base) {
 		return nil, fmt.Errorf("api: trailing data after base document")
 	}
 	return doc, nil
+}
+
+// Trailing reports whether anything but JSON whitespace follows the value
+// dec just decoded from body. Decoder.More alone misses a stray ']' or '}',
+// which it takes for the end of an enclosing value.
+func Trailing(dec *json.Decoder, body []byte) bool {
+	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
 }
 
 // setPath walks node along segs and substitutes value at the final segment,

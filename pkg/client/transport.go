@@ -8,7 +8,7 @@ import (
 
 // InProcessDoer returns the Doer NewInProcess mounts: h invoked directly,
 // no sockets. Exported for callers that need to wrap the transport (e.g.
-// loadgen's response-header checks) while keeping the in-process path.
+// to inspect response headers) while keeping the in-process path.
 func InProcessDoer(h http.Handler) Doer { return handlerTransport{h} }
 
 // handlerTransport satisfies Doer by invoking an http.Handler directly —

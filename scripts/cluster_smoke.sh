@@ -10,6 +10,9 @@
 #     single-node stream (cells fan out to their ring owners);
 #   * /v1/stats on a ring member reports the cluster block with all three
 #     peers, and /metrics exposes the per-peer forward counters;
+#   * a short concurrent soak (scripts/soak.sh) through every entry point
+#     answers only 200 or 429, always with an X-Request-Id, and populates
+#     every node's /v1/stats latency histograms;
 #   * killing one peer degrades, not breaks: requests to a surviving node
 #     still answer 200 with identical bytes (local fallback);
 #   * a daemon restarted with the same -state-dir answers a previously
@@ -115,6 +118,8 @@ curl -fsS "http://$HOST:$P1/metrics" | grep -q '^stochsched_cluster_forwards_tot
     exit 1
 }
 echo "ok cluster stats and metrics exposed"
+
+./scripts/soak.sh "http://$HOST:$P1" "http://$HOST:$P2" "http://$HOST:$P3"
 
 # --- Degraded mode: kill one peer ---------------------------------------
 # Node 3 dies; nodes 1 and 2 must keep answering every request 200 with

@@ -11,7 +11,10 @@
 #   * a sweep round-trips: submit POST /v1/sweep, poll GET /v1/sweep/{id}
 #     to "done", stream GET /v1/sweep/{id}/results, pin the first and last
 #     NDJSON rows to goldens, and require the whole stream byte-identical
-#     when the daemon is restarted at a different -parallel level.
+#     when the daemon is restarted at a different -parallel level;
+#   * a short concurrent soak (scripts/soak.sh) of index, simulate, batch
+#     and adaptive traffic answers only 200 or 429, always with an
+#     X-Request-Id, and populates the /v1/stats latency histograms.
 #
 # Goldens are floating-point exact and generated on amd64; regenerate with
 #   REGEN=1 scripts/service_smoke.sh
@@ -282,6 +285,8 @@ fi
     exit 1
 }
 echo "ok /v1/sweep crn false"
+
+./scripts/soak.sh "$BASE"
 stop_daemon
 
 # Determinism across parallelism: a fresh daemon at -parallel 8 must return
