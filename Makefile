@@ -19,16 +19,19 @@ race:
 # and all four public endpoints (internal/service), sweep submission's
 # agreement with /v1/simulate, plus the analytic-vs-simulation agreement
 # tests. A named gate so a kind that regresses the registry contract is
-# called out by name in CI. The golden tests then run at GOMAXPROCS 1, 2
+# called out by name in CI. The golden tests and every kind's adaptive
+# (round continuation) and antithetic suites then run at GOMAXPROCS 1, 2
 # and 4: response bytes must not depend on the core count.
 conformance:
 	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestValidateSimulateAgreement|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
 		./internal/scenario/... ./internal/service/...
-	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows' ./internal/service
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows|TestAdaptiveConformance|TestAntitheticConformance' \
+		./internal/scenario ./internal/service
 
-# Fuzz the /v1/simulate and /v1/index request parsers and the grid
-# substitution behind sweeps and the CLI's body rewrites, one -fuzz run per
-# target for FUZZTIME each. A crasher is written under the package's
+# Fuzz the /v1/simulate and /v1/index request parsers, the grid
+# substitution behind sweeps and the CLI's body rewrites, and the state
+# snapshot restore (all of a payload or none of it, no running job), one
+# -fuzz run per target for FUZZTIME each. A crasher is written under the package's
 # testdata/fuzz; check it in with the fix, and it joins the seed corpus
 # every plain `go test` runs.
 FUZZTIME ?= 10s
@@ -36,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndexRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSetPath$$' -fuzztime $(FUZZTIME) ./pkg/api
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/service
 
 # Engine replication benchmark at parallelism 1/4/max, rendered as
 # machine-readable BENCH_engine.json for the performance trajectory.

@@ -7,7 +7,6 @@ import (
 
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 func randomBandit(nProj, maxStates int, s *rng.Stream) *Bandit {
@@ -96,8 +95,8 @@ func TestSimulationMatchesPolicyValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := make([]int, len(b.Projects))
-	var est stats.Running
-	if err := EstimateDiscountedInto(context.Background(), engine.NewPool(0), b, pol, start, 4000, s.Split(), &est); err != nil {
+	est, err := estimateDiscounted(context.Background(), engine.NewPool(0), b, pol, start, 4000, s.Split())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.Mean()-exact[0]) > 4*est.CI95() {

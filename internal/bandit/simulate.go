@@ -1,12 +1,9 @@
 package bandit
 
 import (
-	"context"
 	"math"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // SimulateDiscounted runs one sample path of the bandit under the given
@@ -37,17 +34,4 @@ func SimulateDiscounted(b *Bandit, pol Policy, start []int, tol float64, s *rng.
 		comp[a] = s.Categorical(row)
 		disc *= b.Beta
 	}
-}
-
-// EstimateDiscountedInto folds reps further independent replications of
-// SimulateDiscounted into out, continuing s's substream sequence — the
-// accumulation form the adaptive (target-precision) rounds use.
-// Replications run concurrently on the pool (the policy must be safe for
-// concurrent read-only use, which every index policy is), and the aggregate
-// is byte-identical for a given seed at any parallelism level.
-func EstimateDiscountedInto(ctx context.Context, p *engine.Pool, b *Bandit, pol Policy, start []int, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return SimulateDiscounted(b, pol, start, 1e-9, sub), nil
-		}, out)
 }

@@ -10,6 +10,14 @@ import (
 	"stochsched/internal/stats"
 )
 
+// estimateDiscounted aggregates reps replications of SimulateDiscounted on
+// the pool, one substream of s each, folded in replication order.
+func estimateDiscounted(ctx context.Context, p *engine.Pool, b *Bandit, pol Policy, start []int, reps int, s *rng.Stream) (*stats.Running, error) {
+	return engine.Replicate(ctx, p, reps, s, func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
+		return SimulateDiscounted(b, pol, start, 1e-9, sub), nil
+	})
+}
+
 func TestSimulateDiscountedBounded(t *testing.T) {
 	s := rng.New(901)
 	b := randomBandit(2, 3, s.Split())
@@ -43,8 +51,8 @@ func TestEstimateDiscountedMatchesPolicyValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := make([]int, len(b.Projects))
-	var est stats.Running
-	if err := EstimateDiscountedInto(context.Background(), engine.NewPool(4), b, pol, start, 6000, s.Split(), &est); err != nil {
+	est, err := estimateDiscounted(context.Background(), engine.NewPool(4), b, pol, start, 6000, s.Split())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if est.N() != 6000 {
@@ -62,8 +70,8 @@ func TestEstimateDiscountedDeterministicAcrossParallelism(t *testing.T) {
 	start := make([]int, len(b.Projects))
 	var want [2]uint64
 	for i, par := range []int{1, 8} {
-		var est stats.Running
-		if err := EstimateDiscountedInto(context.Background(), engine.NewPool(par), b, pol, start, 400, rng.New(23), &est); err != nil {
+		est, err := estimateDiscounted(context.Background(), engine.NewPool(par), b, pol, start, 400, rng.New(23))
+		if err != nil {
 			t.Fatal(err)
 		}
 		got := [2]uint64{math.Float64bits(est.Mean()), math.Float64bits(est.Var())}
@@ -81,8 +89,7 @@ func TestEstimateDiscountedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := make([]int, len(b.Projects))
-	var est stats.Running
-	if err := EstimateDiscountedInto(ctx, engine.NewPool(2), b, GreedyPolicy(b), start, 100, s.Split(), &est); err == nil {
+	if _, err := estimateDiscounted(ctx, engine.NewPool(2), b, GreedyPolicy(b), start, 100, s.Split()); err == nil {
 		t.Fatal("cancelled estimate reported no error")
 	}
 }

@@ -109,22 +109,10 @@ func TalwarOrder(jobs []FlowShopJob) Order {
 // on the pool, byte-identical for a given seed at any parallelism level.
 // The only possible error is cancellation of ctx.
 func EstimateFlowShop(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateFlowShopInto(ctx, pool, jobs, o, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateFlowShopInto folds reps further replications into out,
-// continuing s's substream sequence — the accumulation form the adaptive
-// rounds use.
-func EstimateFlowShopInto(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, pool, 0, reps, s,
+	return engine.Replicate(ctx, pool, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			p := SampleFlowShop(jobs, sub)
-			return FlowShopMakespan(p, o), nil
-		}, out)
+			return FlowShopMakespan(SampleFlowShop(jobs, sub), o), nil
+		})
 }
 
 // BestFlowShopOrderCRN estimates the best permutation for expected makespan
@@ -180,15 +168,4 @@ func totalMeanKey(jobs []FlowShopJob) func(int) float64 {
 		}
 		return t
 	}
-}
-
-// EstimateFlowShopBlockingInto folds reps further replications of order
-// o's makespan under the bufferless (blocking) recurrence into out on the
-// pool, continuing s's substream sequence.
-func EstimateFlowShopBlockingInto(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, pool, 0, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			p := SampleFlowShop(jobs, sub)
-			return FlowShopBlockingMakespan(p, o), nil
-		}, out)
 }

@@ -96,6 +96,14 @@ func RandomInstance(n, m int, s *rng.Stream) *Instance {
 // Order is a processing order: a permutation of job indices.
 type Order []int
 
+// MustOrder panics when o is not a permutation of [0, n). List simulators
+// trust their order; callers check it once per estimate.
+func MustOrder(o Order, n int) {
+	if !validOrder(o, n) {
+		panic("batch: invalid order")
+	}
+}
+
 // validOrder reports whether o is a permutation of [0, n).
 func validOrder(o Order, n int) bool {
 	if len(o) != n {

@@ -50,17 +50,17 @@ func getMachineHeap(m int) *machineHeap {
 	return h
 }
 
-// simulateList runs one replication of a list policy on in.Machines
+// SimulateList runs one replication of a list policy on in.Machines
 // identical machines: whenever a machine frees, the next unstarted job in
 // order o begins there. Returns the realized objectives. The order must be
-// valid; estimators validate it once per estimate rather than once per
-// replication.
+// valid (MustOrder); callers check it once per estimate rather than once
+// per replication.
 //
 // For nonpreemptive scheduling of a fixed batch this list mechanism is the
 // standard dynamic implementation of SEPT/LEPT/WSEPT: the order is computed
 // from the distributions up front, and jobs are dispatched as capacity
 // becomes available.
-func simulateList(in *Instance, o Order, s *rng.Stream) ParallelResult {
+func SimulateList(in *Instance, o Order, s *rng.Stream) ParallelResult {
 	hp := getMachineHeap(in.Machines)
 	defer heapScratch.Put(hp)
 	free := *hp // shares hp's backing array; Fix below never changes len
@@ -87,35 +87,29 @@ type ParallelEstimate struct {
 	Makespan         stats.Running
 }
 
+// Add folds one replication's objectives into the estimate.
+func (e *ParallelEstimate) Add(r ParallelResult) {
+	e.Flowtime.Add(r.Flowtime)
+	e.WeightedFlowtime.Add(r.WeightedFlowtime)
+	e.Makespan.Add(r.Makespan)
+}
+
 // EstimateParallel runs reps independent replications of order o on the
 // instance over the pool and returns aggregate statistics for all three
 // objectives, byte-identical for a given seed at any parallelism level.
-// The only possible error is cancellation of ctx.
+// The only possible error is cancellation of ctx. It panics when o is not
+// a permutation of the jobs.
 func EstimateParallel(ctx context.Context, p *engine.Pool, in *Instance, o Order, reps int, s *rng.Stream) (*ParallelEstimate, error) {
+	MustOrder(o, len(in.Jobs))
 	var est ParallelEstimate
-	if err := EstimateParallelInto(ctx, p, in, o, reps, s, &est); err != nil {
+	if err := engine.ReplicateReduce(ctx, p, reps, s,
+		func(_ context.Context, _ int, sub *rng.Stream) (ParallelResult, error) {
+			return SimulateList(in, o, sub), nil
+		},
+		func(_ int, r ParallelResult) error { est.Add(r); return nil }); err != nil {
 		return nil, err
 	}
 	return &est, nil
-}
-
-// EstimateParallelInto folds reps further replications into est,
-// continuing s's substream sequence — the accumulation form the adaptive
-// (target-precision) rounds use.
-func EstimateParallelInto(ctx context.Context, p *engine.Pool, in *Instance, o Order, reps int, s *rng.Stream, est *ParallelEstimate) error {
-	if !validOrder(o, len(in.Jobs)) {
-		panic("batch: invalid order")
-	}
-	return engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (ParallelResult, error) {
-			return simulateList(in, o, sub), nil
-		},
-		func(_ int, r ParallelResult) error {
-			est.Flowtime.Add(r.Flowtime)
-			est.WeightedFlowtime.Add(r.WeightedFlowtime)
-			est.Makespan.Add(r.Makespan)
-			return nil
-		})
 }
 
 // supportOf extracts the finite support of a distribution, when it has one.

@@ -15,7 +15,7 @@ func TestParallelOneMachineMatchesSingle(t *testing.T) {
 	in := RandomInstance(5, 1, s.Split())
 	o := WSEPT(in.Jobs)
 	// Same seed → same samples → identical realized values.
-	r := simulateList(in, o, rng.New(9))
+	r := SimulateList(in, o, rng.New(9))
 	v := SimulateSingleMachine(in.Jobs, o, rng.New(9))
 	if math.Abs(r.WeightedFlowtime-v) > 1e-9 {
 		t.Fatalf("parallel(m=1) %v != single %v", r.WeightedFlowtime, v)
@@ -33,7 +33,7 @@ func TestParallelDeterministicKnown(t *testing.T) {
 		},
 		Machines: 2,
 	}
-	r := simulateList(in, Order{0, 1, 2}, rng.New(1))
+	r := SimulateList(in, Order{0, 1, 2}, rng.New(1))
 	if r.Makespan != 6 {
 		t.Fatalf("makespan = %v, want 6", r.Makespan)
 	}

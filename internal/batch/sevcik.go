@@ -1,14 +1,11 @@
 package batch
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Sevcik's preemptive priority index (Sevcik 1974) generalizes Smith's rule
@@ -152,25 +149,4 @@ func WSEPTDiscrete(jobs []DiscreteJob) Order {
 		plain[i] = Job{ID: j.ID, Weight: j.Weight, Dist: j.Law}
 	}
 	return WSEPT(plain)
-}
-
-// EstimateSevcikInto folds reps further replications of SimulateSevcik
-// (the preemptive Sevcik-index policy) into out on the pool, continuing
-// s's substream sequence — the accumulation form the adaptive rounds use.
-// The fold is byte-identical for a given seed at any parallelism level.
-func EstimateSevcikInto(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return SimulateSevcik(jobs, sub)
-		}, out)
-}
-
-// EstimateWSEPTDiscreteInto folds reps further replications of the
-// nonpreemptive WSEPT baseline into out on the pool, continuing s's
-// substream sequence.
-func EstimateWSEPTDiscreteInto(ctx context.Context, p *engine.Pool, jobs []DiscreteJob, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return SimulateNonpreemptiveWSEPTDiscrete(jobs, sub), nil
-		}, out)
 }

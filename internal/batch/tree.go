@@ -178,21 +178,10 @@ func SimulateTreeMakespan(t *InTree, m int, rate float64, sel TreeSelector, s *r
 // the pool, byte-identical for a given seed at any parallelism level. The
 // only possible error is cancellation of ctx.
 func EstimateTreeMakespan(ctx context.Context, p *engine.Pool, t *InTree, m int, rate float64, sel TreeSelector, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := EstimateTreeMakespanInto(ctx, p, t, m, rate, sel, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateTreeMakespanInto folds reps further replications into out,
-// continuing s's substream sequence — the accumulation form the adaptive
-// rounds use.
-func EstimateTreeMakespanInto(ctx context.Context, p *engine.Pool, t *InTree, m int, rate float64, sel TreeSelector, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
+	return engine.Replicate(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
 			return SimulateTreeMakespan(t, m, rate, sel, sub), nil
-		}, out)
+		})
 }
 
 // TreeOptimalDP computes the exact minimal expected makespan for identical

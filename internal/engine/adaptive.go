@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
 
@@ -76,19 +75,19 @@ func (pr Precision) Met(r *stats.Running) bool {
 
 // AdaptiveRounds drives the deterministic round schedule: round sizes
 // grow the cumulative total geometrically (first DefaultFirstRound, then
-// doubling, capped at MaxReplications), round(start, n) executes
-// replications [start, start+n), and met() is consulted only at round
-// boundaries — so whether the run stops after N replications is a
-// function of the fold over those N replications alone, never of
-// scheduling. Returns the total replication count executed.
-func AdaptiveRounds(ctx context.Context, pr Precision, round func(ctx context.Context, start, n int) error, met func() bool) (int, error) {
+// doubling, capped at MaxReplications), round(n) executes the next n
+// replications, continuing where the previous round stopped, and met() is
+// consulted only at round boundaries — so whether the run stops after N
+// replications is a function of the fold over those N replications alone,
+// never of scheduling. Returns the total replication count executed.
+func AdaptiveRounds(ctx context.Context, pr Precision, round func(ctx context.Context, n int) error, met func() bool) (int, error) {
 	if err := pr.Validate(); err != nil {
 		return 0, err
 	}
 	done := 0
 	target := min(DefaultFirstRound, pr.MaxReplications)
 	for {
-		if err := round(ctx, done, target-done); err != nil {
+		if err := round(ctx, target-done); err != nil {
 			return done, err
 		}
 		done = target
@@ -97,22 +96,4 @@ func AdaptiveRounds(ctx context.Context, pr Precision, round func(ctx context.Co
 		}
 		target = min(2*done, pr.MaxReplications)
 	}
-}
-
-// ReplicateInto is Replicate folding into a caller-owned accumulator:
-// replication i draws the i-th substream of src and fn's index argument is
-// offset by start, so two consecutive calls sharing src and into are
-// byte-identical to one call covering both ranges. The adaptive paths are
-// built on this property — each round continues the substream sequence
-// and the fold exactly where the previous round stopped.
-func ReplicateInto(ctx context.Context, p *Pool, start, reps int, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error), into *stats.Running) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return reduceCore(ctx, p, reps,
-		// Blocks are split in ascending index order, so substream i is fixed
-		// by (src, i) regardless of chunking or scheduling.
-		func(_ int, args []rng.Stream) { src.SplitInto(args) },
-		func(ctx context.Context, i int, s *rng.Stream) (float64, error) { return fn(ctx, start+i, s) },
-		func(_ int, v float64) error { into.Add(v); return nil }, nil)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"stochsched/internal/rng"
@@ -16,14 +17,14 @@ func noisyMean(_ context.Context, _ int, s *rng.Stream) (float64, error) {
 }
 
 // adaptive runs fn in adaptive rounds until pr is met (or its budget
-// spent), composing AdaptiveRounds and ReplicateInto the way
-// scenario.Exec.Rounds does: each round folds further replications
-// into one accumulator, continuing src's substream sequence.
+// spent), composing AdaptiveRounds and ReplicateReduce the way
+// scenario.replicate does: each round folds further replications into one
+// accumulator, continuing src's substream sequence.
 func adaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
 	var r stats.Running
 	used, err := AdaptiveRounds(ctx, pr,
-		func(ctx context.Context, start, n int) error {
-			return ReplicateInto(ctx, p, start, n, src, fn, &r)
+		func(ctx context.Context, n int) error {
+			return ReplicateReduce(ctx, p, n, src, fn, func(_ int, v float64) error { r.Add(v); return nil })
 		},
 		func() bool { return pr.Met(&r) })
 	return &r, used, err
@@ -76,13 +77,13 @@ func TestAdaptiveParallelismInvariant(t *testing.T) {
 }
 
 // TestAdaptiveSchedule pins the geometric round schedule: with a rule that
-// never triggers, rounds visit 32, 64, 128, … and stop at the ceiling.
+// never triggers, the cumulative total visits 32, 64, 128, … and stops at
+// the ceiling.
 func TestAdaptiveSchedule(t *testing.T) {
-	var starts, sizes []int
+	var sizes []int
 	used, err := AdaptiveRounds(context.Background(),
 		Precision{TargetRelCI: 1e-12, MaxReplications: 300},
-		func(_ context.Context, start, n int) error {
-			starts = append(starts, start)
+		func(_ context.Context, n int) error {
 			sizes = append(sizes, n)
 			return nil
 		},
@@ -93,12 +94,8 @@ func TestAdaptiveSchedule(t *testing.T) {
 	if used != 300 {
 		t.Fatalf("used = %d, want the 300 ceiling", used)
 	}
-	wantStarts := []int{0, 32, 64, 128, 256}
-	wantSizes := []int{32, 32, 64, 128, 44}
-	for i := range wantStarts {
-		if i >= len(starts) || starts[i] != wantStarts[i] || sizes[i] != wantSizes[i] {
-			t.Fatalf("rounds %v/%v, want starts %v sizes %v", starts, sizes, wantStarts, wantSizes)
-		}
+	if want := []int{32, 32, 64, 128, 44}; !slices.Equal(sizes, want) {
+		t.Fatalf("round sizes %v, want %v", sizes, want)
 	}
 }
 

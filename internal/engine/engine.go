@@ -413,7 +413,7 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 // returned aggregate is byte-identical at every parallelism level.
 func Replicate(ctx context.Context, p *Pool, reps int, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, error) {
 	var r stats.Running
-	if err := ReplicateInto(ctx, p, 0, reps, src, fn, &r); err != nil {
+	if err := ReplicateReduce(ctx, p, reps, src, fn, func(_ int, v float64) error { r.Add(v); return nil }); err != nil {
 		return nil, err
 	}
 	return &r, nil

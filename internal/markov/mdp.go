@@ -2,19 +2,16 @@ package markov
 
 // Finite average-reward MDPs as a simulatable model: a bundle of per-action
 // chains and rewards, solvable by relative value iteration (Solve) or the
-// occupation-measure LP (AverageRewardLP), and runnable as engine-backed
-// Monte Carlo replications under an arbitrary action chooser.
+// occupation-measure LP (AverageRewardLP), and simulatable one trajectory
+// at a time (SimulateAverage) under an arbitrary action chooser.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/lp"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // MDP is a finite average-reward Markov decision process: Transitions[a]
@@ -96,9 +93,10 @@ func UniformChooser(actions int) ActionChooser {
 	return func(_ int, s *rng.Stream) int { return s.Intn(actions) }
 }
 
-// simulateAverage runs one trajectory of horizon epochs from start and
-// returns the average reward per epoch over [burnin, horizon).
-func (m *MDP) simulateAverage(choose ActionChooser, start, horizon, burnin int, s *rng.Stream) (float64, error) {
+// SimulateAverage runs one trajectory of horizon epochs from start and
+// returns the average reward per epoch over [burnin, horizon). m must be
+// valid (Validate); the chooser's actions are checked as they are taken.
+func (m *MDP) SimulateAverage(choose ActionChooser, start, horizon, burnin int, s *rng.Stream) (float64, error) {
 	n := m.N()
 	if start < 0 || start >= n {
 		return 0, fmt.Errorf("markov: start state %d outside [0,%d)", start, n)
@@ -119,17 +117,6 @@ func (m *MDP) simulateAverage(choose ActionChooser, start, horizon, burnin int, 
 		state = s.Categorical(tr.Data[state*n : (state+1)*n])
 	}
 	return total / float64(horizon-burnin), nil
-}
-
-// ReplicateInto folds reps further replications into out, continuing s's
-// substream sequence — the accumulation form the adaptive rounds use.
-func (m *MDP) ReplicateInto(ctx context.Context, p *engine.Pool, choose ActionChooser, start, horizon, burnin, reps int, s *rng.Stream, out *stats.Running) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	return engine.ReplicateInto(ctx, p, 0, reps, s, func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-		return m.simulateAverage(choose, start, horizon, burnin, sub)
-	}, out)
 }
 
 // AverageRewardLP solves the occupation-measure linear program

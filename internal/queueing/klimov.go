@@ -273,24 +273,14 @@ func (k *KlimovNetwork) bind(sim *des.Simulator, rank []int, s *rng.Stream, add 
 // the pool; the aggregate is byte-identical for a given seed at any
 // parallelism level.
 func (k *KlimovNetwork) ReplicateKlimov(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := k.ReplicateKlimovInto(ctx, p, order, horizon, burnin, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ReplicateKlimovInto folds reps further replications into out, continuing
-// s's substream sequence — the accumulation form the adaptive rounds use.
-func (k *KlimovNetwork) ReplicateKlimovInto(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
+	return engine.Replicate(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
 			res, err := k.Simulate(order, horizon, burnin, sub)
 			if err != nil {
 				return 0, err
 			}
 			return res.CostRate, nil
-		}, out)
+		})
 }
 
 // NoFeedback builds a KlimovNetwork with zero feedback from an MG1 model,

@@ -1,12 +1,10 @@
 package queueing
 
 import (
-	"context"
 	"fmt"
 
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 )
 
@@ -229,27 +227,4 @@ func (m *MMm) ExactPriority(order []int) (wq []float64, l []float64, err error) 
 		l[j] = cl.ArrivalRate * (wq[j] + cl.Service.Mean())
 	}
 	return wq, l, nil
-}
-
-// ReplicateInto folds reps further independent replications of Simulate
-// (or, with a nil order, SimulateFIFO) into out, continuing s's substream
-// sequence — see MG1.ReplicateInto for the accumulation contract the
-// adaptive rounds rely on. The Wq accumulators are left untouched: the
-// M/M/m simulator tracks time-average occupancy, not per-job waits.
-func (m *MMm) ReplicateInto(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
-	n := len(m.Classes)
-	return engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			if order == nil {
-				return m.SimulateFIFO(horizon, burnin, sub)
-			}
-			return m.Simulate(order, horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
-		})
 }

@@ -6,16 +6,25 @@ import (
 	"testing"
 
 	"stochsched/internal/dist"
+	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
 
-// replicateMMm folds reps replications into a fresh result through
-// ReplicateInto.
+// replicateMMm folds reps replications of Simulate (SimulateFIFO for a nil
+// order) into a fresh result through ReplicatedResult.Add, one substream
+// of s each.
 func replicateMMm(t *testing.T, m *MMm, order []int, horizon, burnin float64, reps int, s *rng.Stream) *ReplicatedResult {
 	t.Helper()
 	out := &ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
-	if err := m.ReplicateInto(context.Background(), nil, order, horizon, burnin, reps, s, out); err != nil {
+	if err := engine.ReplicateReduce(context.Background(), nil, reps, s,
+		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
+			if order == nil {
+				return m.SimulateFIFO(horizon, burnin, sub)
+			}
+			return m.Simulate(order, horizon, burnin, sub)
+		},
+		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return out

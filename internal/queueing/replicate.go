@@ -1,12 +1,8 @@
 package queueing
 
-// Engine-backed replication for the network and polling models, mirroring
-// MG1.Replicate: per-replication substreams, replication-order folds,
-// byte-identical results for a given seed at any parallelism level. Each
-// model's ReplicateInto folds into caller-owned accumulators — repeated
-// calls sharing the source stream and the accumulator are bitwise-equal to
-// one call with the summed count, which is what lets the adaptive
-// (target-precision) rounds stop anywhere on the fixed-budget trajectory.
+// Engine-backed replication of the network model, mirroring MG1.Replicate.
+// The served kinds fold through the same Add methods from
+// internal/scenario, which spends their replication budgets.
 
 import (
 	"context"
@@ -24,48 +20,24 @@ type ReplicatedNetworkResult struct {
 	CostRate stats.Running
 }
 
+// Add folds one replication into the accumulators.
+func (r *ReplicatedNetworkResult) Add(res *NetworkResult) {
+	for j := range r.L {
+		r.L[j].Add(res.L[j])
+	}
+	r.CostRate.Add(res.CostRate)
+}
+
 // Replicate aggregates independent replications of Simulate on the pool
 // (trajectory sampling disabled — sampleEvery 0).
 func (nw *Network) Replicate(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedNetworkResult, error) {
 	out := &ReplicatedNetworkResult{L: make([]stats.Running, len(nw.Classes))}
-	if err := nw.ReplicateInto(ctx, p, pol, horizon, burnin, reps, s, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReplicateInto folds reps further replications into out, continuing s's
-// substream sequence.
-func (nw *Network) ReplicateInto(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedNetworkResult) error {
-	n := len(nw.Classes)
-	return engine.ReplicateReduce(ctx, p, reps, s,
+	if err := engine.ReplicateReduce(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (*NetworkResult, error) {
 			return nw.Simulate(pol, horizon, burnin, 0, sub)
 		},
-		func(_ int, res *NetworkResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
-		})
-}
-
-// ReplicateInto folds reps further replications of Simulate into out,
-// continuing s's substream sequence. Polling reuses ReplicatedResult: its
-// per-replication result has the same shape as the M/G/1 one.
-func (p *Polling) ReplicateInto(ctx context.Context, pool *engine.Pool, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
-	n := len(p.Queues)
-	return engine.ReplicateReduce(ctx, pool, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			return p.Simulate(horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-				out.Wq[j].Add(res.Wq[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
-		})
+		func(_ int, res *NetworkResult) error { out.Add(res); return nil }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -171,12 +171,25 @@ func (m *MG1) Simulate(d Discipline, horizon, burnin float64, s *rng.Stream) (*S
 	return t.result(horizon, m.Classes), nil
 }
 
-// Replicate runs reps independent replications and returns per-class L and
-// Wq means with the cost-rate statistics.
+// ReplicatedResult carries the replication statistics of a per-class
+// simulator: per-class L and Wq with the cost-rate statistics.
 type ReplicatedResult struct {
 	L        []stats.Running
 	Wq       []stats.Running
 	CostRate stats.Running
+}
+
+// Add folds one replication into the accumulators. Only the per-class
+// accumulators present are fed, so a nil Wq (the M/M/m simulator tracks
+// time-average occupancy, not per-job waits) stays nil.
+func (r *ReplicatedResult) Add(res *SimResult) {
+	for j := range r.L {
+		r.L[j].Add(res.L[j])
+	}
+	for j := range r.Wq {
+		r.Wq[j].Add(res.Wq[j])
+	}
+	r.CostRate.Add(res.CostRate)
 }
 
 // Replicate aggregates independent replications of Simulate on the pool.
@@ -187,19 +200,7 @@ type ReplicatedResult struct {
 func (m *MG1) Replicate(ctx context.Context, p *engine.Pool, d Discipline, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
 	n := len(m.Classes)
 	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-	if err := m.ReplicateInto(ctx, p, d, horizon, burnin, reps, s, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReplicateInto folds reps further replications into out, drawing
-// substreams off s in order: repeated calls sharing s and out accumulate
-// exactly as one Replicate call with the summed count would — the
-// property the adaptive (target-precision) rounds are built on.
-func (m *MG1) ReplicateInto(ctx context.Context, p *engine.Pool, d Discipline, horizon, burnin float64, reps int, s *rng.Stream, out *ReplicatedResult) error {
-	n := len(m.Classes)
-	return engine.ReplicateReduce(ctx, p, reps, s,
+	if err := engine.ReplicateReduce(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
 			rep := d
 			if sd, ok := d.(StreamDiscipline); ok {
@@ -207,14 +208,10 @@ func (m *MG1) ReplicateInto(ctx context.Context, p *engine.Pool, d Discipline, h
 			}
 			return m.Simulate(rep, horizon, burnin, sub)
 		},
-		func(_ int, res *SimResult) error {
-			for j := 0; j < n; j++ {
-				out.L[j].Add(res.L[j])
-				out.Wq[j].Add(res.Wq[j])
-			}
-			out.CostRate.Add(res.CostRate)
-			return nil
-		})
+		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SimulatePreemptive runs a preemptive-resume static priority M/M/1

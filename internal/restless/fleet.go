@@ -149,38 +149,17 @@ func MyopicScore(p *Project) []float64 {
 // on the pool; the aggregate is byte-identical for a given seed at any
 // parallelism level.
 func (f *Fleet) EstimateStaticPriority(ctx context.Context, p *engine.Pool, score []float64, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := f.EstimateStaticPriorityInto(ctx, p, score, horizon, burnin, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateStaticPriorityInto folds reps further replications into out,
-// continuing s's substream sequence — the accumulation form the adaptive
-// rounds use.
-func (f *Fleet) EstimateStaticPriorityInto(ctx context.Context, p *engine.Pool, score []float64, horizon, burnin, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
+	return engine.Replicate(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
 			return f.SimulateStaticPriority(score, horizon, burnin, sub)
-		}, out)
+		})
 }
 
 // EstimateRandomPolicy aggregates replications of SimulateRandomPolicy on
 // the pool — the unprioritized baseline at fleet scale.
 func (f *Fleet) EstimateRandomPolicy(ctx context.Context, p *engine.Pool, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {
-	var out stats.Running
-	if err := f.EstimateRandomPolicyInto(ctx, p, horizon, burnin, reps, s, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// EstimateRandomPolicyInto folds reps further replications into out,
-// continuing s's substream sequence.
-func (f *Fleet) EstimateRandomPolicyInto(ctx context.Context, p *engine.Pool, horizon, burnin, reps int, s *rng.Stream, out *stats.Running) error {
-	return engine.ReplicateInto(ctx, p, 0, reps, s,
+	return engine.Replicate(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
 			return f.SimulateRandomPolicy(horizon, burnin, sub)
-		}, out)
+		})
 }

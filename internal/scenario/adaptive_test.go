@@ -72,93 +72,107 @@ func kindFragment(t *testing.T, kind string, body []byte) json.RawMessage {
 }
 
 func TestAdaptiveConformance(t *testing.T) {
-	const maxReps = 64
 	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			fixed := []byte(scenariotest.SimulateBody(kind, 7))
-			body := adaptiveBody(t, fixed, 0.2, maxReps)
-
-			req, err := ParseRequest(body, Limits{})
-			if err != nil {
-				t.Fatalf("ParseRequest(adaptive): %v", err)
-			}
-			if req.Precision == nil || req.Replications != 0 {
-				t.Fatalf("parsed request: precision=%v replications=%d, want precision set and replications 0",
-					req.Precision, req.Replications)
-			}
-
-			// The adaptive request must hash differently from its fixed
-			// counterpart — they are different computations.
-			fr, err := ParseRequest(fixed, Limits{})
-			if err != nil {
-				t.Fatalf("ParseRequest(fixed): %v", err)
-			}
-			if req.Hash() == fr.Hash() {
-				t.Errorf("adaptive and fixed requests share hash %s", req.Hash())
-			}
-
-			// Determinism across parallelism — the acceptance criterion:
-			// stopping decisions happen at round boundaries only, so the
-			// response bytes cannot depend on the pool width.
-			ctx := context.Background()
-			b1, err := Run(ctx, req, engine.NewPool(1))
-			if err != nil {
-				t.Fatalf("Run(parallel=1): %v", err)
-			}
-			req8, err := ParseRequest(body, Limits{})
-			if err != nil {
-				t.Fatalf("re-ParseRequest: %v", err)
-			}
-			b8, err := Run(ctx, req8, engine.NewPool(8))
-			if err != nil {
-				t.Fatalf("Run(parallel=8): %v", err)
-			}
-			if !bytes.Equal(b1, b8) {
-				t.Errorf("adaptive parallel=1 and parallel=8 bodies differ:\n%s\n%s", b1, b8)
-			}
-
-			// Envelope: replications echoes the ceiling; replications_used is
-			// a multiple-of-rounds spend within [1, maxReps].
-			var env struct {
-				Replications     int64 `json:"replications"`
-				ReplicationsUsed int64 `json:"replications_used"`
-			}
-			if err := json.Unmarshal(b1, &env); err != nil {
-				t.Fatalf("decoding envelope: %v", err)
-			}
-			if env.Replications != maxReps {
-				t.Errorf("envelope replications = %d, want the ceiling %d", env.Replications, maxReps)
-			}
-			if env.ReplicationsUsed < 1 || env.ReplicationsUsed > maxReps {
-				t.Errorf("replications_used = %d outside [1, %d]", env.ReplicationsUsed, maxReps)
-			}
-
-			// Adaptive ≡ fixed: a fixed-budget request of exactly the used
-			// count must produce a byte-identical result fragment (the
-			// envelopes differ by design: spec_hash and replications_used).
-			eq, err := ParseRequest(withReplications(t, fixed, int(env.ReplicationsUsed)), Limits{})
-			if err != nil {
-				t.Fatalf("ParseRequest(fixed equivalent): %v", err)
-			}
-			be, err := Run(ctx, eq, engine.NewPool(3))
-			if err != nil {
-				t.Fatalf("Run(fixed equivalent): %v", err)
-			}
-			if af, ff := kindFragment(t, kind, b1), kindFragment(t, kind, be); !bytes.Equal(af, ff) {
-				t.Errorf("adaptive result differs from the %d-replication fixed run:\n%s\n%s",
-					env.ReplicationsUsed, af, ff)
-			}
-
-			// Budget enforcement runs against the precision ceiling.
-			work := req.Scenario.Work(req.Payload)
-			tight := Limits{MaxSimWork: work * maxReps / 2}
-			if _, err := ParseRequest(body, tight); err == nil {
-				t.Errorf("ParseRequest accepted an adaptive request exceeding MaxSimWork %g", tight.MaxSimWork)
-			}
-			if _, err := ParseRequest(body, Limits{MaxReplications: maxReps - 1}); err == nil {
-				t.Errorf("ParseRequest accepted max_replications above the MaxReplications limit")
-			}
+			// A loose target, which the canonical bodies meet after one round.
+			t.Run("loose", func(t *testing.T) { checkAdaptive(t, kind, 0.2, 64, 0) })
+			// An unreachable target spends the ceiling in three rounds of 32
+			// (cumulative 32, 64, 96): rounds two and three must continue the
+			// substreams and the accumulators where the round before stopped.
+			t.Run("rounds=3", func(t *testing.T) { checkAdaptive(t, kind, 1e-9, 96, 96) })
 		})
+	}
+}
+
+// checkAdaptive runs kind's canonical body under a precision block of
+// target and maxReps and checks the adaptive contract. wantUsed, when
+// nonzero, is the exact replication count the run must spend.
+func checkAdaptive(t *testing.T, kind string, target float64, maxReps int, wantUsed int64) {
+	fixed := []byte(scenariotest.SimulateBody(kind, 7))
+	body := adaptiveBody(t, fixed, target, maxReps)
+
+	req, err := ParseRequest(body, Limits{})
+	if err != nil {
+		t.Fatalf("ParseRequest(adaptive): %v", err)
+	}
+	if req.Precision == nil || req.Replications != 0 {
+		t.Fatalf("parsed request: precision=%v replications=%d, want precision set and replications 0",
+			req.Precision, req.Replications)
+	}
+
+	// The adaptive request must hash differently from its fixed
+	// counterpart — they are different computations.
+	fr, err := ParseRequest(fixed, Limits{})
+	if err != nil {
+		t.Fatalf("ParseRequest(fixed): %v", err)
+	}
+	if req.Hash() == fr.Hash() {
+		t.Errorf("adaptive and fixed requests share hash %s", req.Hash())
+	}
+
+	// Determinism across parallelism — the acceptance criterion:
+	// stopping decisions happen at round boundaries only, so the
+	// response bytes cannot depend on the pool width.
+	ctx := context.Background()
+	b1, err := Run(ctx, req, engine.NewPool(1))
+	if err != nil {
+		t.Fatalf("Run(parallel=1): %v", err)
+	}
+	req8, err := ParseRequest(body, Limits{})
+	if err != nil {
+		t.Fatalf("re-ParseRequest: %v", err)
+	}
+	b8, err := Run(ctx, req8, engine.NewPool(8))
+	if err != nil {
+		t.Fatalf("Run(parallel=8): %v", err)
+	}
+	if !bytes.Equal(b1, b8) {
+		t.Errorf("adaptive parallel=1 and parallel=8 bodies differ:\n%s\n%s", b1, b8)
+	}
+
+	// Envelope: replications echoes the ceiling; replications_used is
+	// a multiple-of-rounds spend within [1, maxReps].
+	var env struct {
+		Replications     int64 `json:"replications"`
+		ReplicationsUsed int64 `json:"replications_used"`
+	}
+	if err := json.Unmarshal(b1, &env); err != nil {
+		t.Fatalf("decoding envelope: %v", err)
+	}
+	if env.Replications != int64(maxReps) {
+		t.Errorf("envelope replications = %d, want the ceiling %d", env.Replications, maxReps)
+	}
+	if env.ReplicationsUsed < 1 || env.ReplicationsUsed > int64(maxReps) {
+		t.Errorf("replications_used = %d outside [1, %d]", env.ReplicationsUsed, maxReps)
+	}
+	if wantUsed != 0 && env.ReplicationsUsed != wantUsed {
+		t.Errorf("replications_used = %d, want %d", env.ReplicationsUsed, wantUsed)
+	}
+
+	// Adaptive ≡ fixed: a fixed-budget request of exactly the used
+	// count must produce a byte-identical result fragment (the
+	// envelopes differ by design: spec_hash and replications_used).
+	eq, err := ParseRequest(withReplications(t, fixed, int(env.ReplicationsUsed)), Limits{})
+	if err != nil {
+		t.Fatalf("ParseRequest(fixed equivalent): %v", err)
+	}
+	be, err := Run(ctx, eq, engine.NewPool(3))
+	if err != nil {
+		t.Fatalf("Run(fixed equivalent): %v", err)
+	}
+	if af, ff := kindFragment(t, kind, b1), kindFragment(t, kind, be); !bytes.Equal(af, ff) {
+		t.Errorf("adaptive result differs from the %d-replication fixed run:\n%s\n%s",
+			env.ReplicationsUsed, af, ff)
+	}
+
+	// Budget enforcement runs against the precision ceiling.
+	work := req.Scenario.Work(req.Payload)
+	tight := Limits{MaxSimWork: work * float64(maxReps) / 2}
+	if _, err := ParseRequest(body, tight); err == nil {
+		t.Errorf("ParseRequest accepted an adaptive request exceeding MaxSimWork %g", tight.MaxSimWork)
+	}
+	if _, err := ParseRequest(body, Limits{MaxReplications: maxReps - 1}); err == nil {
+		t.Errorf("ParseRequest accepted max_replications above the MaxReplications limit")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"stochsched/internal/bandit"
 	"stochsched/internal/linalg"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -106,10 +107,11 @@ func prepareBandit(payload any, opts SimOpts) (Sim, error) {
 			}
 			pol = bandit.IndexPolicy(indices)
 		}
+		// Episodes are truncated once the discounted tail is below 1e-9.
 		var est stats.Running
-		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
-			return bandit.EstimateDiscountedInto(ctx, x.Pool, b, pol, p.Start, nr, x.Src, &est)
-		}); err != nil {
+		if err := replicate(ctx, x, &est, func(s *rng.Stream) (float64, error) {
+			return bandit.SimulateDiscounted(b, pol, p.Start, 1e-9, s), nil
+		}, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.BanditResult{Policy: policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, nil

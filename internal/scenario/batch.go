@@ -7,6 +7,7 @@ import (
 
 	"stochsched/internal/batch"
 	"stochsched/internal/dist"
+	"stochsched/internal/rng"
 	"stochsched/pkg/api"
 )
 
@@ -126,9 +127,10 @@ func prepareBatch(payload any, opts SimOpts) (Sim, error) {
 		case "flowtime":
 			primary = &est.Flowtime
 		}
-		if err := x.Rounds(ctx, primary, func(ctx context.Context, nr int) error {
-			return batch.EstimateParallelInto(ctx, x.Pool, in, order, nr, x.Src, &est)
-		}); err != nil {
+		batch.MustOrder(order, len(in.Jobs))
+		if err := replicate(ctx, x, primary, func(s *rng.Stream) (batch.ParallelResult, error) {
+			return batch.SimulateList(in, order, s), nil
+		}, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.BatchResult{

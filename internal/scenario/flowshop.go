@@ -7,6 +7,7 @@ import (
 
 	"stochsched/internal/batch"
 	"stochsched/internal/dist"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -197,13 +198,14 @@ func prepareFlowShopJobs(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 		case "lept":
 			order = batch.FlowShopLEPT(jobs)
 		}
+		makespan := batch.FlowShopMakespan
+		if p.Spec.Blocking {
+			makespan = batch.FlowShopBlockingMakespan
+		}
 		var est stats.Running
-		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
-			if p.Spec.Blocking {
-				return batch.EstimateFlowShopBlockingInto(ctx, x.Pool, jobs, order, nr, x.Src, &est)
-			}
-			return batch.EstimateFlowShopInto(ctx, x.Pool, jobs, order, nr, x.Src, &est)
-		}); err != nil {
+		if err := replicate(ctx, x, &est, func(s *rng.Stream) (float64, error) {
+			return makespan(batch.SampleFlowShop(jobs, s), order), nil
+		}, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.FlowShopResult{
@@ -236,9 +238,9 @@ func prepareTree(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 			sel = batch.RandomSelector
 		}
 		var est stats.Running
-		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
-			return batch.EstimateTreeMakespanInto(ctx, x.Pool, tree, machines, p.Spec.Tree.Rate, sel, nr, x.Src, &est)
-		}); err != nil {
+		if err := replicate(ctx, x, &est, func(s *rng.Stream) (float64, error) {
+			return batch.SimulateTreeMakespan(tree, machines, p.Spec.Tree.Rate, sel, s), nil
+		}, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.FlowShopResult{
@@ -260,20 +262,18 @@ func prepareSevcik(p *api.FlowShopSim, opts SimOpts) (Sim, error) {
 		return nil, err
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
-		var est stats.Running
 		var order batch.Order
 		// The Sevcik rule is dynamic (preemptive, index recomputed at
 		// milestones) — no static order to report.
-		round := func(ctx context.Context, nr int) error {
-			return batch.EstimateSevcikInto(ctx, x.Pool, jobs, nr, x.Src, &est)
-		}
+		sim := func(s *rng.Stream) (float64, error) { return batch.SimulateSevcik(jobs, s) }
 		if p.Policy == "wsept" {
 			order = batch.WSEPTDiscrete(jobs)
-			round = func(ctx context.Context, nr int) error {
-				return batch.EstimateWSEPTDiscreteInto(ctx, x.Pool, jobs, nr, x.Src, &est)
+			sim = func(s *rng.Stream) (float64, error) {
+				return batch.SimulateNonpreemptiveWSEPTDiscrete(jobs, s), nil
 			}
 		}
-		if err := x.Rounds(ctx, &est, round); err != nil {
+		var est stats.Running
+		if err := replicate(ctx, x, &est, sim, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.FlowShopResult{

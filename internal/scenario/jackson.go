@@ -8,6 +8,7 @@ import (
 
 	"stochsched/internal/dist"
 	"stochsched/internal/queueing"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -187,9 +188,9 @@ func prepareJackson(payload any, opts SimOpts) (Sim, error) {
 	return func(ctx context.Context, x *Exec) (any, error) {
 		rep := &queueing.ReplicatedNetworkResult{L: make([]stats.Running, len(nw.Classes))}
 		pol := networkPolicy(nw, p.Policy)
-		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
-			return nw.ReplicateInto(ctx, x.Pool, pol, p.Horizon, p.Burnin, nr, x.Src, rep)
-		}); err != nil {
+		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.NetworkResult, error) {
+			return nw.Simulate(pol, p.Horizon, p.Burnin, 0, s)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		return &api.JacksonResult{

@@ -6,6 +6,7 @@ import (
 
 	"stochsched/internal/linalg"
 	"stochsched/internal/markov"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -106,9 +107,9 @@ func prepareMDP(payload any, opts SimOpts) (Sim, error) {
 			choose = markov.UniformChooser(m.A())
 		}
 		var est stats.Running
-		if err := x.Rounds(ctx, &est, func(ctx context.Context, nr int) error {
-			return m.ReplicateInto(ctx, x.Pool, choose, p.Start, p.Horizon, p.Burnin, nr, x.Src, &est)
-		}); err != nil {
+		if err := replicate(ctx, x, &est, func(s *rng.Stream) (float64, error) {
+			return m.SimulateAverage(choose, p.Start, p.Horizon, p.Burnin, s)
+		}, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.MDPResult{

@@ -8,6 +8,7 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/linalg"
 	"stochsched/internal/queueing"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -120,9 +121,9 @@ func prepareMG1(payload any, opts SimOpts) (Sim, error) {
 			return nil, err
 		}
 		var est stats.Running
-		if err := x.Rounds(ctx, &est, func(ctx context.Context, n int) error {
-			return k.ReplicateKlimovInto(ctx, x.Pool, order, sim.Horizon, sim.Burnin, n, x.Src, &est)
-		}); err != nil {
+		if err := replicate(ctx, x, &est, func(s *rng.Stream) (*queueing.SimResult, error) {
+			return k.Simulate(order, sim.Horizon, sim.Burnin, s)
+		}, func(res *queueing.SimResult) { est.Add(res.CostRate) }); err != nil {
 			return nil, err
 		}
 		return &api.MG1Result{
@@ -148,6 +149,7 @@ func prepareCobham(sim *api.MG1Sim, opts SimOpts) (Sim, error) {
 		}
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
+		// Neither discipline draws randomness: none is a StreamDiscipline.
 		var d queueing.Discipline = queueing.FIFO{}
 		var order []int
 		if sim.Policy == "cmu" {
@@ -156,9 +158,9 @@ func prepareCobham(sim *api.MG1Sim, opts SimOpts) (Sim, error) {
 		}
 		n := len(m.Classes)
 		rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
-			return m.ReplicateInto(ctx, x.Pool, d, sim.Horizon, sim.Burnin, nr, x.Src, rep)
-		}); err != nil {
+		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
+			return m.Simulate(d, sim.Horizon, sim.Burnin, s)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		return &api.MG1Result{

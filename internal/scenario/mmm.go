@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"stochsched/internal/queueing"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -62,16 +63,19 @@ func prepareMMm(payload any, _ SimOpts) (Sim, error) {
 		return nil, err
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
-		// A nil order is Replicate's FIFO selector.
+		// A nil order selects FIFO. The simulator tracks occupancy, not
+		// per-job waits, so rep carries no Wq accumulators.
 		var order []int
 		if sim.Policy == "cmu" {
 			order = m.CMuOrder()
 		}
-		n := len(m.Classes)
-		rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
-			return m.ReplicateInto(ctx, x.Pool, order, sim.Horizon, sim.Burnin, nr, x.Src, rep)
-		}); err != nil {
+		rep := &queueing.ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
+		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
+			if order == nil {
+				return m.SimulateFIFO(sim.Horizon, sim.Burnin, s)
+			}
+			return m.Simulate(order, sim.Horizon, sim.Burnin, s)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		return &api.MMmResult{

@@ -7,6 +7,7 @@ import (
 
 	"stochsched/internal/dist"
 	"stochsched/internal/queueing"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -89,9 +90,9 @@ func preparePolling(payload any, opts SimOpts) (Sim, error) {
 	return func(ctx context.Context, x *Exec) (any, error) {
 		n := len(model.Queues)
 		rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-		if err := x.Rounds(ctx, &rep.CostRate, func(ctx context.Context, nr int) error {
-			return model.ReplicateInto(ctx, x.Pool, p.Horizon, p.Burnin, nr, x.Src, rep)
-		}); err != nil {
+		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
+			return model.Simulate(p.Horizon, p.Burnin, s)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		return &api.PollingResult{

@@ -6,6 +6,7 @@ import (
 
 	"stochsched/internal/linalg"
 	"stochsched/internal/restless"
+	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -84,9 +85,8 @@ func prepareRestless(payload any, opts SimOpts) (Sim, error) {
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
 		fleet := &restless.Fleet{Type: proj, N: p.N, M: p.M}
-		var est stats.Running
-		round := func(ctx context.Context, nr int) error {
-			return fleet.EstimateRandomPolicyInto(ctx, x.Pool, p.Horizon, p.Burnin, nr, x.Src, &est)
+		sim := func(s *rng.Stream) (float64, error) {
+			return fleet.SimulateRandomPolicy(p.Horizon, p.Burnin, s)
 		}
 		if p.Policy != "random" {
 			score := restless.MyopicScore(proj)
@@ -96,11 +96,12 @@ func prepareRestless(payload any, opts SimOpts) (Sim, error) {
 					return nil, err
 				}
 			}
-			round = func(ctx context.Context, nr int) error {
-				return fleet.EstimateStaticPriorityInto(ctx, x.Pool, score, p.Horizon, p.Burnin, nr, x.Src, &est)
+			sim = func(s *rng.Stream) (float64, error) {
+				return fleet.SimulateStaticPriority(score, p.Horizon, p.Burnin, s)
 			}
 		}
-		if err := x.Rounds(ctx, &est, round); err != nil {
+		var est stats.Running
+		if err := replicate(ctx, x, &est, sim, est.Add); err != nil {
 			return nil, err
 		}
 		return &api.RestlessResult{Policy: p.Policy, RewardMean: est.Mean(), RewardCI95: est.CI95()}, nil

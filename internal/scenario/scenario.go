@@ -95,11 +95,11 @@ type Scenario struct {
 	Index *Index
 }
 
-// Sim is a prepared simulation. It runs the replication budget x carries
-// through x.Rounds and returns the kind-keyed result fragment of the
-// response body. The fragment must be plain data (no maps) so its encoding
-// is canonical, and a pure function of (payload, seed, budget) — never of
-// the pool size.
+// Sim is a prepared simulation. It hands its model's one-replication
+// simulator and a fold to replicate, which spends the budget x carries, and
+// returns the kind-keyed result fragment of the response body. The fragment
+// must be plain data (no maps) so its encoding is canonical, and a pure
+// function of (payload, seed, budget) — never of the pool size.
 type Sim func(ctx context.Context, x *Exec) (any, error)
 
 // SimOpts carries the request-envelope execution knobs into Prepare and
@@ -141,9 +141,9 @@ func (s *Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload any,
 	if err != nil {
 		return nil, 0, BadSpec{err}
 	}
-	x := &Exec{Pool: pool, Src: rng.New(seed), reps: reps, precision: opts.Precision}
+	x := &Exec{pool: pool, src: rng.New(seed), reps: reps, precision: opts.Precision}
 	if opts.Antithetic {
-		x.Src.Antithetic()
+		x.src.Antithetic()
 	}
 	frag, err := sim(ctx, x)
 	if err != nil {
@@ -152,36 +152,40 @@ func (s *Scenario) Simulate(ctx context.Context, pool *engine.Pool, payload any,
 	return frag, x.used, nil
 }
 
-// Exec carries one request's execution into a Sim: the pool, the root
-// substream source, and the replication budget.
+// Exec carries one request's execution through a Sim to replicate: the
+// pool, the root substream source (rng.New(seed), with antithetic pairing
+// armed when requested), and the replication budget.
 type Exec struct {
-	Pool *engine.Pool
-	// Src is the request's root substream source, rng.New(seed) with
-	// antithetic pairing armed when requested. Every replication substream
-	// derives from it.
-	Src *rng.Stream
-
+	pool      *engine.Pool
+	src       *rng.Stream
 	reps      int
 	precision *engine.Precision
 	used      int
 }
 
-// Rounds spends the budget. In fixed mode it runs one round of exactly
-// reps replications. In target-precision mode it runs engine.AdaptiveRounds,
-// re-checking the stopping rule on primary after each round. round(ctx, n)
-// must fold n FURTHER replications into the Sim's persistent accumulators
-// (primary among them), continuing Src — which makes the adaptive result
-// byte-identical to a fixed-budget run of the count spent.
-func (x *Exec) Rounds(ctx context.Context, primary *stats.Running, round func(ctx context.Context, n int) error) error {
+// replicate spends x's budget on sim, which simulates one replication on
+// the substream it is handed: one round of the fixed count, or
+// engine.AdaptiveRounds re-checking the stopping rule on primary after each
+// round. sim runs concurrently on the pool, so whatever it captures (a
+// model, a policy, an order) must be safe for concurrent reads. Replication
+// i draws the i-th substream of x.src, and fold consumes the results in
+// replication order into the Sim's accumulators (primary among them). Each
+// round continues src and the accumulators where the last stopped, so an
+// adaptive result is byte-identical to a fixed-budget run of the count
+// spent.
+func replicate[T any](ctx context.Context, x *Exec, primary *stats.Running, sim func(s *rng.Stream) (T, error), fold func(T)) error {
+	round := func(ctx context.Context, n int) error {
+		return engine.ReplicateReduce(ctx, x.pool, n, x.src,
+			func(_ context.Context, _ int, s *rng.Stream) (T, error) { return sim(s) },
+			func(_ int, v T) error { fold(v); return nil })
+	}
 	if x.precision == nil {
 		x.used = x.reps
 		return round(ctx, x.reps)
 	}
 	pr := *x.precision
 	var err error
-	x.used, err = engine.AdaptiveRounds(ctx, pr,
-		func(ctx context.Context, _, n int) error { return round(ctx, n) },
-		func() bool { return pr.Met(primary) })
+	x.used, err = engine.AdaptiveRounds(ctx, pr, round, func() bool { return pr.Met(primary) })
 	return err
 }
 

@@ -72,14 +72,17 @@ func (s *Server) SnapshotState() ([]byte, error) {
 // cached responses become warm hits, terminal sweep jobs become fetchable
 // again, and the eviction/lifetime counters resume. Live entries win over
 // restored ones, so restoring into a serving node is safe (the daemon
-// restores at boot, before readiness).
+// restores at boot, before readiness). It installs the whole payload or,
+// on error, none of it.
 func (s *Server) RestoreState(data []byte) error {
 	var st serverState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("service: decoding state snapshot: %w", err)
 	}
+	if err := s.sweeps.RestoreStore(st.Sweeps); err != nil {
+		return fmt.Errorf("service: restoring state snapshot: %w", err)
+	}
 	s.cache.Restore(st.Cache)
-	s.sweeps.RestoreStore(st.Sweeps)
 	return nil
 }
 

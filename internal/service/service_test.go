@@ -30,7 +30,7 @@ type simResp struct {
 }
 
 // post sends body to path on the handler and returns the recorder.
-func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	w := httptest.NewRecorder()

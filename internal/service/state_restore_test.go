@@ -206,6 +206,87 @@ func TestRestoreStateRejectsGarbage(t *testing.T) {
 	}
 }
 
+// restoreSweepBody is a one-cell mg1 sweep: a small snapshot keeps the
+// restore fuzzer's minimization short.
+var restoreSweepBody = fmt.Sprintf(`{"base": %s}`, scenariotest.SimulateBody("mg1", 83))
+
+// snapshotWithSweep returns a real SnapshotState payload: a finished sweep
+// job and the cache entry its cell left.
+func snapshotWithSweep(tb testing.TB) []byte {
+	tb.Helper()
+	s := New(Config{})
+	var st api.SweepStatus
+	if err := json.Unmarshal(post(tb, s.Handler(), "/v1/sweep", restoreSweepBody).Body.Bytes(), &st); err != nil {
+		tb.Fatal(err)
+	}
+	waitSweep(tb, s.Handler(), st.ID)
+	snap, err := s.SnapshotState()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// TestRestoreStateRejectsUnsettledJob: a snapshot job that is not done,
+// failed or cancelled rejects the whole payload. The daemon never writes
+// one, but a hand-edited or foreign state file can. Installed, such a job
+// would report running forever: it cannot be cancelled or evicted, and it
+// fills a one-job store.
+func TestRestoreStateRejectsUnsettledJob(t *testing.T) {
+	var st serverState
+	if err := json.Unmarshal(snapshotWithSweep(t), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Cache.Entries) == 0 || len(st.Sweeps.Jobs) != 1 {
+		t.Fatalf("snapshot holds %d cache entries and %d jobs, want some and 1", len(st.Cache.Entries), len(st.Sweeps.Jobs))
+	}
+	for _, state := range []api.SweepState{api.SweepRunning, "", "paused"} {
+		st.Sweeps.Jobs[0].State = state
+		bad, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{SweepMaxJobs: 1})
+		if err := s.RestoreState(bad); err == nil {
+			t.Errorf("state %q: payload restored without error", state)
+		}
+		if got := statsOf(t, s); got.Cache.Entries != 0 || got.Sweeps.Jobs != 0 {
+			t.Errorf("state %q: rejected payload installed %d cache entries and %d jobs", state, got.Cache.Entries, got.Sweeps.Jobs)
+		}
+		w := post(t, s.Handler(), "/v1/sweep", restoreSweepBody)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("state %q: submit after the rejected restore: code %d: %s", state, w.Code, w.Body)
+		}
+		var sub api.SweepStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &sub); err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, s.Handler(), sub.ID)
+	}
+}
+
+// FuzzRestoreState: whatever the payload, RestoreState never panics,
+// installs all of it or none of it, and never installs a job that is
+// still running.
+func FuzzRestoreState(f *testing.F) {
+	snap := snapshotWithSweep(f)
+	f.Add(snap)
+	f.Add(bytes.Replace(snap, []byte(`"state":"done"`), []byte(`"state":"running"`), 1))
+	f.Add([]byte(`{"cache":{"entries":[{"key":"k","body":"e30="}],"evictions":3},"sweeps":{"jobs":[{"id":"swp-9-x"}]}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New(Config{SweepMaxJobs: 1})
+		err := s.RestoreState(data)
+		cache, sweeps := s.cache.Stats(), s.sweeps.Stats()
+		if err != nil && (cache.Entries != 0 || cache.Evictions != 0 || sweeps != (api.SweepStoreStats{})) {
+			t.Fatalf("rejected payload (%v) left cache %+v and sweeps %+v", err, cache, sweeps)
+		}
+		if err == nil && sweeps.Running != 0 {
+			t.Fatalf("accepted payload installed %d running jobs", sweeps.Running)
+		}
+	})
+}
+
 // TestReadyzGatedOnRestore: while a restore is in flight /readyz answers
 // 503 unavailable (so peers and load balancers hold traffic) and /healthz
 // stays 200 (the process is alive); readiness returns once restore ends.

@@ -47,7 +47,7 @@ func submitSweep(t *testing.T, h http.Handler, body string) api.SweepStatus {
 }
 
 // getJSON GETs path and decodes the body into v.
-func getJSON(t *testing.T, h http.Handler, path string, v any) int {
+func getJSON(t testing.TB, h http.Handler, path string, v any) int {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	w := httptest.NewRecorder()
@@ -61,7 +61,7 @@ func getJSON(t *testing.T, h http.Handler, path string, v any) int {
 }
 
 // waitSweep polls the status endpoint until the job is terminal.
-func waitSweep(t *testing.T, h http.Handler, id string) api.SweepStatus {
+func waitSweep(t testing.TB, h http.Handler, id string) api.SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {

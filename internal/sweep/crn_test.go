@@ -91,6 +91,26 @@ func TestCRNHashAndSeeds(t *testing.T) {
 		}
 	}
 
+	// A seed axis gives each point its own seed, and each point's policies
+	// derive theirs from it.
+	seeded := fakeRequest(0)
+	seeded.CRN = boolPtr(false)
+	seeded.Grid = api.Grid{Axes: []api.Axis{{Path: "seed", Values: []float64{1, 2, 3}}}}
+	pSeeded, err := Expand(seeded, be, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pSeeded.Cells(); i++ {
+		var c fakeCell
+		if err := json.Unmarshal(pSeeded.Cell(i), &c); err != nil {
+			t.Fatal(err)
+		}
+		pt, pol := i/len(pSeeded.Policies), pSeeded.Policies[i%len(pSeeded.Policies)]
+		if want := independentSeed(uint64(pt+1), pol); c.Seed != want {
+			t.Errorf("point %d policy %q: seed %d, want %d derived from the point's seed %d", pt, pol, c.Seed, want, pt+1)
+		}
+	}
+
 	// Without a policy list there is nothing to decorrelate.
 	bare := &api.SweepRequest{Base: json.RawMessage(fakeBase), CRN: boolPtr(false)}
 	if _, err := Expand(bare, be, 0); err == nil || !strings.Contains(err.Error(), "policy") {

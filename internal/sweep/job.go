@@ -21,8 +21,10 @@ var ErrStoreFull = errors.New("sweep: job store full of running jobs")
 // declares more cells than allowed. The HTTP layer maps it to 400.
 var ErrTooLarge = errors.New("sweep: grid expands beyond the cell budget")
 
-// terminal reports whether no further rows will be produced in state s.
-func terminal(s api.SweepState) bool { return s != api.SweepRunning }
+// terminal reports whether state s is settled: done, failed or cancelled.
+func terminal(s api.SweepState) bool {
+	return s == api.SweepDone || s == api.SweepFailed || s == api.SweepCancelled
+}
 
 // Config tunes a Manager. Zero values select the documented defaults.
 type Config struct {
@@ -261,8 +263,15 @@ func (m *Manager) SnapshotStore() StoreSnapshot {
 // are dropped — the same age preference as eviction). The sequence counter
 // advances past every restored ID, so new submissions can never collide
 // with a restored job's ID, and the lifetime counters resume where the
-// previous process left off.
-func (m *Manager) RestoreStore(snap StoreSnapshot) {
+// previous process left off. A snapshot holding a job that is not
+// terminal is rejected whole, before anything is installed: no process
+// would ever settle it.
+func (m *Manager) RestoreStore(snap StoreSnapshot) error {
+	for _, js := range snap.Jobs {
+		if !terminal(js.State) {
+			return fmt.Errorf("sweep: snapshot job %q is in state %q, not done, failed or cancelled", js.ID, js.State)
+		}
+	}
 	m.evictions.Add(snap.Evictions)
 	m.cellsExecuted.Add(snap.CellsExecuted)
 	m.computeNs.Add(snap.ComputeNs)
@@ -295,6 +304,7 @@ func (m *Manager) RestoreStore(snap StoreSnapshot) {
 		m.jobs[js.ID] = job
 		m.order = append(m.order, js.ID)
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -187,6 +187,13 @@ func Expand(req *api.SweepRequest, be Backend, maxCells int) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Per-policy seeds derive from the point's own seed, which a
+		// "seed" axis may have substituted for the base's.
+		if !crn {
+			if err := json.Unmarshal(pointBody, &probe); err != nil {
+				return nil, fmt.Errorf("sweep: point %d: %w", pt, err)
+			}
+		}
 		for _, pol := range policies {
 			body := pointBody
 			if pol != "" {
