@@ -29,9 +29,11 @@ conformance:
 		./internal/scenario ./internal/service
 
 # Fuzz the /v1/simulate and /v1/index request parsers, the grid
-# substitution behind sweeps and the CLI's body rewrites, and the state
-# snapshot restore (all of a payload or none of it, no running job), one
-# -fuzz run per target for FUZZTIME each. A crasher is written under the package's
+# substitution behind sweeps and the CLI's body rewrites, the state
+# snapshot restore (all of a payload or none of it, no running job), the
+# body memo (a body sent three times answers as a fresh server answers it
+# once), and the client's error-envelope decoder, one -fuzz run per target
+# for FUZZTIME each. A crasher is written under the package's
 # testdata/fuzz; check it in with the fix, and it joins the seed corpus
 # every plain `go test` runs.
 FUZZTIME ?= 10s
@@ -40,6 +42,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndexRequest$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSetPath$$' -fuzztime $(FUZZTIME) ./pkg/api
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzRepeatBody$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeError$$' -fuzztime $(FUZZTIME) ./pkg/client
 
 # Engine replication benchmark at parallelism 1/4/max, rendered as
 # machine-readable BENCH_engine.json for the performance trajectory.

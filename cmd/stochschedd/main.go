@@ -37,6 +37,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -48,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -161,6 +163,51 @@ func buildLogger(level, format string, w io.Writer) (*slog.Logger, error) {
 	}
 }
 
+// logFlushInterval is how often the daemon's buffered log reaches stderr:
+// a crash loses at most this much of the log.
+const logFlushInterval = 100 * time.Millisecond
+
+// logBuffer is the daemon's stderr: lines collect in a buffer instead of
+// costing one write(2) each, and reach the file descriptor when the buffer
+// fills, on every tick of flushEvery, at shutdown after the final
+// snapshot, and before every exit.
+type logBuffer struct {
+	mu sync.Mutex
+	w  *bufio.Writer
+}
+
+func newLogBuffer(w io.Writer) *logBuffer {
+	return &logBuffer{w: bufio.NewWriterSize(w, 64<<10)}
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.w.Write(p)
+}
+
+// Flush writes out everything buffered so far. Its error is dropped: a
+// log that cannot reach stderr has nowhere to report it.
+func (b *logBuffer) Flush() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.w.Flush()
+}
+
+// flushEvery flushes b every d until ctx is done.
+func (b *logBuffer) flushEvery(ctx context.Context, d time.Duration) {
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			b.Flush()
+		}
+	}
+}
+
 // debugMux returns the pprof handler set on its own mux — registered
 // explicitly rather than importing the package for its DefaultServeMux
 // side effect, so the profiling surface never leaks onto the API listener.
@@ -175,12 +222,20 @@ func debugMux() *http.ServeMux {
 }
 
 func main() {
-	opt, err := parseArgs(os.Args[1:], os.Stderr)
+	// The flusher runs for the life of the process, through the shutdown
+	// drain; every exit path flushes what its last tick left behind.
+	stderr := newLogBuffer(os.Stderr)
+	go stderr.flushEvery(context.Background(), logFlushInterval)
+	exit := func(code int) {
+		stderr.Flush()
+		os.Exit(code)
+	}
+	opt, err := parseArgs(os.Args[1:], stderr)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
+			exit(0)
 		}
-		os.Exit(2)
+		exit(2)
 	}
 	log := opt.cfg.Logger
 
@@ -209,7 +264,7 @@ func main() {
 		var err error
 		if store, err = cluster.NewStore(opt.stateDir); err != nil {
 			log.Error("state dir", "error", err)
-			os.Exit(1)
+			exit(1)
 		}
 		// Restore runs concurrently with serving: /readyz answers 503 until
 		// it settles, so load balancers and peers hold traffic while the
@@ -280,7 +335,8 @@ func main() {
 	log.Info("listening", "addr", opt.addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Error("listen", "error", err)
-		os.Exit(1)
+		exit(1)
 	}
 	<-done
+	stderr.Flush()
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -148,5 +152,45 @@ func TestParseArgsRejectsBadFlags(t *testing.T) {
 		} else if stderr.Len() == 0 {
 			t.Errorf("args %v produced no usage output", args)
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while a flusher writes it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestLogBufferFlushesOnTick: log lines stay in the buffer until a flush,
+// and the flush loop delivers them without any further write.
+func TestLogBufferFlushesOnTick(t *testing.T) {
+	var out lockedBuffer
+	b := newLogBuffer(&out)
+	fmt.Fprintln(b, "request path=/v1/simulate")
+	if got := out.String(); got != "" {
+		t.Fatalf("a line reached stderr before any flush: %q", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go b.flushEvery(ctx, time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); out.String() == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the flush loop never delivered the buffered line")
+		}
+	}
+	if got := out.String(); got != "request path=/v1/simulate\n" {
+		t.Errorf("flushed %q", got)
 	}
 }

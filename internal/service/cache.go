@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -33,16 +35,39 @@ const (
 // Eviction is per shard and deliberately simple: when a shard exceeds its
 // entry budget, an arbitrary completed entry is dropped. The workload is
 // memoization of pure functions, so eviction only costs a recompute.
+//
+// Beside the entries, each shard holds part of the body memo: each raw
+// request body that was parsed and then served as a hit, identified by its
+// op path and SHA-256, mapped to the cache key and kind it parsed to (see
+// Server.answer). The memo shares the shard locks and the per-shard
+// budget, but it is not cached content: snapshots, Len and Stats leave it
+// out.
 type Cache struct {
 	shards []cacheShard
-	// perShard is the completed-entry budget of each shard (0 = unbounded).
+	// perShard is the completed-entry budget of each shard (0 = unbounded),
+	// and separately the memo budget of each shard.
 	perShard int
 }
 
 type cacheShard struct {
 	mu        sync.Mutex
 	m         map[string]*cacheEntry
+	memo      map[memoKey]memoEntry
 	evictions int64
+}
+
+// memoKey identifies a raw request body by its op path and its SHA-256.
+// The cache key itself is a SHA-256 of the canonical encoding, so the memo
+// rests on the same collision assumption.
+type memoKey struct {
+	path string
+	sum  [sha256.Size]byte
+}
+
+// memoEntry is what a memoized body parsed to. The spec hash is the key's
+// suffix after its last ':'.
+type memoEntry struct {
+	key, kind string
 }
 
 type cacheEntry struct {
@@ -60,6 +85,7 @@ func NewCache(shards, entriesPerShard int) *Cache {
 	c := &Cache{shards: make([]cacheShard, shards), perShard: entriesPerShard}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
+		c.shards[i].memo = make(map[memoKey]memoEntry)
 	}
 	return c
 }
@@ -72,6 +98,55 @@ func (c *Cache) shard(key string) *cacheShard {
 		x *= 1099511628211
 	}
 	return &c.shards[x%uint64(len(c.shards))]
+}
+
+// memoShard maps a memo key to its shard; the body's SHA-256 is already
+// uniform, so its first eight bytes pick the shard.
+func (c *Cache) memoShard(d memoKey) *cacheShard {
+	return &c.shards[binary.LittleEndian.Uint64(d.sum[:8])%uint64(len(c.shards))]
+}
+
+// recall returns what a memoized body parsed to.
+func (c *Cache) recall(d memoKey) (memoEntry, bool) {
+	sh := c.memoShard(d)
+	sh.mu.Lock()
+	e, ok := sh.memo[d]
+	sh.mu.Unlock()
+	return e, ok
+}
+
+// remember records what a body parsed to, dropping an arbitrary memo
+// entry of the shard when it is at its budget.
+func (c *Cache) remember(d memoKey, e memoEntry) {
+	sh := c.memoShard(d)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c.perShard > 0 && len(sh.memo) >= c.perShard {
+		for k := range sh.memo {
+			delete(sh.memo, k)
+			break
+		}
+	}
+	sh.memo[d] = e
+}
+
+// completed returns the body of key's completed, successful entry. It
+// never waits: an absent or in-flight key reports false.
+func (c *Cache) completed(key string) ([]byte, bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	e, ok := sh.m[key]
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		// A failed entry is briefly visible between done and its removal.
+		return e.body, e.err == nil
+	default:
+		return nil, false
+	}
 }
 
 // Do returns the cached body for key, computing it with compute on a miss.

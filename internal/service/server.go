@@ -21,12 +21,14 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -47,7 +49,8 @@ type Config struct {
 	// CacheShards is the number of cache shards. Default 16.
 	CacheShards int
 	// CacheEntriesPerShard bounds each shard (0 keeps the default 256;
-	// negative means unbounded).
+	// negative means unbounded). It also bounds, separately, each shard's
+	// part of the body memo that lets a repeated body skip parsing.
 	CacheEntriesPerShard int
 	// MaxInflight bounds concurrently executing computations. Default 64.
 	MaxInflight int
@@ -368,9 +371,10 @@ func modeOf(r *http.Request) callMode {
 }
 
 // call answers one call and bills it to m — the only place a call is
-// billed: shed for a 429, errors for any other failure, and the outcome
-// for a success. The outcome is the X-Cache value — hit, miss, dedup, or
-// forward, which counts as neither hit nor miss (the owner counts it).
+// billed (a batch item with an unknown op is not a call): shed for a 429,
+// errors for any other failure, and the outcome for a success. The
+// outcome is the X-Cache value — hit, miss, dedup, or forward, which
+// counts as neither hit nor miss (the owner counts it).
 func (s *Server) call(ctx context.Context, m *EndpointMetrics, o op, body []byte, mode callMode) ([]byte, string, error) {
 	resp, outcome, err := s.answer(ctx, o, body, mode)
 	if err == nil {
@@ -388,10 +392,25 @@ func (s *Server) call(ctx context.Context, m *EndpointMetrics, o op, body []byte
 // a batch item — which also carries the call's kind, spec hash, and
 // outcome. The outcome of a local failure is empty; anything the owner
 // answered, its error envelope included, is "forward".
+//
+// A body this node already parsed and served as a hit is in the memo
+// (see Cache): its "parse" is a SHA-256 and a lookup, and a completed
+// cache entry for the memoized key answers it with no decode, re-marshal
+// or canonical hash. Any other call, and a memoized one whose key was
+// evicted or is in flight, takes the parser, so every error text and
+// every miss path stays the parser's.
 func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) ([]byte, string, error) {
 	sp := obs.CurrentSpan(ctx)
 	psp := sp.StartChild("parse")
-	p, err := o.parse(s, body)
+	mk := memoKey{o.path, sha256.Sum256(body)}
+	memo, memoized := s.cache.recall(mk)
+	var p parsed
+	var err error
+	if memoized {
+		p = parsed{key: memo.key, kind: memo.kind, hash: memo.key[strings.LastIndexByte(memo.key, ':')+1:]}
+	} else {
+		p, err = o.parse(s, body)
+	}
 	psp.End()
 	if err != nil {
 		return nil, "", err
@@ -405,9 +424,31 @@ func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) (
 			return resp, "forward", err
 		}
 	}
+	if memoized {
+		if resp, ok := s.cache.completed(p.key); ok {
+			csp := sp.StartChild("cache")
+			csp.Annotate("outcome", "hit")
+			csp.End()
+			sp.Annotate("outcome", "hit")
+			return resp, "hit", nil
+		}
+		// Evicted or in flight: the computation, or the wait for it,
+		// needs the parsed request.
+		psp := sp.StartChild("parse")
+		p, err = o.parse(s, body)
+		psp.End()
+		if err != nil {
+			return nil, "", err
+		}
+	}
 	resp, outcome, err := s.serve(ctx, p, mode == background)
 	if err != nil {
 		return nil, "", err
+	}
+	// Only a repeat earns a memo entry: misses, dedups and forwards record
+	// nothing, so fresh-seed traffic never fills the memo.
+	if outcome == "hit" && !memoized {
+		s.cache.remember(mk, memoEntry{key: p.key, kind: p.kind})
 	}
 	sp.Annotate("outcome", outcome)
 	return resp, outcome, nil
@@ -654,19 +695,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, m *Endpoint
 // per-item status/body pair — the status and body its single-call
 // endpoint would have produced. In a ring each item routes on its own
 // cache key, so one batch fans out across every peer that owns one of its
-// items.
+// items. An unknown op is rejected before the call: the memo is keyed by
+// an op's path, so no body it holds for a known op may answer for it.
 func (s *Server) batchItem(ctx context.Context, m *EndpointMetrics, item api.BatchItem, mode callMode) api.BatchItemResult {
-	o := indexOp
+	var resp []byte
+	var err error
 	switch item.Op {
 	case api.OpIndex:
+		resp, _, err = s.call(ctx, m, indexOp, item.Body, mode)
 	case api.OpSimulate:
-		o = simulateOp
+		resp, _, err = s.call(ctx, m, simulateOp, item.Body, mode)
 	default:
-		o.parse = func(*Server, []byte) (parsed, error) {
-			return parsed{}, scenario.BadSpec{Err: fmt.Errorf("unknown batch op %q (want %s or %s)", item.Op, api.OpIndex, api.OpSimulate)}
-		}
+		m.errors.Add(1)
+		err = scenario.BadSpec{Err: fmt.Errorf("unknown batch op %q (want %s or %s)", item.Op, api.OpIndex, api.OpSimulate)}
 	}
-	resp, _, err := s.call(ctx, m, o, item.Body, mode)
 	if err == nil {
 		return api.BatchItemResult{Status: http.StatusOK, Body: resp}
 	}

@@ -14,7 +14,10 @@
 #     when the daemon is restarted at a different -parallel level;
 #   * a short concurrent soak (scripts/soak.sh) of index, simulate, batch
 #     and adaptive traffic answers only 200 or 429, always with an
-#     X-Request-Id, and populates the /v1/stats latency histograms.
+#     X-Request-Id, and populates the /v1/stats latency histograms;
+#   * the buffered access log is flushed at shutdown: after SIGTERM the
+#     daemon's stderr holds one path=/v1/simulate line per simulate
+#     request /v1/stats counted just before the signal.
 #
 # Goldens are floating-point exact and generated on amd64; regenerate with
 #   REGEN=1 scripts/service_smoke.sh
@@ -35,14 +38,15 @@ trap cleanup EXIT INT TERM
 
 go build -o "$TMP/stochschedd" ./cmd/stochschedd
 
-start_daemon() { # $1 = -parallel level
-    "$TMP/stochschedd" -addr "$ADDR" -parallel "$1" &
+start_daemon() { # $1 = -parallel level; the daemon's stderr goes to $TMP/daemon.log
+    "$TMP/stochschedd" -addr "$ADDR" -parallel "$1" 2>"$TMP/daemon.log" &
     DAEMON_PID=$!
     for _ in $(seq 1 100); do
         if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
         sleep 0.05
     done
-    echo "FAIL: daemon did not become healthy" >&2
+    echo "FAIL: daemon did not become healthy; its log:" >&2
+    cat "$TMP/daemon.log" >&2
     exit 1
 }
 
@@ -287,7 +291,22 @@ fi
 echo "ok /v1/sweep crn false"
 
 ./scripts/soak.sh "$BASE"
+
+# The access log reaches stderr through a buffer flushed every 100 ms and
+# once more at shutdown, after the final snapshot. So once the daemon has
+# exited on SIGTERM, every simulate request /v1/stats counted just before
+# the signal must have its access line. One curl sends a last simulate
+# request and reads the stats, and the signal follows at once, so that
+# line is most likely still in the buffer when shutdown begins.
+counted="$(curl -fsS -o /dev/null -X POST --data-binary "@$TESTDATA/simulate_req.json" "$BASE/v1/simulate" \
+    --next -fsS "$BASE/v1/stats" | tr -d ' \n' | sed -n 's/.*"simulate":{"requests":\([0-9]*\).*/\1/p')"
 stop_daemon
+logged="$(grep -c ' path=/v1/simulate ' "$TMP/daemon.log" || true)"
+[ -n "$counted" ] && [ "$counted" -gt 0 ] && [ "$logged" -eq "$counted" ] || {
+    echo "FAIL: /v1/stats counted ${counted:-no} simulate requests, the access log holds $logged" >&2
+    exit 1
+}
+echo "ok access log flushed at shutdown ($logged simulate lines)"
 
 # Determinism across parallelism: a fresh daemon at -parallel 8 must return
 # the exact same simulate bodies (its cache is empty, so this recomputes).
