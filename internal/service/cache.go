@@ -45,9 +45,12 @@ const (
 type Cache struct {
 	shards []cacheShard
 	// perShard is the completed-entry budget of each shard (0 = unbounded),
-	// and separately the memo budget of each shard.
+	// and separately the memo budget of each shard (see remember).
 	perShard int
 }
+
+// defaultEntriesPerShard is the per-shard budget a zero Config gets.
+const defaultEntriesPerShard = 256
 
 type cacheShard struct {
 	mu        sync.Mutex
@@ -116,37 +119,25 @@ func (c *Cache) recall(d memoKey) (memoEntry, bool) {
 }
 
 // remember records what a body parsed to, dropping an arbitrary memo
-// entry of the shard when it is at its budget.
+// entry of the shard when it is at its budget. An unbounded cache grows
+// only by admitted computes, while each variant of a cached body costs
+// only a parse, so its memo keeps to the shard's entry count, or to
+// defaultEntriesPerShard while the shard holds fewer.
 func (c *Cache) remember(d memoKey, e memoEntry) {
 	sh := c.memoShard(d)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if c.perShard > 0 && len(sh.memo) >= c.perShard {
+	budget := c.perShard
+	if budget <= 0 {
+		budget = max(len(sh.m), defaultEntriesPerShard)
+	}
+	if len(sh.memo) >= budget {
 		for k := range sh.memo {
 			delete(sh.memo, k)
 			break
 		}
 	}
 	sh.memo[d] = e
-}
-
-// completed returns the body of key's completed, successful entry. It
-// never waits: an absent or in-flight key reports false.
-func (c *Cache) completed(key string) ([]byte, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	sh.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		// A failed entry is briefly visible between done and its removal.
-		return e.body, e.err == nil
-	default:
-		return nil, false
-	}
 }
 
 // Do returns the cached body for key, computing it with compute on a miss.

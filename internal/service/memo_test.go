@@ -299,6 +299,38 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 	}
 }
 
+// TestMemoBoundedWithUnboundedCache: with an unbounded cache, many
+// whitespace variants of one cached body, each sent twice by goroutines at
+// once, all hit with identical bytes, while the memo keeps to 256 entries:
+// variants cost only a parse, so they must not grow the memo as the
+// cache's admitted computes grow the cache.
+func TestMemoBoundedWithUnboundedCache(t *testing.T) {
+	s := New(Config{CacheShards: 1, CacheEntriesPerShard: -1})
+	h := s.Handler()
+	want := post(t, h, "/v1/simulate", simulateBody).Body.Bytes()
+	const variants, workers = 400, 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < variants; i += workers {
+				body := strings.Repeat(" ", i+1) + simulateBody
+				for send := 0; send < 2; send++ {
+					if w := post(t, h, "/v1/simulate", body); w.Header().Get("X-Cache") != "hit" || !bytes.Equal(w.Body.Bytes(), want) {
+						t.Errorf("variant %d: X-Cache %q, body %s; want a hit with %s", i, w.Header().Get("X-Cache"), w.Body, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := memoLen(s); n != defaultEntriesPerShard {
+		t.Errorf("memo holds %d entries after %d variants of one cached body, want %d", n, variants, defaultEntriesPerShard)
+	}
+}
+
 // TestMemoRoutesOnMemoizedKey: in a ring, a memoized body still routes on
 // its cache key. A non-owner that memoized a body while serving relayed
 // calls forwards the next interactive call to the owner rather than

@@ -50,7 +50,9 @@ type Config struct {
 	CacheShards int
 	// CacheEntriesPerShard bounds each shard (0 keeps the default 256;
 	// negative means unbounded). It also bounds, separately, each shard's
-	// part of the body memo that lets a repeated body skip parsing.
+	// part of the body memo that lets a repeated body skip parsing; with
+	// an unbounded cache the memo keeps to each shard's entry count, or
+	// to 256 while a shard holds fewer.
 	CacheEntriesPerShard int
 	// MaxInflight bounds concurrently executing computations. Default 64.
 	MaxInflight int
@@ -111,7 +113,7 @@ func (c Config) withDefaults() Config {
 		c.CacheShards = 16
 	}
 	if c.CacheEntriesPerShard == 0 {
-		c.CacheEntriesPerShard = 256
+		c.CacheEntriesPerShard = defaultEntriesPerShard
 	} else if c.CacheEntriesPerShard < 0 {
 		c.CacheEntriesPerShard = 0
 	}
@@ -394,11 +396,12 @@ func (s *Server) call(ctx context.Context, m *EndpointMetrics, o op, body []byte
 // answered, its error envelope included, is "forward".
 //
 // A body this node already parsed and served as a hit is in the memo
-// (see Cache): its "parse" is a SHA-256 and a lookup, and a completed
-// cache entry for the memoized key answers it with no decode, re-marshal
-// or canonical hash. Any other call, and a memoized one whose key was
-// evicted or is in flight, takes the parser, so every error text and
-// every miss path stays the parser's.
+// (see Cache): its "parse" is a SHA-256 and a lookup, and the memoized key
+// goes through serve like a parsed one, so a hit or a join of an in-flight
+// entry needs no decode, re-marshal or canonical hash. Only a miss parses
+// the body, inside its computation; parsing is deterministic, so the body
+// parses as it did when it was recorded. Any other call takes the parser,
+// so every error text stays the parser's.
 func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) ([]byte, string, error) {
 	sp := obs.CurrentSpan(ctx)
 	psp := sp.StartChild("parse")
@@ -408,6 +411,13 @@ func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) (
 	var err error
 	if memoized {
 		p = parsed{key: memo.key, kind: memo.kind, hash: memo.key[strings.LastIndexByte(memo.key, ':')+1:]}
+		p.compute = func(ctx context.Context) ([]byte, error) {
+			q, err := o.parse(s, body)
+			if err != nil {
+				return nil, err
+			}
+			return q.compute(ctx)
+		}
 	} else {
 		p, err = o.parse(s, body)
 	}
@@ -422,23 +432,6 @@ func (s *Server) answer(ctx context.Context, o op, body []byte, mode callMode) (
 		if resp != nil || (err != nil && mode == interactive) {
 			sp.Annotate("outcome", "forward")
 			return resp, "forward", err
-		}
-	}
-	if memoized {
-		if resp, ok := s.cache.completed(p.key); ok {
-			csp := sp.StartChild("cache")
-			csp.Annotate("outcome", "hit")
-			csp.End()
-			sp.Annotate("outcome", "hit")
-			return resp, "hit", nil
-		}
-		// Evicted or in flight: the computation, or the wait for it,
-		// needs the parsed request.
-		psp := sp.StartChild("parse")
-		p, err = o.parse(s, body)
-		psp.End()
-		if err != nil {
-			return nil, "", err
 		}
 	}
 	resp, outcome, err := s.serve(ctx, p, mode == background)

@@ -10,10 +10,12 @@ import (
 	"stochsched/pkg/api"
 )
 
-// FuzzDecodeError: the error-envelope decoder never panics. An envelope
-// the service emits decodes back to its status, code and message — the
-// fidelity the service relies on when it relays a ring owner's rejection
-// byte for byte. Any other body comes back as its trimmed raw text.
+// FuzzDecodeError: the error-envelope decoder never panics and keeps the
+// status. An envelope the service emits decodes back to its status, code
+// and message — the fidelity the service relies on when it relays a ring
+// owner's rejection byte for byte. A body that is not a JSON object (a
+// proxy's HTML page, a plain-text 404, anything malformed) comes back as
+// its trimmed raw text with no code.
 func FuzzDecodeError(f *testing.F) {
 	f.Add(400, []byte(`{"error":{"code":"bad_request","message":"parsing request: unexpected EOF"}}`+"\n"), uint8(0), "unknown batch op \"teleport\"")
 	f.Add(404, []byte("404 page not found\n"), uint8(1), "unknown sweep job")
@@ -28,13 +30,14 @@ func FuzzDecodeError(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, status int, body []byte, pick uint8, msg string) {
 		got := decodeError(status, body)
-		var env api.ErrorResponse
-		want := APIError{Status: status, Message: strings.TrimSpace(string(body))}
-		if json.Unmarshal(body, &env) == nil && env.Err != (api.ErrorDetail{}) {
-			want = APIError{Status: status, Code: env.Err.Code, Message: env.Err.Message}
+		if got.Status != status {
+			t.Fatalf("decodeError(%d, %q) = %+v: status changed", status, body, *got)
 		}
-		if *got != want {
-			t.Fatalf("decodeError(%d, %q) = %+v, want %+v", status, body, *got, want)
+		text := strings.TrimSpace(string(body))
+		if !strings.HasPrefix(text, "{") || !json.Valid(body) {
+			if want := (APIError{Status: status, Message: text}); *got != want {
+				t.Fatalf("decodeError(%d, %q) = %+v, want %+v", status, body, *got, want)
+			}
 		}
 
 		// The envelope as the service's writeError encodes it. Its
@@ -48,7 +51,7 @@ func FuzzDecodeError(f *testing.F) {
 		if err := json.NewEncoder(&enc).Encode(api.ErrorResponse{Err: api.ErrorDetail{Code: code, Message: msg}}); err != nil {
 			t.Fatal(err)
 		}
-		want = APIError{Status: status, Code: code, Message: msg}
+		want := APIError{Status: status, Code: code, Message: msg}
 		if got := decodeError(status, enc.Bytes()); *got != want {
 			t.Fatalf("envelope %s decoded to %+v, want %+v", enc.Bytes(), *got, want)
 		}

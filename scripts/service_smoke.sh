@@ -31,22 +31,30 @@ TMP="$(mktemp -d)"
 DAEMON_PID=""
 
 cleanup() {
-    [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
+    status=$?
+    if [ -n "$DAEMON_PID" ]; then
+        kill "$DAEMON_PID" 2>/dev/null || true
+        wait "$DAEMON_PID" 2>/dev/null || true
+    fi
+    # The daemon's stderr goes to a file; a failed run shows its end.
+    if [ "$status" -ne 0 ] && [ -s "$TMP/daemon.log" ]; then
+        echo "daemon log (last 50 lines):" >&2
+        tail -n 50 "$TMP/daemon.log" >&2
+    fi
     rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
 
 go build -o "$TMP/stochschedd" ./cmd/stochschedd
 
-start_daemon() { # $1 = -parallel level; the daemon's stderr goes to $TMP/daemon.log
+start_daemon() { # $1 = -parallel level; the daemon's stderr goes to $TMP/daemon.log (see cleanup)
     "$TMP/stochschedd" -addr "$ADDR" -parallel "$1" 2>"$TMP/daemon.log" &
     DAEMON_PID=$!
     for _ in $(seq 1 100); do
         if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
         sleep 0.05
     done
-    echo "FAIL: daemon did not become healthy; its log:" >&2
-    cat "$TMP/daemon.log" >&2
+    echo "FAIL: daemon did not become healthy" >&2
     exit 1
 }
 
