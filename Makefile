@@ -19,14 +19,15 @@ race:
 # and all four public endpoints (internal/service), sweep submission's
 # agreement with /v1/simulate, plus the analytic-vs-simulation agreement
 # tests. A named gate so a kind that regresses the registry contract is
-# called out by name in CI. The golden tests and every kind's adaptive
-# (round continuation) and antithetic suites then run at GOMAXPROCS 1, 2
-# and 4: response bytes must not depend on the core count.
+# called out by name in CI. The golden tests, every kind's adaptive
+# (round continuation) and antithetic suites, and the quick-suite table
+# golden then run at GOMAXPROCS 1, 2 and 4: response bytes and tables must
+# not depend on the core count.
 conformance:
 	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestValidateSimulateAgreement|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
 		./internal/scenario/... ./internal/service/...
-	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows|TestAdaptiveConformance|TestAntitheticConformance' \
-		./internal/scenario ./internal/service
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows|TestAdaptiveConformance|TestAntitheticConformance|TestAllExperimentsRunQuick' \
+		./internal/scenario ./internal/service ./internal/experiments
 
 # Fuzz the /v1/simulate and /v1/index request parsers, the grid
 # substitution behind sweeps and the CLI's body rewrites, the state

@@ -1,21 +1,40 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"stochsched/internal/engine"
 )
 
-// TestAllExperimentsRunQuick executes the entire suite in quick mode and
-// sanity-checks every table.
+// quickGolden is the whole quick suite at seed 7, as `stochsched -run all
+// -quick -seed 7` prints it. Regenerate it after an intentional change to
+// a table with REGEN=1 go test -run TestAllExperimentsRunQuick
+// ./internal/experiments.
+var quickGolden = filepath.Join("testdata", "quick_seed7.txt")
+
+// TestAllExperimentsRunQuick executes the entire suite in quick mode on a
+// GOMAXPROCS-sized pool, sanity-checks every table, and compares the
+// rendered suite with quickGolden, so a change to any solver or simulator
+// that moves a reproduced figure fails here.
 func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, e := range All() {
-		e := e
+	var tabs []*Table
+	var out strings.Builder
+	cfg := Config{Seed: 7, Quick: true, Pool: engine.NewPool(runtime.GOMAXPROCS(0))}
+	if err := RunAll(cfg, nil, func(tab *Table) {
+		tabs = append(tabs, tab)
+		out.WriteString(tab.String())
+		out.WriteByte('\n')
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range All() {
+		tab := tabs[i]
 		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			tab, err := e.Run(Config{Seed: 7, Quick: true})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
 			if tab.ID != e.ID {
 				t.Fatalf("table ID %q, want %q", tab.ID, e.ID)
 			}
@@ -33,6 +52,36 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			}
 		})
 	}
+	if os.Getenv("REGEN") == "1" {
+		if err := os.WriteFile(quickGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		// Go may contract floating-point expressions (FMA) on other
+		// architectures, shifting last-ulp digits; the golden is
+		// byte-exact amd64 output.
+		t.Skipf("quick-suite golden is amd64-exact; running on %s", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Fatalf("quick suite at seed 7 differs from %s:\n%s", quickGolden, firstDiff(got, string(want)))
+	}
+}
+
+// firstDiff reports the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return "line " + strconv.Itoa(i+1) + ":\n got  " + g[i] + "\n want " + w[i]
+		}
+	}
+	return "line counts differ: got " + strconv.Itoa(len(g)) + ", want " + strconv.Itoa(len(w))
 }
 
 func TestRegistry(t *testing.T) {
