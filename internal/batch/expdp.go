@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The exponential-case dynamic programs exploit memorylessness: with
@@ -49,39 +50,7 @@ func ExpOptimalDP(rates []float64, m int, obj Objective) (float64, error) {
 			return 0, fmt.Errorf("batch: job %d has nonpositive rate", i)
 		}
 	}
-	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		k := m
-		if size < m {
-			k = size
-		}
-		best := math.Inf(1)
-		forEachSubsetOfSize(s, k, func(a int) {
-			muA := 0.0
-			for j := 0; j < n; j++ {
-				if a&(1<<j) != 0 {
-					muA += rates[j]
-				}
-			}
-			var cost float64
-			if obj == Flowtime {
-				cost = float64(size) / muA
-			} else {
-				cost = 1 / muA
-			}
-			for j := 0; j < n; j++ {
-				if a&(1<<j) != 0 {
-					cost += rates[j] / muA * v[s&^(1<<j)]
-				}
-			}
-			if cost < best {
-				best = cost
-			}
-		})
-		v[s] = best
-	}
-	return v[(1<<n)-1], nil
+	return expDP(n, holding(obj), everySubset(rates, m)), nil
 }
 
 // ExpPolicyValue evaluates, exactly, the list policy induced by order o on
@@ -96,37 +65,7 @@ func ExpPolicyValue(rates []float64, m int, o Order, obj Objective) (float64, er
 	if !validOrder(o, n) {
 		return 0, fmt.Errorf("batch: invalid order")
 	}
-	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		k := m
-		if size < m {
-			k = size
-		}
-		// Serve the first k jobs of the order that are still in S.
-		muA := 0.0
-		var served []int
-		for _, j := range o {
-			if s&(1<<j) != 0 {
-				served = append(served, j)
-				muA += rates[j]
-				if len(served) == k {
-					break
-				}
-			}
-		}
-		var cost float64
-		if obj == Flowtime {
-			cost = float64(size) / muA
-		} else {
-			cost = 1 / muA
-		}
-		for _, j := range served {
-			cost += rates[j] / muA * v[s&^(1<<j)]
-		}
-		v[s] = cost
-	}
-	return v[(1<<n)-1], nil
+	return expDP(n, holding(obj), firstInOrder(o, m, func(_, j int) float64 { return rates[j] })), nil
 }
 
 // UniformExpOptimalDP computes the optimal expected objective for
@@ -144,72 +83,7 @@ func UniformExpOptimalDP(rates, speeds []float64, obj Objective) (float64, error
 	if m < 1 || m > 4 {
 		return 0, fmt.Errorf("batch: UniformExpOptimalDP supports 1..4 machines, got %d", m)
 	}
-	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		best := math.Inf(1)
-		// Enumerate assignments: for each machine, either idle (-1) or a job
-		// in S not already assigned.
-		assign := make([]int, m)
-		var rec func(machine int)
-		rec = func(machine int) {
-			if machine == m {
-				anyServed := false
-				for _, a := range assign {
-					if a >= 0 {
-						anyServed = true
-					}
-				}
-				if !anyServed {
-					return
-				}
-				total := 0.0
-				for i, a := range assign {
-					if a >= 0 {
-						total += speeds[i] * rates[a]
-					}
-				}
-				var cost float64
-				if obj == Flowtime {
-					cost = float64(size) / total
-				} else {
-					cost = 1 / total
-				}
-				for i, a := range assign {
-					if a >= 0 {
-						cost += speeds[i] * rates[a] / total * v[s&^(1<<a)]
-					}
-				}
-				if cost < best {
-					best = cost
-				}
-				return
-			}
-			assign[machine] = -1
-			rec(machine + 1)
-			for j := 0; j < n; j++ {
-				if s&(1<<j) == 0 {
-					continue
-				}
-				taken := false
-				for i := 0; i < machine; i++ {
-					if assign[i] == j {
-						taken = true
-						break
-					}
-				}
-				if taken {
-					continue
-				}
-				assign[machine] = j
-				rec(machine + 1)
-			}
-			assign[machine] = -1
-		}
-		rec(0)
-		v[s] = best
-	}
-	return v[(1<<n)-1], nil
+	return expDP(n, holding(obj), everyAssignment(rates, speeds)), nil
 }
 
 // UniformSEPTFastest evaluates the natural heuristic on uniform machines:
@@ -240,63 +114,137 @@ func UniformSEPTFastest(rates, speeds []float64, obj Objective) (float64, error)
 			}
 		}
 	}
+	return expDP(n, holding(obj), firstInOrder(jobOrder, m, func(i, j int) float64 {
+		return speeds[machOrder[i]] * rates[j]
+	})), nil
+}
+
+// rated is one job of a service set with the rate it completes at there.
+type rated struct {
+	job  int
+	rate float64
+}
+
+// expDP solves the exponential-case recursion bottom-up over the subsets S
+// of n jobs (bit j set while job j is uncompleted) and returns V of the full
+// set:
+//
+//	V(S) = min_A [ h(S)/µ(A) + Σ_{j∈A} µ_j/µ(A) · V(S∖j) ],  V(∅) = 0.
+//
+// hold gives the holding rate h(S); offer calls try once for each candidate
+// service set A of S, listing its jobs with their completion rates µ_j.
+// µ(A) and the sum run in the order A lists its jobs. A's cost must be
+// below the best so far to replace it, so a NaN cost never wins and a set
+// whose only candidates cost NaN is worth +Inf.
+func expDP(n int, hold func(s int) float64, offer func(s int, try func(a []rated))) float64 {
 	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		k := m
-		if size < m {
-			k = size
-		}
+	var s int
+	var h, best float64
+	try := func(a []rated) {
 		total := 0.0
-		type pair struct{ job, mach int }
-		var served []pair
-		mi := 0
-		for _, j := range jobOrder {
+		for _, x := range a {
+			total += x.rate
+		}
+		cost := h / total
+		for _, x := range a {
+			cost += x.rate / total * v[s&^(1<<x.job)]
+		}
+		if cost < best {
+			best = cost
+		}
+	}
+	for s = 1; s < 1<<n; s++ {
+		h, best = hold(s), math.Inf(1)
+		offer(s, try)
+		v[s] = best
+	}
+	return v[len(v)-1]
+}
+
+// holding returns obj's holding rate: h(S) = |S| for flowtime, 1 for
+// makespan.
+func holding(obj Objective) func(s int) float64 {
+	if obj == Flowtime {
+		return func(s int) float64 { return float64(bits.OnesCount(uint(s))) }
+	}
+	return func(int) float64 { return 1 }
+}
+
+// everySubset offers every min(m,|S|)-subset of S, its jobs in index
+// order at their own rates.
+func everySubset(rates []float64, m int) func(int, func([]rated)) {
+	var jobs []int
+	var a []rated
+	return func(s int, try func([]rated)) {
+		jobs = jobs[:0]
+		for j := range rates {
 			if s&(1<<j) != 0 {
-				served = append(served, pair{j, machOrder[mi]})
-				total += speeds[machOrder[mi]] * rates[j]
-				mi++
-				if len(served) == k {
+				jobs = append(jobs, j)
+			}
+		}
+		forEachChoice(jobs, min(m, len(jobs)), func(c []int) {
+			a = a[:0]
+			for _, j := range c {
+				a = append(a, rated{j, rates[j]})
+			}
+			try(a)
+		})
+	}
+}
+
+// firstInOrder offers one service set: the first min(m,|S|) jobs of o
+// still in S, the i-th of them completing at rate(i, j).
+func firstInOrder(o Order, m int, rate func(i, j int) float64) func(int, func([]rated)) {
+	var a []rated
+	return func(s int, try func([]rated)) {
+		a = a[:0]
+		for _, j := range o {
+			if s&(1<<j) != 0 {
+				a = append(a, rated{j, rate(len(a), j)})
+				if len(a) == m {
 					break
 				}
 			}
 		}
-		var cost float64
-		if obj == Flowtime {
-			cost = float64(size) / total
-		} else {
-			cost = 1 / total
-		}
-		for _, p := range served {
-			cost += speeds[p.mach] * rates[p.job] / total * v[s&^(1<<p.job)]
-		}
-		v[s] = cost
+		try(a)
 	}
-	return v[(1<<n)-1], nil
 }
 
-// forEachSubsetOfSize invokes fn for every subset a of mask s with exactly k
-// bits set.
-func forEachSubsetOfSize(s, k int, fn func(a int)) {
-	var positions []int
-	for j := 0; j < 32; j++ {
-		if s&(1<<j) != 0 {
-			positions = append(positions, j)
-		}
-	}
-	n := len(positions)
-	if k > n {
-		k = n
-	}
-	var rec func(start, depth int, acc int)
-	rec = func(start, depth, acc int) {
-		if depth == k {
-			fn(acc)
+// everyAssignment offers every assignment of distinct jobs of S to the
+// machines that serves at least one job, a machine possibly idle: job j on
+// machine i completes at speeds[i]*rates[j], and A lists its jobs by
+// machine.
+func everyAssignment(rates, speeds []float64) func(int, func([]rated)) {
+	assign := make([]int, len(speeds))
+	var a []rated
+	var s int
+	var try func([]rated)
+	var rec func(machine int)
+	rec = func(machine int) {
+		if machine == len(assign) {
+			a = a[:0]
+			for i, j := range assign {
+				if j >= 0 {
+					a = append(a, rated{j, speeds[i] * rates[j]})
+				}
+			}
+			if len(a) > 0 {
+				try(a)
+			}
 			return
 		}
-		for i := start; i <= n-(k-depth); i++ {
-			rec(i+1, depth+1, acc|1<<positions[i])
+		assign[machine] = -1
+		rec(machine + 1)
+		for j := range rates {
+			if s&(1<<j) != 0 && !slices.Contains(assign[:machine], j) {
+				assign[machine] = j
+				rec(machine + 1)
+			}
 		}
+		assign[machine] = -1
 	}
-	rec(0, 0, 0)
+	return func(set int, t func([]rated)) {
+		s, try = set, t
+		rec(0)
+	}
 }

@@ -192,40 +192,9 @@ func TreeOptimalDP(t *InTree, m int, rate float64) (float64, error) {
 	if n > maxDPJobs {
 		return 0, fmt.Errorf("batch: TreeOptimalDP supports up to %d jobs, got %d", maxDPJobs, n)
 	}
-	full := (1 << n) - 1
-	memo := make([]float64, 1<<n)
-	seen := make([]bool, 1<<n)
-	var solve func(completed int) float64
-	solve = func(completed int) float64 {
-		if completed == full {
-			return 0
-		}
-		if seen[completed] {
-			return memo[completed]
-		}
-		avail := t.available(completed)
-		k := m
-		if len(avail) < k {
-			k = len(avail)
-		}
-		best := 0.0
-		first := true
-		forEachChoice(avail, k, func(serve []int) {
-			kk := float64(len(serve))
-			cost := 1 / (kk * rate)
-			for _, j := range serve {
-				cost += solve(completed|1<<j) / kk
-			}
-			if first || cost < best {
-				best = cost
-				first = false
-			}
-		})
-		seen[completed] = true
-		memo[completed] = best
-		return best
-	}
-	return solve(0), nil
+	return treeDP(t, rate, func(avail []int, try func([]int)) {
+		forEachChoice(avail, min(m, len(avail)), try)
+	}), nil
 }
 
 // TreePolicyDP evaluates a deterministic selector exactly under the same
@@ -238,6 +207,20 @@ func TreePolicyDP(t *InTree, m int, rate float64, sel TreeSelector) (float64, er
 	if n > maxDPJobs {
 		return 0, fmt.Errorf("batch: TreePolicyDP supports up to %d jobs, got %d", maxDPJobs, n)
 	}
+	return treeDP(t, rate, func(avail []int, try func([]int)) {
+		try(sel(t, avail, m, nil))
+	}), nil
+}
+
+// treeDP returns the expected makespan of t's jobs, each served at rate,
+// by the memoized recursion over completed sets C:
+//
+//	V(C) = min_A [ 1/(|A|·rate) + Σ_{j∈A} V(C ∪ j)/|A| ],  V(all) = 0,
+//
+// where choose calls try with each candidate set A of the available jobs
+// avail. The first cheapest A is kept.
+func treeDP(t *InTree, rate float64, choose func(avail []int, try func(serve []int))) float64 {
+	n := t.N()
 	full := (1 << n) - 1
 	memo := make([]float64, 1<<n)
 	seen := make([]bool, 1<<n)
@@ -249,18 +232,22 @@ func TreePolicyDP(t *InTree, m int, rate float64, sel TreeSelector) (float64, er
 		if seen[completed] {
 			return memo[completed]
 		}
-		avail := t.available(completed)
-		serve := sel(t, avail, m, nil)
-		k := float64(len(serve))
-		cost := 1 / (k * rate)
-		for _, j := range serve {
-			cost += solve(completed|1<<j) / k
-		}
+		best, first := 0.0, true
+		choose(t.available(completed), func(serve []int) {
+			k := float64(len(serve))
+			cost := 1 / (k * rate)
+			for _, j := range serve {
+				cost += solve(completed|1<<j) / k
+			}
+			if first || cost < best {
+				best, first = cost, false
+			}
+		})
 		seen[completed] = true
-		memo[completed] = cost
-		return cost
+		memo[completed] = best
+		return best
 	}
-	return solve(0), nil
+	return solve(0)
 }
 
 // forEachChoice invokes fn with every k-subset of items (as a slice reused

@@ -33,40 +33,7 @@ func ExpOptimalWeightedDP(rates, weights []float64, m int) (float64, error) {
 			return 0, fmt.Errorf("batch: job %d needs positive rate and nonnegative weight", i)
 		}
 	}
-	// Precompute w(S) incrementally.
-	wSum := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		low := bits.TrailingZeros(uint(s))
-		wSum[s] = wSum[s&(s-1)] + weights[low]
-	}
-	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		k := m
-		if size < m {
-			k = size
-		}
-		best := -1.0
-		forEachSubsetOfSize(s, k, func(a int) {
-			muA := 0.0
-			for j := 0; j < n; j++ {
-				if a&(1<<j) != 0 {
-					muA += rates[j]
-				}
-			}
-			cost := wSum[s] / muA
-			for j := 0; j < n; j++ {
-				if a&(1<<j) != 0 {
-					cost += rates[j] / muA * v[s&^(1<<j)]
-				}
-			}
-			if best < 0 || cost < best {
-				best = cost
-			}
-		})
-		v[s] = best
-	}
-	return v[(1<<n)-1], nil
+	return expDP(n, weightHolding(weights), everySubset(rates, m)), nil
 }
 
 // ExpPolicyValueWeighted evaluates a list policy's E[Σ w_j C_j] exactly on
@@ -82,36 +49,17 @@ func ExpPolicyValueWeighted(rates, weights []float64, m int, o Order) (float64, 
 	if !validOrder(o, n) {
 		return 0, fmt.Errorf("batch: invalid order")
 	}
-	wSum := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		low := bits.TrailingZeros(uint(s))
-		wSum[s] = wSum[s&(s-1)] + weights[low]
+	return expDP(n, weightHolding(weights), firstInOrder(o, m, func(_, j int) float64 { return rates[j] })), nil
+}
+
+// weightHolding returns the holding rate w(S) = Σ_{j∈S} w_j, tabulated for
+// every subset by adding each set's lowest job to the rest.
+func weightHolding(weights []float64) func(s int) float64 {
+	wSum := make([]float64, 1<<len(weights))
+	for s := 1; s < len(wSum); s++ {
+		wSum[s] = wSum[s&(s-1)] + weights[bits.TrailingZeros(uint(s))]
 	}
-	v := make([]float64, 1<<n)
-	for s := 1; s < 1<<n; s++ {
-		size := bits.OnesCount(uint(s))
-		k := m
-		if size < m {
-			k = size
-		}
-		muA := 0.0
-		var served []int
-		for _, j := range o {
-			if s&(1<<j) != 0 {
-				served = append(served, j)
-				muA += rates[j]
-				if len(served) == k {
-					break
-				}
-			}
-		}
-		cost := wSum[s] / muA
-		for _, j := range served {
-			cost += rates[j] / muA * v[s&^(1<<j)]
-		}
-		v[s] = cost
-	}
-	return v[(1<<n)-1], nil
+	return func(s int) float64 { return wSum[s] }
 }
 
 // WMuOrder returns jobs sorted by nonincreasing w_j·µ_j, the exponential

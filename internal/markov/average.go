@@ -21,17 +21,9 @@ import (
 // stationary policy; an aperiodicity transform (damping) is applied
 // internally so periodic chains also converge.
 func RelativeValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available [][]bool, tol float64, maxIter int) (gain float64, bias []float64, policy []int, err error) {
-	if len(transitions) == 0 {
-		return 0, nil, nil, fmt.Errorf("markov: no actions")
-	}
-	n := transitions[0].Rows
-	for a, tr := range transitions {
-		if tr.Rows != n || tr.Cols != n {
-			return 0, nil, nil, fmt.Errorf("markov: action %d transition shape mismatch", a)
-		}
-		if len(rewards[a]) != n {
-			return 0, nil, nil, fmt.Errorf("markov: action %d reward length mismatch", a)
-		}
+	n, err := mdpStates(transitions, rewards)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	// Aperiodicity transform: P' = (1−τ)I + τP leaves gain and optimal
 	// policies unchanged while guaranteeing aperiodicity.
@@ -40,29 +32,8 @@ func RelativeValueIteration(transitions []*linalg.Matrix, rewards [][]float64, a
 	next := make([]float64, n)
 	policy = make([]int, n)
 	for iter := 0; iter < maxIter; iter++ {
-		for s := 0; s < n; s++ {
-			best := math.Inf(-1)
-			bestA := -1
-			for a := range transitions {
-				if available != nil && !available[s][a] {
-					continue
-				}
-				q := rewards[a][s] + (1-tau)*h[s]
-				row := transitions[a].Data[s*n : (s+1)*n]
-				for j, p := range row {
-					if p != 0 {
-						q += tau * p * h[j]
-					}
-				}
-				if q > best {
-					best, bestA = q, a
-				}
-			}
-			if bestA < 0 {
-				return 0, nil, nil, fmt.Errorf("markov: state %d has no available action", s)
-			}
-			next[s] = best
-			policy[s] = bestA
+		if err := greedyBackup(transitions, rewards, available, 1-tau, tau, h, next, policy); err != nil {
+			return 0, nil, nil, err
 		}
 		// Normalize by the reference state and measure the span of the
 		// increment; span contraction certifies convergence of the gain.

@@ -103,17 +103,9 @@ func (c *Chain) DiscountedValue(r []float64, beta float64) ([]float64, error) {
 // available[s][a] = false (nil available means all actions allowed
 // everywhere). Returns the value function and a greedy optimal policy.
 func ValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available [][]bool, beta, tol float64, maxIter int) ([]float64, []int, error) {
-	if len(transitions) == 0 {
-		return nil, nil, fmt.Errorf("markov: no actions")
-	}
-	n := transitions[0].Rows
-	for a, tr := range transitions {
-		if tr.Rows != n || tr.Cols != n {
-			return nil, nil, fmt.Errorf("markov: action %d transition shape mismatch", a)
-		}
-		if len(rewards[a]) != n {
-			return nil, nil, fmt.Errorf("markov: action %d reward length mismatch", a)
-		}
+	n, err := mdpStates(transitions, rewards)
+	if err != nil {
+		return nil, nil, err
 	}
 	if beta <= 0 || beta >= 1 {
 		return nil, nil, fmt.Errorf("markov: discount beta = %v outside (0,1)", beta)
@@ -122,31 +114,12 @@ func ValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available
 	next := make([]float64, n)
 	policy := make([]int, n)
 	for iter := 0; iter < maxIter; iter++ {
+		if err := greedyBackup(transitions, rewards, available, 0, beta, v, next, policy); err != nil {
+			return nil, nil, err
+		}
 		delta := 0.0
-		for s := 0; s < n; s++ {
-			best := math.Inf(-1)
-			bestA := -1
-			for a := range transitions {
-				if available != nil && !available[s][a] {
-					continue
-				}
-				q := rewards[a][s]
-				row := transitions[a].Data[s*n : (s+1)*n]
-				for j, p := range row {
-					if p != 0 {
-						q += beta * p * v[j]
-					}
-				}
-				if q > best {
-					best, bestA = q, a
-				}
-			}
-			if bestA < 0 {
-				return nil, nil, fmt.Errorf("markov: state %d has no available action", s)
-			}
-			next[s] = best
-			policy[s] = bestA
-			if d := math.Abs(best - v[s]); d > delta {
+		for s := range v {
+			if d := math.Abs(next[s] - v[s]); d > delta {
 				delta = d
 			}
 		}
@@ -156,4 +129,61 @@ func ValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available
 		}
 	}
 	return v, policy, fmt.Errorf("markov: value iteration did not converge in %d iterations", maxIter)
+}
+
+// mdpStates checks that every action of an MDP has an n×n transition
+// matrix and n rewards, n being the first matrix's row count, and returns
+// n.
+func mdpStates(transitions []*linalg.Matrix, rewards [][]float64) (int, error) {
+	if len(transitions) == 0 {
+		return 0, fmt.Errorf("markov: no actions")
+	}
+	n := transitions[0].Rows
+	for a, tr := range transitions {
+		if tr.Rows != n || tr.Cols != n {
+			return 0, fmt.Errorf("markov: action %d transition shape mismatch", a)
+		}
+		if len(rewards[a]) != n {
+			return 0, fmt.Errorf("markov: action %d reward length mismatch", a)
+		}
+	}
+	return n, nil
+}
+
+// greedyBackup applies one greedy Bellman backup to x: for every state s it
+// sets next[s] to the largest
+//
+//	r_a(s) + c·x(s) + d·Σ_j P_a(s,j)·x(j)
+//
+// over the actions a available in s, and policy[s] to the first action
+// attaining it. Value iteration backs up with (c, d) = (0, β); relative
+// value iteration with (1−τ, τ), the aperiodicity transform's self-loop
+// and scaled chain.
+func greedyBackup(transitions []*linalg.Matrix, rewards [][]float64, available [][]bool, c, d float64, x, next []float64, policy []int) error {
+	n := len(x)
+	for s := range x {
+		best := math.Inf(-1)
+		bestA := -1
+		for a := range transitions {
+			if available != nil && !available[s][a] {
+				continue
+			}
+			q := rewards[a][s] + c*x[s]
+			row := transitions[a].Data[s*n : (s+1)*n]
+			for j, p := range row {
+				if p != 0 {
+					q += d * p * x[j]
+				}
+			}
+			if q > best {
+				best, bestA = q, a
+			}
+		}
+		if bestA < 0 {
+			return fmt.Errorf("markov: state %d has no available action", s)
+		}
+		next[s] = best
+		policy[s] = bestA
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package queueing
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Single-station multiclass fluid model (Chen–Yao 1993): class j fluid
 // drains at rate µ_j per unit of server effort; the draining problem starts
@@ -55,36 +52,7 @@ func BestFluidOrder(classes []Class, x0 []float64) ([]int, float64, error) {
 	if n > 8 {
 		return nil, 0, fmt.Errorf("queueing: fluid enumeration limited to 8 classes")
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := math.Inf(1)
-	var bestOrder []int
-	var rec func(k int) error
-	rec = func(k int) error {
-		if k == n {
-			v, err := FluidDrainCost(classes, x0, perm)
-			if err != nil {
-				return err
-			}
-			if v < best {
-				best = v
-				bestOrder = append([]int(nil), perm...)
-			}
-			return nil
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			if err := rec(k + 1); err != nil {
-				return err
-			}
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, 0, err
-	}
-	return bestOrder, best, nil
+	return bestOrder(n, func(order []int) (float64, error) {
+		return FluidDrainCost(classes, x0, order)
+	})
 }

@@ -200,22 +200,35 @@ func (m *MG1) BestPriorityExhaustive() ([]int, float64, error) {
 	if n > 8 {
 		return nil, 0, fmt.Errorf("queueing: exhaustive search limited to 8 classes")
 	}
-	best := math.Inf(1)
-	var bestOrder []int
+	return bestOrder(n, func(order []int) (float64, error) {
+		_, l, err := m.ExactPriority(order)
+		if err != nil {
+			return 0, err
+		}
+		return m.HoldingCostRate(l), nil
+	})
+}
+
+// bestOrder evaluates cost on every permutation of 0..n-1, enumerated by
+// swaps, and returns the first order of least cost with that cost. The
+// first error cost returns ends the search.
+func bestOrder(n int, cost func(order []int) (float64, error)) ([]int, float64, error) {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
+	best := math.Inf(1)
+	var bestPerm []int
 	var rec func(k int) error
 	rec = func(k int) error {
 		if k == n {
-			_, l, err := m.ExactPriority(perm)
+			v, err := cost(perm)
 			if err != nil {
 				return err
 			}
-			if v := m.HoldingCostRate(l); v < best {
+			if v < best {
 				best = v
-				bestOrder = append([]int(nil), perm...)
+				bestPerm = append([]int(nil), perm...)
 			}
 			return nil
 		}
@@ -231,7 +244,7 @@ func (m *MG1) BestPriorityExhaustive() ([]int, float64, error) {
 	if err := rec(0); err != nil {
 		return nil, 0, err
 	}
-	return bestOrder, best, nil
+	return bestPerm, best, nil
 }
 
 // KleinrockConserved returns Σ_j ρ_j·Wq_j, the quantity Kleinrock's

@@ -43,29 +43,12 @@ func (f *Fleet) SimulateStaticPriority(score []float64, horizon, burnin int, s *
 	if horizon <= burnin {
 		return 0, fmt.Errorf("restless: horizon %d must exceed burnin %d", horizon, burnin)
 	}
-	n := f.Type.N()
-	state := make([]int, f.N)
 	idx := make([]int, f.N)
-	bucket, slot := scoreBuckets(score), make([]int, n)
-	total := 0.0
-	for t := 0; t < horizon; t++ {
+	bucket, slot := scoreBuckets(score), make([]int, f.Type.N())
+	return f.run(horizon, burnin, s, func(state []int) []int {
 		rankProjects(idx, state, bucket, slot)
-		reward := 0.0
-		for rank, proj := range idx {
-			act := Passive
-			if rank < f.M {
-				act = Active
-			}
-			st := state[proj]
-			reward += f.Type.R[act][st]
-			row := f.Type.P[act].Data[st*n : (st+1)*n]
-			state[proj] = s.Categorical(row)
-		}
-		if t >= burnin {
-			total += reward
-		}
-	}
-	return total / float64(horizon-burnin), nil
+		return idx
+	}), nil
 }
 
 // scoreBuckets maps each state to the number of states scoring strictly
@@ -112,15 +95,23 @@ func (f *Fleet) SimulateRandomPolicy(horizon, burnin int, s *rng.Stream) (float6
 	if horizon <= burnin {
 		return 0, fmt.Errorf("restless: horizon %d must exceed burnin %d", horizon, burnin)
 	}
+	return f.run(horizon, burnin, s, func([]int) []int { return s.Perm(f.N) }), nil
+}
+
+// run simulates the fleet from every project in state 0 for horizon
+// epochs. Each epoch rank orders the projects given their current states,
+// the first M of that order are activated, and every project then moves
+// with one categorical draw, in rank order. It returns the average reward
+// per epoch over [burnin, horizon).
+func (f *Fleet) run(horizon, burnin int, s *rng.Stream, rank func(state []int) []int) float64 {
 	n := f.Type.N()
 	state := make([]int, f.N)
 	total := 0.0
 	for t := 0; t < horizon; t++ {
-		perm := s.Perm(f.N)
 		reward := 0.0
-		for rank, proj := range perm {
+		for i, proj := range rank(state) {
 			act := Passive
-			if rank < f.M {
+			if i < f.M {
 				act = Active
 			}
 			st := state[proj]
@@ -132,7 +123,7 @@ func (f *Fleet) SimulateRandomPolicy(horizon, burnin int, s *rng.Stream) (float6
 			total += reward
 		}
 	}
-	return total / float64(horizon-burnin), nil
+	return total / float64(horizon-burnin)
 }
 
 // MyopicScore returns the one-step activation advantage R₁ − R₀ per state.
