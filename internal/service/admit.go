@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -50,24 +51,7 @@ func NewAdmission(inflight, queue int) *Admission {
 // context's error if it is done first. A nil error must be paired with
 // exactly one Release.
 func (a *Admission) Acquire(ctx context.Context) error {
-	select {
-	case a.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if a.waiting.Add(1) > a.maxWait {
-		a.waiting.Add(-1)
-		return ErrShed
-	}
-	defer a.waiting.Add(-1)
-	begin := time.Now()
-	defer func() { a.waitNs.Add(time.Since(begin).Nanoseconds()) }()
-	select {
-	case a.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return a.acquire(ctx, &a.waiting, a.maxWait)
 }
 
 // AcquireBlocking claims an execution slot, waiting as long as it takes
@@ -77,13 +61,24 @@ func (a *Admission) Acquire(ctx context.Context) error {
 // their job's parallelism, and shedding one would fail the whole job —
 // they wait instead. The inflight bound still applies.
 func (a *Admission) AcquireBlocking(ctx context.Context) error {
+	return a.acquire(ctx, &a.waitingBg, math.MaxInt64)
+}
+
+// acquire claims a slot at once if one is free. Otherwise the caller
+// joins waiters and waits for one, unless that would make more than bound
+// waiters (ErrShed), until a slot frees or ctx is done; the wait adds to
+// waitNs.
+func (a *Admission) acquire(ctx context.Context, waiters *atomic.Int64, bound int64) error {
 	select {
 	case a.slots <- struct{}{}:
 		return nil
 	default:
 	}
-	a.waitingBg.Add(1)
-	defer a.waitingBg.Add(-1)
+	if waiters.Add(1) > bound {
+		waiters.Add(-1)
+		return ErrShed
+	}
+	defer waiters.Add(-1)
 	begin := time.Now()
 	defer func() { a.waitNs.Add(time.Since(begin).Nanoseconds()) }()
 	select {

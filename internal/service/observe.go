@@ -19,22 +19,25 @@ import (
 // instrument wraps the route mux with per-request observability: it
 // assigns a process-unique request id (echoed as X-Request-Id on every
 // response), opens a trace whose spans the handlers below record into,
-// retains the finished trace in the ring buffer for GET /v1/trace/{id},
-// and emits one structured access-log line. None of it touches response
-// bodies — the byte-identity guarantees are indifferent to tracing.
+// retains the finished trace in the ring buffer for GET /v1/trace/{id}
+// (with retention off, a root-only trace that is not kept), and emits one
+// structured access-log line. None of it touches response bodies — the
+// byte-identity guarantees are indifferent to tracing.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		id := obs.NewRequestID()
 		w.Header().Set("X-Request-Id", id)
 
-		ctx := r.Context()
-		var tr *obs.Trace
-		if s.cfg.TraceBuffer > 0 {
-			tr = obs.NewTrace(id)
-			ctx = obs.WithTrace(ctx, tr)
-			r = r.WithContext(ctx)
+		// With retention off the trace is its root alone, which still
+		// carries the request facts the access log reports.
+		newTrace := obs.NewTrace
+		if s.cfg.TraceBuffer == 0 {
+			newTrace = obs.NewRootTrace
 		}
+		tr := newTrace(id)
+		ctx := obs.WithTrace(r.Context(), tr)
+		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		tr.Finish()

@@ -390,31 +390,37 @@ func TestTerminationPathsRecordMetrics(t *testing.T) {
 // TestAccessLogEmitted pins the structured log line: one Info record per
 // request with the request id, endpoint, and outcome attributes.
 func TestAccessLogEmitted(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	s := New(Config{Logger: logger})
-	h := s.Handler()
-	w := post(t, h, "/v1/index", gittinsIndexBody)
+	// With trace retention off (TraceBuffer -1) the line still carries
+	// every request fact the handlers annotate.
+	for _, traceBuffer := range []int{0, -1} {
+		var buf bytes.Buffer
+		logger := slog.New(slog.NewJSONHandler(&buf, nil))
+		s := New(Config{Logger: logger, TraceBuffer: traceBuffer})
+		h := s.Handler()
+		w := post(t, h, "/v1/index", gittinsIndexBody)
 
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("log line not JSON: %v (%q)", err, buf.String())
-	}
-	if rec["msg"] != "request" {
-		t.Errorf("msg = %v", rec["msg"])
-	}
-	if rec["request_id"] != w.Header().Get("X-Request-Id") {
-		t.Errorf("request_id %v != header %q", rec["request_id"], w.Header().Get("X-Request-Id"))
-	}
-	for key, want := range map[string]any{
-		"endpoint": "index", "kind": "bandit", "outcome": "miss",
-		"path": "/v1/index", "status": float64(200),
-	} {
-		if rec[key] != want {
-			t.Errorf("log[%s] = %v, want %v", key, rec[key], want)
+		var rec map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+			t.Fatalf("TraceBuffer %d: log line not JSON: %v (%q)", traceBuffer, err, buf.String())
 		}
-	}
-	if _, ok := rec["latency_ms"]; !ok {
-		t.Error("log lacks latency_ms")
+		if rec["msg"] != "request" {
+			t.Errorf("TraceBuffer %d: msg = %v", traceBuffer, rec["msg"])
+		}
+		if rec["request_id"] != w.Header().Get("X-Request-Id") {
+			t.Errorf("TraceBuffer %d: request_id %v != header %q", traceBuffer, rec["request_id"], w.Header().Get("X-Request-Id"))
+		}
+		for key, want := range map[string]any{
+			"endpoint": "index", "kind": "bandit", "outcome": "miss",
+			"path": "/v1/index", "status": float64(200),
+		} {
+			if rec[key] != want {
+				t.Errorf("TraceBuffer %d: log[%s] = %v, want %v", traceBuffer, key, rec[key], want)
+			}
+		}
+		for _, key := range []string{"latency_ms", "spec_hash"} {
+			if _, ok := rec[key]; !ok {
+				t.Errorf("TraceBuffer %d: log lacks %s", traceBuffer, key)
+			}
+		}
 	}
 }

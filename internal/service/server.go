@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -91,8 +92,9 @@ type Config struct {
 	BatchMaxItems int
 	// TraceBuffer bounds the ring of request traces retained for
 	// GET /v1/trace/{id} (0 keeps the default 256; negative disables
-	// retention — requests still carry X-Request-Id headers, but no trace
-	// is recorded and the trace endpoint always answers 404).
+	// retention — requests still carry X-Request-Id headers and the access
+	// log its request facts, but only a trace's root span is recorded,
+	// none is kept, and the trace endpoint always answers 404).
 	TraceBuffer int
 	// Logger receives structured access and lifecycle logs (one Info line
 	// per request: request id, endpoint, scenario kind, spec hash, cache
@@ -146,7 +148,9 @@ func (c Config) withDefaults() Config {
 		c.TraceBuffer = 0
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
+		// A handler no level enables: the access log skips formatting.
+		// (slog.DiscardHandler does this too but needs Go 1.24.)
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	return c
 }
