@@ -1,8 +1,9 @@
 // Command stochschedd serves the repository's scheduling-policy solvers
 // over HTTP/JSON: Gittins indices, Whittle indices, cµ/Klimov/WSEPT
 // priority orders, and engine-backed Monte Carlo evaluation of every
-// registered simulate scenario (mg1, mmm, bandit, restless, batch), behind
-// a sharded memoization cache and a bounded admission queue.
+// registered simulate scenario (bandit, batch, flowshop, jackson, mdp, mg1,
+// mmm, polling, restless), behind a sharded memoization cache and a
+// bounded admission queue.
 //
 //	stochschedd -addr :8080 -parallel 8
 //

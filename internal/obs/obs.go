@@ -177,9 +177,9 @@ func NewTrace(id string) *Trace {
 }
 
 // NewRootTrace starts a trace that records its root span alone: spans
-// opened under it are nil, so a request costs one allocation and no child
-// timings. It carries the root's annotations (the access log's request
-// facts) when full traces are not retained.
+// opened under it are nil, so it takes no child timings. It carries the
+// root's annotations (the access log's request facts) when full traces
+// are not retained.
 func NewRootTrace(id string) *Trace {
 	t := NewTrace(id)
 	t.rootOnly = true
