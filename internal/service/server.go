@@ -148,8 +148,8 @@ func (c Config) withDefaults() Config {
 		c.TraceBuffer = 0
 	}
 	if c.Logger == nil {
-		// A handler no level enables: the access log skips formatting.
-		// (slog.DiscardHandler does this too but needs Go 1.24.)
+		// Its threshold is above every level the server logs at, so the
+		// access log skips formatting (slog.DiscardHandler needs Go 1.24).
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	return c
