@@ -82,7 +82,7 @@ type Span struct {
 // arena while it lasts (one trace allocation amortizes the typical
 // request's span tree) and fall back to the heap for deep trees.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil || s.tr.rootOnly {
+	if s == nil {
 		return nil
 	}
 	now := time.Now()
@@ -163,7 +163,6 @@ type Trace struct {
 	arenaN    int
 	rootKids  [3]*Span // parse, cache, write
 	rootAttrs [4]Attr  // endpoint, kind, spec_hash, outcome
-	rootOnly  bool     // StartChild opens nothing (see NewRootTrace)
 }
 
 // NewTrace starts a trace identified by id, with the root span open.
@@ -173,16 +172,6 @@ func NewTrace(id string) *Trace {
 	t.rootSpan.children = t.rootKids[:0]
 	t.rootSpan.attrs = t.rootAttrs[:0]
 	t.root = &t.rootSpan
-	return t
-}
-
-// NewRootTrace starts a trace that records its root span alone: spans
-// opened under it are nil, so it takes no child timings. It carries the
-// root's annotations (the access log's request facts) when full traces
-// are not retained.
-func NewRootTrace(id string) *Trace {
-	t := NewTrace(id)
-	t.rootOnly = true
 	return t
 }
 
@@ -314,12 +303,15 @@ func CurrentSpan(ctx context.Context) *Span {
 }
 
 // Start opens a child of ctx's current span and returns a context whose
-// current span is the new one. Without a trace in ctx, or under a
-// root-only trace, it returns ctx unchanged and a nil span — zero
-// allocation on the untraced path.
+// current span is the new one. Without a trace in ctx it returns ctx
+// unchanged and a nil span — zero allocation on the untraced path.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	sp := CurrentSpan(ctx).StartChild(name)
-	return WithSpan(ctx, sp), sp
+	parent := CurrentSpan(ctx)
+	if parent == nil {
+		return ctx, nil
+	}
+	sp := parent.StartChild(name)
+	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
 // ---------------------------------------------------------------------------

@@ -49,29 +49,6 @@ func TestStartWithoutTraceIsInert(t *testing.T) {
 	}
 }
 
-// A root-only trace keeps the root's annotations (what the access log
-// reads) but opens no child: Start leaves ctx as it was.
-func TestRootTraceRecordsRootAlone(t *testing.T) {
-	tr := NewRootTrace("r-root")
-	ctx := WithTrace(context.Background(), tr)
-	RootSpan(ctx).Annotate("kind", "mg1")
-	ctx2, sp := Start(ctx, "parse")
-	if sp != nil || ctx2 != ctx {
-		t.Fatalf("Start under a root-only trace = (%v, %v), want ctx unchanged and nil", ctx2, sp)
-	}
-	if c := CurrentSpan(ctx).StartChild("cache"); c != nil {
-		t.Fatalf("StartChild under a root-only trace = %v", c)
-	}
-	tr.Finish()
-	snap := tr.Snapshot()
-	if len(snap.Root.Children) != 0 {
-		t.Errorf("root-only trace recorded %d children", len(snap.Root.Children))
-	}
-	if got := RootSpan(ctx).Attr("kind"); got != "mg1" {
-		t.Errorf("root kind = %q, want mg1", got)
-	}
-}
-
 func TestTraceSpanTree(t *testing.T) {
 	tr := NewTrace("r-test-1")
 	ctx := WithTrace(context.Background(), tr)

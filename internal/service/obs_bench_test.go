@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// BenchmarkWarmHitObservability isolates the cost of the observability
-// middleware on the cheapest path the service has — a warm cache hit —
-// with tracing enabled (default ring buffer) versus disabled. The delta
-// between the two is the per-request price of request IDs + span trees;
-// keeping it small is an explicit goal (tracing must be affordable in
-// production, not a debug-only mode).
+// BenchmarkWarmHitObservability times the observability middleware on
+// the cheapest path the service has — a warm cache hit — with trace
+// retention on (default ring buffer) versus off. Both record each
+// request's span tree, which the access log reads, so the delta is the
+// price of retaining it; keeping tracing cheap is an explicit goal
+// (tracing must be affordable in production, not a debug-only mode).
 func BenchmarkWarmHitObservability(b *testing.B) {
 	body := `{"kind":"mg1","mg1":{"spec":{"classes":[{"rate":0.5,"service_mean":1,"hold_cost":2}]},"policy":"cmu","horizon":20,"burnin":2},"seed":7,"replications":3}`
 	run := func(b *testing.B, cfg Config) {
@@ -31,5 +31,5 @@ func BenchmarkWarmHitObservability(b *testing.B) {
 		}
 	}
 	b.Run("tracing", func(b *testing.B) { run(b, Config{}) })
-	b.Run("no-tracing", func(b *testing.B) { run(b, Config{TraceBuffer: -1}) })
+	b.Run("no-retention", func(b *testing.B) { run(b, Config{TraceBuffer: -1}) })
 }

@@ -20,22 +20,17 @@ import (
 // assigns a process-unique request id (echoed as X-Request-Id on every
 // response), opens a trace whose spans the handlers below record into,
 // retains the finished trace in the ring buffer for GET /v1/trace/{id}
-// (with retention off, a root-only trace that is not kept), and emits one
-// structured access-log line. None of it touches response bodies — the
-// byte-identity guarantees are indifferent to tracing.
+// (a ring of capacity 0, retention off, keeps none), and emits one
+// structured access-log line from the trace root's annotations. None of it
+// touches response bodies — the byte-identity guarantees are indifferent
+// to tracing.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		id := obs.NewRequestID()
 		w.Header().Set("X-Request-Id", id)
 
-		// With retention off the trace is its root alone, which still
-		// carries the request facts the access log reports.
-		newTrace := obs.NewTrace
-		if s.cfg.TraceBuffer == 0 {
-			newTrace = obs.NewRootTrace
-		}
-		tr := newTrace(id)
+		tr := obs.NewTrace(id)
 		ctx := obs.WithTrace(r.Context(), tr)
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}

@@ -388,38 +388,60 @@ func TestTerminationPathsRecordMetrics(t *testing.T) {
 }
 
 // TestAccessLogEmitted pins the structured log line: one Info record per
-// request with the request id, endpoint, and outcome attributes.
+// request with the request id, endpoint, and outcome attributes. The
+// request facts are the same with trace retention on (TraceBuffer 0) and
+// off (-1).
 func TestAccessLogEmitted(t *testing.T) {
-	// With trace retention off (TraceBuffer -1) the line still carries
-	// every request fact the handlers annotate.
+	batchBody := batchOf(t,
+		api.BatchItem{Op: api.OpIndex, Body: json.RawMessage(gittinsIndexBody)},
+		api.BatchItem{Op: api.OpSimulate, Body: json.RawMessage(simulateBody)},
+	)
+	cases := []struct {
+		path, body              string
+		endpoint, kind, outcome string // "" when the line must not carry it
+		hashed                  bool   // the line carries a spec_hash
+	}{
+		{"/v1/index", gittinsIndexBody, "index", "bandit", "miss", true},
+		// Each batch item annotates its own span, so the line names the
+		// endpoint alone, whichever item finishes last.
+		{"/v1/batch", batchBody, "batch", "", "", false},
+	}
 	for _, traceBuffer := range []int{0, -1} {
 		var buf bytes.Buffer
 		logger := slog.New(slog.NewJSONHandler(&buf, nil))
-		s := New(Config{Logger: logger, TraceBuffer: traceBuffer})
-		h := s.Handler()
-		w := post(t, h, "/v1/index", gittinsIndexBody)
+		h := New(Config{Logger: logger, TraceBuffer: traceBuffer}).Handler()
+		for _, c := range cases {
+			buf.Reset()
+			w := post(t, h, c.path, c.body)
 
-		var rec map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-			t.Fatalf("TraceBuffer %d: log line not JSON: %v (%q)", traceBuffer, err, buf.String())
-		}
-		if rec["msg"] != "request" {
-			t.Errorf("TraceBuffer %d: msg = %v", traceBuffer, rec["msg"])
-		}
-		if rec["request_id"] != w.Header().Get("X-Request-Id") {
-			t.Errorf("TraceBuffer %d: request_id %v != header %q", traceBuffer, rec["request_id"], w.Header().Get("X-Request-Id"))
-		}
-		for key, want := range map[string]any{
-			"endpoint": "index", "kind": "bandit", "outcome": "miss",
-			"path": "/v1/index", "status": float64(200),
-		} {
-			if rec[key] != want {
-				t.Errorf("TraceBuffer %d: log[%s] = %v, want %v", traceBuffer, key, rec[key], want)
+			var rec map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+				t.Fatalf("TraceBuffer %d %s: log line not JSON: %v (%q)", traceBuffer, c.path, err, buf.String())
 			}
-		}
-		for _, key := range []string{"latency_ms", "spec_hash"} {
-			if _, ok := rec[key]; !ok {
-				t.Errorf("TraceBuffer %d: log lacks %s", traceBuffer, key)
+			if rec["msg"] != "request" {
+				t.Errorf("TraceBuffer %d %s: msg = %v", traceBuffer, c.path, rec["msg"])
+			}
+			if rec["request_id"] != w.Header().Get("X-Request-Id") {
+				t.Errorf("TraceBuffer %d %s: request_id %v != header %q", traceBuffer, c.path, rec["request_id"], w.Header().Get("X-Request-Id"))
+			}
+			if _, ok := rec["latency_ms"]; !ok {
+				t.Errorf("TraceBuffer %d %s: log lacks latency_ms", traceBuffer, c.path)
+			}
+			for key, want := range map[string]any{
+				"path": c.path, "status": float64(200),
+				"endpoint": c.endpoint, "kind": c.kind, "outcome": c.outcome,
+			} {
+				got, ok := rec[key]
+				if want == "" {
+					if ok {
+						t.Errorf("TraceBuffer %d %s: log[%s] = %v, want none", traceBuffer, c.path, key, got)
+					}
+				} else if got != want {
+					t.Errorf("TraceBuffer %d %s: log[%s] = %v, want %v", traceBuffer, c.path, key, got, want)
+				}
+			}
+			if _, ok := rec["spec_hash"]; ok != c.hashed {
+				t.Errorf("TraceBuffer %d %s: log has spec_hash %v, want %v", traceBuffer, c.path, ok, c.hashed)
 			}
 		}
 	}

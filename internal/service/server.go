@@ -92,9 +92,9 @@ type Config struct {
 	BatchMaxItems int
 	// TraceBuffer bounds the ring of request traces retained for
 	// GET /v1/trace/{id} (0 keeps the default 256; negative disables
-	// retention — requests still carry X-Request-Id headers and the access
-	// log its request facts, but only a trace's root span is recorded,
-	// none is kept, and the trace endpoint always answers 404).
+	// retention — requests are still traced, so they carry X-Request-Id
+	// headers and the access log its request facts, but no trace is kept
+	// and the trace endpoint always answers 404).
 	TraceBuffer int
 	// Logger receives structured access and lifecycle logs (one Info line
 	// per request: request id, endpoint, scenario kind, spec hash, cache
