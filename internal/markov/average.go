@@ -32,7 +32,10 @@ func RelativeValueIteration(transitions []*linalg.Matrix, rewards [][]float64, a
 	next := make([]float64, n)
 	policy = make([]int, n)
 	for iter := 0; iter < maxIter; iter++ {
-		if err := greedyBackup(transitions, rewards, available, 1-tau, tau, h, next, policy); err != nil {
+		for s := range next {
+			next[s] = (1 - tau) * h[s]
+		}
+		if err := greedyBackup(transitions, rewards, available, tau, h, next, policy); err != nil {
 			return 0, nil, nil, err
 		}
 		// Normalize by the reference state and measure the span of the

@@ -113,8 +113,12 @@ func ValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available
 	v := make([]float64, n)
 	next := make([]float64, n)
 	policy := make([]int, n)
+	negZero := math.Copysign(0, -1)
 	for iter := 0; iter < maxIter; iter++ {
-		if err := greedyBackup(transitions, rewards, available, 0, beta, v, next, policy); err != nil {
+		for s := range next {
+			next[s] = negZero
+		}
+		if err := greedyBackup(transitions, rewards, available, beta, v, next, policy); err != nil {
 			return nil, nil, err
 		}
 		delta := 0.0
@@ -150,16 +154,18 @@ func mdpStates(transitions []*linalg.Matrix, rewards [][]float64) (int, error) {
 	return n, nil
 }
 
-// greedyBackup applies one greedy Bellman backup to x: for every state s it
-// sets next[s] to the largest
+// greedyBackup applies one greedy Bellman backup to x. On entry next[s]
+// holds the part of state s's backup that no action changes; the backup
+// overwrites it with the largest
 //
-//	r_a(s) + c·x(s) + d·Σ_j P_a(s,j)·x(j)
+//	r_a(s) + next[s] + d·Σ_j P_a(s,j)·x(j)
 //
-// over the actions a available in s, and policy[s] to the first action
-// attaining it. Value iteration backs up with (c, d) = (0, β); relative
-// value iteration with (1−τ, τ), the aperiodicity transform's self-loop
-// and scaled chain.
-func greedyBackup(transitions []*linalg.Matrix, rewards [][]float64, available [][]bool, c, d float64, x, next []float64, policy []int) error {
+// over the actions a available in s, and sets policy[s] to the first
+// action attaining it. Relative value iteration enters next[s] =
+// (1−τ)·x(s) and d = τ, the aperiodicity transform's self-loop and scaled
+// chain. Value iteration enters −0, the one addend that leaves every
+// float64 as it is (+0 would turn −0 into +0), and d = β.
+func greedyBackup(transitions []*linalg.Matrix, rewards [][]float64, available [][]bool, d float64, x, next []float64, policy []int) error {
 	n := len(x)
 	for s := range x {
 		best := math.Inf(-1)
@@ -168,7 +174,7 @@ func greedyBackup(transitions []*linalg.Matrix, rewards [][]float64, available [
 			if available != nil && !available[s][a] {
 				continue
 			}
-			q := rewards[a][s] + c*x[s]
+			q := rewards[a][s] + next[s]
 			row := transitions[a].Data[s*n : (s+1)*n]
 			for j, p := range row {
 				if p != 0 {
