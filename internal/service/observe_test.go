@@ -403,7 +403,7 @@ func TestAccessLogEmitted(t *testing.T) {
 	}{
 		{"/v1/index", gittinsIndexBody, "index", "bandit", "miss", true},
 		// Each batch item annotates its own span, so the line names the
-		// endpoint alone, whichever item finishes last.
+		// endpoint alone and carries no item's facts.
 		{"/v1/batch", batchBody, "batch", "", "", false},
 	}
 	for _, traceBuffer := range []int{0, -1} {
