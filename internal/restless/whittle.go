@@ -3,6 +3,8 @@ package restless
 import (
 	"fmt"
 	"math"
+
+	"stochsched/internal/linalg"
 )
 
 // The subsidy formulation (Whittle 1988): give reward λ for each passive
@@ -14,65 +16,90 @@ import (
 // asymptotically optimal under an ergodicity condition as N → ∞ with m/N
 // fixed.
 
-// SolveSubsidy solves the discounted single-project MDP with passive
-// subsidy lambda by value iteration and returns the optimal value function
-// and the activation advantage
+// subsidyMDP is the workspace on which one WhittleIndex or
+// CheckIndexability call solves each of its subsidies: the project,
+// validated once, its discount, and the passive/active policy the last
+// solve ended with, from which the next solve starts.
+type subsidyMDP struct {
+	p      *Project
+	beta   float64
+	active []bool
+	sys    *linalg.Matrix // I − βP_π of the current policy π
+	r, adv []float64      // r_π, and the activation advantage under π
+}
+
+// maxPolicySteps caps the evaluations of one subsidy solve. A warm-started
+// solve usually settles after one or two.
+const maxPolicySteps = 1000
+
+// newSubsidyMDP validates p and the discount and returns a workspace whose
+// first solve starts from the all-passive policy.
+func newSubsidyMDP(p *Project, beta float64) (*subsidyMDP, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if beta <= 0 || beta >= 1 {
+		return nil, fmt.Errorf("restless: discount %v outside (0,1)", beta)
+	}
+	n := p.N()
+	return &subsidyMDP{p: p, beta: beta, active: make([]bool, n), sys: linalg.NewMatrix(n, n),
+		r: make([]float64, n), adv: make([]float64, n)}, nil
+}
+
+// solve solves the discounted single-project MDP with passive subsidy
+// lambda by Howard's policy iteration and returns the activation advantage
 //
 //	adv(i) = [R₁(i) + β P₁(i)·V] − [R₀(i) + λ + β P₀(i)·V],
 //
-// positive where being active is strictly optimal.
-func SolveSubsidy(p *Project, lambda, beta float64) (v, adv []float64, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if beta <= 0 || beta >= 1 {
-		return nil, nil, fmt.Errorf("restless: discount %v outside (0,1)", beta)
-	}
-	n := p.N()
-	v = make([]float64, n)
-	next := make([]float64, n)
-	for iter := 0; iter < 200000; iter++ {
-		delta := 0.0
+// positive where being active is strictly optimal. Each step evaluates the
+// current policy exactly, solving (I − βP_π)V = r_π, and switches a state
+// only when its other action is better by more than 1e-12·(1 + |Q₁| + |Q₀|),
+// so rounding ties cannot make the policy cycle. It returns once no state
+// switches; the slice is the workspace's and the next solve overwrites it.
+func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
+	p, beta, n := w.p, w.beta, w.p.N()
+	for step := 0; step < maxPolicySteps; step++ {
+		for i := 0; i < n; i++ {
+			a, r := Passive, p.R[Passive][i]+lambda
+			if w.active[i] {
+				a, r = Active, p.R[Active][i]
+			}
+			sys := w.sys.Data[i*n : (i+1)*n]
+			for k, pk := range p.P[a].Data[i*n : (i+1)*n] {
+				sys[k] = -beta * pk
+			}
+			sys[i]++
+			w.r[i] = r
+		}
+		v, err := linalg.Solve(w.sys, w.r)
+		if err != nil {
+			return nil, fmt.Errorf("restless: subsidy policy evaluation: %w", err)
+		}
+		settled := true
 		for i := 0; i < n; i++ {
 			qa := p.R[Active][i]
-			row := p.P[Active].Data[i*n : (i+1)*n]
-			for k, pk := range row {
+			for k, pk := range p.P[Active].Data[i*n : (i+1)*n] {
 				qa += beta * pk * v[k]
 			}
 			qp := p.R[Passive][i] + lambda
-			row = p.P[Passive].Data[i*n : (i+1)*n]
-			for k, pk := range row {
+			for k, pk := range p.P[Passive].Data[i*n : (i+1)*n] {
 				qp += beta * pk * v[k]
 			}
-			val := qa
-			if qp > val {
-				val = qp
+			w.adv[i] = qa - qp
+			gain := w.adv[i] // what switching state i to its other action earns
+			if w.active[i] {
+				gain = -gain
 			}
-			next[i] = val
-			if d := math.Abs(val - v[i]); d > delta {
-				delta = d
+			if gain > 1e-12*(1+math.Abs(qa)+math.Abs(qp)) {
+				w.active[i] = !w.active[i]
+				settled = false
 			}
 		}
-		v, next = next, v
-		if delta < 1e-13 {
-			break
+		if settled {
+			return w.adv, nil
 		}
 	}
-	adv = make([]float64, n)
-	for i := 0; i < n; i++ {
-		qa := p.R[Active][i]
-		row := p.P[Active].Data[i*n : (i+1)*n]
-		for k, pk := range row {
-			qa += beta * pk * v[k]
-		}
-		qp := p.R[Passive][i] + lambda
-		row = p.P[Passive].Data[i*n : (i+1)*n]
-		for k, pk := range row {
-			qp += beta * pk * v[k]
-		}
-		adv[i] = qa - qp
-	}
-	return v, adv, nil
+	return nil, fmt.Errorf("restless: subsidy policy iteration did not settle in %d steps", maxPolicySteps)
 }
 
 // IndexabilityReport is the result of an indexability scan.
@@ -84,10 +111,16 @@ type IndexabilityReport struct {
 }
 
 // CheckIndexability sweeps subsidies over [lo, hi] in `steps` increments and
-// verifies the passive set grows monotonically.
+// verifies the passive set grows monotonically. It validates the project
+// and discount once and solves its steps+1 subsidies on one workspace, each
+// solve starting from the last one's policy.
 func CheckIndexability(p *Project, beta, lo, hi float64, steps int) (*IndexabilityReport, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("restless: need at least 2 steps")
+	}
+	w, err := newSubsidyMDP(p, beta)
+	if err != nil {
+		return nil, err
 	}
 	n := p.N()
 	passiveSince := make([]float64, n)
@@ -98,7 +131,7 @@ func CheckIndexability(p *Project, beta, lo, hi float64, steps int) (*Indexabili
 	rep := &IndexabilityReport{Indexable: true}
 	for k := 0; k <= steps; k++ {
 		lambda := lo + (hi-lo)*float64(k)/float64(steps)
-		_, adv, err := SolveSubsidy(p, lambda, beta)
+		adv, err := w.solve(lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +170,13 @@ func SubsidyBracket(p *Project, beta float64) (lo, hi float64) {
 
 // WhittleIndex computes the Whittle index of every state by bisection on
 // the activation advantage within SubsidyBracket. For an indexable project
-// adv(i) is nonincreasing in λ, so the root is unique.
+// adv(i) is nonincreasing in λ, so the root is unique. It validates the
+// project and discount once, before any bisection, and solves every
+// bisection step's subsidy exactly on one workspace, each solve starting
+// from the last one's policy.
 func WhittleIndex(p *Project, beta float64) ([]float64, error) {
-	if err := p.Validate(); err != nil {
+	w, err := newSubsidyMDP(p, beta)
+	if err != nil {
 		return nil, err
 	}
 	lo, hi := SubsidyBracket(p, beta)
@@ -150,7 +187,7 @@ func WhittleIndex(p *Project, beta float64) ([]float64, error) {
 		a, b := lo, hi
 		for iter := 0; iter < 80 && b-a > 1e-10*(1+math.Abs(a)); iter++ {
 			mid := (a + b) / 2
-			_, adv, err := SolveSubsidy(p, mid, beta)
+			adv, err := w.solve(mid)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,13 @@
 package restless
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
+	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 )
 
@@ -73,8 +76,12 @@ func TestWhittleIndifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, err := newSubsidyMDP(p, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, lam := range idx {
-		_, adv, err := SolveSubsidy(p, lam, beta)
+		adv, err := w.solve(lam)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +99,12 @@ func TestAdvantageMonotoneInSubsidy(t *testing.T) {
 	for i := range prev {
 		prev[i] = math.Inf(1)
 	}
+	w, err := newSubsidyMDP(p, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, lam := range []float64{-5, -2, 0, 1, 2, 5, 10} {
-		_, adv, err := SolveSubsidy(p, lam, 0.9)
+		adv, err := w.solve(lam)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +141,173 @@ func TestDegenerateEqualActions(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	p := testRepairProject(t)
-	if _, _, err := SolveSubsidy(p, 0, 1.0); err == nil {
-		t.Error("beta = 1 accepted")
+	for _, beta := range []float64{0, 1} {
+		if _, err := newSubsidyMDP(p, beta); err == nil {
+			t.Errorf("beta = %v accepted", beta)
+		}
+		// The bisection would not run at β ≥ 1 (its bracket is infinite or
+		// empty), so the discount is checked before it starts.
+		if _, err := WhittleIndex(p, beta); err == nil {
+			t.Errorf("WhittleIndex accepted beta = %v", beta)
+		}
 	}
 	if _, err := CheckIndexability(p, 0.9, 0, 1, 1); err == nil {
 		t.Error("steps < 2 accepted")
+	}
+}
+
+// referenceAdvantage solves the subsidy problem by value iteration, sweeping
+// from V = 0 until no value moves by 1e-13, and reads the activation
+// advantage off the last V.
+func referenceAdvantage(p *Project, lambda, beta float64) []float64 {
+	n := p.N()
+	v := make([]float64, n)
+	next := make([]float64, n)
+	for iter := 0; iter < 200000; iter++ {
+		delta := 0.0
+		for i := 0; i < n; i++ {
+			qa := p.R[Active][i]
+			row := p.P[Active].Data[i*n : (i+1)*n]
+			for k, pk := range row {
+				qa += beta * pk * v[k]
+			}
+			qp := p.R[Passive][i] + lambda
+			row = p.P[Passive].Data[i*n : (i+1)*n]
+			for k, pk := range row {
+				qp += beta * pk * v[k]
+			}
+			val := qa
+			if qp > val {
+				val = qp
+			}
+			next[i] = val
+			if d := math.Abs(val - v[i]); d > delta {
+				delta = d
+			}
+		}
+		v, next = next, v
+		if delta < 1e-13 {
+			break
+		}
+	}
+	adv := make([]float64, n)
+	for i := 0; i < n; i++ {
+		qa := p.R[Active][i]
+		row := p.P[Active].Data[i*n : (i+1)*n]
+		for k, pk := range row {
+			qa += beta * pk * v[k]
+		}
+		qp := p.R[Passive][i] + lambda
+		row = p.P[Passive].Data[i*n : (i+1)*n]
+		for k, pk := range row {
+			qp += beta * pk * v[k]
+		}
+		adv[i] = qa - qp
+	}
+	return adv
+}
+
+// referenceIndex is WhittleIndex's bisection over referenceAdvantage.
+func referenceIndex(p *Project, beta float64) []float64 {
+	lo, hi := SubsidyBracket(p, beta)
+	idx := make([]float64, p.N())
+	for i := range idx {
+		a, b := lo, hi
+		for iter := 0; iter < 80 && b-a > 1e-10*(1+math.Abs(a)); iter++ {
+			mid := (a + b) / 2
+			if referenceAdvantage(p, mid, beta)[i] > 0 {
+				a = mid
+			} else {
+				b = mid
+			}
+		}
+		idx[i] = (a + b) / 2
+	}
+	return idx
+}
+
+// referenceReport is CheckIndexability's sweep over referenceAdvantage.
+func referenceReport(p *Project, beta, lo, hi float64, steps int) *IndexabilityReport {
+	n := p.N()
+	passiveSince := make([]float64, n)
+	wasPassive := make([]bool, n)
+	rep := &IndexabilityReport{Indexable: true}
+	for k := 0; k <= steps; k++ {
+		lambda := lo + (hi-lo)*float64(k)/float64(steps)
+		adv := referenceAdvantage(p, lambda, beta)
+		for i := 0; i < n; i++ {
+			passive := adv[i] <= 0
+			if wasPassive[i] && !passive {
+				rep.Indexable = false
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("state %d passive at λ=%.4g but active at λ=%.4g", i, passiveSince[i], lambda))
+			}
+			if passive && !wasPassive[i] {
+				passiveSince[i] = lambda
+			}
+			wasPassive[i] = passive
+		}
+	}
+	return rep
+}
+
+// Policy iteration solves each subsidy exactly where value iteration
+// stopped within 1e-13, and the bisection only reads the advantage's sign:
+// the indices must keep every bit, and the indexability sweep (at the
+// served bracket and 50 steps) must report the same, on the projects the
+// service golden, the experiments and the maintenance example use and on
+// random projects.
+func TestWhittleIndexMatchesValueIteration(t *testing.T) {
+	type tc struct {
+		name string
+		p    *Project
+		beta float64
+	}
+	golden := &Project{
+		P: [2]*linalg.Matrix{
+			linalg.FromRows([][]float64{{0.7, 0.3, 0}, {0, 0.7, 0.3}, {0, 0, 1}}),
+			linalg.FromRows([][]float64{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}}),
+		},
+		R: [2][]float64{{1, 0.6, 0.1}, {-0.5, -0.5, -0.5}},
+	}
+	cases := []tc{{"whittle golden", golden, 0.9}}
+	repair4, err := MachineRepair(4, 0.3, 0.5, []float64{1, 0.8, 0.4, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair5, err := MachineRepair(5, 0.3, 0.6, []float64{1, 0.85, 0.55, 0.25, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beta := range []float64{0.9, 0.99} {
+		cases = append(cases, tc{"repair4", repair4, beta}, tc{"repair5", repair5, beta})
+	}
+	s := rng.New(2024)
+	for n := 2; n <= 5; n++ {
+		for _, beta := range []float64{0.5, 0.9, 0.95} {
+			for d := 0; d < 5; d++ {
+				cases = append(cases, tc{fmt.Sprintf("random n=%d #%d", n, d), RandomProject(n, s.Split()), beta})
+			}
+		}
+	}
+	for _, c := range cases {
+		got, err := WhittleIndex(c.p, c.beta)
+		if err != nil {
+			t.Fatalf("%s β=%v: %v", c.name, c.beta, err)
+		}
+		want := referenceIndex(c.p, c.beta)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s β=%v state %d: index %v, value iteration %v", c.name, c.beta, i, got[i], want[i])
+			}
+		}
+		lo, hi := SubsidyBracket(c.p, c.beta)
+		rep, err := CheckIndexability(c.p, c.beta, lo, hi, 50)
+		if err != nil {
+			t.Fatalf("%s β=%v: %v", c.name, c.beta, err)
+		}
+		if wantRep := referenceReport(c.p, c.beta, lo, hi, 50); !reflect.DeepEqual(rep, wantRep) {
+			t.Errorf("%s β=%v: report %+v, value iteration %+v", c.name, c.beta, rep, wantRep)
+		}
 	}
 }
