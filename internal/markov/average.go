@@ -115,6 +115,7 @@ func PolicyIteration(transitions []*linalg.Matrix, rewards [][]float64, beta flo
 	}
 	n := transitions[0].Rows
 	policy := make([]int, n) // start with action 0 everywhere
+	qs := make([]float64, len(transitions))
 	for iter := 0; iter < maxIter; iter++ {
 		// Evaluate: v = (I − βP_π)⁻¹ r_π.
 		p := linalg.NewMatrix(n, n)
@@ -131,10 +132,11 @@ func PolicyIteration(transitions []*linalg.Matrix, rewards [][]float64, beta flo
 		if err != nil {
 			return nil, nil, fmt.Errorf("markov: policy evaluation: %w", err)
 		}
-		// Improve.
+		// Improve. A state keeps its action unless another beats it by a
+		// relative 1e-12, so actions tied to within rounding cannot make
+		// the policy cycle.
 		changed := false
 		for s := 0; s < n; s++ {
-			bestA, bestQ := policy[s], math.Inf(-1)
 			for a := range transitions {
 				q := rewards[a][s]
 				row := transitions[a].Data[s*n : (s+1)*n]
@@ -143,8 +145,12 @@ func PolicyIteration(transitions []*linalg.Matrix, rewards [][]float64, beta flo
 						q += beta * pj * v[j]
 					}
 				}
-				if q > bestQ+1e-12 {
-					bestQ, bestA = q, a
+				qs[a] = q
+			}
+			bestA := policy[s]
+			for a, q := range qs {
+				if best := qs[bestA]; q > best+1e-12*(1+math.Abs(q)+math.Abs(best)) {
+					bestA = a
 				}
 			}
 			if bestA != policy[s] {

@@ -145,6 +145,47 @@ func TestPolicyIterationMatchesValueIteration(t *testing.T) {
 	}
 }
 
+// A random 4-state restless project at β = 0.99 whose passive rewards
+// carry a subsidy within rounding of a state's Whittle index (R₀ +
+// 0.5371677283370788). At that state both actions are worth about 70 and
+// tie to within the evaluation's rounding, which is larger than an
+// absolute 1e-12: an improvement step that picks the best action afresh
+// each time flips the state back and forth and never settles.
+func TestPolicyIterationSettlesOnNearTie(t *testing.T) {
+	transitions := []*linalg.Matrix{
+		linalg.FromRows([][]float64{
+			{0.34505737174120465, 0.1186114715366933, 0.22131137934939157, 0.3150197773727105},
+			{0.39198605507417733, 0.35595504951951445, 0.042458526922735655, 0.20960036848357244},
+			{0.3300542619492916, 0.12336996461042161, 0.1812758743672571, 0.3652998990730297},
+			{0.36588419771315434, 0.47283525245127744, 0.05146263661323943, 0.10981791322232874},
+		}),
+		linalg.FromRows([][]float64{
+			{0.22682568830463987, 0.2539101617169115, 0.2513867734214912, 0.2678773765569576},
+			{0.34009750415180834, 0.2089732859458332, 0.13752176193410198, 0.31340744796825654},
+			{0.16276436775553646, 0.25368578630109156, 0.40980684128478156, 0.17374300465859033},
+			{0.32541910033983334, 0.0669494244763213, 0.2224290148738955, 0.3852024603099499},
+		}),
+	}
+	rewards := [][]float64{
+		{0.6377363068889546, 0.7913169520852408, 0.8498485771172201, 0.8182554727542579},
+		{0.6307279012669647, 0.29975839356245115, 0.5784646085831302, 0.9240744892608723},
+	}
+	const beta = 0.99
+	vPI, _, err := PolicyIteration(transitions, rewards, beta, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vVI, _, err := ValueIteration(transitions, rewards, nil, beta, 1e-10, 1000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vVI {
+		if math.Abs(vVI[i]-vPI[i]) > 1e-6 {
+			t.Fatalf("state %d: VI %v vs PI %v", i, vVI[i], vPI[i])
+		}
+	}
+}
+
 func TestAverageGainValidation(t *testing.T) {
 	p := linalg.FromRows([][]float64{{1}})
 	if _, err := AverageGainOfPolicy([]*linalg.Matrix{p}, [][]float64{{1}}, []int{5}); err == nil {
