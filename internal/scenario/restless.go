@@ -116,6 +116,10 @@ func restlessIndex(payload any, hash string) (any, error) {
 	if err != nil {
 		return nil, BadSpec{err}
 	}
+	fleet := req.N != 0 || req.M != 0
+	if fleet && (req.N < 1 || req.M < 0 || req.M > req.N) {
+		return nil, BadSpec{fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", req.N, req.M)}
+	}
 	idx, err := restless.WhittleIndex(p, req.Beta)
 	if err != nil {
 		return nil, err
@@ -134,10 +138,7 @@ func restlessIndex(payload any, hash string) (any, error) {
 		}
 		resp.Indexable = &rep.Indexable
 	}
-	if req.N != 0 || req.M != 0 {
-		if req.N < 1 || req.M < 0 || req.M > req.N {
-			return nil, BadSpec{fmt.Errorf("need 1 <= n and 0 <= m <= n, got n=%d m=%d", req.N, req.M)}
-		}
+	if fleet {
 		sol, err := restless.SolveRelaxation(p, float64(req.M)/float64(req.N))
 		if err != nil {
 			return nil, err

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"stochsched/internal/scenario/scenariotest"
 	"stochsched/pkg/api"
 )
 
@@ -73,6 +74,8 @@ func TestIndexRejectsBadRequests(t *testing.T) {
 		`{"kind":"bandit","restless":{}}`,              // payload under the wrong kind
 		indexEnvelope("bandit", []byte(`{"beta":2}`)),  // payload fails validation
 		`{"kind":"mg1","mg1":{"classes":[]},"x":true}`, // extra field
+		// The canonical restless body with more active projects than total.
+		strings.Replace(scenariotest.IndexBody("restless"), `"n":10,"m":3`, `"n":2,"m":3`, 1),
 	}
 	for _, body := range bad {
 		if w := post(t, h, "/v1/index", body); w.Code != http.StatusBadRequest {
