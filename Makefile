@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark under bench/ is its own module, so `go test ./...`
+# at the root never builds it. It calls rng, des and engine directly
+# (bench/layers), so a kernel API change can break it with every root
+# package green: vet and test it here. Its tests build the reference
+# checker and drive each workload against an in-process service for about a
+# second.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detector pass over every package, so a package that gains
 # concurrent code (the cluster's probe loop, the trace recorder) is checked
@@ -136,4 +145,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test race conformance fuzz smoke cluster-smoke docs-check bench-check
+ci: build vet fmt-check test bench-test race conformance fuzz smoke cluster-smoke docs-check bench-check

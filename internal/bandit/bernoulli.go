@@ -18,7 +18,7 @@ func BernoulliIndex(a, b int, beta float64, depth int) (float64, error) {
 	if a < 1 || b < 1 {
 		return 0, fmt.Errorf("bandit: BernoulliIndex needs a, b >= 1, got (%d,%d)", a, b)
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return 0, fmt.Errorf("bandit: discount %v outside (0,1)", beta)
 	}
 	if depth < 1 {

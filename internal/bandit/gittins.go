@@ -24,7 +24,7 @@ func GittinsRestart(p *Project, beta float64) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("bandit: discount %v outside (0,1)", beta)
 	}
 	n := p.N()
@@ -83,7 +83,7 @@ func GittinsLargestIndex(p *Project, beta float64) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("bandit: discount %v outside (0,1)", beta)
 	}
 	n := p.N()

@@ -74,7 +74,7 @@ func (b *Bandit) Validate() error {
 	if len(b.Projects) == 0 {
 		return fmt.Errorf("bandit: no projects")
 	}
-	if b.Beta <= 0 || b.Beta >= 1 {
+	if !(b.Beta > 0 && b.Beta < 1) {
 		return fmt.Errorf("bandit: discount %v outside (0,1)", b.Beta)
 	}
 	for i, p := range b.Projects {

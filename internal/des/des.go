@@ -19,7 +19,10 @@
 // sequence number. Cancel removes the event from the queue (preemptive
 // disciplines revoke tentative completions this way); once the event has
 // fired or been cancelled, Cancel does nothing. Pending counts only events
-// that will still fire.
+// that will still fire, and Next peeks at the earliest one's time, so a
+// model can advance through a stretch of its own events that nothing
+// pending can interrupt without queueing each one (the polling loop walks
+// its idle switchovers this way).
 package des
 
 import "math"
@@ -78,6 +81,15 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending returns the number of events still queued to fire.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
+// Next returns the time of the earliest pending event, or +Inf when none is
+// pending. It only reads the queue.
+func (s *Simulator) Next() float64 {
+	if len(s.queue) == 0 {
+		return math.Inf(1)
+	}
+	return s.queue[0].time
+}
+
 // Schedule queues action to run after the given nonnegative delay and
 // returns a cancellation handle.
 func (s *Simulator) Schedule(delay float64, action func()) Handle {
@@ -106,7 +118,13 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	ev := s.queue[0]
-	s.remove(0)
+	last := len(s.queue) - 1
+	s.queue[0] = s.queue[last]
+	s.queue[last] = event{} // drop the closure for the collector
+	s.queue = s.queue[:last]
+	if last > 0 {
+		s.down(0) // the root has no parent: one sift-down restores the heap
+	}
 	s.now = ev.time
 	s.fired++
 	ev.action()
@@ -132,6 +150,8 @@ func (s *Simulator) Run() {
 }
 
 // remove deletes the event in heap slot i, restoring the heap order.
+// Handle.Cancel uses it; Step pops the root on its own, which needs no
+// sift-up.
 func (s *Simulator) remove(i int) {
 	last := len(s.queue) - 1
 	s.queue[i] = s.queue[last]

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -167,6 +168,73 @@ func TestEventPathAllocationFree(t *testing.T) {
 	}
 	if s.Pending() != 64 {
 		t.Fatalf("chain depth %d, want 64", s.Pending())
+	}
+}
+
+// TestNext: the peek reads the earliest pending time, +Inf on an empty
+// queue, follows a cancelled root, and neither fires nor moves the clock.
+func TestNext(t *testing.T) {
+	s := New()
+	if got := s.Next(); !math.IsInf(got, 1) {
+		t.Fatalf("Next on an empty queue = %v, want +Inf", got)
+	}
+	s.At(3, func() {})
+	root := s.At(1, func() {})
+	s.At(2, func() {})
+	if got := s.Next(); got != 1 {
+		t.Fatalf("Next = %v, want 1", got)
+	}
+	root.Cancel()
+	if got := s.Next(); got != 2 {
+		t.Fatalf("Next after cancelling the root = %v, want 2", got)
+	}
+	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 2 {
+		t.Fatalf("Next moved the simulator: now %v, fired %d, pending %d", s.Now(), s.Fired(), s.Pending())
+	}
+	s.Step()
+	if got := s.Next(); got != 3 {
+		t.Fatalf("Next after one step = %v, want 3", got)
+	}
+	s.Step()
+	if got := s.Next(); !math.IsInf(got, 1) {
+		t.Fatalf("Next once drained = %v, want +Inf", got)
+	}
+}
+
+// TestStepPopsLikeRemove: Step's root-only pop must leave every event in
+// the heap slot remove(0) — a sift-down and a no-op sift-up — leaves it in,
+// so the heap's layout, not only its firing order, is unchanged. Two
+// simulators take the same random schedule and cancel calls; one pops with
+// Step, the other with remove(0).
+func TestStepPopsLikeRemove(t *testing.T) {
+	stream := rng.New(77)
+	a, b := New(), New()
+	var ha, hb []Handle
+	for op := 0; op < 5000; op++ {
+		switch u := stream.Float64(); {
+		case u < 0.5:
+			tm := a.Now() + float64(stream.Intn(8)) // coarse times make ties
+			ha = append(ha, a.At(tm, func() {}))
+			hb = append(hb, b.At(tm, func() {}))
+		case u < 0.6 && len(ha) > 0:
+			i := stream.Intn(len(ha))
+			ha[i].Cancel()
+			hb[i].Cancel()
+		case len(a.queue) > 0:
+			a.Step()
+			ev := b.queue[0]
+			b.remove(0)
+			b.now = ev.time
+		}
+		if len(a.queue) != len(b.queue) {
+			t.Fatalf("op %d: %d pending after Step, %d after remove(0)", op, len(a.queue), len(b.queue))
+		}
+		for i := range a.queue {
+			if a.queue[i].time != b.queue[i].time || a.queue[i].seq != b.queue[i].seq {
+				t.Fatalf("op %d: heap slot %d holds (%v, %d) after Step, (%v, %d) after remove(0)",
+					op, i, a.queue[i].time, a.queue[i].seq, b.queue[i].time, b.queue[i].seq)
+			}
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func PolicyIteration(transitions []*linalg.Matrix, rewards [][]float64, beta flo
 	if len(transitions) == 0 {
 		return nil, nil, fmt.Errorf("markov: no actions")
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, nil, fmt.Errorf("markov: discount beta = %v outside (0,1)", beta)
 	}
 	n := transitions[0].Rows

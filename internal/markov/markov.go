@@ -85,7 +85,7 @@ func (c *Chain) DiscountedValue(r []float64, beta float64) ([]float64, error) {
 	if len(r) != n {
 		return nil, fmt.Errorf("markov: reward vector length %d, want %d", len(r), n)
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("markov: discount beta = %v outside (0,1)", beta)
 	}
 	a := linalg.Identity(n).Sub(c.P.Scale(beta))
@@ -107,7 +107,7 @@ func ValueIteration(transitions []*linalg.Matrix, rewards [][]float64, available
 	if err != nil {
 		return nil, nil, err
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, nil, fmt.Errorf("markov: discount beta = %v outside (0,1)", beta)
 	}
 	v := make([]float64, n)

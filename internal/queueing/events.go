@@ -58,13 +58,14 @@ func poisson(sim *des.Simulator, arr []*rng.Stream, rate func(int) float64, onAr
 // [burnin, horizon]: numbers in system and their time averages, delays
 // before service, and departures.
 type tally struct {
-	sim    *des.Simulator
-	burnin float64
-	count  []int
-	l      []stats.TimeWeighted
-	wqSum  []float64
-	wqN    []int64
-	served []int64
+	sim      *des.Simulator
+	burnin   float64
+	count    []int
+	inSystem int // the sum of count
+	l        []stats.TimeWeighted
+	wqSum    []float64
+	wqN      []int64
+	served   []int64
 }
 
 func newTally(sim *des.Simulator, n int, burnin float64) *tally {
@@ -79,6 +80,7 @@ func newTally(sim *des.Simulator, n int, burnin float64) *tally {
 // departure.
 func (t *tally) add(j, delta int) {
 	t.count[j] += delta
+	t.inSystem += delta
 	if now := t.sim.Now(); now >= t.burnin {
 		t.l[j].Observe(now, float64(t.count[j]))
 		if delta < 0 {

@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"fmt"
+	"math"
 
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
@@ -65,6 +66,17 @@ func (p *Polling) Validate() error {
 	return nil
 }
 
+// switchover draws one switchover time, panicking on a negative or NaN
+// draw as Simulator.Schedule does: the idle walk in Simulate sums the draws
+// itself rather than passing each to Schedule.
+func switchover(law dist.Distribution, s *rng.Stream) float64 {
+	d := law.Sample(s)
+	if d < 0 || math.IsNaN(d) {
+		panic("des: negative or NaN delay")
+	}
+	return d
+}
+
 // Simulate runs the polling system and returns per-queue mean delay and
 // counts over [burnin, horizon].
 func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
@@ -107,9 +119,27 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 		if len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive) {
 			t.start(take(&queues[at], 0))
 			sim.Schedule(p.Queues[at].Service.Sample(svc[at]), complete)
-		} else {
-			sim.Schedule(p.Switch.Sample(swStream), reach)
+			return
 		}
+		end := sim.Now() + switchover(p.Switch, swStream)
+		if t.inSystem == 0 {
+			// Every queue is empty (no job is in service while the server
+			// switches), so a switchover ending before the next pending
+			// event — an arrival or the burn-in snapshot — reaches an
+			// empty queue and starts the next switchover. Walk those in
+			// place, drawing and adding as the reach events would, and
+			// queue only the first that ends at or after that event: on a
+			// tie the pending event, scheduled earlier, fires first. The
+			// horizon ends the walk when nothing is pending.
+			// (len(queues) rather than n keeps visit's closure within
+			// the 128-byte size class it had before the walk.)
+			stop := math.Min(sim.Next(), horizon)
+			for end < stop {
+				at = (at + 1) % len(queues)
+				end += switchover(p.Switch, swStream)
+			}
+		}
+		sim.At(end, reach)
 	}
 	poisson(sim, arr, rates(p.Queues), func(j int) {
 		t.add(j, +1)

@@ -19,12 +19,15 @@ import (
 // subsidyMDP is the workspace on which one WhittleIndex or
 // CheckIndexability call solves each of its subsidies: the project,
 // validated once, its discount, and the passive/active policy the last
-// solve ended with, from which the next solve starts.
+// solve ended with, from which the next solve starts. I − βP_π depends on
+// the policy alone, so its factorization is kept until the policy changes;
+// only r_π moves with the subsidy.
 type subsidyMDP struct {
 	p      *Project
 	beta   float64
 	active []bool
 	sys    *linalg.Matrix // I − βP_π of the current policy π
+	lu     *linalg.LU     // sys factorized; nil once π has changed
 	r, adv []float64      // r_π, and the activation advantage under π
 }
 
@@ -38,7 +41,7 @@ func newSubsidyMDP(p *Project, beta float64) (*subsidyMDP, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if beta <= 0 || beta >= 1 {
+	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("restless: discount %v outside (0,1)", beta)
 	}
 	n := p.N()
@@ -52,10 +55,12 @@ func newSubsidyMDP(p *Project, beta float64) (*subsidyMDP, error) {
 //	adv(i) = [R₁(i) + β P₁(i)·V] − [R₀(i) + λ + β P₀(i)·V],
 //
 // positive where being active is strictly optimal. Each step evaluates the
-// current policy exactly, solving (I − βP_π)V = r_π, and switches a state
-// only when its other action is better by more than 1e-12·(1 + |Q₁| + |Q₀|),
-// so rounding ties cannot make the policy cycle. It returns once no state
-// switches; the slice is the workspace's and the next solve overwrites it.
+// current policy exactly, solving (I − βP_π)V = r_π on the kept
+// factorization, refactorizing only after the policy changed, and switches
+// a state only when its other action is better by more than
+// 1e-12·(1 + |Q₁| + |Q₀|), so rounding ties cannot make the policy cycle.
+// It returns once no state switches; the slice is the workspace's and the
+// next solve overwrites it.
 func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 	p, beta, n := w.p, w.beta, w.p.N()
 	for step := 0; step < maxPolicySteps; step++ {
@@ -64,17 +69,23 @@ func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 			if w.active[i] {
 				a, r = Active, p.R[Active][i]
 			}
-			sys := w.sys.Data[i*n : (i+1)*n]
-			for k, pk := range p.P[a].Data[i*n : (i+1)*n] {
-				sys[k] = -beta * pk
-			}
-			sys[i]++
 			w.r[i] = r
+			if w.lu == nil {
+				sys := w.sys.Data[i*n : (i+1)*n]
+				for k, pk := range p.P[a].Data[i*n : (i+1)*n] {
+					sys[k] = -beta * pk
+				}
+				sys[i]++
+			}
 		}
-		v, err := linalg.Solve(w.sys, w.r)
-		if err != nil {
-			return nil, fmt.Errorf("restless: subsidy policy evaluation: %w", err)
+		if w.lu == nil {
+			lu, err := linalg.Factorize(w.sys)
+			if err != nil {
+				return nil, fmt.Errorf("restless: subsidy policy evaluation: %w", err)
+			}
+			w.lu = lu
 		}
+		v := w.lu.Solve(w.r)
 		settled := true
 		for i := 0; i < n; i++ {
 			qa := p.R[Active][i]
@@ -92,6 +103,7 @@ func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 			}
 			if gain > 1e-12*(1+math.Abs(qa)+math.Abs(qp)) {
 				w.active[i] = !w.active[i]
+				w.lu = nil
 				settled = false
 			}
 		}

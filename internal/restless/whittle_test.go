@@ -5,11 +5,26 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"stochsched/internal/bandit"
 	"stochsched/internal/linalg"
+	"stochsched/internal/markov"
 	"stochsched/internal/rng"
 )
+
+// whittleGoldenProject is the project of the service's whittle golden
+// (internal/service/testdata/whittle_req.json), served at β = 0.9.
+func whittleGoldenProject() *Project {
+	return &Project{
+		P: [2]*linalg.Matrix{
+			linalg.FromRows([][]float64{{0.7, 0.3, 0}, {0, 0.7, 0.3}, {0, 0, 1}}),
+			linalg.FromRows([][]float64{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}}),
+		},
+		R: [2][]float64{{1, 0.6, 0.1}, {-0.5, -0.5, -0.5}},
+	}
+}
 
 func testRepairProject(t *testing.T) *Project {
 	t.Helper()
@@ -263,14 +278,7 @@ func TestWhittleIndexMatchesValueIteration(t *testing.T) {
 		p    *Project
 		beta float64
 	}
-	golden := &Project{
-		P: [2]*linalg.Matrix{
-			linalg.FromRows([][]float64{{0.7, 0.3, 0}, {0, 0.7, 0.3}, {0, 0, 1}}),
-			linalg.FromRows([][]float64{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}}),
-		},
-		R: [2][]float64{{1, 0.6, 0.1}, {-0.5, -0.5, -0.5}},
-	}
-	cases := []tc{{"whittle golden", golden, 0.9}}
+	cases := []tc{{"whittle golden", whittleGoldenProject(), 0.9}}
 	repair4, err := MachineRepair(4, 0.3, 0.5, []float64{1, 0.8, 0.4, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -309,5 +317,67 @@ func TestWhittleIndexMatchesValueIteration(t *testing.T) {
 		if wantRep := referenceReport(c.p, c.beta, lo, hi, 50); !reflect.DeepEqual(rep, wantRep) {
 			t.Errorf("%s β=%v: report %+v, value iteration %+v", c.name, c.beta, rep, wantRep)
 		}
+	}
+}
+
+// TestWhittleIndexAllocations: a subsidy solve refactorizes I − βP_π only
+// when its policy changes, so most bisection steps solve one right-hand
+// side on the kept LU. Solving from scratch at every evaluation cost 893
+// allocations on this project; keeping the factorization, 437.
+func TestWhittleIndexAllocations(t *testing.T) {
+	p := whittleGoldenProject()
+	var err error
+	allocs := testing.AllocsPerRun(20, func() { _, err = WhittleIndex(p, 0.9) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 450 {
+		t.Fatalf("WhittleIndex made %v allocations, want ≤ 450", allocs)
+	}
+}
+
+// TestNaNDiscountRejected: every discount check in the solver packages must
+// reject NaN, which passes a "beta <= 0 || beta >= 1" test. Before they did,
+// a NaN discount made GittinsLargestIndex index out of range, ValueIteration
+// report a state with no available action, four solvers return NaN with no
+// error, BernoulliIndex return 0.5 and Bandit.Validate accept it.
+func TestNaNDiscountRejected(t *testing.T) {
+	nan := math.NaN()
+	wp := whittleGoldenProject()
+	P := []*linalg.Matrix{wp.P[Passive], wp.P[Active]}
+	R := [][]float64{wp.R[Passive], wp.R[Active]}
+	chain, err := markov.NewChain(wp.P[Passive])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := &bandit.Project{P: wp.P[Passive], R: wp.R[Passive]}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"restless newSubsidyMDP", func() error { _, err := newSubsidyMDP(wp, nan); return err }},
+		{"restless WhittleIndex", func() error { _, err := WhittleIndex(wp, nan); return err }},
+		{"markov PolicyIteration", func() error { _, _, err := markov.PolicyIteration(P, R, nan, 100); return err }},
+		{"markov Chain.DiscountedValue", func() error { _, err := chain.DiscountedValue(wp.R[Passive], nan); return err }},
+		{"markov ValueIteration", func() error { _, _, err := markov.ValueIteration(P, R, nil, nan, 1e-9, 1000); return err }},
+		{"bandit GittinsRestart", func() error { _, err := bandit.GittinsRestart(bp, nan); return err }},
+		{"bandit GittinsLargestIndex", func() error { _, err := bandit.GittinsLargestIndex(bp, nan); return err }},
+		{"bandit BernoulliIndex", func() error { _, err := bandit.BernoulliIndex(1, 1, nan, 50); return err }},
+		{"bandit Bandit.Validate", func() error { return (&bandit.Bandit{Projects: []*bandit.Project{bp}, Beta: nan}).Validate() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NaN discount panicked: %v", r)
+				}
+			}()
+			err := tc.run()
+			if err == nil {
+				t.Fatal("NaN discount accepted")
+			}
+			if !strings.Contains(err.Error(), "outside (0,1)") {
+				t.Fatalf("error %q does not name the discount range", err)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -195,6 +196,7 @@ func TestPanics(t *testing.T) {
 		{"Exp nonpositive", func() { s.Exp(0) }},
 		{"Categorical all zero", func() { s.Categorical([]float64{0, 0}) }},
 		{"Categorical negative", func() { s.Categorical([]float64{1, -1}) }},
+		{"Categorical NaN", func() { s.Categorical([]float64{1, math.NaN()}) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -246,5 +248,147 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 		if got, want := a.Uint64(), b.Uint64(); got != want {
 			t.Fatalf("n=%d: parent state diverged after block split: %d != %d", n, got, want)
 		}
+	}
+}
+
+// Known answers, recorded from the limb-wise generator the package shipped
+// before step, unstep and Uint64n moved to bits.Mul64. Every simulation
+// golden depends on these bits; a change here moves all of them.
+
+func TestKnownUint64Sequences(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		want [8]uint64
+	}{
+		{0, [8]uint64{0xcd268da3c17fff7e, 0xaad533cdc8d35b81, 0xc3e2b9887d90edc7, 0x19c1b62fff1511ce, 0xd823611bc6f2dfdb, 0xde85bc8eecca7dd, 0x744bd07f346fc752, 0x9f6a34e552d5accc}},
+		{1, [8]uint64{0x438396d6d43f1871, 0xb6e4506f218a86e2, 0x6eb6d49bd6a578bc, 0xef0a34f2184c2a87, 0x9d5fff7cb3e06602, 0x722a516e01872b74, 0x2a4654a9a7d55e33, 0x61dfd9f4cd54c127}},
+		{1<<63 + 5, [8]uint64{0x54c7a333dba99319, 0x57cd709e1be8d167, 0xce344870ef027d45, 0xd6faa08a0711ae16, 0x7e55910678674297, 0xe127fa4e7d91eecd, 0x40abc7f1f9893813, 0x7439ee351b853c01}},
+	} {
+		s := New(tc.seed)
+		for i, w := range tc.want {
+			if got := s.Uint64(); got != w {
+				t.Fatalf("New(%d) draw %d = %#x, want %#x", tc.seed, i, got, w)
+			}
+		}
+	}
+}
+
+func TestKnownDerivedDraws(t *testing.T) {
+	s := New(7)
+	for _, tc := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"Float64", s.Float64(), 0x3fead3aa4e5339f1},
+		{"Exp(1.5)", s.Exp(1.5), 0x3fee8182a000d129},
+		{"Norm", s.Norm(), 0x3ffe893f59a72729},
+		{"Norm (cached twin)", s.Norm(), 0x3f8eea4857cbe3d3},
+	} {
+		if got := math.Float64bits(tc.got); got != tc.want {
+			t.Errorf("%s bits = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+
+	s = New(11)
+	wantCat := []int{0, 3, 2, 2, 2, 2, 2, 2, 2, 0, 3, 2, 2, 2, 3, 0}
+	for i, w := range wantCat {
+		if got := s.Categorical([]float64{0.2, 0, 1.3, 0.5}); got != w {
+			t.Fatalf("Categorical draw %d = %d, want %d", i, got, w)
+		}
+	}
+
+	s = New(13)
+	for i, w := range []uint64{386889920, 21849889, 249132144, 119199448, 919965099, 881409139} {
+		if got := s.Uint64n(1_000_000_007); got != w {
+			t.Fatalf("Uint64n draw %d = %d, want %d", i, got, w)
+		}
+	}
+	if got := s.Uint64n(1<<63 + 1); got != 0x4d10aa854797679d {
+		t.Fatalf("Uint64n(2⁶³+1) = %#x, want 0x4d10aa854797679d", got)
+	}
+}
+
+func TestKnownSplits(t *testing.T) {
+	p := New(5)
+	p.Split()
+	p.Split()
+	c := p.Split()
+	for i, w := range []uint64{0x821e73e39adad7b, 0x35ad61ec4be66c47, 0x8c03236e3e007ed0, 0x7d2b742f04f74f99} {
+		if got := c.Uint64(); got != w {
+			t.Fatalf("third Split child draw %d = %#x, want %#x", i, got, w)
+		}
+	}
+
+	a := New(9)
+	a.Antithetic()
+	pair := make([]Stream, 2)
+	a.SplitInto(pair)
+	for _, tc := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"even twin Uint64", pair[0].Uint64(), 0x8d3fa04cd5711194},
+		{"even twin Float64 bits", math.Float64bits(pair[0].Float64()), 0x3fc44a50f98fcf5c},
+		{"odd twin Uint64", pair[1].Uint64(), 0x8d3fa04cd5711194},
+		{"odd twin Float64 bits", math.Float64bits(pair[1].Float64()), 0x3feaed6bc19c0c29},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("Antithetic SplitInto %s = %#x, want %#x", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+func TestUnstepUndoesStep(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 1<<63 + 5, math.MaxUint64} {
+		s := New(seed)
+		s.Uint64()
+		before := *s
+		for i := 0; i < 5; i++ {
+			s.step()
+		}
+		for i := 0; i < 5; i++ {
+			s.unstep()
+		}
+		if *s != before {
+			t.Fatalf("seed %d: five unsteps after five steps left %+v, want %+v", seed, *s, before)
+		}
+	}
+}
+
+// mul128 is the four-limb 64×64→128 product the generator used before
+// bits.Mul64, kept as the reference bits.Mul64 must agree with.
+func mul128(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo * bLo
+	lo = t & mask
+	c := t >> 32
+	t = aHi*bLo + c
+	mid := t & mask
+	c = t >> 32
+	t = aLo*bHi + mid
+	lo |= (t & mask) << 32
+	hi = aHi*bHi + c + (t >> 32)
+	return hi, lo
+}
+
+func TestMul64MatchesLimbProduct(t *testing.T) {
+	edges := []uint64{0, 1, 1<<32 - 1, 1 << 32, math.MaxUint64, mulLo, mulHi, invLo, invHi}
+	check := func(a, b uint64) {
+		wh, wl := mul128(a, b)
+		if gh, gl := bits.Mul64(a, b); gh != wh || gl != wl {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), limbs give (%#x, %#x)", a, b, gh, gl, wh, wl)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	s := New(2024)
+	for i := 0; i < 1_000_000; i++ {
+		check(s.Uint64(), s.Uint64())
 	}
 }
