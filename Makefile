@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check fmt fmt-check vet ci
+.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check examples-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,12 @@ cluster-smoke:
 docs-check:
 	./scripts/docs_check.sh
 
+# Build and run all nine programs under examples/ and diff each one's stdout
+# against its checked-in examples/<name>/stdout.golden. REGEN=1 rewrites
+# the goldens.
+examples-check:
+	./scripts/examples_check.sh
+
 fmt:
 	gofmt -w .
 
@@ -145,4 +151,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test bench-test race conformance fuzz smoke cluster-smoke docs-check bench-check
+ci: build vet fmt-check test bench-test race conformance fuzz smoke cluster-smoke docs-check examples-check bench-check

@@ -42,27 +42,28 @@ func main() {
 	ctx := context.Background()
 	pool := engine.NewPool(0) // all cores; results are identical at any parallelism
 	fmt.Printf("\n%-22s %-14s %-14s\n", "policy", "cost (exact)", "cost (sim)")
-	show := func(name string, order []int, d queueing.Discipline) {
+	show := func(name string, order []int) { // a nil order is FIFO
 		var exact float64
+		var pri queueing.Priority
 		if order != nil {
 			_, l, err := ws.ExactPriority(order)
 			if err != nil {
 				panic(err)
 			}
 			exact = ws.HoldingCostRate(l)
+			pri.Orders = [][]int{order}
 		} else {
 			_, l := ws.ExactFIFO()
 			exact = ws.HoldingCostRate(l)
 		}
-		rep, err := ws.Replicate(ctx, pool, d, 30000, 3000, 5, s.Split())
+		rep, err := ws.Replicate(ctx, pool, pri, 30000, 3000, 5, s.Split())
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-22s %-14.4f %.4f ± %.2g\n", name, exact, rep.CostRate.Mean(), rep.CostRate.CI95())
 	}
-	show("cµ rule", cmu, queueing.StaticPriority{Order: cmu})
-	show("FIFO", nil, queueing.FIFO{})
-	rev := []int{cmu[2], cmu[1], cmu[0]}
-	show("reverse cµ", rev, queueing.StaticPriority{Order: rev})
+	show("cµ rule", cmu)
+	show("FIFO", nil)
+	show("reverse cµ", []int{cmu[2], cmu[1], cmu[0]})
 	fmt.Printf("\nexhaustive-best static priority cost: %.4f (cµ attains it)\n", best)
 }

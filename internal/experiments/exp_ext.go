@@ -290,7 +290,7 @@ func runE27(cfg Config) (*Table, error) {
 	var l0, l1 stats.Running
 	err = engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(),
 		func(_ context.Context, _ int, sub *rng.Stream) ([2]float64, error) {
-			res, err := m.Simulate(queueing.StaticPriority{Order: order}, horizon, horizon/10, sub)
+			res, err := m.Simulate(queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, sub)
 			if err != nil {
 				return [2]float64{}, err
 			}

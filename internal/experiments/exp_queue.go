@@ -62,7 +62,7 @@ func runE14(cfg Config) (*Table, error) {
 		revExact := m.HoldingCostRate(lR)
 		_, lF := m.ExactFIFO()
 		fifoExact := m.HoldingCostRate(lF)
-		rep, err := m.Replicate(cfg.Context(), cfg.Pool, queueing.StaticPriority{Order: order}, horizon, horizon/10, reps, s.Split())
+		rep, err := m.Replicate(cfg.Context(), cfg.Pool, queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, reps, s.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -177,18 +177,18 @@ func runE17(cfg Config) (*Table, error) {
 		Columns: []string{"discipline", "Σ ρ_j Wq_j (sim)", "invariant ρW0/(1−ρ)"},
 	}
 	rhs := m.KleinrockRHS()
-	disciplines := []queueing.Discipline{
-		queueing.FIFO{},
-		queueing.StaticPriority{Order: []int{0, 1}},
-		queueing.StaticPriority{Order: []int{1, 0}},
-		queueing.RandomMix{
-			Disciplines: []queueing.Discipline{queueing.StaticPriority{Order: []int{0, 1}}, queueing.StaticPriority{Order: []int{1, 0}}},
-			Weights:     []float64{0.5, 0.5},
-			Stream:      s.Split(),
-		},
+	disciplines := []struct {
+		name string
+		pri  queueing.Priority
+	}{
+		{"FIFO", queueing.Priority{}},
+		{"priority[0 1]", queueing.Priority{Orders: [][]int{{0, 1}}}},
+		{"priority[1 0]", queueing.Priority{Orders: [][]int{{1, 0}}}},
+		{"random-mix", queueing.Priority{Orders: [][]int{{0, 1}, {1, 0}}, Weights: []float64{0.5, 0.5}}},
 	}
+	s.Split() // unused, but the splits after it, and so the table, depend on it
 	for _, d := range disciplines {
-		rep, err := m.Replicate(cfg.Context(), cfg.Pool, d, horizon, horizon/10, reps, s.Split())
+		rep, err := m.Replicate(cfg.Context(), cfg.Pool, d.pri, horizon, horizon/10, reps, s.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +196,7 @@ func runE17(cfg Config) (*Table, error) {
 		for j, c := range m.Classes {
 			conserved += c.ArrivalRate * c.Service.Mean() * rep.Wq[j].Mean()
 		}
-		t.AddRow(d.Name(), f(conserved), f(rhs))
+		t.AddRow(d.name, f(conserved), f(rhs))
 	}
 	t.Notes = "all disciplines produce the same weighted delay sum — the polymatroid face the achievable region method builds on"
 	return t, nil
@@ -229,11 +229,8 @@ func runE18(cfg Config) (*Table, error) {
 	}
 	t.AddRow("1.00 (vertex)", f(wqA[0]), f(wqA[1]), "vertex (exact)")
 	for _, w := range []float64{0.75, 0.5, 0.25} {
-		mix := queueing.RandomMix{
-			Disciplines: []queueing.Discipline{queueing.StaticPriority{Order: []int{0, 1}}, queueing.StaticPriority{Order: []int{1, 0}}},
-			Weights:     []float64{w, 1 - w},
-			Stream:      s.Split(),
-		}
+		mix := queueing.Priority{Orders: [][]int{{0, 1}, {1, 0}}, Weights: []float64{w, 1 - w}}
+		s.Split() // unused, but the splits after it, and so the table, depend on it
 		rep, err := m.Replicate(cfg.Context(), cfg.Pool, mix, horizon, horizon/10, reps, s.Split())
 		if err != nil {
 			return nil, err

@@ -18,7 +18,7 @@ func TestReplicationAllocations(t *testing.T) {
 		{ArrivalRate: 0.3, Service: exp(0.5), HoldCost: 4},
 		{ArrivalRate: 0.2, Service: exp(1), HoldCost: 1},
 	}}
-	cmu := Discipline(StaticPriority{Order: mg1.CMuOrder()})
+	cmu := Priority{Orders: [][]int{mg1.CMuOrder()}}
 	mmm := &MMm{Servers: 2, Classes: []Class{
 		{ArrivalRate: 0.8, Service: exp(1), HoldCost: 3},
 		{ArrivalRate: 0.6, Service: exp(0.5), HoldCost: 1},

@@ -5,18 +5,204 @@ import (
 	"math"
 
 	"stochsched/internal/des"
+	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
 
-// The event loops (MG1.Simulate and SimulatePreemptive, the Klimov network
-// under both criteria, M/M/m, the multi-station network and polling) share
-// the pieces below. Each loop binds its event closures once per
-// replication — one arrival closure per class through poisson, and one
-// completion closure per class, or a single one where the loop holds the
-// job in service — so firing an event allocates nothing (see package des).
-// The order in which the loops draw from their streams and schedule events
-// is what every simulation golden pins; a refactor must not move it.
+// The station loop below is the one event loop behind MG1.Simulate,
+// KlimovNetwork.Simulate and SimulateDiscounted, MMm.Simulate and
+// Network.Simulate: Poisson arrivals per class, stations of identical
+// servers that each take the oldest waiting job of the lowest rank, and
+// completed jobs routed on (by Next, by Routes, or by Klimov's feedback
+// written as Routes) or out. Its state is one struct: the rule, the routes
+// and the counts are plain data, and arrive, serve and the tally call each
+// other directly. SimulatePreemptive keeps its own loop, since it cancels
+// and requeues the job in service, and so does Polling.Simulate, whose one
+// server walks the queues with switchovers.
+//
+// Every loop binds its event closures once per replication, so firing an
+// event allocates nothing (see package des). The order in which the loops
+// draw from their streams and schedule events is what every simulation
+// golden pins; a refactor must not move it.
+
+// stationModel is a model as the station loop runs it.
+type stationModel struct {
+	classes  []NetClass
+	stations int
+	servers  int       // identical servers at every station
+	ranks    [][]int   // rank[class] of each priority order, lower served first; none: FIFO
+	weights  []float64 // with several orders, each one's weight at a service start
+	routed   bool      // split a routing stream off ahead of the class streams
+}
+
+// oneStation writes single-station classes for the station loop. Without
+// feedback every job leaves after service. Klimov's feedback becomes a full
+// row of Routes per class, zeros included, so every completion draws its
+// routing uniform.
+func oneStation(cs []Class, servers int, feedback *linalg.Matrix) stationModel {
+	n := len(cs)
+	md := stationModel{classes: make([]NetClass, n), stations: 1, servers: servers, routed: feedback != nil}
+	var routes []Route
+	if feedback != nil {
+		routes = make([]Route, n*n)
+	}
+	for i, c := range cs {
+		md.classes[i] = NetClass{ArrivalRate: c.ArrivalRate, Service: c.Service, Next: -1, HoldCost: c.HoldCost}
+		if feedback != nil {
+			row := routes[i*n : (i+1)*n]
+			for j := range row {
+				row[j] = Route{To: j, Prob: feedback.At(i, j)}
+			}
+			md.classes[i].Routes = row
+		}
+	}
+	return md
+}
+
+// station is one station's queue and idle servers.
+type station struct {
+	waiting []job // oldest first
+	idle    int
+}
+
+// loop is one replication of the station loop.
+type loop struct {
+	stationModel
+	tally
+	choice  *rng.Stream   // draws among several priority orders
+	route   *rng.Stream   // routing draws
+	svc     []*rng.Stream // service substream per class
+	station []station     // per station
+	done    []func()      // completion event per class
+}
+
+// bind sets one replication up on a fresh simulator. It splits the
+// mixture's choice stream, then the routing stream, off s ahead of the
+// class streams, binds one completion closure per class, and schedules
+// each class's first arrival through poisson.
+func (md stationModel) bind(burnin float64, s *rng.Stream) *loop {
+	n := len(md.classes)
+	sim := des.New()
+	e := &loop{stationModel: md, tally: newTally(sim, n, burnin)}
+	if len(md.ranks) > 1 {
+		e.choice = s.Split()
+	}
+	if md.routed {
+		e.route = s.Split()
+	}
+	var arr []*rng.Stream
+	arr, e.svc = splitStreams(s, n)
+	e.station = make([]station, md.stations)
+	for st := range e.station {
+		e.station[st].idle = md.servers
+	}
+	// A class-j completion frees a server; the job becomes class Next, or
+	// draws where it goes when the class has Routes, or leaves (-1); then
+	// the station serves again.
+	e.done = make([]func(), n)
+	for j := range e.done {
+		c, at := &e.classes[j], &e.station[e.classes[j].Station]
+		e.done[j] = func() {
+			at.idle++
+			e.add(j, -1)
+			next := c.Next
+			if len(c.Routes) > 0 {
+				next = e.draw(c.Routes)
+			}
+			if next >= 0 {
+				e.arrive(next)
+			}
+			e.serve(at)
+		}
+	}
+	poisson(sim, arr, func(j int) float64 { return e.classes[j].ArrivalRate }, e.arrive)
+	return e
+}
+
+// run simulates one replication on [0, horizon], measured over
+// [burnin, horizon]. With sampleEvery > 0 it also records the number in
+// system at that interval over the whole run, burn-in included.
+func (md stationModel) run(horizon, burnin, sampleEvery float64, s *rng.Stream) *SimResult {
+	e := md.bind(burnin, s)
+	e.snapshotAtBurnin()
+	var trajectory []float64
+	if sampleEvery > 0 {
+		var sample func()
+		sample = func() {
+			trajectory = append(trajectory, float64(e.inSystem))
+			if e.sim.Now()+sampleEvery <= horizon {
+				e.sim.Schedule(sampleEvery, sample)
+			}
+		}
+		e.sim.At(0, sample)
+	}
+	e.sim.RunUntil(horizon)
+	res := e.result(horizon, func(j int) float64 { return e.classes[j].HoldCost })
+	res.Trajectory = trajectory
+	return res
+}
+
+// discounted simulates one replication on [0, horizon] from an empty
+// start and returns its total discounted holding cost at the given rate.
+func (md stationModel) discounted(rate, horizon float64, s *rng.Stream) float64 {
+	e := md.bind(0, s)
+	e.rate, e.hold = rate, make([]float64, len(md.classes))
+	for j, c := range md.classes {
+		e.hold[j] = c.HoldCost
+	}
+	e.sim.RunUntil(horizon)
+	e.accrue()
+	return e.total
+}
+
+// arrive queues a job of class j, arriving now, and serves its station.
+func (e *loop) arrive(j int) {
+	e.add(j, +1)
+	at := &e.station[e.classes[j].Station]
+	at.waiting = append(at.waiting, job{class: j, arrival: e.sim.Now()})
+	e.serve(at)
+}
+
+// serve starts waiting jobs at the station while it has an idle server:
+// the oldest job, or under a priority rule the oldest of the lowest rank
+// (of an order drawn by weight, when there are several).
+func (e *loop) serve(at *station) {
+	for at.idle > 0 && len(at.waiting) > 0 {
+		i := 0 // FIFO
+		if len(e.ranks) == 1 {
+			i = pick(at.waiting, e.ranks[0])
+		} else if len(e.ranks) > 1 {
+			i = pick(at.waiting, e.ranks[e.choice.Categorical(e.weights)])
+		}
+		jb := take(&at.waiting, i)
+		at.idle--
+		e.start(jb)
+		e.sim.Schedule(e.classes[jb.class].Service.Sample(e.svc[jb.class]), e.done[jb.class])
+	}
+}
+
+// draw picks where a routed job goes: routes[i].To with probability
+// routes[i].Prob, or -1, leaving, with the deficit.
+func (e *loop) draw(routes []Route) int {
+	u, acc := e.route.Float64(), 0.0
+	for _, rt := range routes {
+		acc += rt.Prob
+		if u < acc {
+			return rt.To
+		}
+	}
+	return -1
+}
+
+// checkWindow rejects an observation window that is not
+// 0 <= burnin < horizon.
+func checkWindow(horizon, burnin float64) error {
+	if horizon <= burnin || burnin < 0 {
+		return fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	}
+	return nil
+}
 
 // splitStreams derives the per-class arrival and service substreams off s,
 // class by class: arrival j, then service j.
@@ -30,9 +216,14 @@ func splitStreams(s *rng.Stream, n int) (arr, svc []*rng.Stream) {
 	return arr, svc
 }
 
-// rates returns the classes' Poisson arrival rates by index, for poisson.
+// rates and holds index the classes' Poisson arrival rates and holding
+// costs, for poisson and tally.result.
 func rates(cs []Class) func(int) float64 {
 	return func(j int) float64 { return cs[j].ArrivalRate }
+}
+
+func holds(cs []Class) func(int) float64 {
+	return func(j int) float64 { return cs[j].HoldCost }
 }
 
 // poisson binds one self-rescheduling arrival closure per class of
@@ -56,7 +247,9 @@ func poisson(sim *des.Simulator, arr []*rng.Stream, rate func(int) float64, onAr
 
 // tally is the per-class bookkeeping the loops share, measured over
 // [burnin, horizon]: numbers in system and their time averages, delays
-// before service, and departures.
+// before service, and departures. With rate > 0 it also prices the whole
+// run at the holding costs hold: total holds ∫₀^lastT e^{−rate·t}
+// Σ_j c_j n_j(t) dt, and costRate the current Σ_j c_j n_j.
 type tally struct {
 	sim      *des.Simulator
 	burnin   float64
@@ -66,10 +259,13 @@ type tally struct {
 	wqSum    []float64
 	wqN      []int64
 	served   []int64
+
+	rate, lastT, costRate, total float64
+	hold                         []float64
 }
 
-func newTally(sim *des.Simulator, n int, burnin float64) *tally {
-	return &tally{
+func newTally(sim *des.Simulator, n int, burnin float64) tally {
+	return tally{
 		sim: sim, burnin: burnin,
 		count: make([]int, n), l: make([]stats.TimeWeighted, n),
 		wqSum: make([]float64, n), wqN: make([]int64, n), served: make([]int64, n),
@@ -77,8 +273,12 @@ func newTally(sim *des.Simulator, n int, burnin float64) *tally {
 }
 
 // add moves class j's number in system by delta; a negative delta is a
-// departure.
+// departure. A priced run first accrues its cost up to now.
 func (t *tally) add(j, delta int) {
+	if t.rate > 0 {
+		t.accrue()
+		t.costRate += float64(delta) * t.hold[j]
+	}
 	t.count[j] += delta
 	t.inSystem += delta
 	if now := t.sim.Now(); now >= t.burnin {
@@ -87,6 +287,17 @@ func (t *tally) add(j, delta int) {
 			t.served[j]++
 		}
 	}
+}
+
+// accrue integrates e^{−rate·t}·costRate over [lastT, now], exactly: the
+// counts are constant between events.
+func (t *tally) accrue() {
+	now := t.sim.Now()
+	if now > t.lastT && t.costRate != 0 {
+		r := t.rate
+		t.total += t.costRate * (math.Exp(-r*t.lastT) - math.Exp(-r*now)) / r
+	}
+	t.lastT = now
 }
 
 // start records the delay of jb, which enters service now.
@@ -107,24 +318,16 @@ func (t *tally) snapshotAtBurnin() {
 	})
 }
 
-// averages returns the time-average numbers in system over [burnin, horizon].
-func (t *tally) averages(horizon float64) []float64 {
-	l := make([]float64, len(t.l))
-	for j := range l {
-		l[j] = t.l[j].Average(horizon)
-	}
-	return l
-}
-
-// result folds the tally into a SimResult, pricing the averages at the
-// classes' holding costs.
-func (t *tally) result(horizon float64, classes []Class) *SimResult {
-	res := &SimResult{L: t.averages(horizon), Wq: make([]float64, len(classes)), Served: t.served}
-	for j, c := range classes {
+// result folds the tally into a SimResult, pricing the time averages over
+// [burnin, horizon] at the holding costs hold(j).
+func (t *tally) result(horizon float64, hold func(int) float64) *SimResult {
+	res := &SimResult{L: make([]float64, len(t.l)), Wq: make([]float64, len(t.l)), Served: t.served}
+	for j := range res.L {
+		res.L[j] = t.l[j].Average(horizon)
 		if t.wqN[j] > 0 {
 			res.Wq[j] = t.wqSum[j] / float64(t.wqN[j])
 		}
-		res.CostRate += c.HoldCost * res.L[j]
+		res.CostRate += hold(j) * res.L[j]
 	}
 	return res
 }

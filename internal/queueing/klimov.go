@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
@@ -171,19 +170,14 @@ func (k *KlimovNetwork) Simulate(order []int, horizon, burnin float64, s *rng.St
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
-	rank, err := ranks(order, len(k.Classes))
+	md, err := k.stations(order)
 	if err != nil {
 		return nil, err
 	}
-	sim := des.New()
-	t := newTally(sim, len(k.Classes), burnin)
-	k.bind(sim, rank, s, t.add)
-	t.snapshotAtBurnin()
-	sim.RunUntil(horizon)
-	return t.result(horizon, k.Classes), nil
+	return md.run(horizon, burnin, 0, s), nil
 }
 
 // SimulateDiscounted runs the feedback network under a static priority
@@ -198,75 +192,24 @@ func (k *KlimovNetwork) SimulateDiscounted(order []int, discountRate, horizon fl
 	if discountRate <= 0 || horizon <= 0 {
 		return 0, fmt.Errorf("queueing: need positive discount rate and horizon")
 	}
-	rank, err := ranks(order, len(k.Classes))
+	md, err := k.stations(order)
 	if err != nil {
 		return 0, err
 	}
-	sim := des.New()
-	lastT := 0.0
-	costRate := 0.0 // current Σ c_j n_j
-	total := 0.0
-
-	// accrue integrates e^{-rt}·costRate over [lastT, now].
-	accrue := func() {
-		now := sim.Now()
-		if now > lastT && costRate != 0 {
-			r := discountRate
-			total += costRate * (math.Exp(-r*lastT) - math.Exp(-r*now)) / r
-		}
-		lastT = now
-	}
-	k.bind(sim, rank, s, func(j, delta int) {
-		accrue()
-		costRate += float64(delta) * k.Classes[j].HoldCost
-	})
-	sim.RunUntil(horizon)
-	accrue()
-	return total, nil
+	return md.discounted(discountRate, horizon, s), nil
 }
 
-// bind sets up the feedback network's event loop on sim: Poisson arrivals,
-// one server taking the waiting job of the best rank (oldest first within
-// a class), and Markovian routing of each completed job, drawn from
-// substreams of s. Every change of a class's number in system is reported
-// to add(j, ±1) as it happens.
-func (k *KlimovNetwork) bind(sim *des.Simulator, rank []int, s *rng.Stream, add func(j, delta int)) {
-	n := len(k.Classes)
-	routeStream := s.Split()
-	arr, svc := splitStreams(s, n)
-	var waiting []job
-	var cur job // the job in service
-	inService := false
-
-	var startService, complete func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		cur = take(&waiting, pick(waiting, rank))
-		inService = true
-		sim.Schedule(k.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
+// stations writes the network for the station loop under a static
+// priority order: one server, whose completed jobs route by their
+// feedback rows.
+func (k *KlimovNetwork) stations(order []int) (stationModel, error) {
+	rank, err := ranks(order, len(k.Classes))
+	if err != nil {
+		return stationModel{}, err
 	}
-	complete = func() {
-		inService = false
-		add(cur.class, -1)
-		// Route: become class j with probability P[cur][j], else exit.
-		u, acc := routeStream.Float64(), 0.0
-		for j := 0; j < n; j++ {
-			acc += k.Feedback.At(cur.class, j)
-			if u < acc {
-				add(j, +1)
-				waiting = append(waiting, job{class: j, arrival: sim.Now()})
-				break
-			}
-		}
-		startService()
-	}
-	poisson(sim, arr, rates(k.Classes), func(j int) {
-		add(j, +1)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-	})
+	md := oneStation(k.Classes, 1, k.Feedback)
+	md.ranks = [][]int{rank}
+	return md, nil
 }
 
 // ReplicateKlimov aggregates replications of Simulate under one order on

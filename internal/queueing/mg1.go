@@ -1,20 +1,23 @@
 // Package queueing implements the survey's third model family: scheduling
 // control of queueing systems.
 //
-// It provides a multiclass M/G/1 simulator with pluggable disciplines and
-// the exact Pollaczek–Khinchine / Cobham formulas that validate it; the cµ
-// rule (Cox–Smith 1961); Klimov's model with Markovian feedback and the
-// adaptive-greedy index algorithm (Klimov 1974, in the polyhedral form of
-// Bertsimas–Niño-Mora 1996); Kleinrock's conservation law and the M/G/1
-// performance polytope; multiclass M/M/m with the fast-single-server bound
-// (Glazebrook–Niño-Mora 2001); polling with switchover times (Levy–Sidi
-// 1990); a multi-station network simulator exhibiting Lu–Kumar-style
-// instability (Bramson 1994 context); and a single-station fluid model
-// (Chen–Yao 1993).
+// It provides a multiclass M/G/1 simulator under FIFO, static priorities
+// and their mixtures, and the exact Pollaczek–Khinchine / Cobham formulas
+// that validate it; the cµ rule (Cox–Smith 1961); Klimov's model with
+// Markovian feedback and the adaptive-greedy index algorithm (Klimov
+// 1974, in the polyhedral form of Bertsimas–Niño-Mora 1996); Kleinrock's
+// conservation law and the M/G/1 performance polytope; multiclass M/M/m
+// with the fast-single-server bound (Glazebrook–Niño-Mora 2001); polling
+// with switchover times (Levy–Sidi 1990); a multi-station network
+// simulator exhibiting Lu–Kumar-style instability (Bramson 1994 context);
+// and a single-station fluid model (Chen–Yao 1993).
 //
-// All replication loops (MG1.Replicate, ReplicateKlimov, and the M/M/m and
-// polling experiment helpers) run on internal/engine with per-replication
-// RNG substreams, so estimates are byte-identical at any parallelism for a
+// The M/G/1, Klimov, M/M/m and network simulators run one event loop, the
+// station loop of events.go; preemptive priority and polling keep their
+// own. The replication loops (MG1.Replicate, ReplicateKlimov,
+// Network.Replicate, the served kinds in internal/scenario and the
+// experiment helpers) run on internal/engine with per-replication RNG
+// substreams, so estimates are byte-identical at any parallelism for a
 // given seed. The policy service exposes the cµ/Klimov orders through
 // POST /v1/index and the simulators through POST /v1/simulate — which the
 // sweep subsystem (internal/sweep) fans out over whole parameter grids;

@@ -119,7 +119,7 @@ func TestKleinrockConservationExact(t *testing.T) {
 func TestSimulationMatchesExactFIFO(t *testing.T) {
 	m := twoClassMM1()
 	s := rng.New(1001)
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), FIFO{}, 30000, 3000, 8, s)
+	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{}, 30000, 3000, 8, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSimulationMatchesExactPriority(t *testing.T) {
 	m := twoClassMM1()
 	s := rng.New(1002)
 	order := m.CMuOrder()
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), StaticPriority{Order: order}, 30000, 3000, 8, s)
+	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{Orders: [][]int{order}}, 30000, 3000, 8, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSimulationMatchesExactMG1General(t *testing.T) {
 		{ArrivalRate: 0.2, Service: he, HoldCost: 1},
 	}}
 	s := rng.New(1003)
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), StaticPriority{Order: []int{0, 1}}, 40000, 4000, 8, s)
+	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{Orders: [][]int{{0, 1}}}, 40000, 4000, 8, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPreemptiveBeatsNonpreemptive(t *testing.T) {
 			t.Fatal(err)
 		}
 		pre += rp.CostRate
-		rn, err := m.Simulate(StaticPriority{Order: order}, 30000, 3000, s.Split())
+		rn, err := m.Simulate(Priority{Orders: [][]int{order}}, 30000, 3000, s.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,11 +277,8 @@ func TestRandomMixInterpolates(t *testing.T) {
 	// the vertices for each class's L and still satisfy conservation.
 	m := twoClassMM1()
 	s := rng.New(1005)
-	mix := RandomMix{
-		Disciplines: []Discipline{StaticPriority{Order: []int{0, 1}}, StaticPriority{Order: []int{1, 0}}},
-		Weights:     []float64{0.5, 0.5},
-		Stream:      s.Split(),
-	}
+	mix := Priority{Orders: [][]int{{0, 1}, {1, 0}}, Weights: []float64{0.5, 0.5}}
+	s.Split() // unused, but the replications' stream after it depends on it
 	rep, err := m.Replicate(context.Background(), engine.NewPool(0), mix, 30000, 3000, 8, s.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +300,51 @@ func TestRandomMixInterpolates(t *testing.T) {
 	}
 }
 
+// TestPriorityRejectsBadMixtures: a mixture's weights are checked before
+// any draw — one per order, each finite and nonnegative, with a positive
+// sum. Unchecked, weights [1] for two orders served only the first, and
+// the others panicked at a service start inside a replication.
+func TestPriorityRejectsBadMixtures(t *testing.T) {
+	m := twoClassMM1()
+	orders := [][]int{{0, 1}, {1, 0}}
+	for _, tc := range []struct {
+		name string
+		p    Priority
+	}{
+		{"one weight for two orders", Priority{Orders: orders, Weights: []float64{1}}},
+		{"no weights for two orders", Priority{Orders: orders}},
+		{"three weights for two orders", Priority{Orders: orders, Weights: []float64{0.5, 0.5, 0.5}}},
+		{"two weights for one order", Priority{Orders: orders[:1], Weights: []float64{0.5, 0.5}}},
+		{"a weight without orders", Priority{Weights: []float64{1}}},
+		{"a negative weight", Priority{Orders: orders, Weights: []float64{-1, 2}}},
+		{"a zero sum", Priority{Orders: orders, Weights: []float64{0, 0}}},
+		{"a NaN weight", Priority{Orders: orders, Weights: []float64{math.NaN(), 1}}},
+		{"an infinite weight", Priority{Orders: orders, Weights: []float64{math.Inf(1), 1}}},
+		{"an infinite sum", Priority{Orders: orders, Weights: []float64{math.MaxFloat64, math.MaxFloat64}}},
+	} {
+		s := rng.New(1)
+		if _, err := m.Simulate(tc.p, 100, 10, s); err == nil {
+			t.Errorf("%s: Simulate accepted %+v", tc.name, tc.p)
+		}
+		if s.Uint64() != rng.New(1).Uint64() {
+			t.Errorf("%s: Simulate drew before rejecting", tc.name)
+		}
+		if _, err := m.Replicate(context.Background(), engine.NewPool(2), tc.p, 100, 10, 4, rng.New(1)); err == nil {
+			t.Errorf("%s: Replicate accepted %+v", tc.name, tc.p)
+		}
+	}
+	for _, p := range []Priority{
+		{Orders: orders, Weights: []float64{0, 1}}, // a vertex
+		{Orders: orders[:1], Weights: []float64{1}},
+		{Orders: orders[:1]},
+		{},
+	} {
+		if _, err := m.Simulate(p, 100, 10, rng.New(1)); err != nil {
+			t.Errorf("%+v rejected: %v", p, err)
+		}
+	}
+}
+
 func TestValidationMG1(t *testing.T) {
 	if err := (&MG1{}).Validate(); err == nil {
 		t.Error("empty model accepted")
@@ -315,29 +357,25 @@ func TestValidationMG1(t *testing.T) {
 	if _, _, err := m.ExactPriority([]int{0}); err == nil {
 		t.Error("short order accepted")
 	}
-	if _, err := m.Simulate(FIFO{}, 10, 20, rng.New(1)); err == nil {
+	if _, err := m.Simulate(Priority{}, 10, 20, rng.New(1)); err == nil {
 		t.Error("burnin beyond horizon accepted")
 	}
 }
 
 // TestPriorityOrderMustBePermutation: an order that omits, repeats, or
 // invents a class is rejected before the run starts, by every simulator
-// that takes one — alone, mixed into a RandomMix, or as a plain order.
+// that takes one — alone, mixed with another, or as a plain order.
 func TestPriorityOrderMustBePermutation(t *testing.T) {
 	m := twoClassMM1()
 	mm := &MMm{Classes: m.Classes, Servers: 2}
 	k := NoFeedback(m)
 	for _, order := range [][]int{{0}, {1, 1}, {0, 2}, {-1, 0}, {0, 1, 0}} {
-		mix := RandomMix{
-			Disciplines: []Discipline{StaticPriority{Order: []int{0, 1}}, StaticPriority{Order: order}},
-			Weights:     []float64{0.5, 0.5},
-			Stream:      rng.New(2),
-		}
-		if _, err := m.Simulate(StaticPriority{Order: order}, 100, 10, rng.New(1)); err == nil {
+		mix := Priority{Orders: [][]int{{0, 1}, order}, Weights: []float64{0.5, 0.5}}
+		if _, err := m.Simulate(Priority{Orders: [][]int{order}}, 100, 10, rng.New(1)); err == nil {
 			t.Errorf("MG1.Simulate accepted order %v", order)
 		}
 		if _, err := m.Simulate(mix, 100, 10, rng.New(1)); err == nil {
-			t.Errorf("MG1.Simulate accepted order %v inside a RandomMix", order)
+			t.Errorf("MG1.Simulate accepted order %v inside a mixture", order)
 		}
 		if _, err := m.SimulatePreemptive(order, 100, 10, rng.New(1)); err == nil {
 			t.Errorf("SimulatePreemptive accepted order %v", order)
@@ -352,7 +390,7 @@ func TestPriorityOrderMustBePermutation(t *testing.T) {
 			t.Errorf("SimulateDiscounted accepted order %v", order)
 		}
 	}
-	if _, err := m.Simulate(StaticPriority{Order: []int{1, 0}}, 100, 10, rng.New(1)); err != nil {
+	if _, err := m.Simulate(Priority{Orders: [][]int{{1, 0}}}, 100, 10, rng.New(1)); err != nil {
 		t.Errorf("a permutation was rejected: %v", err)
 	}
 }

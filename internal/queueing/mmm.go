@@ -3,7 +3,6 @@ package queueing
 import (
 	"fmt"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/rng"
 )
@@ -68,70 +67,25 @@ func (m *MMm) FastSingleServerBound() (float64, error) {
 }
 
 // Simulate runs the M/M/m under a static nonpreemptive priority order
-// (highest first).
+// (highest first), or first come, first served for a nil order. Both draw
+// alike, so cmu and fifo replications of one seed see the same arrival
+// and service draws.
 func (m *MMm) Simulate(order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
-	}
-	rank, err := ranks(order, len(m.Classes))
-	if err != nil {
+	if err := checkWindow(horizon, burnin); err != nil {
 		return nil, err
 	}
-	return m.simulate(rank, horizon, burnin, s)
-}
-
-// SimulateFIFO runs the M/M/m first-come-first-served: with every class at
-// equal rank the dispatcher below picks the earliest waiting arrival. The
-// random-number consumption is identical to Simulate, so cmu and fifo
-// replications of the same seed see the same arrival/service draws.
-func (m *MMm) SimulateFIFO(horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
-	}
-	return m.simulate(make([]int, len(m.Classes)), horizon, burnin, s)
-}
-
-// simulate is the common event loop: rank maps class -> priority (lower is
-// served first; pick breaks ties by arrival order, so all-equal ranks
-// degrade to FIFO).
-func (m *MMm) simulate(rank []int, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
-	n := len(m.Classes)
-	sim := des.New()
-	arr, svc := splitStreams(s, n)
-	t := newTally(sim, n, burnin)
-	var waiting []job
-	freeServers := m.Servers
-
-	var dispatch func()
-	done := make([]func(), n) // one completion closure per class
-	for j := range done {
-		done[j] = func() {
-			freeServers++
-			t.add(j, -1)
-			dispatch()
+	md := oneStation(m.Classes, m.Servers, nil)
+	if order != nil {
+		rank, err := ranks(order, len(m.Classes))
+		if err != nil {
+			return nil, err
 		}
+		md.ranks = [][]int{rank}
 	}
-	dispatch = func() {
-		for freeServers > 0 && len(waiting) > 0 {
-			jb := take(&waiting, pick(waiting, rank))
-			freeServers--
-			sim.Schedule(m.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
-		}
-	}
-	poisson(sim, arr, rates(m.Classes), func(j int) {
-		t.add(j, +1)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		dispatch()
-	})
-	t.snapshotAtBurnin()
-	sim.RunUntil(horizon)
-	return t.result(horizon, m.Classes), nil
+	return md.run(horizon, burnin, 0, s), nil
 }
 
 // CMuOrder returns the cµ priority order for the M/M/m classes.

@@ -11,17 +11,14 @@ import (
 	"stochsched/internal/stats"
 )
 
-// replicateMMm folds reps replications of Simulate (SimulateFIFO for a nil
-// order) into a fresh result through ReplicatedResult.Add, one substream
-// of s each.
+// replicateMMm folds reps replications of Simulate (FIFO for a nil order)
+// into a fresh result through ReplicatedResult.Add, one substream of s
+// each.
 func replicateMMm(t *testing.T, m *MMm, order []int, horizon, burnin float64, reps int, s *rng.Stream) *ReplicatedResult {
 	t.Helper()
 	out := &ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
 	if err := engine.ReplicateReduce(context.Background(), nil, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			if order == nil {
-				return m.SimulateFIFO(horizon, burnin, sub)
-			}
 			return m.Simulate(order, horizon, burnin, sub)
 		},
 		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
@@ -198,7 +195,7 @@ func TestMMmFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := one.SimulateFIFO(5000, 500, rng.New(1305))
+	b, err := one.Simulate(nil, 5000, 500, rng.New(1305))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
+	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 // Multi-station multiclass queueing networks. Each class is served at one
@@ -138,14 +140,6 @@ func (nw *Network) StationLoads() []float64 {
 	return loads
 }
 
-// NetworkResult carries steady-state estimates and a sampled trajectory of
-// the total job count (for stability diagnostics).
-type NetworkResult struct {
-	L          []float64 // time-average per-class counts on [burnin, horizon]
-	CostRate   float64
-	Trajectory []float64 // total jobs sampled every SampleEvery time units
-}
-
 // NetworkPolicy gives each station a static priority order over class
 // indices (highest first). Classes of other stations are ignored.
 type NetworkPolicy struct {
@@ -153,14 +147,14 @@ type NetworkPolicy struct {
 }
 
 // Simulate runs the network under the policy. If sampleEvery > 0, the total
-// job count is recorded at that interval over the whole run (including
-// burn-in), which is the stability diagnostic.
-func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery float64, s *rng.Stream) (*NetworkResult, error) {
+// job count is recorded in the result's Trajectory at that interval over
+// the whole run (including burn-in), which is the stability diagnostic.
+func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery float64, s *rng.Stream) (*SimResult, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
 	if len(pol.StationOrder) != nw.Stations {
 		return nil, fmt.Errorf("queueing: policy covers %d stations, want %d", len(pol.StationOrder), nw.Stations)
@@ -178,85 +172,22 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 			rank[cls] = r
 		}
 	}
+	md := stationModel{classes: nw.Classes, stations: nw.Stations, servers: 1, ranks: [][]int{rank}, routed: true}
+	return md.run(horizon, burnin, sampleEvery, s), nil
+}
 
-	sim := des.New()
-	routeStream := s.Split()
-	arr, svc := splitStreams(s, n)
-	// nextClass resolves routing for a completed job of class cls.
-	nextClass := func(cls int) int {
-		c := &nw.Classes[cls]
-		if len(c.Routes) == 0 {
-			return c.Next
-		}
-		u := routeStream.Float64()
-		acc := 0.0
-		for _, rt := range c.Routes {
-			acc += rt.Prob
-			if u < acc {
-				return rt.To
-			}
-		}
-		return -1 // deficit: exit
+// Replicate aggregates independent replications of Simulate on the pool
+// (trajectory sampling disabled — sampleEvery 0), without per-class delays.
+func (nw *Network) Replicate(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
+	out := &ReplicatedResult{L: make([]stats.Running, len(nw.Classes))}
+	if err := engine.ReplicateReduce(ctx, p, reps, s,
+		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
+			return nw.Simulate(pol, horizon, burnin, 0, sub)
+		},
+		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
+		return nil, err
 	}
-
-	waiting := make([][]job, nw.Stations)
-	busy := make([]bool, nw.Stations)
-	t := newTally(sim, n, burnin)
-	totalJobs := 0
-	var trajectory []float64
-
-	var enqueue func(cls int)
-	var startService func(st int)
-	done := make([]func(), n) // one completion closure per class
-	for cls := range done {
-		st := nw.Classes[cls].Station
-		done[cls] = func() {
-			busy[st] = false
-			t.add(cls, -1)
-			if next := nextClass(cls); next == -1 {
-				totalJobs--
-			} else {
-				enqueue(next)
-			}
-			startService(st)
-		}
-	}
-	startService = func(st int) {
-		if busy[st] || len(waiting[st]) == 0 {
-			return
-		}
-		jb := take(&waiting[st], pick(waiting[st], rank))
-		busy[st] = true
-		sim.Schedule(nw.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
-	}
-	enqueue = func(cls int) {
-		t.add(cls, +1)
-		st := nw.Classes[cls].Station
-		waiting[st] = append(waiting[st], job{class: cls, arrival: sim.Now()})
-		startService(st)
-	}
-	poisson(sim, arr, func(j int) float64 { return nw.Classes[j].ArrivalRate }, func(cls int) {
-		totalJobs++
-		enqueue(cls)
-	})
-	t.snapshotAtBurnin()
-	if sampleEvery > 0 {
-		var sample func()
-		sample = func() {
-			trajectory = append(trajectory, float64(totalJobs))
-			if sim.Now()+sampleEvery <= horizon {
-				sim.Schedule(sampleEvery, sample)
-			}
-		}
-		sim.At(0, sample)
-	}
-	sim.RunUntil(horizon)
-
-	res := &NetworkResult{L: t.averages(horizon), Trajectory: trajectory}
-	for j := 0; j < n; j++ {
-		res.CostRate += nw.Classes[j].HoldCost * res.L[j]
-	}
-	return res, nil
+	return out, nil
 }
 
 // LuKumar builds the classical two-station, four-class reentrant network:

@@ -83,8 +83,8 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
 	n := len(p.Queues)
 	sim := des.New()
@@ -148,5 +148,5 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 	t.snapshotAtBurnin()
 	sim.At(0, func() { visit(true) })
 	sim.RunUntil(horizon)
-	return t.result(horizon, p.Queues), nil
+	return t.result(horizon, holds(p.Queues)), nil
 }

@@ -162,7 +162,7 @@ func simulatePollingOneEventPerSwitchover(p *Polling, horizon, burnin float64, s
 	t.snapshotAtBurnin()
 	sim.At(0, func() { visit(true) })
 	sim.RunUntil(horizon)
-	return t.result(horizon, p.Queues), nil
+	return t.result(horizon, holds(p.Queues)), nil
 }
 
 // samePollingResult reports the first field in which two results differ

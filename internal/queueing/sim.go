@@ -3,6 +3,7 @@ package queueing
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
@@ -17,158 +18,74 @@ type job struct {
 	arrival float64
 }
 
-// Discipline selects which waiting job to serve next at a service-start
-// epoch. waiting holds jobs in arrival order; the discipline returns an
-// index into it. A discipline must return a valid index when waiting is
-// nonempty.
-type Discipline interface {
-	Next(waiting []job) int
-	Name() string
+// Priority is a nonpreemptive service rule written as data. With no
+// Orders it serves first come, first served. With one it is a static
+// priority order: class indices, highest first, the oldest job of the best
+// class present served next. With several, each service start draws one
+// order with probability proportional to its weight in Weights, tracing
+// interior points of the performance polytope (experiment E18).
+type Priority struct {
+	Orders  [][]int
+	Weights []float64
 }
 
-// FIFO serves in arrival order.
-type FIFO struct{}
-
-// Next implements Discipline.
-func (FIFO) Next([]job) int { return 0 }
-
-// Name implements Discipline.
-func (FIFO) Name() string { return "FIFO" }
-
-// StaticPriority serves the oldest job of the highest-priority nonempty
-// class. Order lists class indices, highest priority first.
-type StaticPriority struct{ Order []int }
-
-// Next implements Discipline. Simulate has checked that Order is a
-// permutation of the classes, so some waiting job always matches.
-func (p StaticPriority) Next(waiting []job) int {
-	for _, cls := range p.Order {
-		for i, jb := range waiting {
-			if jb.class == cls {
-				return i
-			}
+// ranks checks p against n classes, before any draw, and returns
+// rank[class] for each order. Every order must be a permutation of the
+// classes. Weights may be left out with fewer than two orders; otherwise
+// it needs one finite, nonnegative weight per order and a positive sum.
+func (p Priority) ranks(n int) ([][]int, error) {
+	out := make([][]int, len(p.Orders))
+	for i, order := range p.Orders {
+		rank, err := ranks(order, n)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = rank
 	}
-	return -1
-}
-
-// Name implements Discipline.
-func (p StaticPriority) Name() string { return fmt.Sprintf("priority%v", p.Order) }
-
-// RandomMix randomizes, at every service-start epoch, among disciplines
-// with the given weights — tracing interior points of the performance
-// polytope (experiment E18).
-type RandomMix struct {
-	Disciplines []Discipline
-	Weights     []float64
-	// Stream supplies the mixing draws for direct Simulate calls.
-	// Replicate ignores it: each replication is rebound to its own
-	// substream via WithStream, so replications neither race on a shared
-	// stream nor depend on scheduling order.
-	Stream *rng.Stream
-}
-
-// Next implements Discipline.
-func (r RandomMix) Next(waiting []job) int {
-	return r.Disciplines[r.Stream.Categorical(r.Weights)].Next(waiting)
-}
-
-// Name implements Discipline.
-func (r RandomMix) Name() string { return "random-mix" }
-
-// WithStream implements StreamDiscipline: replications each get an
-// independent copy drawing from their own substream. Nested disciplines
-// that carry streams of their own are rebound recursively, so no stream is
-// shared across replications anywhere in the discipline tree.
-func (r RandomMix) WithStream(s *rng.Stream) Discipline {
-	inner := make([]Discipline, len(r.Disciplines))
-	for i, d := range r.Disciplines {
-		if sd, ok := d.(StreamDiscipline); ok {
-			inner[i] = sd.WithStream(s.Split())
-		} else {
-			inner[i] = d
+	if len(p.Weights) == 0 && len(p.Orders) < 2 {
+		return out, nil
+	}
+	if len(p.Weights) != len(p.Orders) {
+		return nil, fmt.Errorf("queueing: %d priority weights for %d orders", len(p.Weights), len(p.Orders))
+	}
+	sum := 0.0
+	for _, w := range p.Weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("queueing: priority weight %v is not finite and nonnegative", w)
 		}
+		sum += w
 	}
-	return RandomMix{Disciplines: inner, Weights: r.Weights, Stream: s}
-}
-
-// StreamDiscipline is implemented by disciplines that consume randomness.
-// Replicate rebinds such disciplines to a per-replication substream so
-// concurrent replications neither race on a shared stream nor depend on
-// scheduling order for their draws.
-type StreamDiscipline interface {
-	Discipline
-	WithStream(s *rng.Stream) Discipline
-}
-
-// checkOrders rejects a StaticPriority, alone or mixed into a RandomMix,
-// whose Order is not a permutation of the n classes.
-func checkOrders(d Discipline, n int) error {
-	switch d := d.(type) {
-	case StaticPriority:
-		_, err := ranks(d.Order, n)
-		return err
-	case RandomMix:
-		for _, inner := range d.Disciplines {
-			if err := checkOrders(inner, n); err != nil {
-				return err
-			}
-		}
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("queueing: priority weights %v need a positive finite sum", p.Weights)
 	}
-	return nil
+	return out, nil
 }
 
 // SimResult carries steady-state estimates from one replication.
 type SimResult struct {
-	L        []float64 // time-average number in system, per class
-	Wq       []float64 // mean delay before service, per class
-	CostRate float64   // Σ_j c_j L_j
-	Served   []int64   // completed jobs per class
+	L          []float64 // time-average number in system, per class
+	Wq         []float64 // mean delay before service, per class
+	CostRate   float64   // Σ_j c_j L_j
+	Served     []int64   // completed jobs per class
+	Trajectory []float64 // Network.Simulate's total jobs, sampled every sampleEvery
 }
 
-// Simulate runs the multiclass M/G/1 under the given nonpreemptive
-// discipline on [0, horizon], collecting statistics on [burnin, horizon].
-func (m *MG1) Simulate(d Discipline, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
+// Simulate runs the multiclass M/G/1 under the nonpreemptive rule p on
+// [0, horizon], collecting statistics on [burnin, horizon].
+func (m *MG1) Simulate(p Priority, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
-	}
-	n := len(m.Classes)
-	if err := checkOrders(d, n); err != nil {
+	if err := checkWindow(horizon, burnin); err != nil {
 		return nil, err
 	}
-	sim := des.New()
-	arr, svc := splitStreams(s, n)
-	t := newTally(sim, n, burnin)
-	var waiting []job
-	var cur job // the job in service
-	inService := false
-
-	var startService, complete func()
-	startService = func() {
-		if inService || len(waiting) == 0 {
-			return
-		}
-		cur = take(&waiting, d.Next(waiting))
-		inService = true
-		t.start(cur)
-		sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
+	md := oneStation(m.Classes, 1, nil)
+	var err error
+	if md.ranks, err = p.ranks(len(m.Classes)); err != nil {
+		return nil, err
 	}
-	complete = func() {
-		inService = false
-		t.add(cur.class, -1)
-		startService()
-	}
-	poisson(sim, arr, rates(m.Classes), func(j int) {
-		t.add(j, +1)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		startService()
-	})
-	t.snapshotAtBurnin()
-	sim.RunUntil(horizon)
-	return t.result(horizon, m.Classes), nil
+	md.weights = p.Weights
+	return md.run(horizon, burnin, 0, s), nil
 }
 
 // ReplicatedResult carries the replication statistics of a per-class
@@ -180,8 +97,8 @@ type ReplicatedResult struct {
 }
 
 // Add folds one replication into the accumulators. Only the per-class
-// accumulators present are fed, so a nil Wq (the M/M/m simulator tracks
-// time-average occupancy, not per-job waits) stays nil.
+// accumulators present are fed, so a nil Wq stays nil for a caller that
+// reports no delays.
 func (r *ReplicatedResult) Add(res *SimResult) {
 	for j := range r.L {
 		r.L[j].Add(res.L[j])
@@ -193,20 +110,16 @@ func (r *ReplicatedResult) Add(res *SimResult) {
 }
 
 // Replicate aggregates independent replications of Simulate on the pool.
-// Each replication draws from its own substream (including the discipline,
-// when it consumes randomness — see StreamDiscipline), and the per-class
-// statistics are folded in replication order, so the result is
-// byte-identical for a given seed at any parallelism level.
-func (m *MG1) Replicate(ctx context.Context, p *engine.Pool, d Discipline, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
+// Each replication draws from its own substream (a mixture's order draws
+// included), and the per-class statistics are folded in replication
+// order, so the result is byte-identical for a given seed at any
+// parallelism level.
+func (m *MG1) Replicate(ctx context.Context, p *engine.Pool, pri Priority, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
 	n := len(m.Classes)
 	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
 	if err := engine.ReplicateReduce(ctx, p, reps, s,
 		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			rep := d
-			if sd, ok := d.(StreamDiscipline); ok {
-				rep = sd.WithStream(sub.Split())
-			}
-			return m.Simulate(rep, horizon, burnin, sub)
+			return m.Simulate(pri, horizon, burnin, sub)
 		},
 		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
 		return nil, err
@@ -227,8 +140,8 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 			return nil, fmt.Errorf("queueing: preemptive simulator requires exponential services (class %d is %v)", j, c.Service)
 		}
 	}
-	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if err := checkWindow(horizon, burnin); err != nil {
+		return nil, err
 	}
 	n := len(m.Classes)
 	rank, err := ranks(order, n)
@@ -272,5 +185,5 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 	})
 	t.snapshotAtBurnin()
 	sim.RunUntil(horizon)
-	return t.result(horizon, m.Classes), nil
+	return t.result(horizon, holds(m.Classes)), nil
 }

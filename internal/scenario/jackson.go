@@ -41,9 +41,10 @@ func init() {
 	})
 }
 
-// networkModel checks every class, the routing graph, and that the traffic
-// equations have a finite nonnegative solution, and converts the spec into
-// a queueing network. Deliberately NOT checked: station loads below 1 —
+// networkModel checks the station count (no more stations than classes),
+// every class, the routing graph, and that the traffic equations have a
+// finite nonnegative solution, and converts the spec into a queueing
+// network. Deliberately NOT checked: station loads below 1 —
 // simulating unstable networks (the Lu–Kumar example) is the point of the
 // kind. The product-form index separately demands stability.
 func networkModel(nw *api.Network) (*queueing.Network, error) {
@@ -52,6 +53,9 @@ func networkModel(nw *api.Network) (*queueing.Network, error) {
 	}
 	if nw.Stations <= 0 {
 		return nil, fmt.Errorf("spec: network needs a positive station count, got %d", nw.Stations)
+	}
+	if nw.Stations > len(nw.Classes) {
+		return nil, fmt.Errorf("spec: network has %d stations for %d classes; a station with no class serves nothing", nw.Stations, len(nw.Classes))
 	}
 	out := &queueing.Network{Stations: nw.Stations}
 	external := false
@@ -186,9 +190,9 @@ func prepareJackson(payload any, opts SimOpts) (Sim, error) {
 		}
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
-		rep := &queueing.ReplicatedNetworkResult{L: make([]stats.Running, len(nw.Classes))}
+		rep := &queueing.ReplicatedResult{L: make([]stats.Running, len(nw.Classes))}
 		pol := networkPolicy(nw, p.Policy)
-		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.NetworkResult, error) {
+		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
 			return nw.Simulate(pol, p.Horizon, p.Burnin, 0, s)
 		}, rep.Add); err != nil {
 			return nil, err

@@ -149,17 +149,16 @@ func prepareCobham(sim *api.MG1Sim, opts SimOpts) (Sim, error) {
 		}
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
-		// Neither discipline draws randomness: none is a StreamDiscipline.
-		var d queueing.Discipline = queueing.FIFO{}
+		var pri queueing.Priority // FIFO
 		var order []int
 		if sim.Policy == "cmu" {
 			order = m.CMuOrder()
-			d = queueing.StaticPriority{Order: order}
+			pri.Orders = [][]int{order}
 		}
 		n := len(m.Classes)
 		rep := &queueing.ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
 		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
-			return m.Simulate(d, sim.Horizon, sim.Burnin, s)
+			return m.Simulate(pri, sim.Horizon, sim.Burnin, s)
 		}, rep.Add); err != nil {
 			return nil, err
 		}

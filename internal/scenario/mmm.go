@@ -63,17 +63,14 @@ func prepareMMm(payload any, _ SimOpts) (Sim, error) {
 		return nil, err
 	}
 	return func(ctx context.Context, x *Exec) (any, error) {
-		// A nil order selects FIFO. The simulator tracks occupancy, not
-		// per-job waits, so rep carries no Wq accumulators.
+		// A nil order selects FIFO. The kind reports no delays, so rep
+		// carries no Wq accumulators.
 		var order []int
 		if sim.Policy == "cmu" {
 			order = m.CMuOrder()
 		}
 		rep := &queueing.ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
 		if err := replicate(ctx, x, &rep.CostRate, func(s *rng.Stream) (*queueing.SimResult, error) {
-			if order == nil {
-				return m.SimulateFIFO(sim.Horizon, sim.Burnin, s)
-			}
 			return m.Simulate(order, sim.Horizon, sim.Burnin, s)
 		}, rep.Add); err != nil {
 			return nil, err

@@ -200,6 +200,32 @@ func TestSimulateRejectsBadNewKindRequests(t *testing.T) {
 	}
 }
 
+// TestJacksonStationsBounded: a jackson spec with more stations than
+// classes answers 400 on both endpoints, with one text, before anything
+// is sized by the station count (/v1/index used to answer 200 with two
+// 100,000-element arrays, and /v1/simulate allocated every station in
+// every replication); one station per class is still served.
+func TestJacksonStationsBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	const spec = `{"stations":%d,"classes":[{"station":0,"rate":0.5,"service_mean":1,"hold_cost":1}]}`
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/index", `{"kind":"jackson","jackson":` + spec + `}`},
+		{"/v1/simulate", `{"kind":"jackson","jackson":{"spec":` + spec + `,"policy":"fcfs","horizon":100,"burnin":10},"seed":1,"replications":2}`},
+	} {
+		w := post(t, h, tc.route, fmt.Sprintf(tc.body, 100000))
+		var env struct {
+			Err struct{ Message string } `json:"error"`
+		}
+		err := json.Unmarshal(w.Body.Bytes(), &env)
+		if err != nil || w.Code != http.StatusBadRequest || !strings.Contains(env.Err.Message, "network has 100000 stations for 1 classes") {
+			t.Errorf("%s: code %d (%.200s), want 400 naming the bound", tc.route, w.Code, w.Body)
+		}
+		if w := post(t, h, tc.route, fmt.Sprintf(tc.body, 1)); w.Code != http.StatusOK {
+			t.Errorf("%s with one station: code %d (%s), want 200", tc.route, w.Code, w.Body)
+		}
+	}
+}
+
 // TestSimulateRejectsOneReplication: a budget of one replication, fixed or
 // as the precision ceiling, answers 400 for every kind. Below two samples
 // the CI95 is +Inf, which JSON cannot encode (it used to answer 500).
