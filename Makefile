@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check examples-check fmt fmt-check vet ci
+.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check examples-check suite-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -140,6 +140,13 @@ docs-check:
 examples-check:
 	./scripts/examples_check.sh
 
+# Build cmd/stochsched, run the full reproduction suite at seed 3 and diff
+# its stdout against internal/experiments/testdata/all_seed3.txt: the
+# full-size tables, replication counts and columns the quick-suite golden
+# never reaches. REGEN=1 rewrites the golden.
+suite-check:
+	./scripts/suite_check.sh
+
 fmt:
 	gofmt -w .
 
@@ -151,4 +158,4 @@ vet:
 	$(GO) vet ./...
 
 # The CI entry point: identical to what .github/workflows/ci.yml runs.
-ci: build vet fmt-check test bench-test race conformance fuzz smoke cluster-smoke docs-check examples-check bench-check
+ci: build vet fmt-check test bench-test race conformance fuzz smoke cluster-smoke docs-check examples-check suite-check bench-check

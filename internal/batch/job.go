@@ -69,15 +69,6 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// SampleProcessingTimes draws one realization of all processing times.
-func (in *Instance) SampleProcessingTimes(s *rng.Stream) []float64 {
-	p := make([]float64, len(in.Jobs))
-	for i, j := range in.Jobs {
-		p[i] = j.Dist.Sample(s)
-	}
-	return p
-}
-
 // RandomInstance generates a random instance with n jobs on m machines for
 // experiments: exponential processing times with rates in [0.3, 3) and
 // weights in [0.5, 2).

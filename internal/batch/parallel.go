@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"stochsched/internal/dist"
@@ -192,58 +191,4 @@ func evalListDeterministic(in *Instance, o Order, p []float64) ParallelResult {
 		}
 	}
 	return res
-}
-
-// eeiRealized returns the Eastman–Even–Isaacs lower bound for one realized
-// processing-time vector p on m machines:
-//
-//	(1/m) · Σ w_j Σ_{k ≼ j} p_k  +  ((m−1)/(2m)) · Σ w_j p_j,
-//
-// where ≼ orders jobs by realized Smith ratio w/p (the per-realization
-// optimal single-machine order). This bounds the realized Σ w_j C_j of any
-// schedule of those times, hence its expectation bounds every
-// nonanticipative policy's expected cost.
-func eeiRealized(jobs []Job, p []float64, m int) float64 {
-	n := len(jobs)
-	o := identityOrder(n)
-	// Sort by realized Smith ratio (descending). Jobs with p = 0 first.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ri := smithRealized(jobs[o[i]].Weight, p[o[i]])
-			rj := smithRealized(jobs[o[j]].Weight, p[o[j]])
-			if rj > ri {
-				o[i], o[j] = o[j], o[i]
-			}
-		}
-	}
-	first, second := 0.0, 0.0
-	elapsed := 0.0
-	for _, idx := range o {
-		elapsed += p[idx]
-		first += jobs[idx].Weight * elapsed
-		second += jobs[idx].Weight * p[idx]
-	}
-	mf := float64(m)
-	return first/mf + (mf-1)/(2*mf)*second
-}
-
-func smithRealized(w, p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return w / p
-}
-
-// EstimateEEILowerBound Monte-Carlo-estimates the Eastman–Even–Isaacs lower
-// bound on the minimal expected weighted flowtime on m identical machines,
-// E[(1/m)·Σ w_j Σ_{k≼j} p_k + ((m−1)/(2m))·Σ w_j p_j] with ≼ the realized
-// Smith order. Weiss (1992) shows the WSEPT list policy's gap above the
-// optimum is O(1) in the number of jobs, so the relative gap measured
-// against this bound vanishes as n grows — the turnpike experiment E07.
-func EstimateEEILowerBound(ctx context.Context, pool *engine.Pool, in *Instance, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, pool, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			p := in.SampleProcessingTimes(sub)
-			return eeiRealized(in.Jobs, p, in.Machines), nil
-		})
 }

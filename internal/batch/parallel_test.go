@@ -58,40 +58,6 @@ func TestMoreMachinesNeverHurt(t *testing.T) {
 	}
 }
 
-func TestEEILowerBoundHolds(t *testing.T) {
-	s := rng.New(602)
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + s.Intn(20)
-		in := RandomInstance(n, 3, s.Split())
-		lb, err := EstimateEEILowerBound(context.Background(), engine.NewPool(0), in, 3000, s.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		est := mustEstimateParallel(t, in, WSEPT(in.Jobs), 3000, s.Split())
-		if est.WeightedFlowtime.Mean() < lb.Mean()-4*(est.WeightedFlowtime.CI95()+lb.CI95()) {
-			t.Fatalf("trial %d: WSEPT %v below lower bound %v", trial, est.WeightedFlowtime.Mean(), lb.Mean())
-		}
-	}
-}
-
-// Per-realization, the EEI bound must never exceed the realized cost of the
-// same times under any order (here: the list policy's own order).
-func TestEEIRealizedDominance(t *testing.T) {
-	s := rng.New(604)
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + s.Intn(6)
-		m := 1 + s.Intn(3)
-		in := RandomInstance(n, m, s.Split())
-		p := in.SampleProcessingTimes(s.Split())
-		lb := eeiRealized(in.Jobs, p, m)
-		o := RandomOrder(n, s.Split())
-		r := evalListDeterministic(in, o, p)
-		if lb > r.WeightedFlowtime+1e-9 {
-			t.Fatalf("trial %d: EEI bound %v exceeds realized cost %v", trial, lb, r.WeightedFlowtime)
-		}
-	}
-}
-
 // The Coffman–Hofri–Weiss phenomenon (experiment E06): with two-point
 // processing times on two machines, SEPT can be strictly suboptimal. A
 // seeded search over random two-point instances with exact (enumerated)

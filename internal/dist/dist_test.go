@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stochsched/internal/rng"
@@ -106,6 +107,41 @@ func TestPhaseTypeMomentsExact(t *testing.T) {
 	}
 }
 
+// The moments' bits are pinned. −T is bidiagonal for ErlangPH and
+// diagonal for HyperExpPH, so the LU runs no elimination step and E27's
+// moments cannot move; the general law pins a full factorization's
+// rounding.
+func TestPhaseTypeMomentBits(t *testing.T) {
+	eph, err := ErlangPH(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hph, err := HyperExpPH([]float64{0.9, 0.1}, []float64{3, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gph, err := NewPhaseType([]float64{0.5, 0.3, 0.2}, [][]float64{{-2, 1, 0.5}, {0.5, -3, 1.5}, {0, 1, -4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		d              PhaseType
+		mean, variance uint64
+	}{
+		{"ErlangPH(3, 6)", eph, 0x3fe0000000000000, 0x3fb5555555555554},
+		{"HyperExpPH", hph, 0x3fe6666666666666, 0x400747ae147ae149},
+		{"general 3-phase", gph, 0x3fe8dfea27983c13, 0x3fe18c6f3e64602b},
+	} {
+		if got := math.Float64bits(tc.d.Mean()); got != tc.mean {
+			t.Errorf("%s mean bits %#x, want %#x", tc.name, got, tc.mean)
+		}
+		if got := math.Float64bits(tc.d.Var()); got != tc.variance {
+			t.Errorf("%s variance bits %#x, want %#x", tc.name, got, tc.variance)
+		}
+	}
+}
+
 func TestMonotoneHazardRegimes(t *testing.T) {
 	cases := []struct {
 		d    Distribution
@@ -148,6 +184,12 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewPhaseType([]float64{0.5}, [][]float64{{-1}}); err == nil {
 		t.Error("NewPhaseType accepted alpha not summing to 1")
+	}
+	// Two phases that pass work back and forth and never absorb: −T is
+	// singular.
+	if _, err := NewPhaseType([]float64{1, 0}, [][]float64{{-1, 1}, {1, -1}}); err == nil ||
+		!strings.Contains(err.Error(), "singular phase-type generator") {
+		t.Errorf("NewPhaseType with a singular generator: error %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 )
 
@@ -23,7 +24,7 @@ type PhaseType struct {
 //
 //	E[X] = α·(−T)⁻¹·1,   E[X²] = 2·α·(−T)⁻²·1,
 //
-// by solving the two triangular-free linear systems directly.
+// by factorizing −T once and solving with it twice.
 func NewPhaseType(alpha []float64, t [][]float64) (PhaseType, error) {
 	n := len(alpha)
 	if n == 0 || len(t) != n {
@@ -56,69 +57,26 @@ func NewPhaseType(alpha []float64, t [][]float64) (PhaseType, error) {
 		return PhaseType{}, fmt.Errorf("dist: NewPhaseType alpha sums to %v, want 1", sum)
 	}
 	d := PhaseType{Alpha: append([]float64(nil), alpha...), T: make([][]float64, n)}
+	negT := linalg.NewMatrix(n, n)
+	ones := make([]float64, n)
 	for i := range t {
 		d.T[i] = append([]float64(nil), t[i]...)
-	}
-	ones := make([]float64, n)
-	for i := range ones {
+		for j, v := range t[i] {
+			negT.Set(i, j, -v)
+		}
 		ones[i] = 1
 	}
-	x, err := solveNegT(d.T, ones) // x = (−T)⁻¹·1
+	lu, err := linalg.Factorize(negT)
 	if err != nil {
-		return PhaseType{}, err
+		return PhaseType{}, fmt.Errorf("dist: singular phase-type generator: %w", err)
 	}
-	y, err := solveNegT(d.T, x) // y = (−T)⁻²·1
-	if err != nil {
-		return PhaseType{}, err
-	}
+	x := lu.Solve(ones) // x = (−T)⁻¹·1
+	y := lu.Solve(x)    // y = (−T)⁻²·1
 	for i, a := range d.Alpha {
 		d.mean += a * x[i]
 		d.second += 2 * a * y[i]
 	}
 	return d, nil
-}
-
-// solveNegT solves (−T)·x = b by Gaussian elimination with partial pivoting.
-func solveNegT(t [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	a := make([][]float64, n)
-	x := append([]float64(nil), b...)
-	for i := range a {
-		a[i] = make([]float64, n)
-		for j := range a[i] {
-			a[i][j] = -t[i][j]
-		}
-	}
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-14 {
-			return nil, fmt.Errorf("dist: singular phase-type generator")
-		}
-		a[col], a[piv] = a[piv], a[col]
-		x[col], x[piv] = x[piv], x[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := i + 1; j < n; j++ {
-			x[i] -= a[i][j] * x[j]
-		}
-		x[i] /= a[i][i]
-	}
-	return x, nil
 }
 
 // Mean implements Distribution.

@@ -7,10 +7,12 @@ import (
 	"stochsched/internal/linalg"
 )
 
-// Average-reward MDP machinery. Whittle's restless-bandit index (1988) is
-// defined for the time-average criterion; relative value iteration solves
-// the average-reward Bellman equation g + h(s) = max_a [r_a(s) + P_a h](s)
-// for unichain MDPs, yielding the optimal gain g and a bias h.
+// Average-reward MDP machinery behind MDP.Solve, which the mdp scenario
+// kind serves: relative value iteration solves the average-reward Bellman
+// equation g + h(s) = max_a [r_a(s) + P_a h](s) for unichain MDPs,
+// yielding the optimal gain g and a bias h. The time-average Whittle index
+// does not use it: internal/restless solves its subsidy problem by policy
+// iteration on the discounted criterion's workspace.
 
 // RelativeValueIteration solves a finite average-reward MDP by relative
 // value iteration with a reference state (state 0). transitions[a] and

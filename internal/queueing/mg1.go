@@ -130,8 +130,8 @@ func (m *MG1) ExactFIFO() (wq []float64, l []float64) {
 //	Wq_k = W0 / ((1 − σ_{k−1})(1 − σ_k)),   σ_k = Σ_{j: rank ≤ k} ρ_j.
 func (m *MG1) ExactPriority(order []int) (wq []float64, l []float64, err error) {
 	n := len(m.Classes)
-	if len(order) != n {
-		return nil, nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
+	if _, err := ranks(order, n); err != nil {
+		return nil, nil, err
 	}
 	w0 := m.W0()
 	wq = make([]float64, n)
@@ -164,8 +164,8 @@ func (m *MG1) ExactPriority(order []int) (wq []float64, l []float64, err error) 
 // services (Cox–Smith 1961).
 func (m *MG1) ExactPreemptivePriority(order []int) (t []float64, l []float64, err error) {
 	n := len(m.Classes)
-	if len(order) != n {
-		return nil, nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
+	if _, err := ranks(order, n); err != nil {
+		return nil, nil, err
 	}
 	t = make([]float64, n)
 	l = make([]float64, n)

@@ -354,8 +354,8 @@ func TestValidationMG1(t *testing.T) {
 		t.Error("unstable model accepted")
 	}
 	m := twoClassMM1()
-	if _, _, err := m.ExactPriority([]int{0}); err == nil {
-		t.Error("short order accepted")
+	if _, _, err := m.ExactPriority([]int{0}); err == nil || err.Error() != "queueing: order length 1, want 2" {
+		t.Errorf("short order: error %v, want the length message", err)
 	}
 	if _, err := m.Simulate(Priority{}, 10, 20, rng.New(1)); err == nil {
 		t.Error("burnin beyond horizon accepted")
@@ -364,12 +364,14 @@ func TestValidationMG1(t *testing.T) {
 
 // TestPriorityOrderMustBePermutation: an order that omits, repeats, or
 // invents a class is rejected before the run starts, by every simulator
-// that takes one — alone, mixed with another, or as a plain order.
+// that takes one — alone, mixed with another, or as a plain order — and by
+// the exact priority formulas, which must neither leave a missing class's
+// delay at zero nor index past the classes.
 func TestPriorityOrderMustBePermutation(t *testing.T) {
 	m := twoClassMM1()
 	mm := &MMm{Classes: m.Classes, Servers: 2}
 	k := NoFeedback(m)
-	for _, order := range [][]int{{0}, {1, 1}, {0, 2}, {-1, 0}, {0, 1, 0}} {
+	for _, order := range [][]int{{0}, {0, 0}, {1, 1}, {0, 2}, {-1, 0}, {0, 1, 0}} {
 		mix := Priority{Orders: [][]int{{0, 1}, order}, Weights: []float64{0.5, 0.5}}
 		if _, err := m.Simulate(Priority{Orders: [][]int{order}}, 100, 10, rng.New(1)); err == nil {
 			t.Errorf("MG1.Simulate accepted order %v", order)
@@ -388,6 +390,15 @@ func TestPriorityOrderMustBePermutation(t *testing.T) {
 		}
 		if _, err := k.SimulateDiscounted(order, 0.1, 100, rng.New(1)); err == nil {
 			t.Errorf("SimulateDiscounted accepted order %v", order)
+		}
+		if _, _, err := m.ExactPriority(order); err == nil {
+			t.Errorf("MG1.ExactPriority accepted order %v", order)
+		}
+		if _, _, err := m.ExactPreemptivePriority(order); err == nil {
+			t.Errorf("ExactPreemptivePriority accepted order %v", order)
+		}
+		if _, _, err := mm.ExactPriority(order); err == nil {
+			t.Errorf("MMm.ExactPriority accepted order %v", order)
 		}
 	}
 	if _, err := m.Simulate(Priority{Orders: [][]int{{1, 0}}}, 100, 10, rng.New(1)); err != nil {

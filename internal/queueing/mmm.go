@@ -156,8 +156,8 @@ func (m *MMm) ExactPriority(order []int) (wq []float64, l []float64, err error) 
 		return nil, nil, err
 	}
 	n := len(m.Classes)
-	if len(order) != n {
-		return nil, nil, fmt.Errorf("queueing: order length %d, want %d", len(order), n)
+	if _, err := ranks(order, n); err != nil {
+		return nil, nil, err
 	}
 	a := m.OfferedLoad()
 	c, err := ErlangC(m.Servers, a)

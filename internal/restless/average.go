@@ -1,110 +1,57 @@
 package restless
 
-import (
-	"fmt"
-	"math"
-
-	"stochsched/internal/linalg"
-	"stochsched/internal/markov"
-)
-
 // Average-criterion Whittle indices — the formulation of Whittle's original
 // paper (1988). The subsidy problem becomes a two-action average-reward
-// MDP, solved by relative value iteration; the activation advantage is read
-// from the bias vector, and the index is again the critical subsidy.
-
-// SolveSubsidyAverage solves the time-average single-project MDP with
-// passive subsidy lambda and returns the optimal gain and the activation
-// advantage computed from the bias h:
-//
-//	adv(i) = [R₁(i) + P₁(i)·h] − [R₀(i) + λ + P₀(i)·h].
-func SolveSubsidyAverage(p *Project, lambda float64) (gain float64, adv []float64, err error) {
-	if err := p.Validate(); err != nil {
-		return 0, nil, err
-	}
-	n := p.N()
-	transitions := []*linalg.Matrix{p.P[Passive], p.P[Active]}
-	rewards := [][]float64{make([]float64, n), make([]float64, n)}
-	for i := 0; i < n; i++ {
-		rewards[0][i] = p.R[Passive][i] + lambda
-		rewards[1][i] = p.R[Active][i]
-	}
-	g, h, _, err := markov.RelativeValueIteration(transitions, rewards, nil, 1e-10, 500000)
-	if err != nil {
-		return 0, nil, fmt.Errorf("restless: average subsidy solve: %w", err)
-	}
-	adv = make([]float64, n)
-	for i := 0; i < n; i++ {
-		qa := p.R[Active][i]
-		row := p.P[Active].Data[i*n : (i+1)*n]
-		for k, pk := range row {
-			qa += pk * h[k]
-		}
-		qp := p.R[Passive][i] + lambda
-		row = p.P[Passive].Data[i*n : (i+1)*n]
-		for k, pk := range row {
-			qp += pk * h[k]
-		}
-		adv[i] = qa - qp
-	}
-	return g, adv, nil
-}
+// MDP, solved on the discounted criterion's workspace at β = 1 (see
+// subsidyMDP.solve); the activation advantage is read from the bias, and
+// the index is again the critical subsidy.
 
 // WhittleIndexAverage computes the time-average Whittle index of every
-// state by bisection on the activation advantage, mirroring WhittleIndex
-// but under the average criterion.
+// state by bisection on the activation advantage, as WhittleIndex does
+// under the discounted criterion. It validates the project once and solves
+// every subsidy exactly by policy iteration on one workspace, each solve
+// starting from the last one's policy. Every policy it evaluates must be
+// unichain: a multichain one makes the evaluation singular, and the call
+// returns that error.
 func WhittleIndexAverage(p *Project) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	maxR, minR := math.Inf(-1), math.Inf(1)
-	for a := 0; a < 2; a++ {
-		for _, r := range p.R[a] {
-			maxR = math.Max(maxR, r)
-			minR = math.Min(minR, r)
-		}
-	}
-	span := 2 * (maxR - minR + 1)
-	n := p.N()
-	idx := make([]float64, n)
-	for i := 0; i < n; i++ {
+	w := workspace(p, 1)
+	_, span := SubsidyBracket(p, 0) // the reward span, maxR − minR + 1
+	span *= 2
+	idx := make([]float64, p.N())
+	for i := range idx {
 		// Unlike the discounted case, the average index is not bounded by
 		// the reward span (many passive periods can amortize one activation),
 		// so the bracket grows geometrically until it straddles the root.
-		a, b := -span, span
-		for iter := 0; iter < 40; iter++ {
-			_, adv, err := SolveSubsidyAverage(p, b)
-			if err != nil {
-				return nil, err
-			}
-			if adv[i] <= 0 {
-				break
-			}
-			b *= 2
+		b, err := w.widen(i, span, false)
+		if err != nil {
+			return nil, err
 		}
-		for iter := 0; iter < 40; iter++ {
-			_, adv, err := SolveSubsidyAverage(p, a)
-			if err != nil {
-				return nil, err
-			}
-			if adv[i] > 0 {
-				break
-			}
-			a *= 2
+		a, err := w.widen(i, -span, true)
+		if err != nil {
+			return nil, err
 		}
-		for iter := 0; iter < 60 && b-a > 1e-8*(1+math.Abs(a)); iter++ {
-			mid := (a + b) / 2
-			_, adv, err := SolveSubsidyAverage(p, mid)
-			if err != nil {
-				return nil, err
-			}
-			if adv[i] > 0 {
-				a = mid
-			} else {
-				b = mid
-			}
+		if idx[i], err = w.bisect(i, a, b, 1e-8, 60); err != nil {
+			return nil, err
 		}
-		idx[i] = (a + b) / 2
 	}
 	return idx, nil
+}
+
+// widen doubles the subsidy x, at most 40 times, until state i is active
+// there (active) or passive there (!active), and returns it.
+func (w *subsidyMDP) widen(i int, x float64, active bool) (float64, error) {
+	for iter := 0; iter < 40; iter++ {
+		adv, err := w.solve(x)
+		if err != nil {
+			return 0, err
+		}
+		if (adv[i] > 0) == active {
+			break
+		}
+		x *= 2
+	}
+	return x, nil
 }

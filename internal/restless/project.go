@@ -2,11 +2,12 @@
 // (Whittle 1988): projects evolve whether or not they are engaged, and
 // exactly m of N must be engaged at each epoch.
 //
-// The package provides the Whittle index (computed from the subsidy
-// formulation by bisection on the activation advantage, each subsidy's
-// two-action MDP solved exactly by policy iteration, warm-started from the
-// previous subsidy's policy on one workspace per call), an indexability
-// verifier, the per-project LP relaxation whose value upper-bounds every
+// The package provides the Whittle index under the discounted and the
+// time-average criterion (computed from the subsidy formulation by
+// bisection on the activation advantage, each subsidy's two-action MDP
+// solved exactly by policy iteration, warm-started from the previous
+// subsidy's policy on one workspace per call that serves both criteria),
+// an indexability verifier, the per-project LP relaxation whose value upper-bounds every
 // feasible policy (the Whittle relaxation, solved with the in-repo simplex),
 // a first-order primal–dual index heuristic in the spirit of
 // Bertsimas–Niño-Mora (2000), and a fleet simulator used for the

@@ -16,27 +16,28 @@ import (
 // asymptotically optimal under an ergodicity condition as N → ∞ with m/N
 // fixed.
 
-// subsidyMDP is the workspace on which one WhittleIndex or
-// CheckIndexability call solves each of its subsidies: the project,
-// validated once, its discount, and the passive/active policy the last
-// solve ended with, from which the next solve starts. I − βP_π depends on
-// the policy alone, so its factorization is kept until the policy changes;
-// only r_π moves with the subsidy.
+// subsidyMDP is the workspace on which one WhittleIndex, CheckIndexability
+// or WhittleIndexAverage call solves each of its subsidies: the project,
+// validated once, its discount (1 for the time-average criterion), and the
+// passive/active policy the last solve ended with, from which the next
+// solve starts. The evaluation system depends on the policy alone, so its
+// factorization is kept until the policy changes; only r_π moves with the
+// subsidy.
 type subsidyMDP struct {
 	p      *Project
 	beta   float64
 	active []bool
-	sys    *linalg.Matrix // I − βP_π of the current policy π
+	sys    *linalg.Matrix // I − βP_π of the current policy π; at β = 1, column 0 is ones
 	lu     *linalg.LU     // sys factorized; nil once π has changed
 	r, adv []float64      // r_π, and the activation advantage under π
+	gain   float64        // at β = 1, the gain of the last solve's policy
 }
 
 // maxPolicySteps caps the evaluations of one subsidy solve. A warm-started
 // solve usually settles after one or two.
 const maxPolicySteps = 1000
 
-// newSubsidyMDP validates p and the discount and returns a workspace whose
-// first solve starts from the all-passive policy.
+// newSubsidyMDP validates p and the discount and returns their workspace.
 func newSubsidyMDP(p *Project, beta float64) (*subsidyMDP, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -44,23 +45,34 @@ func newSubsidyMDP(p *Project, beta float64) (*subsidyMDP, error) {
 	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("restless: discount %v outside (0,1)", beta)
 	}
-	n := p.N()
-	return &subsidyMDP{p: p, beta: beta, active: make([]bool, n), sys: linalg.NewMatrix(n, n),
-		r: make([]float64, n), adv: make([]float64, n)}, nil
+	return workspace(p, beta), nil
 }
 
-// solve solves the discounted single-project MDP with passive subsidy
-// lambda by Howard's policy iteration and returns the activation advantage
+// workspace returns the workspace of the validated project p at discount
+// beta, or at β = 1 for the time-average criterion, whose first solve
+// starts from the all-passive policy.
+func workspace(p *Project, beta float64) *subsidyMDP {
+	n := p.N()
+	return &subsidyMDP{p: p, beta: beta, active: make([]bool, n), sys: linalg.NewMatrix(n, n),
+		r: make([]float64, n), adv: make([]float64, n)}
+}
+
+// solve solves the single-project MDP with passive subsidy lambda by
+// Howard's policy iteration and returns the activation advantage
 //
 //	adv(i) = [R₁(i) + β P₁(i)·V] − [R₀(i) + λ + β P₀(i)·V],
 //
 // positive where being active is strictly optimal. Each step evaluates the
-// current policy exactly, solving (I − βP_π)V = r_π on the kept
-// factorization, refactorizing only after the policy changed, and switches
-// a state only when its other action is better by more than
-// 1e-12·(1 + |Q₁| + |Q₀|), so rounding ties cannot make the policy cycle.
-// It returns once no state switches; the slice is the workspace's and the
-// next solve overwrites it.
+// current policy exactly on the kept factorization, refactorizing only
+// after the policy changed. At a discount β < 1 it solves
+// (I − βP_π)V = r_π. At β = 1, the time-average criterion, it solves
+// g·1 + (I − P_π)h = r_π with h(0) = 0 for the gain g and the bias V = h:
+// I − P_π with the gain's ones in h(0)'s column. That assumes every
+// evaluated policy is unichain; a multichain one makes the system singular
+// and the solve returns an error. A step switches a state only when its
+// other action is better by more than 1e-12·(1 + |Q₁| + |Q₀|), so rounding
+// ties cannot make the policy cycle. It returns once no state switches;
+// the slice is the workspace's and the next solve overwrites it.
 func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 	p, beta, n := w.p, w.beta, w.p.N()
 	for step := 0; step < maxPolicySteps; step++ {
@@ -76,6 +88,9 @@ func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 					sys[k] = -beta * pk
 				}
 				sys[i]++
+				if beta == 1 {
+					sys[0] = 1 // the gain's column
+				}
 			}
 		}
 		if w.lu == nil {
@@ -86,6 +101,9 @@ func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 			w.lu = lu
 		}
 		v := w.lu.Solve(w.r)
+		if beta == 1 {
+			w.gain, v[0] = v[0], 0
+		}
 		settled := true
 		for i := 0; i < n; i++ {
 			qa := p.R[Active][i]
@@ -112,6 +130,25 @@ func (w *subsidyMDP) solve(lambda float64) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("restless: subsidy policy iteration did not settle in %d steps", maxPolicySteps)
+}
+
+// bisect returns the subsidy at which state i turns passive, bisecting
+// [a, b], with i active at a and passive at b, for at most steps halvings
+// or until the interval is narrower than tol·(1 + |a|).
+func (w *subsidyMDP) bisect(i int, a, b, tol float64, steps int) (float64, error) {
+	for iter := 0; iter < steps && b-a > tol*(1+math.Abs(a)); iter++ {
+		mid := (a + b) / 2
+		adv, err := w.solve(mid)
+		if err != nil {
+			return 0, err
+		}
+		if adv[i] > 0 {
+			a = mid // still active: index is above mid
+		} else {
+			b = mid
+		}
+	}
+	return (a + b) / 2, nil
 }
 
 // IndexabilityReport is the result of an indexability scan.
@@ -192,24 +229,11 @@ func WhittleIndex(p *Project, beta float64) ([]float64, error) {
 		return nil, err
 	}
 	lo, hi := SubsidyBracket(p, beta)
-
-	n := p.N()
-	idx := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a, b := lo, hi
-		for iter := 0; iter < 80 && b-a > 1e-10*(1+math.Abs(a)); iter++ {
-			mid := (a + b) / 2
-			adv, err := w.solve(mid)
-			if err != nil {
-				return nil, err
-			}
-			if adv[i] > 0 {
-				a = mid // still active: index is above mid
-			} else {
-				b = mid
-			}
+	idx := make([]float64, p.N())
+	for i := range idx {
+		if idx[i], err = w.bisect(i, lo, hi, 1e-10, 80); err != nil {
+			return nil, err
 		}
-		idx[i] = (a + b) / 2
 	}
 	return idx, nil
 }

@@ -28,8 +28,6 @@ type Stream struct {
 	incHi  uint64 // stream selector (odd increment), high word
 	incLo  uint64 // stream selector, low word
 
-	haveGauss bool
-
 	// mirror flips every Float64 draw to its antithetic complement
 	// (u → 1−u); Split and SplitInto propagate it to children, so a
 	// mirrored replication substream mirrors all the uniforms it feeds
@@ -49,8 +47,6 @@ type Stream struct {
 	// padding, keeping Stream the same size as without antithetic mode.
 	paired bool
 	parity bool
-
-	gauss float64
 }
 
 // Antithetic puts s into antithetic split mode: subsequent Split/SplitInto
@@ -234,27 +230,6 @@ func (s *Stream) Exp(rate float64) float64 {
 		panic("rng: Exp with rate <= 0")
 	}
 	return -math.Log(s.Float64Open()) / rate
-}
-
-// Norm returns a standard normal variate (Marsaglia polar method, caching the
-// second variate of each pair).
-func (s *Stream) Norm() float64 {
-	if s.haveGauss {
-		s.haveGauss = false
-		return s.gauss
-	}
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(q) / q)
-		s.gauss = v * f
-		s.haveGauss = true
-		return u * f
-	}
 }
 
 // Perm returns a uniformly random permutation of [0, n).

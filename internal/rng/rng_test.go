@@ -115,25 +115,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	s := New(9)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := s.Norm()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	varr := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(varr-1) > 0.03 {
-		t.Fatalf("normal var = %v, want ~1", varr)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(14)
 	err := quick.Check(func(nRaw uint8) bool {
@@ -282,8 +263,6 @@ func TestKnownDerivedDraws(t *testing.T) {
 	}{
 		{"Float64", s.Float64(), 0x3fead3aa4e5339f1},
 		{"Exp(1.5)", s.Exp(1.5), 0x3fee8182a000d129},
-		{"Norm", s.Norm(), 0x3ffe893f59a72729},
-		{"Norm (cached twin)", s.Norm(), 0x3f8eea4857cbe3d3},
 	} {
 		if got := math.Float64bits(tc.got); got != tc.want {
 			t.Errorf("%s bits = %#x, want %#x", tc.name, got, tc.want)
