@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check smoke cluster-smoke docs-check examples-check suite-check fmt fmt-check vet ci
+.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check bench-pairs smoke cluster-smoke docs-check examples-check suite-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,17 @@ bench-cluster:
 # intentional changes.
 bench-check:
 	./scripts/bench_delta.sh
+
+# Paired end-to-end runs of BASE (default HEAD) against the working tree:
+# PAIRS (default 10) alternating pairs of `bench/run.sh` on WORKLOAD
+# (default sweep), each side's median and quartiles per metric, the win
+# count, and whether a claimed gain meets the 9-in-10 and base-spread
+# rule. About a minute and a half a pair, so not part of `make ci`.
+BASE ?= HEAD
+WORKLOAD ?= sweep
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # End-to-end smoke of the stochschedd HTTP server: build, start, curl every
 # endpoint against golden bodies, verify cache hits, sweep submit/poll/

@@ -10,10 +10,13 @@
 // Events are plain closures. Schedule and At store the func value they are
 // given and allocate nothing once the queue has grown to its working
 // depth, so a model that binds its closures once per replication — one
-// arrival closure per class, one completion closure per class or per
-// server, each rescheduling itself — runs its whole event loop without
-// allocating. A func literal written inside an event allocates anew every
-// time it is evaluated; hoist it out of the loop.
+// arrival closure per class, one completion closure, each rescheduling
+// itself — runs its whole event loop without allocating. A func literal
+// written inside an event allocates anew every time it is evaluated;
+// hoist it out of the loop. In this repository only the queueing
+// package's polling and preemptive loops bind closures here; its station
+// loop keeps plain event slots of its own in this package's (time, seq)
+// order, which its tests hold to a Simulator's.
 //
 // Schedule and At return a Handle, a plain value naming the event by its
 // sequence number. Cancel removes the event from the queue (preemptive

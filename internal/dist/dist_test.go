@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -139,6 +141,63 @@ func TestPhaseTypeMomentBits(t *testing.T) {
 		if got := math.Float64bits(tc.d.Var()); got != tc.variance {
 			t.Errorf("%s variance bits %#x, want %#x", tc.name, got, tc.variance)
 		}
+	}
+}
+
+// TestPhaseTypeSampleBits pins the first 1,000 draws of the three laws
+// above, seeded 27, 28 and 29, by an FNV-1a digest of their Float64bits
+// (little-endian) and their first three values, recorded before the jump
+// weights were built once per law: Sample must keep every bit.
+func TestPhaseTypeSampleBits(t *testing.T) {
+	eph, err := ErlangPH(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hph, err := HyperExpPH([]float64{0.9, 0.1}, []float64{3, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gph, err := NewPhaseType([]float64{0.5, 0.3, 0.2}, [][]float64{{-2, 1, 0.5}, {0.5, -3, 1.5}, {0, 1, -4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name   string
+		d      PhaseType
+		digest uint64
+		first  [3]uint64
+	}{
+		{"ErlangPH(3, 6)", eph, 0xdd5af64d1fe3272e, [3]uint64{0x3fcaeb6ae564aa04, 0x3fd390e06ee22f1c, 0x3fb019a32a85ca85}},
+		{"HyperExpPH", hph, 0xffb6567402c04ff1, [3]uint64{0x3fd0b1dcae5d7493, 0x3ff839456f334226, 0x3fb2bc4046557dfe}},
+		{"general 3-phase", gph, 0x69c0e686a6057258, [3]uint64{0x3fb8a8698cabc8f2, 0x3ffaba92d3182513, 0x40123dbb89d954ac}},
+	} {
+		s := rng.New(uint64(27 + i))
+		h := fnv.New64a()
+		var buf [8]byte
+		for k := 0; k < 1000; k++ {
+			b := math.Float64bits(tc.d.Sample(s))
+			if k < len(tc.first) && b != tc.first[k] {
+				t.Errorf("%s draw %d bits %#x, want %#x", tc.name, k, b, tc.first[k])
+			}
+			binary.LittleEndian.PutUint64(buf[:], b)
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != tc.digest {
+			t.Errorf("%s: digest of 1,000 draws %#x, want %#x", tc.name, got, tc.digest)
+		}
+	}
+}
+
+// TestPhaseTypeSampleAllocates: a draw allocates nothing, as Erlang's
+// does; it used to allocate its jump weights every time.
+func TestPhaseTypeSampleAllocates(t *testing.T) {
+	eph, err := ErlangPH(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(1)
+	if allocs := testing.AllocsPerRun(100, func() { eph.Sample(s) }); allocs != 0 {
+		t.Fatalf("ErlangPH(3, 6).Sample: %v allocations per draw, want 0", allocs)
 	}
 }
 

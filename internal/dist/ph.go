@@ -17,7 +17,8 @@ type PhaseType struct {
 	Alpha []float64   // initial distribution over transient phases
 	T     [][]float64 // sub-generator: T[i][i] < 0, T[i][j] ≥ 0, row sums ≤ 0
 
-	mean, second float64 // moments, precomputed at construction
+	mean, second float64     // moments, precomputed at construction
+	jumps        [][]float64 // per phase: weights of the n transient targets, then absorption
 }
 
 // NewPhaseType validates the representation and precomputes moments
@@ -56,15 +57,17 @@ func NewPhaseType(alpha []float64, t [][]float64) (PhaseType, error) {
 	if math.Abs(sum-1) > 1e-9 {
 		return PhaseType{}, fmt.Errorf("dist: NewPhaseType alpha sums to %v, want 1", sum)
 	}
-	d := PhaseType{Alpha: append([]float64(nil), alpha...), T: make([][]float64, n)}
+	d := PhaseType{Alpha: append([]float64(nil), alpha...), T: make([][]float64, n), jumps: make([][]float64, n)}
 	negT := linalg.NewMatrix(n, n)
 	ones := make([]float64, n)
+	weights := make([]float64, n*(n+1))
 	for i := range t {
 		d.T[i] = append([]float64(nil), t[i]...)
 		for j, v := range t[i] {
 			negT.Set(i, j, -v)
 		}
 		ones[i] = 1
+		d.jumps[i] = jumpWeights(d.T, i, weights[i*(n+1):(i+1)*(n+1)])
 	}
 	lu, err := linalg.Factorize(negT)
 	if err != nil {
@@ -85,29 +88,36 @@ func (d PhaseType) Mean() float64 { return d.mean }
 // Var implements Distribution.
 func (d PhaseType) Var() float64 { return d.second - d.mean*d.mean }
 
-// Sample implements Distribution by simulating the CTMC to absorption.
+// jumpWeights writes into w the weights of a jump out of phase i: the n
+// transient targets, itself at 0, then absorption, the exit rate less the
+// other targets' rates, taken off in target order and clamped at 0.
+func jumpWeights(t [][]float64, i int, w []float64) []float64 {
+	n := len(t)
+	absorb := -t[i][i]
+	for j := 0; j < n; j++ {
+		if j == i {
+			w[j] = 0
+			continue
+		}
+		w[j] = t[i][j]
+		absorb -= w[j]
+	}
+	if absorb < 0 {
+		absorb = 0
+	}
+	w[n] = absorb
+	return w
+}
+
+// Sample implements Distribution by simulating the CTMC to absorption. The
+// jump weights of each phase are built once, by NewPhaseType.
 func (d PhaseType) Sample(s *rng.Stream) float64 {
 	n := len(d.Alpha)
 	phase := s.Categorical(d.Alpha)
 	total := 0.0
-	w := make([]float64, n+1) // jump weights: n transient targets + absorption
 	for {
-		exit := -d.T[phase][phase]
-		total += s.Exp(exit)
-		absorb := exit
-		for j := 0; j < n; j++ {
-			if j == phase {
-				w[j] = 0
-				continue
-			}
-			w[j] = d.T[phase][j]
-			absorb -= w[j]
-		}
-		if absorb < 0 {
-			absorb = 0
-		}
-		w[n] = absorb
-		next := s.Categorical(w)
+		total += s.Exp(-d.T[phase][phase])
+		next := s.Categorical(d.jumps[phase])
 		if next == n {
 			return total
 		}

@@ -3,8 +3,9 @@ package queueing
 import (
 	"fmt"
 	"math"
+	"sync"
 
-	"stochsched/internal/des"
+	"stochsched/internal/dist"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
@@ -17,18 +18,29 @@ import (
 // completed jobs routed on (by Next, by Routes, or by Klimov's feedback
 // written as Routes) or out. Its state is one struct: the rule, the routes
 // and the counts are plain data, and arrive, serve and the tally call each
-// other directly. SimulatePreemptive keeps its own loop, since it cancels
-// and requeues the job in service, and so does Polling.Simulate, whose one
-// server walks the queues with switchovers.
+// other directly. SimulatePreemptive keeps its own loop on package des,
+// since it cancels and requeues the job in service, and so does
+// Polling.Simulate, whose one server walks the queues with switchovers.
 //
-// Every loop binds its event closures once per replication, so firing an
-// event allocates nothing (see package des). The order in which the loops
-// draw from their streams and schedule events is what every simulation
-// golden pins; a refactor must not move it.
+// The loop keeps its pending events in an agenda of plain slots rather
+// than closures on a des.Simulator: one next arrival per class of positive
+// rate, one completion per busy server, the burn-in snapshot and the
+// trajectory sampler. It fires the earliest by des's own order — time,
+// then the order the events were scheduled in — and switches on the slot's
+// kind, so an event costs a scan of a few slots (a heap's log k, for a
+// model with many) and no indirect call. Each class draws its interarrival
+// and service times a block at a time from its private substreams (see
+// variates), and a replication's state comes from a pool (see loops). The
+// order in which the loop draws from each stream and schedules events is
+// what every simulation golden pins, and it is the order des numbered them
+// in; a refactor must not move it.
 
-// stationModel is a model as the station loop runs it.
+// stationModel is a model as the station loop runs it: single-station
+// classes (MG1, Klimov, M/M/m) or a network's classes.
 type stationModel struct {
-	classes  []NetClass
+	single   []Class    // classes at station 0, leaving after service...
+	routes   []Route    // ...or routed by Klimov's feedback: class j's row is routes[j*n:(j+1)*n]
+	network  []NetClass // or a network's classes
 	stations int
 	servers  int       // identical servers at every station
 	ranks    [][]int   // rank[class] of each priority order, lower served first; none: FIFO
@@ -41,23 +53,34 @@ type stationModel struct {
 // row of Routes per class, zeros included, so every completion draws its
 // routing uniform.
 func oneStation(cs []Class, servers int, feedback *linalg.Matrix) stationModel {
-	n := len(cs)
-	md := stationModel{classes: make([]NetClass, n), stations: 1, servers: servers, routed: feedback != nil}
-	var routes []Route
+	md := stationModel{single: cs, stations: 1, servers: servers, routed: feedback != nil}
 	if feedback != nil {
-		routes = make([]Route, n*n)
-	}
-	for i, c := range cs {
-		md.classes[i] = NetClass{ArrivalRate: c.ArrivalRate, Service: c.Service, Next: -1, HoldCost: c.HoldCost}
-		if feedback != nil {
-			row := routes[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = Route{To: j, Prob: feedback.At(i, j)}
+		n := len(cs)
+		md.routes = make([]Route, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				md.routes[i*n+j] = Route{To: j, Prob: feedback.At(i, j)}
 			}
-			md.classes[i].Routes = row
 		}
 	}
 	return md
+}
+
+// classes returns the number of classes.
+func (md *stationModel) classes() int { return len(md.single) + len(md.network) }
+
+// class returns class j as a network class.
+func (md *stationModel) class(j int) NetClass {
+	if md.network != nil {
+		return md.network[j]
+	}
+	c := &md.single[j]
+	nc := NetClass{ArrivalRate: c.ArrivalRate, Service: c.Service, Next: -1, HoldCost: c.HoldCost}
+	if md.routes != nil {
+		n := len(md.single)
+		nc.Routes = md.routes[j*n : (j+1)*n]
+	}
+	return nc
 }
 
 // station is one station's queue and idle servers.
@@ -66,101 +89,310 @@ type station struct {
 	idle    int
 }
 
-// loop is one replication of the station loop.
-type loop struct {
-	stationModel
-	tally
-	choice  *rng.Stream   // draws among several priority orders
-	route   *rng.Stream   // routing draws
-	svc     []*rng.Stream // service substream per class
-	station []station     // per station
-	done    []func()      // completion event per class
+// lane is one class in a replication: its Poisson interarrival and
+// service times, and where its jobs go.
+type lane struct {
+	arrival, service variates
+	station          int
+	next             int // the class a served job becomes, -1 to leave, unless routes
+	routes           []Route
+	hold             float64
 }
 
-// bind sets one replication up on a fresh simulator. It splits the
-// mixture's choice stream, then the routing stream, off s ahead of the
-// class streams, binds one completion closure per class, and schedules
-// each class's first arrival through poisson.
-func (md stationModel) bind(burnin float64, s *rng.Stream) *loop {
-	n := len(md.classes)
-	sim := des.New()
-	e := &loop{stationModel: md, tally: newTally(sim, n, burnin)}
-	if len(md.ranks) > 1 {
-		e.choice = s.Split()
+// split splits the class's arrival substream, then its service substream,
+// off s, and binds them to Poisson arrivals at rate and to the service law.
+func (l *lane) split(s *rng.Stream, rate float64, law dist.Distribution) {
+	var sub [2]rng.Stream
+	s.SplitInto(sub[:])
+	l.arrival = variates{i: block, rate: rate, s: sub[0]}
+	l.service = variates{i: block, law: law, s: sub[1]}
+	if e, ok := law.(dist.Exponential); ok {
+		l.service.law, l.service.rate = nil, e.Rate
 	}
-	if md.routed {
-		e.route = s.Split()
+}
+
+// Kinds of the station loop's events.
+const (
+	evArrival uint8 = iota // a class's next external arrival
+	evDone                 // a class's service completes
+	evBurnin               // the burn-in snapshot
+	evSample               // the trajectory sampler
+)
+
+// slot is one pending event of the station loop.
+type slot struct {
+	time  float64
+	seq   uint64 // scheduling order, as des numbers its events
+	class int32
+	kind  uint8
+}
+
+func (e *slot) before(o *slot) bool {
+	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
+}
+
+// scanMax is the most events a model may have pending for the agenda to
+// find the earliest by a scan; beyond it, as with many busy servers, the
+// agenda keeps them as a binary min-heap, at log k per event rather than k.
+const scanMax = 32
+
+// agenda holds the station loop's pending events and fires them in des's
+// order: by time, and simultaneous events in the order they were
+// scheduled. A fired slot is freed for the next event scheduled.
+type agenda struct {
+	slots []slot
+	seq   uint64
+	heap  bool // slots is a binary min-heap; else unordered, and scanned
+}
+
+// at schedules an event of the kind, for the class, at time t.
+func (a *agenda) at(t float64, kind uint8, class int) {
+	a.slots = append(a.slots, slot{time: t, seq: a.seq, class: int32(class), kind: kind})
+	a.seq++
+	if a.heap {
+		a.up()
 	}
-	var arr []*rng.Stream
-	arr, e.svc = splitStreams(s, n)
-	e.station = make([]station, md.stations)
-	for st := range e.station {
-		e.station[st].idle = md.servers
+}
+
+// up sifts the last slot up the heap.
+func (a *agenda) up() {
+	q := a.slots
+	i := len(q) - 1
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	// A class-j completion frees a server; the job becomes class Next, or
-	// draws where it goes when the class has Routes, or leaves (-1); then
-	// the station serves again.
-	e.done = make([]func(), n)
-	for j := range e.done {
-		c, at := &e.classes[j], &e.station[e.classes[j].Station]
-		e.done[j] = func() {
-			at.idle++
-			e.add(j, -1)
-			next := c.Next
-			if len(c.Routes) > 0 {
-				next = e.draw(c.Routes)
+	q[i] = ev
+}
+
+// pop removes and returns the earliest pending event if it falls at or
+// before horizon.
+func (a *agenda) pop(horizon float64) (slot, bool) {
+	q := a.slots
+	if len(q) == 0 {
+		return slot{}, false
+	}
+	best := 0
+	if !a.heap {
+		for i := 1; i < len(q); i++ {
+			if q[i].before(&q[best]) {
+				best = i
 			}
-			if next >= 0 {
-				e.arrive(next)
-			}
-			e.serve(at)
 		}
 	}
-	poisson(sim, arr, func(j int) float64 { return e.classes[j].ArrivalRate }, e.arrive)
+	top := q[best]
+	if top.time > horizon {
+		return slot{}, false
+	}
+	last := len(q) - 1
+	ev := q[last]
+	q = q[:last]
+	a.slots = q
+	if best == last {
+		return top, true
+	}
+	i := best
+	for a.heap { // sift ev down from the root
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
+	return top, true
+}
+
+// loop is one replication of the station loop.
+type loop struct {
+	tally
+	agenda
+	now     float64
+	ranks   [][]int
+	weights []float64
+	choice  rng.Stream // draws among several priority orders
+	route   rng.Stream // routing draws
+	lanes   []lane
+	station []station
+
+	sampleEvery float64 // run's trajectory sampler
+	trajectory  []float64
+}
+
+// loops recycles replication state. A run takes a loop through newLoop,
+// which resets every field, and puts it back once its result is out, so a
+// replication allocates little beyond its result: the queues, slots and
+// per-class arrays keep their backing arrays from run to run, and nothing
+// else crosses from one run to the next. The polling and preemptive loops
+// take their tally and class draws from it too.
+var loops = sync.Pool{New: func() any { return new(loop) }}
+
+// reuse returns s resized to n zero values, on its own backing array when
+// that is large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newLoop returns a recycled loop for n classes with a fresh tally measured
+// from burnin and nothing scheduled. Its lanes are zero until split.
+func newLoop(n int, burnin float64) *loop {
+	e := loops.Get().(*loop)
+	*e = loop{
+		tally: tally{
+			burnin: burnin,
+			count:  reuse(e.count, n), l: reuse(e.l, n), wqSum: reuse(e.wqSum, n), wqN: reuse(e.wqN, n),
+			served: make([]int64, n), // the result keeps it
+			hold:   e.hold,
+		},
+		agenda:  agenda{slots: e.slots[:0]},
+		lanes:   reuse(e.lanes, n),
+		station: e.station,
+	}
+	return e
+}
+
+// bind sets one replication up on a recycled loop. It splits the
+// mixture's choice stream, then the routing stream, off s ahead of the
+// class streams, then each class's arrival and service streams in class
+// order, and schedules each class's first arrival in class order.
+func (md *stationModel) bind(burnin float64, s *rng.Stream) *loop {
+	e := newLoop(md.classes(), burnin)
+	e.ranks, e.weights = md.ranks, md.weights
+	// At most one arrival per class, the snapshot, the sampler and one
+	// completion per server can be pending.
+	e.heap = md.servers > scanMax || md.classes()+2+md.stations*md.servers > scanMax
+	if len(md.ranks) > 1 {
+		e.choice = *s.Split()
+	}
+	if md.routed {
+		e.route = *s.Split()
+	}
+	if cap(e.station) < md.stations {
+		e.station = make([]station, md.stations)
+	}
+	e.station = e.station[:md.stations]
+	for st := range e.station {
+		e.station[st] = station{waiting: e.station[st].waiting[:0], idle: md.servers}
+	}
+	for j := range e.lanes {
+		c, l := md.class(j), &e.lanes[j]
+		l.split(s, c.ArrivalRate, c.Service)
+		l.station, l.next, l.routes, l.hold = c.Station, c.Next, c.Routes, c.HoldCost
+		if c.ArrivalRate > 0 {
+			e.after(l.arrival.draw(), evArrival, j)
+		}
+	}
 	return e
 }
 
 // run simulates one replication on [0, horizon], measured over
 // [burnin, horizon]. With sampleEvery > 0 it also records the number in
 // system at that interval over the whole run, burn-in included.
-func (md stationModel) run(horizon, burnin, sampleEvery float64, s *rng.Stream) *SimResult {
+func (md *stationModel) run(horizon, burnin, sampleEvery float64, s *rng.Stream) *SimResult {
 	e := md.bind(burnin, s)
-	e.snapshotAtBurnin()
-	var trajectory []float64
+	e.at(burnin, evBurnin, 0)
 	if sampleEvery > 0 {
-		var sample func()
-		sample = func() {
-			trajectory = append(trajectory, float64(e.inSystem))
-			if e.sim.Now()+sampleEvery <= horizon {
-				e.sim.Schedule(sampleEvery, sample)
-			}
-		}
-		e.sim.At(0, sample)
+		e.sampleEvery = sampleEvery
+		e.at(0, evSample, 0)
 	}
-	e.sim.RunUntil(horizon)
-	res := e.result(horizon, func(j int) float64 { return e.classes[j].HoldCost })
-	res.Trajectory = trajectory
+	e.runUntil(horizon)
+	res := e.result(horizon, func(j int) float64 { return e.lanes[j].hold })
+	res.Trajectory = e.trajectory
+	loops.Put(e)
 	return res
 }
 
 // discounted simulates one replication on [0, horizon] from an empty
 // start and returns its total discounted holding cost at the given rate.
-func (md stationModel) discounted(rate, horizon float64, s *rng.Stream) float64 {
+func (md *stationModel) discounted(rate, horizon float64, s *rng.Stream) float64 {
 	e := md.bind(0, s)
-	e.rate, e.hold = rate, make([]float64, len(md.classes))
-	for j, c := range md.classes {
-		e.hold[j] = c.HoldCost
+	e.rate, e.hold = rate, reuse(e.hold, len(e.lanes))
+	for j := range e.lanes {
+		e.hold[j] = e.lanes[j].hold
 	}
-	e.sim.RunUntil(horizon)
-	e.accrue()
-	return e.total
+	e.runUntil(horizon)
+	e.accrue(e.now)
+	total := e.total
+	loops.Put(e)
+	return total
+}
+
+// runUntil fires the pending events in order until none is left at or
+// before horizon, and leaves the clock at horizon. An arrival serves its
+// job, which may schedule a completion, before the class's next arrival is
+// drawn and scheduled.
+func (e *loop) runUntil(horizon float64) {
+	for {
+		ev, ok := e.pop(horizon)
+		if !ok {
+			break
+		}
+		e.now = ev.time
+		j := int(ev.class)
+		switch ev.kind {
+		case evArrival:
+			e.arrive(j)
+			e.after(e.lanes[j].arrival.draw(), evArrival, j)
+		case evDone:
+			e.complete(j)
+		case evBurnin:
+			e.snapshot()
+		case evSample:
+			e.trajectory = append(e.trajectory, float64(e.inSystem))
+			if e.now+e.sampleEvery <= horizon {
+				e.after(e.sampleEvery, evSample, 0)
+			}
+		}
+	}
+	e.now = horizon
+}
+
+// after schedules an event delay from now, panicking on a negative or NaN
+// delay as des.Simulator.Schedule does.
+func (e *loop) after(delay float64, kind uint8, class int) {
+	e.at(e.now+checkDelay(delay), kind, class)
 }
 
 // arrive queues a job of class j, arriving now, and serves its station.
 func (e *loop) arrive(j int) {
-	e.add(j, +1)
-	at := &e.station[e.classes[j].Station]
-	at.waiting = append(at.waiting, job{class: j, arrival: e.sim.Now()})
+	e.add(e.now, j, +1)
+	at := &e.station[e.lanes[j].station]
+	at.waiting = append(at.waiting, job{class: j, arrival: e.now})
+	e.serve(at)
+}
+
+// complete ends a class-j service: it frees a server, and the job becomes
+// class next, or draws where it goes when the class has routes, or leaves
+// (-1); then the station serves again.
+func (e *loop) complete(j int) {
+	l := &e.lanes[j]
+	at := &e.station[l.station]
+	at.idle++
+	e.add(e.now, j, -1)
+	next := l.next
+	if len(l.routes) > 0 {
+		next = e.draw(l.routes)
+	}
+	if next >= 0 {
+		e.arrive(next)
+	}
 	e.serve(at)
 }
 
@@ -177,8 +409,8 @@ func (e *loop) serve(at *station) {
 		}
 		jb := take(&at.waiting, i)
 		at.idle--
-		e.start(jb)
-		e.sim.Schedule(e.classes[jb.class].Service.Sample(e.svc[jb.class]), e.done[jb.class])
+		e.start(e.now, jb)
+		e.after(e.lanes[jb.class].service.draw(), evDone, jb.class)
 	}
 }
 
@@ -196,62 +428,22 @@ func (e *loop) draw(routes []Route) int {
 }
 
 // checkWindow rejects an observation window that is not
-// 0 <= burnin < horizon.
+// 0 <= burnin < horizon < +Inf, NaN included: an infinite horizon would
+// never end a run with arrivals.
 func checkWindow(horizon, burnin float64) error {
-	if horizon <= burnin || burnin < 0 {
-		return fmt.Errorf("queueing: need 0 <= burnin < horizon")
+	if !(0 <= burnin && burnin < horizon && horizon < math.Inf(1)) {
+		return fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	return nil
-}
-
-// splitStreams derives the per-class arrival and service substreams off s,
-// class by class: arrival j, then service j.
-func splitStreams(s *rng.Stream, n int) (arr, svc []*rng.Stream) {
-	buf := make([]rng.Stream, 2*n)
-	s.SplitInto(buf)
-	arr, svc = make([]*rng.Stream, n), make([]*rng.Stream, n)
-	for j := range arr {
-		arr[j], svc[j] = &buf[2*j], &buf[2*j+1]
-	}
-	return arr, svc
-}
-
-// rates and holds index the classes' Poisson arrival rates and holding
-// costs, for poisson and tally.result.
-func rates(cs []Class) func(int) float64 {
-	return func(j int) float64 { return cs[j].ArrivalRate }
-}
-
-func holds(cs []Class) func(int) float64 {
-	return func(j int) float64 { return cs[j].HoldCost }
-}
-
-// poisson binds one self-rescheduling arrival closure per class of
-// positive rate and schedules each class's first arrival, in class order.
-// At every arrival onArrive(j) runs before the class's next arrival is
-// drawn and scheduled.
-func poisson(sim *des.Simulator, arr []*rng.Stream, rate func(int) float64, onArrive func(j int)) {
-	for j, s := range arr {
-		lam := rate(j)
-		if !(lam > 0) {
-			continue
-		}
-		var next func()
-		next = func() {
-			onArrive(j)
-			sim.Schedule(s.Exp(lam), next)
-		}
-		sim.Schedule(s.Exp(lam), next)
-	}
 }
 
 // tally is the per-class bookkeeping the loops share, measured over
 // [burnin, horizon]: numbers in system and their time averages, delays
 // before service, and departures. With rate > 0 it also prices the whole
 // run at the holding costs hold: total holds ∫₀^lastT e^{−rate·t}
-// Σ_j c_j n_j(t) dt, and costRate the current Σ_j c_j n_j.
+// Σ_j c_j n_j(t) dt, and costRate the current Σ_j c_j n_j. Each loop
+// passes its clock as now.
 type tally struct {
-	sim      *des.Simulator
 	burnin   float64
 	count    []int
 	inSystem int // the sum of count
@@ -264,24 +456,16 @@ type tally struct {
 	hold                         []float64
 }
 
-func newTally(sim *des.Simulator, n int, burnin float64) tally {
-	return tally{
-		sim: sim, burnin: burnin,
-		count: make([]int, n), l: make([]stats.TimeWeighted, n),
-		wqSum: make([]float64, n), wqN: make([]int64, n), served: make([]int64, n),
-	}
-}
-
 // add moves class j's number in system by delta; a negative delta is a
 // departure. A priced run first accrues its cost up to now.
-func (t *tally) add(j, delta int) {
+func (t *tally) add(now float64, j, delta int) {
 	if t.rate > 0 {
-		t.accrue()
+		t.accrue(now)
 		t.costRate += float64(delta) * t.hold[j]
 	}
 	t.count[j] += delta
 	t.inSystem += delta
-	if now := t.sim.Now(); now >= t.burnin {
+	if now >= t.burnin {
 		t.l[j].Observe(now, float64(t.count[j]))
 		if delta < 0 {
 			t.served[j]++
@@ -291,8 +475,7 @@ func (t *tally) add(j, delta int) {
 
 // accrue integrates e^{−rate·t}·costRate over [lastT, now], exactly: the
 // counts are constant between events.
-func (t *tally) accrue() {
-	now := t.sim.Now()
+func (t *tally) accrue(now float64) {
 	if now > t.lastT && t.costRate != 0 {
 		r := t.rate
 		t.total += t.costRate * (math.Exp(-r*t.lastT) - math.Exp(-r*now)) / r
@@ -301,21 +484,19 @@ func (t *tally) accrue() {
 }
 
 // start records the delay of jb, which enters service now.
-func (t *tally) start(jb job) {
-	if now := t.sim.Now(); now >= t.burnin {
+func (t *tally) start(now float64, jb job) {
+	if now >= t.burnin {
 		t.wqSum[jb.class] += now - jb.arrival
 		t.wqN[jb.class]++
 	}
 }
 
-// snapshotAtBurnin schedules the observation of every class's count at
-// burnin, where the time averages start.
-func (t *tally) snapshotAtBurnin() {
-	t.sim.At(t.burnin, func() {
-		for j, c := range t.count {
-			t.l[j].Observe(t.burnin, float64(c))
-		}
-	})
+// snapshot observes every class's count at burnin, where the time averages
+// start. The loops fire it as an event at burnin.
+func (t *tally) snapshot() {
+	for j, c := range t.count {
+		t.l[j].Observe(t.burnin, float64(c))
+	}
 }
 
 // result folds the tally into a SimResult, pricing the time averages over

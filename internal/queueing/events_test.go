@@ -4,18 +4,67 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 // The loops below are the per-model event loops the station loop replaced,
 // kept as they were but for MG1's discipline, which is a func choosing
-// among the waiting jobs as FIFO, StaticPriority and RandomMix did.
-// TestStationLoopMatchesModelLoops holds every entry point of the station
-// loop to them bit for bit.
+// among the waiting jobs as FIFO, StaticPriority and RandomMix did. They
+// run on package des and draw every variate one at a time, through
+// singlePoisson and direct Sample calls, so TestStationLoopMatchesModelLoops
+// holds every entry point of the station loop, its agenda and its block
+// draws to them bit for bit.
+
+// splitStreams derives the per-class arrival and service substreams off s,
+// class by class: arrival j, then service j.
+func splitStreams(s *rng.Stream, n int) (arr, svc []*rng.Stream) {
+	buf := make([]rng.Stream, 2*n)
+	s.SplitInto(buf)
+	arr, svc = make([]*rng.Stream, n), make([]*rng.Stream, n)
+	for j := range arr {
+		arr[j], svc[j] = &buf[2*j], &buf[2*j+1]
+	}
+	return arr, svc
+}
+
+// newTally is a fresh tally for the reference loops, which allocate theirs
+// as the loops did before replication state was recycled.
+func newTally(n int, burnin float64) tally {
+	return tally{
+		burnin: burnin,
+		count:  make([]int, n), l: make([]stats.TimeWeighted, n),
+		wqSum: make([]float64, n), wqN: make([]int64, n), served: make([]int64, n),
+	}
+}
+
+// rates indexes the classes' Poisson arrival rates, for singlePoisson.
+func rates(cs []Class) func(int) float64 {
+	return func(j int) float64 { return cs[j].ArrivalRate }
+}
+
+// singlePoisson is poisson as it was before block draws: one
+// self-rescheduling arrival closure per class of positive rate, each
+// drawing its interarrival times one Exp call at a time.
+func singlePoisson(sim *des.Simulator, arr []*rng.Stream, rate func(int) float64, onArrive func(j int)) {
+	for j, s := range arr {
+		lam := rate(j)
+		if !(lam > 0) {
+			continue
+		}
+		var next func()
+		next = func() {
+			onArrive(j)
+			sim.Schedule(s.Exp(lam), next)
+		}
+		sim.Schedule(s.Exp(lam), next)
+	}
+}
 
 // refStatic chooses the oldest job of the first class in order present.
 func refStatic(order []int) func([]job) int {
@@ -39,7 +88,7 @@ func refMG1(m *MG1, orders [][]int, weights []float64, horizon, burnin float64, 
 		return nil, err
 	}
 	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	n := len(m.Classes)
 	for _, o := range orders {
@@ -57,7 +106,7 @@ func refMG1(m *MG1, orders [][]int, weights []float64, horizon, burnin float64, 
 	}
 	sim := des.New()
 	arr, svc := splitStreams(s, n)
-	t := newTally(sim, n, burnin)
+	t := newTally(n, burnin)
 	var waiting []job
 	var cur job // the job in service
 	inService := false
@@ -69,20 +118,20 @@ func refMG1(m *MG1, orders [][]int, weights []float64, horizon, burnin float64, 
 		}
 		cur = take(&waiting, next(waiting))
 		inService = true
-		t.start(cur)
+		t.start(sim.Now(), cur)
 		sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
 	}
 	complete = func() {
 		inService = false
-		t.add(cur.class, -1)
+		t.add(sim.Now(), cur.class, -1)
 		startService()
 	}
-	poisson(sim, arr, rates(m.Classes), func(j int) {
-		t.add(j, +1)
+	singlePoisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(sim.Now(), j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		startService()
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	sim.RunUntil(horizon)
 	return t.result(horizon, holds(m.Classes)), nil
 }
@@ -121,7 +170,7 @@ func refKlimovBind(k *KlimovNetwork, sim *des.Simulator, rank []int, s *rng.Stre
 		}
 		startService()
 	}
-	poisson(sim, arr, rates(k.Classes), func(j int) {
+	singlePoisson(sim, arr, rates(k.Classes), func(j int) {
 		add(j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		startService()
@@ -134,16 +183,16 @@ func refKlimov(k *KlimovNetwork, order []int, horizon, burnin float64, s *rng.St
 		return nil, err
 	}
 	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	rank, err := ranks(order, len(k.Classes))
 	if err != nil {
 		return nil, err
 	}
 	sim := des.New()
-	t := newTally(sim, len(k.Classes), burnin)
-	refKlimovBind(k, sim, rank, s, t.add)
-	t.snapshotAtBurnin()
+	t := newTally(len(k.Classes), burnin)
+	refKlimovBind(k, sim, rank, s, func(j, delta int) { t.add(sim.Now(), j, delta) })
+	sim.At(burnin, t.snapshot)
 	sim.RunUntil(horizon)
 	return t.result(horizon, holds(k.Classes)), nil
 }
@@ -154,7 +203,7 @@ func refKlimovDiscounted(k *KlimovNetwork, order []int, discountRate, horizon fl
 		return 0, err
 	}
 	if discountRate <= 0 || horizon <= 0 {
-		return 0, fmt.Errorf("queueing: need positive discount rate and horizon")
+		return 0, fmt.Errorf("queueing: need a positive finite discount rate and horizon")
 	}
 	rank, err := ranks(order, len(k.Classes))
 	if err != nil {
@@ -190,7 +239,7 @@ func refMMm(m *MMm, order []int, horizon, burnin float64, s *rng.Stream) (*SimRe
 		return nil, err
 	}
 	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	n := len(m.Classes)
 	rank := make([]int, n)
@@ -202,7 +251,7 @@ func refMMm(m *MMm, order []int, horizon, burnin float64, s *rng.Stream) (*SimRe
 	}
 	sim := des.New()
 	arr, svc := splitStreams(s, n)
-	t := newTally(sim, n, burnin)
+	t := newTally(n, burnin)
 	var waiting []job
 	freeServers := m.Servers
 
@@ -211,7 +260,7 @@ func refMMm(m *MMm, order []int, horizon, burnin float64, s *rng.Stream) (*SimRe
 	for j := range done {
 		done[j] = func() {
 			freeServers++
-			t.add(j, -1)
+			t.add(sim.Now(), j, -1)
 			dispatch()
 		}
 	}
@@ -222,12 +271,12 @@ func refMMm(m *MMm, order []int, horizon, burnin float64, s *rng.Stream) (*SimRe
 			sim.Schedule(m.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
 		}
 	}
-	poisson(sim, arr, rates(m.Classes), func(j int) {
-		t.add(j, +1)
+	singlePoisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(sim.Now(), j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		dispatch()
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	sim.RunUntil(horizon)
 	return t.result(horizon, holds(m.Classes)), nil
 }
@@ -239,7 +288,7 @@ func refNetwork(nw *Network, pol *NetworkPolicy, horizon, burnin, sampleEvery fl
 		return nil, err
 	}
 	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	if len(pol.StationOrder) != nw.Stations {
 		return nil, fmt.Errorf("queueing: policy covers %d stations, want %d", len(pol.StationOrder), nw.Stations)
@@ -280,7 +329,7 @@ func refNetwork(nw *Network, pol *NetworkPolicy, horizon, burnin, sampleEvery fl
 
 	waiting := make([][]job, nw.Stations)
 	busy := make([]bool, nw.Stations)
-	t := newTally(sim, n, burnin)
+	t := newTally(n, burnin)
 	totalJobs := 0
 	var trajectory []float64
 
@@ -291,7 +340,7 @@ func refNetwork(nw *Network, pol *NetworkPolicy, horizon, burnin, sampleEvery fl
 		st := nw.Classes[cls].Station
 		done[cls] = func() {
 			busy[st] = false
-			t.add(cls, -1)
+			t.add(sim.Now(), cls, -1)
 			if next := nextClass(cls); next == -1 {
 				totalJobs--
 			} else {
@@ -309,16 +358,16 @@ func refNetwork(nw *Network, pol *NetworkPolicy, horizon, burnin, sampleEvery fl
 		sim.Schedule(nw.Classes[jb.class].Service.Sample(svc[jb.class]), done[jb.class])
 	}
 	enqueue = func(cls int) {
-		t.add(cls, +1)
+		t.add(sim.Now(), cls, +1)
 		st := nw.Classes[cls].Station
 		waiting[st] = append(waiting[st], job{class: cls, arrival: sim.Now()})
 		startService(st)
 	}
-	poisson(sim, arr, func(j int) float64 { return nw.Classes[j].ArrivalRate }, func(cls int) {
+	singlePoisson(sim, arr, func(j int) float64 { return nw.Classes[j].ArrivalRate }, func(cls int) {
 		totalJobs++
 		enqueue(cls)
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	if sampleEvery > 0 {
 		var sample func()
 		sample = func() {
@@ -652,5 +701,130 @@ func TestStationLoopErrorsMatchModelLoops(t *testing.T) {
 		if d := sameRun(nil, gotErr, nil, wantErr, false); d != "" || gotErr == nil {
 			t.Errorf("network %v on [%v, %v]: %s (err %v)", tc.pol, tc.burnin, tc.horizon, d, gotErr)
 		}
+	}
+}
+
+// TestAgendaFiresInDesOrder: the station loop's agenda and a
+// des.Simulator given the same schedule fire the same events at the same
+// times in the same order, and stop at the same horizon, whether the
+// agenda scans its slots or keeps them as a heap (odd rounds, which start
+// with 30–69 events pending). Delays of 0, 0.5 and 1 put several events at
+// equal times, and every fired slot is freed and reused by the events
+// scheduled after it.
+func TestAgendaFiresInDesOrder(t *testing.T) {
+	r := rng.New(27)
+	fired := 0
+	for round := 0; round < 200; round++ {
+		sim := des.New()
+		a := agenda{heap: round%2 == 1}
+		var desOrder []int
+		now, next := 0.0, 0
+		schedule := func() {
+			d, k := float64(r.Intn(3))/2, next
+			next++
+			sim.Schedule(d, func() { desOrder = append(desOrder, k) })
+			a.at(now+d, evDone, k)
+		}
+		start := 1 + r.Intn(4)
+		if a.heap {
+			start = 30 + r.Intn(40)
+		}
+		for n := start; n > 0; n-- {
+			schedule()
+		}
+		horizon := float64(2 + r.Intn(12))
+		for {
+			ev, ok := a.pop(horizon)
+			if ok != (sim.Next() <= horizon) {
+				t.Fatalf("round %d: agenda fires %v, des's next event is at %v of horizon %v", round, ok, sim.Next(), horizon)
+			}
+			if !ok {
+				break
+			}
+			sim.Step()
+			now = ev.time
+			if got, want := int(ev.class), desOrder[len(desOrder)-1]; got != want || now != sim.Now() {
+				t.Fatalf("round %d: agenda fired event %d at %v, des event %d at %v", round, got, now, want, sim.Now())
+			}
+			fired++
+			for n := r.Intn(3); n > 0; n-- {
+				schedule()
+			}
+		}
+		if len(a.slots) != sim.Pending() {
+			t.Fatalf("round %d: %d events left on the agenda, %d in des", round, len(a.slots), sim.Pending())
+		}
+	}
+	if fired < 2000 {
+		t.Fatalf("only %d events fired", fired)
+	}
+}
+
+// TestStationLoopManyServersMatchesModelLoop: an M/M/m with more servers
+// than the agenda scans keeps its events in a heap, and still reproduces
+// the model's own loop bit for bit, under a priority order and FIFO.
+func TestStationLoopManyServersMatchesModelLoop(t *testing.T) {
+	for _, servers := range []int{scanMax - 1, scanMax, 64} {
+		m := &MMm{Servers: servers, Classes: []Class{
+			{ArrivalRate: 0.5 * float64(servers), Service: dist.Exponential{Rate: 1}, HoldCost: 3},
+			{ArrivalRate: 0.8 * float64(servers), Service: dist.Exponential{Rate: 2}, HoldCost: 1},
+		}}
+		for _, order := range [][]int{{1, 0}, nil} {
+			for seed := uint64(0); seed < 3; seed++ {
+				got, gotErr := m.Simulate(order, 30, 3, rng.New(seed))
+				want, wantErr := refMMm(m, order, 30, 3, rng.New(seed))
+				if d := sameRun(got, gotErr, want, wantErr, false); d != "" {
+					t.Fatalf("M/M/%d order %v seed %d: %s", servers, order, seed, d)
+				}
+			}
+		}
+	}
+}
+
+// TestNonFiniteWindowsRejected: every simulator rejects a NaN or infinite
+// horizon, burn-in or discount rate before it simulates. Each used to
+// return estimates of 0 with no error for a NaN, and to run forever on an
+// infinite horizon once anything arrived; a run that does not return
+// within a few seconds fails here.
+func TestNonFiniteWindowsRejected(t *testing.T) {
+	exp := dist.Exponential{Rate: 2}
+	m := &MG1{Classes: []Class{{ArrivalRate: 0.3, Service: exp, HoldCost: 2}, {ArrivalRate: 0.2, Service: exp, HoldCost: 1}}}
+	mm := &MMm{Servers: 2, Classes: m.Classes}
+	k := NoFeedback(m)
+	nw := &Network{Stations: 1, Classes: []NetClass{{ArrivalRate: 0.5, Service: exp, Next: -1, HoldCost: 1}}}
+	pol := &NetworkPolicy{StationOrder: [][]int{{0}}}
+	poll := &Polling{Switch: dist.Deterministic{Value: 0.1}, Queues: m.Classes}
+	nan, inf := math.NaN(), math.Inf(1)
+	windows := [][2]float64{{nan, 0}, {100, nan}, {inf, 0}, {inf, 10}, {100, inf}, {inf, inf}, {-inf, 0}, {100, -inf}}
+	discounts := [][2]float64{{nan, 100}, {inf, 100}, {0.1, nan}, {0.1, inf}}
+	returns := func(name string, run func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: no error", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: did not return", name)
+		}
+	}
+	for _, w := range windows {
+		h, b := w[0], w[1]
+		at := fmt.Sprintf("on [%v, %v]", b, h)
+		returns("MG1 "+at, func() error { _, err := m.Simulate(Priority{}, h, b, rng.New(1)); return err })
+		returns("MG1 preemptive "+at, func() error { _, err := m.SimulatePreemptive([]int{0, 1}, h, b, rng.New(1)); return err })
+		returns("M/M/2 "+at, func() error { _, err := mm.Simulate(nil, h, b, rng.New(1)); return err })
+		returns("Klimov "+at, func() error { _, err := k.Simulate([]int{0, 1}, h, b, rng.New(1)); return err })
+		returns("network "+at, func() error { _, err := nw.Simulate(pol, h, b, 0, rng.New(1)); return err })
+		returns("polling "+at, func() error { _, err := poll.Simulate(h, b, rng.New(1)); return err })
+	}
+	for _, d := range discounts {
+		rate, h := d[0], d[1]
+		returns(fmt.Sprintf("Klimov discounted at rate %v to %v", rate, h), func() error {
+			_, err := k.SimulateDiscounted([]int{0, 1}, rate, h, rng.New(1))
+			return err
+		})
 	}
 }

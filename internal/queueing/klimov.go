@@ -189,8 +189,8 @@ func (k *KlimovNetwork) SimulateDiscounted(order []int, discountRate, horizon fl
 	if err := k.Validate(); err != nil {
 		return 0, err
 	}
-	if discountRate <= 0 || horizon <= 0 {
-		return 0, fmt.Errorf("queueing: need positive discount rate and horizon")
+	if !(discountRate > 0 && discountRate < math.Inf(1) && horizon > 0 && horizon < math.Inf(1)) {
+		return 0, fmt.Errorf("queueing: need a positive finite discount rate and horizon")
 	}
 	md, err := k.stations(order)
 	if err != nil {

@@ -13,8 +13,12 @@
 // and a single-station fluid model (Chen–Yao 1993).
 //
 // The M/G/1, Klimov, M/M/m and network simulators run one event loop, the
-// station loop of events.go; preemptive priority and polling keep their
-// own. The replication loops (MG1.Replicate, ReplicateKlimov,
+// station loop of events.go, on an agenda of event slots of its own;
+// preemptive priority and polling keep their own loops on internal/des.
+// Every loop draws each class's interarrival and service times a block at
+// a time from the class's private substreams, and takes its per-run state
+// from a pool, so a replication allocates little beyond its result. The
+// replication loops (MG1.Replicate, ReplicateKlimov,
 // Network.Replicate, the served kinds in internal/scenario and the
 // experiment helpers) run on internal/engine with per-replication RNG
 // substreams, so estimates are byte-identical at any parallelism for a

@@ -172,7 +172,7 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 			rank[cls] = r
 		}
 	}
-	md := stationModel{classes: nw.Classes, stations: nw.Stations, servers: 1, ranks: [][]int{rank}, routed: true}
+	md := stationModel{network: nw.Classes, stations: nw.Stations, servers: 1, ranks: [][]int{rank}, routed: true}
 	return md.run(horizon, burnin, sampleEvery, s), nil
 }
 

@@ -70,11 +70,7 @@ func (p *Polling) Validate() error {
 // draw as Simulator.Schedule does: the idle walk in Simulate sums the draws
 // itself rather than passing each to Schedule.
 func switchover(law dist.Distribution, s *rng.Stream) float64 {
-	d := law.Sample(s)
-	if d < 0 || math.IsNaN(d) {
-		panic("des: negative or NaN delay")
-	}
-	return d
+	return checkDelay(law.Sample(s))
 }
 
 // Simulate runs the polling system and returns per-queue mean delay and
@@ -89,15 +85,15 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 	n := len(p.Queues)
 	sim := des.New()
 	swStream := s.Split()
-	arr, svc := splitStreams(s, n)
+	e := desLoop(p.Queues, burnin, s)
 	queues := make([][]job, n)
-	t := newTally(sim, n, burnin)
+	t := &e.tally
 	at := 0 // queue the server is at
 	gate := 0
 
 	var visit func(first bool)
 	complete := func() {
-		t.add(at, -1)
+		t.add(sim.Now(), at, -1)
 		gate--
 		visit(false)
 	}
@@ -117,8 +113,8 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 			}
 		}
 		if len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive) {
-			t.start(take(&queues[at], 0))
-			sim.Schedule(p.Queues[at].Service.Sample(svc[at]), complete)
+			t.start(sim.Now(), take(&queues[at], 0))
+			sim.Schedule(e.lanes[at].service.draw(), complete)
 			return
 		}
 		end := sim.Now() + switchover(p.Switch, swStream)
@@ -141,12 +137,14 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 		}
 		sim.At(end, reach)
 	}
-	poisson(sim, arr, rates(p.Queues), func(j int) {
-		t.add(j, +1)
+	poisson(sim, e.lanes, func(j int) {
+		t.add(sim.Now(), j, +1)
 		queues[j] = append(queues[j], job{class: j, arrival: sim.Now()})
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	sim.At(0, func() { visit(true) })
 	sim.RunUntil(horizon)
-	return t.result(horizon, holds(p.Queues)), nil
+	res := t.result(horizon, holds(p.Queues))
+	loops.Put(e)
+	return res, nil
 }

@@ -116,20 +116,20 @@ func simulatePollingOneEventPerSwitchover(p *Polling, horizon, burnin float64, s
 		return nil, err
 	}
 	if horizon <= burnin || burnin < 0 {
-		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon")
+		return nil, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
 	}
 	n := len(p.Queues)
 	sim := des.New()
 	swStream := s.Split()
 	arr, svc := splitStreams(s, n)
 	queues := make([][]job, n)
-	t := newTally(sim, n, burnin)
+	t := newTally(n, burnin)
 	at := 0
 	gate := 0
 
 	var visit func(first bool)
 	complete := func() {
-		t.add(at, -1)
+		t.add(sim.Now(), at, -1)
 		gate--
 		visit(false)
 	}
@@ -149,17 +149,17 @@ func simulatePollingOneEventPerSwitchover(p *Polling, horizon, burnin float64, s
 			}
 		}
 		if len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive) {
-			t.start(take(&queues[at], 0))
+			t.start(sim.Now(), take(&queues[at], 0))
 			sim.Schedule(p.Queues[at].Service.Sample(svc[at]), complete)
 		} else {
 			sim.Schedule(p.Switch.Sample(swStream), reach)
 		}
 	}
-	poisson(sim, arr, rates(p.Queues), func(j int) {
-		t.add(j, +1)
+	singlePoisson(sim, arr, rates(p.Queues), func(j int) {
+		t.add(sim.Now(), j, +1)
 		queues[j] = append(queues[j], job{class: j, arrival: sim.Now()})
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	sim.At(0, func() { visit(true) })
 	sim.RunUntil(horizon)
 	return t.result(horizon, holds(p.Queues)), nil

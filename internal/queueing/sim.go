@@ -18,6 +18,90 @@ type job struct {
 	arrival float64
 }
 
+// block is how many variates a class's substream draws at a time.
+const block = 8
+
+// variates hands out one class's interarrival or service times. The
+// class's substream is private: nothing else draws from it, so drawing
+// block values ahead leaves the k-th value handed out what the k-th single
+// draw would have been, while the CPU overlaps a block's logarithms and
+// divisions instead of waiting on each in turn. Exponential laws fill
+// through rng.ExpFill, other laws by block calls to Sample. A drawn value
+// is checked where it is scheduled, so one never handed out cannot panic.
+type variates struct {
+	buf  [block]float64
+	i    int               // the next value in buf; block when it is spent
+	rate float64           // exponential at this rate when law is nil
+	law  dist.Distribution // otherwise
+	s    rng.Stream
+}
+
+// draw returns the next variate.
+func (v *variates) draw() float64 {
+	if v.i == block {
+		v.fill()
+	}
+	x := v.buf[v.i]
+	v.i++
+	return x
+}
+
+// fill draws the next block.
+func (v *variates) fill() {
+	if v.law == nil {
+		v.s.ExpFill(v.rate, v.buf[:])
+	} else {
+		for k := range v.buf {
+			v.buf[k] = v.law.Sample(&v.s)
+		}
+	}
+	v.i = 0
+}
+
+// desLoop returns recycled replication state for a loop that runs on
+// package des: a tally measured from burnin and every class's draws split
+// off s, class by class (arrival j, then service j).
+func desLoop(cs []Class, burnin float64, s *rng.Stream) *loop {
+	e := newLoop(len(cs), burnin)
+	for j, c := range cs {
+		e.lanes[j].split(s, c.ArrivalRate, c.Service)
+	}
+	return e
+}
+
+// poisson binds one self-rescheduling arrival closure per class of
+// positive rate, for the loops that run on package des, and schedules each
+// class's first arrival, in class order. At every arrival onArrive(j) runs
+// before the class's next arrival is drawn and scheduled.
+func poisson(sim *des.Simulator, lanes []lane, onArrive func(j int)) {
+	for j := range lanes {
+		v := &lanes[j].arrival
+		if !(v.rate > 0) {
+			continue
+		}
+		var next func()
+		next = func() {
+			onArrive(j)
+			sim.Schedule(v.draw(), next)
+		}
+		sim.Schedule(v.draw(), next)
+	}
+}
+
+// checkDelay returns d, panicking on a negative or NaN delay as
+// des.Simulator.Schedule does, for the loops that schedule without it.
+func checkDelay(d float64) float64 {
+	if d < 0 || math.IsNaN(d) {
+		panic("des: negative or NaN delay")
+	}
+	return d
+}
+
+// holds indexes the classes' holding costs, for tally.result.
+func holds(cs []Class) func(int) float64 {
+	return func(j int) float64 { return cs[j].HoldCost }
+}
+
 // Priority is a nonpreemptive service rule written as data. With no
 // Orders it serves first come, first served. With one it is a static
 // priority order: class indices, highest first, the oldest job of the best
@@ -149,8 +233,8 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 		return nil, err
 	}
 	sim := des.New()
-	arr, svc := splitStreams(s, n)
-	t := newTally(sim, n, burnin)
+	e := desLoop(m.Classes, burnin, s)
+	t := &e.tally
 	var waiting []job
 	var cur job // the job in service
 	inService := false
@@ -164,15 +248,15 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 		// Highest-priority waiting job (oldest within class).
 		cur = take(&waiting, pick(waiting, rank))
 		inService = true
-		completion = sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
+		completion = sim.Schedule(e.lanes[cur.class].service.draw(), complete)
 	}
 	complete = func() {
-		t.add(cur.class, -1)
+		t.add(sim.Now(), cur.class, -1)
 		inService = false
 		dispatch()
 	}
-	poisson(sim, arr, rates(m.Classes), func(j int) {
-		t.add(j, +1)
+	poisson(sim, e.lanes, func(j int) {
+		t.add(sim.Now(), j, +1)
 		waiting = append(waiting, job{class: j, arrival: sim.Now()})
 		if inService && rank[j] < rank[cur.class] {
 			// Preempt: return the job in service to the queue (memoryless
@@ -183,7 +267,9 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 		}
 		dispatch()
 	})
-	t.snapshotAtBurnin()
+	sim.At(burnin, t.snapshot)
 	sim.RunUntil(horizon)
-	return t.result(horizon, holds(m.Classes)), nil
+	res := t.result(horizon, holds(m.Classes))
+	loops.Put(e)
+	return res, nil
 }

@@ -229,8 +229,27 @@ func (s *Stream) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: Exp with rate <= 0")
 	}
-	return -math.Log(s.Float64Open()) / rate
+	return expOf(s.Float64Open(), rate)
 }
+
+// ExpFill fills out with the values len(out) successive Exp(rate) calls
+// would return, bit for bit. It draws every uniform first and then takes
+// the logarithms, which do not depend on one another, so the CPU can
+// overlap them instead of waiting on each in turn. It panics if rate <= 0.
+func (s *Stream) ExpFill(rate float64, out []float64) {
+	if rate <= 0 {
+		panic("rng: Exp with rate <= 0")
+	}
+	for i := range out {
+		out[i] = s.Float64Open()
+	}
+	for i, u := range out {
+		out[i] = expOf(u, rate)
+	}
+}
+
+// expOf is the exponential inverse CDF at the open uniform u.
+func expOf(u, rate float64) float64 { return -math.Log(u) / rate }
 
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {

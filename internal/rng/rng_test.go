@@ -175,6 +175,7 @@ func TestPanics(t *testing.T) {
 		{"Uint64n zero", func() { s.Uint64n(0) }},
 		{"Intn zero", func() { s.Intn(0) }},
 		{"Exp nonpositive", func() { s.Exp(0) }},
+		{"ExpFill nonpositive", func() { s.ExpFill(-1, make([]float64, 8)) }},
 		{"Categorical all zero", func() { s.Categorical([]float64{0, 0}) }},
 		{"Categorical negative", func() { s.Categorical([]float64{1, -1}) }},
 		{"Categorical NaN", func() { s.Categorical([]float64{1, math.NaN()}) }},
@@ -207,6 +208,41 @@ func BenchmarkExp(b *testing.B) {
 		sink = s.Exp(1)
 	}
 	_ = sink
+}
+
+// BenchmarkExpFill reports the cost of one exponential variate drawn in a
+// block of eight, for comparison with BenchmarkExp's one at a time.
+func BenchmarkExpFill(b *testing.B) {
+	s := New(1)
+	var buf [8]float64
+	for i := 0; i < b.N; i += len(buf) {
+		s.ExpFill(1, buf[:])
+	}
+}
+
+// TestExpFillMatchesExp: a block fill hands out exactly the values, bit for
+// bit, and leaves the stream exactly where, successive Exp calls would, on
+// plain and mirrored streams, at any block length.
+func TestExpFillMatchesExp(t *testing.T) {
+	root := New(31)
+	root.Antithetic()
+	for k := 0; k < 4; k++ {
+		a := root.Split() // k odd: a mirrored twin
+		b := *a
+		rate := 0.25 + float64(k)
+		for _, n := range []int{1, 3, 8, 13} {
+			out := make([]float64, n)
+			a.ExpFill(rate, out)
+			for i, got := range out {
+				if want := b.Exp(rate); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("stream %d (mirrored %v), block %d, value %d: %v, want %v", k, a.Mirrored(), n, i, got, want)
+				}
+			}
+		}
+		if *a != b {
+			t.Fatalf("stream %d: state after the fills differs from after the draws", k)
+		}
+	}
 }
 
 // SplitInto must be draw-for-draw identical to repeated Split: the i-th

@@ -181,30 +181,44 @@ func Expand(req *api.SweepRequest, be Backend, maxCells int) (*Plan, error) {
 		grid:     req.Grid,
 		scn:      scn,
 	}
+	// Every cell is written from one decoded base: each point sets its axis
+	// values on a copy of the tree, and each cell its policy (and, without
+	// common random numbers, its seed) on the point's tree.
+	doc, err := api.ParseDocument(base)
+	if err != nil {
+		return nil, err
+	}
 	plan.cells = make([][]byte, 0, plan.Points*len(policies))
 	for pt := 0; pt < plan.Points; pt++ {
-		pointBody, err := req.Grid.Apply(base, req.Grid.Point(pt))
-		if err != nil {
+		point := doc.Clone()
+		if err := point.SetPoint(&req.Grid, req.Grid.Point(pt)); err != nil {
 			return nil, err
 		}
 		// Per-policy seeds derive from the point's own seed, which a
 		// "seed" axis may have substituted for the base's.
 		if !crn {
-			if err := json.Unmarshal(pointBody, &probe); err != nil {
+			body, err := point.Marshal()
+			if err == nil {
+				err = json.Unmarshal(body, &probe)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("sweep: point %d: %w", pt, err)
 			}
 		}
 		for _, pol := range policies {
-			body := pointBody
 			if pol != "" {
-				if body, err = api.SetString(pointBody, scn.PolicyPath(), pol); err != nil {
+				if err := point.SetString(scn.PolicyPath(), pol); err != nil {
 					return nil, err
 				}
 				if !crn {
-					if body, err = api.SetInt(body, "seed", independentSeed(probe.Seed, pol)); err != nil {
+					if err := point.SetInt("seed", independentSeed(probe.Seed, pol)); err != nil {
 						return nil, err
 					}
 				}
+			}
+			body, err := point.Marshal()
+			if err != nil {
+				return nil, err
 			}
 			if err := be.ValidateSimulate(body); err != nil {
 				return nil, fmt.Errorf("sweep: point %d policy %q: %w", pt, label(pol), err)

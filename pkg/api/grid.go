@@ -103,17 +103,14 @@ func (g *Grid) Apply(base []byte, point []float64) ([]byte, error) {
 	if len(point) != len(g.Axes) {
 		return nil, fmt.Errorf("api: point has %d values for %d axes", len(point), len(g.Axes))
 	}
-	doc, err := decodeTree(base)
+	d, err := ParseDocument(base)
 	if err != nil {
 		return nil, err
 	}
-	for k, a := range g.Axes {
-		v := json.Number(strconv.FormatFloat(point[k], 'g', -1, 64))
-		if doc, err = setPath(doc, strings.Split(a.Path, "."), v); err != nil {
-			return nil, fmt.Errorf("api: axis %q: %w", a.Path, err)
-		}
+	if err := d.SetPoint(g, point); err != nil {
+		return nil, err
 	}
-	return json.Marshal(doc)
+	return d.Marshal()
 }
 
 // SetString returns base with the string value substituted at path — the
@@ -127,7 +124,7 @@ func SetString(base []byte, path, value string) ([]byte, error) {
 // it to inject knobs such as "parallel" into otherwise untouched raw
 // request bodies.
 func SetNumber(base []byte, path string, value float64) ([]byte, error) {
-	return setDocument(base, path, json.Number(strconv.FormatFloat(value, 'g', -1, 64)))
+	return setDocument(base, path, formatNumber(value))
 }
 
 // SetInt returns base with the integer value substituted at path in plain
@@ -138,14 +135,95 @@ func SetInt(base []byte, path string, value uint64) ([]byte, error) {
 }
 
 func setDocument(base []byte, path string, value any) ([]byte, error) {
-	doc, err := decodeTree(base)
+	d, err := ParseDocument(base)
 	if err != nil {
 		return nil, err
 	}
-	if doc, err = setPath(doc, strings.Split(path, "."), value); err != nil {
-		return nil, fmt.Errorf("api: path %q: %w", path, err)
+	if err := d.set(path, value); err != nil {
+		return nil, err
 	}
-	return json.Marshal(doc)
+	return d.Marshal()
+}
+
+// Document is a request body decoded once into a generic JSON tree, so
+// that overrides can be set on it and the body encoded after each without
+// decoding it again: a sweep writes every cell from one decoded base.
+// Encoding a tree and decoding the bytes gives the same tree back, so a
+// document encodes to the bytes that applying its overrides one at a time
+// through Grid.Apply, SetString and SetInt gives.
+type Document struct{ root any }
+
+// ParseDocument decodes base, which must be one JSON value.
+func ParseDocument(base []byte) (*Document, error) {
+	root, err := decodeTree(base)
+	if err != nil {
+		return nil, err
+	}
+	return &Document{root: root}, nil
+}
+
+// Clone returns a deep copy of d: overrides set on either leave the other
+// as it was.
+func (d *Document) Clone() *Document { return &Document{root: cloneTree(d.root)} }
+
+// SetPoint substitutes the point's value at every axis path of g.
+func (d *Document) SetPoint(g *Grid, point []float64) error {
+	if len(point) != len(g.Axes) {
+		return fmt.Errorf("api: point has %d values for %d axes", len(point), len(g.Axes))
+	}
+	for k, a := range g.Axes {
+		root, err := setPath(d.root, strings.Split(a.Path, "."), formatNumber(point[k]))
+		if err != nil {
+			return fmt.Errorf("api: axis %q: %w", a.Path, err)
+		}
+		d.root = root
+	}
+	return nil
+}
+
+// SetString substitutes the string value at path, as SetString does.
+func (d *Document) SetString(path, value string) error { return d.set(path, value) }
+
+// SetInt substitutes the integer value at path, as SetInt does.
+func (d *Document) SetInt(path string, value uint64) error {
+	return d.set(path, json.Number(strconv.FormatUint(value, 10)))
+}
+
+// Marshal encodes the document.
+func (d *Document) Marshal() ([]byte, error) { return json.Marshal(d.root) }
+
+func (d *Document) set(path string, value any) error {
+	root, err := setPath(d.root, strings.Split(path, "."), value)
+	if err != nil {
+		return fmt.Errorf("api: path %q: %w", path, err)
+	}
+	d.root = root
+	return nil
+}
+
+// formatNumber writes v as the shortest decimal that parses back to it.
+func formatNumber(v float64) json.Number {
+	return json.Number(strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+// cloneTree deep-copies a decoded JSON tree: its objects and arrays are
+// new, and its leaves are values that nothing changes in place.
+func cloneTree(node any) any {
+	switch n := node.(type) {
+	case map[string]any:
+		m := make(map[string]any, len(n))
+		for k, v := range n {
+			m[k] = cloneTree(v)
+		}
+		return m
+	case []any:
+		a := make([]any, len(n))
+		for i, v := range n {
+			a[i] = cloneTree(v)
+		}
+		return a
+	}
+	return node
 }
 
 // decodeTree parses base into a generic JSON tree with numbers kept as
