@@ -27,13 +27,13 @@ import (
 // rate, one completion per busy server, the burn-in snapshot and the
 // trajectory sampler. It fires the earliest by des's own order — time,
 // then the order the events were scheduled in — and switches on the slot's
-// kind, so an event costs a scan of a few slots (a heap's log k, for a
-// model with many) and no indirect call. Each class draws its interarrival
-// and service times a block at a time from its private substreams (see
-// variates), and a replication's state comes from a pool (see loops). The
-// order in which the loop draws from each stream and schedules events is
-// what every simulation golden pins, and it is the order des numbered them
-// in; a refactor must not move it.
+// kind, so an event costs a sift through a binary heap of slots and no
+// indirect call. Each class draws its interarrival and service times a
+// block at a time from its private substreams (see variates), and a
+// replication's state comes from a pool (see loops). The order in which
+// the loop draws from each stream and schedules events is what every
+// simulation golden pins, and it is the order des numbered them in; a
+// refactor must not move it.
 
 // stationModel is a model as the station loop runs it: single-station
 // classes (MG1, Klimov, M/M/m) or a network's classes.
@@ -131,34 +131,32 @@ func (e *slot) before(o *slot) bool {
 	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
 }
 
-// scanMax is the most events a model may have pending for the agenda to
-// find the earliest by a scan; beyond it, as with many busy servers, the
-// agenda keeps them as a binary min-heap, at log k per event rather than k.
-const scanMax = 32
-
-// agenda holds the station loop's pending events and fires them in des's
-// order: by time, and simultaneous events in the order they were
-// scheduled. A fired slot is freed for the next event scheduled.
+// agenda holds the station loop's pending events as a binary min-heap on
+// (time, seq) and fires them in des's order: by time, and simultaneous
+// events in the order they were scheduled. A fired event stays at the root
+// while the loop handles it, and the first event the handling schedules
+// takes its place: one sift down instead of a pop's and a push's. The next
+// pop frees the root if nothing took it. Any later event the handling
+// schedules sorts after the fired one (its time is no earlier, its seq
+// later), so it never sifts up into the root.
 type agenda struct {
 	slots []slot
 	seq   uint64
-	heap  bool // slots is a binary min-heap; else unordered, and scanned
+	fired bool // slots[0] has fired and is free
 }
 
 // at schedules an event of the kind, for the class, at time t.
 func (a *agenda) at(t float64, kind uint8, class int) {
-	a.slots = append(a.slots, slot{time: t, seq: a.seq, class: int32(class), kind: kind})
+	ev := slot{time: t, seq: a.seq, class: int32(class), kind: kind}
 	a.seq++
-	if a.heap {
-		a.up()
+	if a.fired {
+		a.fired = false
+		a.down(ev)
+		return
 	}
-}
-
-// up sifts the last slot up the heap.
-func (a *agenda) up() {
+	a.slots = append(a.slots, ev)
 	q := a.slots
 	i := len(q) - 1
-	ev := q[i]
 	for i > 0 {
 		p := (i - 1) / 2
 		if !ev.before(&q[p]) {
@@ -170,39 +168,16 @@ func (a *agenda) up() {
 	q[i] = ev
 }
 
-// pop removes and returns the earliest pending event if it falls at or
-// before horizon.
-func (a *agenda) pop(horizon float64) (slot, bool) {
+// down puts ev at the root and sifts it down the heap.
+func (a *agenda) down(ev slot) {
 	q := a.slots
-	if len(q) == 0 {
-		return slot{}, false
-	}
-	best := 0
-	if !a.heap {
-		for i := 1; i < len(q); i++ {
-			if q[i].before(&q[best]) {
-				best = i
-			}
-		}
-	}
-	top := q[best]
-	if top.time > horizon {
-		return slot{}, false
-	}
-	last := len(q) - 1
-	ev := q[last]
-	q = q[:last]
-	a.slots = q
-	if best == last {
-		return top, true
-	}
-	i := best
-	for a.heap { // sift ev down from the root
+	i := 0
+	for {
 		c := 2*i + 1
-		if c >= last {
+		if c >= len(q) {
 			break
 		}
-		if r := c + 1; r < last && q[r].before(&q[c]) {
+		if r := c + 1; r < len(q) && q[r].before(&q[c]) {
 			c = r
 		}
 		if !q[c].before(&ev) {
@@ -212,7 +187,27 @@ func (a *agenda) pop(horizon float64) (slot, bool) {
 		i = c
 	}
 	q[i] = ev
-	return top, true
+}
+
+// pop frees the root if it has fired and nothing took its place, then
+// fires the earliest pending event if it falls at or before horizon: it
+// returns the event and leaves it at the root.
+func (a *agenda) pop(horizon float64) (slot, bool) {
+	if a.fired {
+		a.fired = false
+		last := len(a.slots) - 1
+		ev := a.slots[last]
+		a.slots = a.slots[:last]
+		if last > 0 {
+			a.down(ev)
+		}
+	}
+	q := a.slots
+	if len(q) == 0 || q[0].time > horizon {
+		return slot{}, false
+	}
+	a.fired = true
+	return q[0], true
 }
 
 // loop is one replication of the station loop.
@@ -235,8 +230,10 @@ type loop struct {
 // which resets every field, and puts it back once its result is out, so a
 // replication allocates little beyond its result: the queues, slots and
 // per-class arrays keep their backing arrays from run to run, and nothing
-// else crosses from one run to the next. The polling and preemptive loops
-// take their tally and class draws from it too.
+// else crosses from one run to the next. Fresh state would cost a
+// two-class replication about 1.7 KB in 17 allocations, most of it the
+// class draws' buffers and streams. The polling and preemptive loops take
+// their tally and class draws from it too.
 var loops = sync.Pool{New: func() any { return new(loop) }}
 
 // reuse returns s resized to n zero values, on its own backing array when
@@ -275,9 +272,6 @@ func newLoop(n int, burnin float64) *loop {
 func (md *stationModel) bind(burnin float64, s *rng.Stream) *loop {
 	e := newLoop(md.classes(), burnin)
 	e.ranks, e.weights = md.ranks, md.weights
-	// At most one arrival per class, the snapshot, the sampler and one
-	// completion per server can be pending.
-	e.heap = md.servers > scanMax || md.classes()+2+md.stations*md.servers > scanMax
 	if len(md.ranks) > 1 {
 		e.choice = *s.Split()
 	}

@@ -706,17 +706,16 @@ func TestStationLoopErrorsMatchModelLoops(t *testing.T) {
 
 // TestAgendaFiresInDesOrder: the station loop's agenda and a
 // des.Simulator given the same schedule fire the same events at the same
-// times in the same order, and stop at the same horizon, whether the
-// agenda scans its slots or keeps them as a heap (odd rounds, which start
-// with 30–69 events pending). Delays of 0, 0.5 and 1 put several events at
-// equal times, and every fired slot is freed and reused by the events
-// scheduled after it.
+// times in the same order, and stop at the same horizon, from a few events
+// pending or from a deep heap (odd rounds start with 30–69). Delays of 0,
+// 0.5 and 1 put several events at equal times, and each fired event's slot
+// is taken by the first event scheduled after it, or freed when none is.
 func TestAgendaFiresInDesOrder(t *testing.T) {
 	r := rng.New(27)
 	fired := 0
 	for round := 0; round < 200; round++ {
 		sim := des.New()
-		a := agenda{heap: round%2 == 1}
+		var a agenda
 		var desOrder []int
 		now, next := 0.0, 0
 		schedule := func() {
@@ -726,7 +725,7 @@ func TestAgendaFiresInDesOrder(t *testing.T) {
 			a.at(now+d, evDone, k)
 		}
 		start := 1 + r.Intn(4)
-		if a.heap {
+		if round%2 == 1 {
 			start = 30 + r.Intn(40)
 		}
 		for n := start; n > 0; n-- {
@@ -760,11 +759,12 @@ func TestAgendaFiresInDesOrder(t *testing.T) {
 	}
 }
 
-// TestStationLoopManyServersMatchesModelLoop: an M/M/m with more servers
-// than the agenda scans keeps its events in a heap, and still reproduces
-// the model's own loop bit for bit, under a priority order and FIFO.
+// TestStationLoopManyServersMatchesModelLoop: an M/M/m with many servers
+// keeps up to one completion per server pending on the agenda, and still
+// reproduces the model's own loop bit for bit, under a priority order and
+// FIFO.
 func TestStationLoopManyServersMatchesModelLoop(t *testing.T) {
-	for _, servers := range []int{scanMax - 1, scanMax, 64} {
+	for _, servers := range []int{31, 32, 64} {
 		m := &MMm{Servers: servers, Classes: []Class{
 			{ArrivalRate: 0.5 * float64(servers), Service: dist.Exponential{Rate: 1}, HoldCost: 3},
 			{ArrivalRate: 0.8 * float64(servers), Service: dist.Exponential{Rate: 2}, HoldCost: 1},
