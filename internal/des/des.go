@@ -13,19 +13,20 @@
 // arrival closure per class, one completion closure, each rescheduling
 // itself — runs its whole event loop without allocating. A func literal
 // written inside an event allocates anew every time it is evaluated;
-// hoist it out of the loop. In this repository only the queueing
-// package's polling and preemptive loops bind closures here; its station
-// loop keeps plain event slots of its own in this package's (time, seq)
-// order, which its tests hold to a Simulator's.
+// hoist it out of the loop.
 //
 // Schedule and At return a Handle, a plain value naming the event by its
-// sequence number. Cancel removes the event from the queue (preemptive
-// disciplines revoke tentative completions this way); once the event has
-// fired or been cancelled, Cancel does nothing. Pending counts only events
-// that will still fire, and Next peeks at the earliest one's time, so a
-// model can advance through a stretch of its own events that nothing
-// pending can interrupt without queueing each one (the polling loop walks
-// its idle switchovers this way).
+// sequence number. Cancel removes the event from the queue (a preemptive
+// discipline can revoke a tentative completion this way); once the event
+// has fired or been cancelled, Cancel does nothing. Pending counts only
+// events that will still fire, and Next peeks at the earliest one's time,
+// so a model can advance through a stretch of its own events that nothing
+// pending can interrupt without queueing each one.
+//
+// No program in this repository runs on a Simulator. The queueing
+// package's loops keep plain event slots of their own in this package's
+// (time, seq) order, and its tests hold them to reference loops written on
+// a Simulator; the benchmark module's layer measurements time its events.
 package des
 
 import "math"

@@ -11,15 +11,17 @@ import (
 
 // TestReplicationAllocations pins the allocation-free event path: one
 // replication at the benchmark's body sizes allocates only its set-up,
-// never per event. A station-loop replication (mg1, mmm, jackson) takes
-// its queues, slots, class draws and tallies from the recycled loops and
-// allocates its rule's ranks, its served counts and its result: 6 in all,
-// against 33–35 when it bound des closures per replication and 1,267–3,465
-// when every event carried its own closure. Polling still binds closures
-// on des, over recycled class draws and tallies: 30, against 38 and 5,644.
-// Under the race detector sync.Pool drops a quarter of the state put back,
-// so a race build is held to the ceilings the test had before recycling,
-// a tenth of the per-event closures' counts.
+// never per event. Every replication takes its queues, slots, class draws
+// and tallies from the recycled loops. A station-loop replication (mg1,
+// mmm, jackson) allocates its rule's ranks, its served counts and its
+// result: 6 in all, against 33–35 when it bound des closures per
+// replication and 1,267–3,465 when every event carried its own closure.
+// Polling allocates its switchover stream, the preemptive M/M/1 its ranks,
+// and each its served counts and result: 5, against 30 and 25 when they
+// bound des closures. Under the race detector sync.Pool drops a quarter of
+// the state put back, so a race build is held to the ceilings the test had
+// before recycling, a tenth of the per-event closures' counts; preemptive
+// takes mg1's, whose model and window it runs.
 func TestReplicationAllocations(t *testing.T) {
 	exp := func(mean float64) dist.Distribution { return dist.Exponential{Rate: 1 / mean} }
 	mg1 := &MG1{Classes: []Class{
@@ -58,8 +60,12 @@ func TestReplicationAllocations(t *testing.T) {
 			_, err := nw.Simulate(fcfs, 300, 50, 0, s)
 			return err
 		}},
-		{"polling", 30, 564, func(s *rng.Stream) error {
+		{"polling", 5, 564, func(s *rng.Stream) error {
 			_, err := poll.Simulate(300, 50, s)
+			return err
+		}},
+		{"preemptive", 5, 126, func(s *rng.Stream) error {
+			_, err := mg1.SimulatePreemptive(cmu.Orders[0], 400, 50, s)
 			return err
 		}},
 	} {
@@ -90,8 +96,9 @@ func TestReplicationAllocations(t *testing.T) {
 
 // TestConcurrentReplicationsMatchSequential: replications running at once
 // take and return recycled state from the same pool, across models of
-// different sizes and both des-based loops, and each still returns exactly
-// what it returns when run alone.
+// different sizes and all three loops on the agenda (the station loop,
+// polling and the preemptive M/M/1), and each still returns exactly what it
+// returns when run alone.
 func TestConcurrentReplicationsMatchSequential(t *testing.T) {
 	exp := func(mean float64) dist.Distribution { return dist.Exponential{Rate: 1 / mean} }
 	mg1 := &MG1{Classes: []Class{

@@ -18,22 +18,22 @@ import (
 // completed jobs routed on (by Next, by Routes, or by Klimov's feedback
 // written as Routes) or out. Its state is one struct: the rule, the routes
 // and the counts are plain data, and arrive, serve and the tally call each
-// other directly. SimulatePreemptive keeps its own loop on package des,
-// since it cancels and requeues the job in service, and so does
-// Polling.Simulate, whose one server walks the queues with switchovers.
+// other directly. MG1.SimulatePreemptive, which requeues the job in
+// service, and Polling.Simulate, whose one server walks the queues with
+// switchovers, bind the same state and run their own switch on its agenda.
 //
-// The loop keeps its pending events in an agenda of plain slots rather
-// than closures on a des.Simulator: one next arrival per class of positive
-// rate, one completion per busy server, the burn-in snapshot and the
-// trajectory sampler. It fires the earliest by des's own order — time,
-// then the order the events were scheduled in — and switches on the slot's
-// kind, so an event costs a sift through a binary heap of slots and no
-// indirect call. Each class draws its interarrival and service times a
-// block at a time from its private substreams (see variates), and a
-// replication's state comes from a pool (see loops). The order in which
-// the loop draws from each stream and schedules events is what every
-// simulation golden pins, and it is the order des numbered them in; a
-// refactor must not move it.
+// The agenda holds the pending events as plain slots: one next arrival per
+// class of positive rate, one completion per busy server, the burn-in
+// snapshot and the trajectory sampler or, for polling, the switchover in
+// progress. It fires the earliest by time, then by the order the events
+// were scheduled in, the order package des fires its closures in, and the
+// loop switches on the slot's kind, so an event costs a sift through a
+// binary heap of slots and no indirect call. Each class draws its
+// interarrival and service times a block at a time from its private
+// substreams (see variates), and a replication's state comes from a pool
+// (see loops). The order in which the loops draw from each stream and
+// schedule events is what every simulation golden pins; a refactor must
+// not move it.
 
 // stationModel is a model as the station loop runs it: single-station
 // classes (MG1, Klimov, M/M/m) or a network's classes.
@@ -117,6 +117,7 @@ const (
 	evDone                 // a class's service completes
 	evBurnin               // the burn-in snapshot
 	evSample               // the trajectory sampler
+	evReach                // polling: the switchover ends at the class's queue
 )
 
 // slot is one pending event of the station loop.
@@ -210,6 +211,20 @@ func (a *agenda) pop(horizon float64) (slot, bool) {
 	return q[0], true
 }
 
+// next returns the time of the earliest pending event, or +Inf when none
+// is. A fired root is not pending: the earliest other event is then one of
+// its two children, until the handling schedules something.
+func (a *agenda) next() float64 {
+	t, from := math.Inf(1), 0
+	if a.fired {
+		from = 1
+	}
+	for i := from; i < len(a.slots) && i <= 2*from; i++ { // the root, or its children
+		t = min(t, a.slots[i].time)
+	}
+	return t
+}
+
 // loop is one replication of the station loop.
 type loop struct {
 	tally
@@ -232,8 +247,8 @@ type loop struct {
 // per-class arrays keep their backing arrays from run to run, and nothing
 // else crosses from one run to the next. Fresh state would cost a
 // two-class replication about 1.7 KB in 17 allocations, most of it the
-// class draws' buffers and streams. The polling and preemptive loops take
-// their tally and class draws from it too.
+// class draws' buffers and streams. The polling and preemptive loops bind
+// theirs from it too.
 var loops = sync.Pool{New: func() any { return new(loop) }}
 
 // reuse returns s resized to n zero values, on its own backing array when

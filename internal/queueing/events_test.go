@@ -388,6 +388,64 @@ func refNetwork(nw *Network, pol *NetworkPolicy, horizon, burnin, sampleEvery fl
 	return res, nil
 }
 
+// refPreemptive is MG1.SimulatePreemptive on des, as it ran before the
+// agenda: a preemption cancels the completion of the job in service through
+// its des.Handle. It also returns the number of preemptions.
+func refPreemptive(m *MG1, order []int, horizon, burnin float64, s *rng.Stream) (*SimResult, int, error) {
+	if err := m.Validate(); err != nil {
+		return nil, 0, err
+	}
+	for j, c := range m.Classes {
+		if _, ok := c.Service.(dist.Exponential); !ok {
+			return nil, 0, fmt.Errorf("queueing: preemptive simulator requires exponential services (class %d is %v)", j, c.Service)
+		}
+	}
+	if horizon <= burnin || burnin < 0 {
+		return nil, 0, fmt.Errorf("queueing: need 0 <= burnin < horizon < +Inf")
+	}
+	n := len(m.Classes)
+	rank, err := ranks(order, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	sim := des.New()
+	arr, svc := splitStreams(s, n)
+	t := newTally(n, burnin)
+	var waiting []job
+	var cur job // the job in service
+	inService, preemptions := false, 0
+	var completion des.Handle
+
+	var dispatch, complete func()
+	dispatch = func() {
+		if inService || len(waiting) == 0 {
+			return
+		}
+		cur = take(&waiting, pick(waiting, rank))
+		inService = true
+		completion = sim.Schedule(m.Classes[cur.class].Service.Sample(svc[cur.class]), complete)
+	}
+	complete = func() {
+		t.add(sim.Now(), cur.class, -1)
+		inService = false
+		dispatch()
+	}
+	singlePoisson(sim, arr, rates(m.Classes), func(j int) {
+		t.add(sim.Now(), j, +1)
+		waiting = append(waiting, job{class: j, arrival: sim.Now()})
+		if inService && rank[j] < rank[cur.class] {
+			completion.Cancel()
+			waiting = append(waiting, cur)
+			inService = false
+			preemptions++
+		}
+		dispatch()
+	})
+	sim.At(burnin, t.snapshot)
+	sim.RunUntil(horizon)
+	return t.result(horizon, holds(m.Classes)), preemptions, nil
+}
+
 // sameRun reports the first way two runs differ, errors by their text and
 // results bit for bit (delays only when withWq), or "" when they agree.
 func sameRun(got *SimResult, gotErr error, want *SimResult, wantErr error, withWq bool) string {
@@ -710,6 +768,8 @@ func TestStationLoopErrorsMatchModelLoops(t *testing.T) {
 // pending or from a deep heap (odd rounds start with 30–69). Delays of 0,
 // 0.5 and 1 put several events at equal times, and each fired event's slot
 // is taken by the first event scheduled after it, or freed when none is.
+// Both report the same next pending time while an event is handled, before
+// and after it schedules more.
 func TestAgendaFiresInDesOrder(t *testing.T) {
 	r := rng.New(27)
 	fired := 0
@@ -746,8 +806,14 @@ func TestAgendaFiresInDesOrder(t *testing.T) {
 				t.Fatalf("round %d: agenda fired event %d at %v, des event %d at %v", round, got, now, want, sim.Now())
 			}
 			fired++
+			if a.next() != sim.Next() {
+				t.Fatalf("round %d: agenda's next event at %v after firing, des's at %v", round, a.next(), sim.Next())
+			}
 			for n := r.Intn(3); n > 0; n-- {
 				schedule()
+			}
+			if a.next() != sim.Next() {
+				t.Fatalf("round %d: agenda's next event at %v after scheduling, des's at %v", round, a.next(), sim.Next())
 			}
 		}
 		if len(a.slots) != sim.Pending() {
@@ -757,6 +823,55 @@ func TestAgendaFiresInDesOrder(t *testing.T) {
 	if fired < 2000 {
 		t.Fatalf("only %d events fired", fired)
 	}
+}
+
+// TestPreemptiveMatchesDesLoop: the preemptive M/M/1 on the agenda, where
+// a preempted job's completion stays queued and fires as a stale slot,
+// reproduces the des loop that cancelled it bit for bit: 1–4 classes, some
+// idle, at loads 0.3–0.95, so that preemptions are frequent, under the cµ
+// order and its reverse, burn-in 0 and horizon/10, plain and antithetic
+// streams.
+func TestPreemptiveMatchesDesLoop(t *testing.T) {
+	r := rng.New(28)
+	checked, preemptions := 0, 0
+	for _, rho := range []float64{0.3, 0.6, 0.8, 0.95} {
+		for n := 1; n <= 4; n++ {
+			means := make([]float64, n)
+			for j := range means {
+				means[j] = 0.3 + r.Float64()
+			}
+			m := &MG1{Classes: make([]Class, n)}
+			for j, lam := range gridRates(r, rho, means) {
+				m.Classes[j] = Class{ArrivalRate: lam, Service: dist.Exponential{Rate: 1 / means[j]}, HoldCost: 0.1 + 3*r.Float64()}
+			}
+			cmu := m.CMuOrder()
+			reverse := make([]int, n)
+			for i, j := range cmu {
+				reverse[n-1-i] = j
+			}
+			for _, order := range [][]int{cmu, reverse} {
+				for seed := uint64(0); seed < 8; seed++ {
+					root := rng.New(seed)
+					if seed%2 == 0 {
+						root.Antithetic()
+					}
+					ref := *root // both loops start from the same state
+					burnin := float64(seed%3) * 15
+					got, gotErr := m.SimulatePreemptive(order, 300, burnin, root)
+					want, k, wantErr := refPreemptive(m, order, 300, burnin, &ref)
+					if d := sameRun(got, gotErr, want, wantErr, true); d != "" {
+						t.Fatalf("load %v, %d classes, order %v, seed %d: %s", rho, n, order, seed, d)
+					}
+					checked++
+					preemptions += k
+				}
+			}
+		}
+	}
+	if checked != 256 || preemptions < 1000 {
+		t.Fatalf("checked %d runs with %d preemptions, want 256 runs and at least 1000", checked, preemptions)
+	}
+	t.Logf("%d runs, %d preemptions", checked, preemptions)
 }
 
 // TestStationLoopManyServersMatchesModelLoop: an M/M/m with many servers

@@ -14,7 +14,7 @@
 //
 // The M/G/1, Klimov, M/M/m and network simulators run one event loop, the
 // station loop of events.go, on an agenda of event slots of its own;
-// preemptive priority and polling keep their own loops on internal/des.
+// preemptive priority and polling run their own switches on that agenda.
 // Every loop draws each class's interarrival and service times a block at
 // a time from the class's private substreams, and takes its per-run state
 // from a pool, so a replication allocates little beyond its result. The

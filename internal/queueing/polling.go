@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/rng"
 )
@@ -67,8 +66,8 @@ func (p *Polling) Validate() error {
 }
 
 // switchover draws one switchover time, panicking on a negative or NaN
-// draw as Simulator.Schedule does: the idle walk in Simulate sums the draws
-// itself rather than passing each to Schedule.
+// draw as a scheduled delay does: the idle walk in Simulate sums the draws
+// itself rather than scheduling each.
 func switchover(law dist.Distribution, s *rng.Stream) float64 {
 	return checkDelay(law.Sample(s))
 }
@@ -83,42 +82,51 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 		return nil, err
 	}
 	n := len(p.Queues)
-	sim := des.New()
-	swStream := s.Split()
-	e := desLoop(p.Queues, burnin, s)
-	queues := make([][]job, n)
-	t := &e.tally
-	at := 0 // queue the server is at
-	gate := 0
-
-	var visit func(first bool)
-	complete := func() {
-		t.add(sim.Now(), at, -1)
-		gate--
-		visit(false)
-	}
-	reach := func() { // the switchover ends at the next queue
-		at = (at + 1) % n
-		visit(true)
-	}
-	visit = func(first bool) {
-		if first {
+	sw := s.Split() // the switchover stream, ahead of the class streams
+	md := oneStation(p.Queues, 1, nil)
+	md.stations = n // station j holds queue j's jobs
+	e := md.bind(burnin, s)
+	e.at(burnin, evBurnin, 0)
+	e.at(0, evReach, 0) // the first visit
+	at, gate := 0, 0    // the queue the server is at, and its gate
+	for {
+		ev, ok := e.pop(horizon)
+		if !ok {
+			break
+		}
+		e.now = ev.time
+		j := int(ev.class)
+		switch ev.kind {
+		case evArrival:
+			e.add(e.now, j, +1)
+			e.station[j].waiting = append(e.station[j].waiting, job{class: j, arrival: e.now})
+			e.after(e.lanes[j].arrival.draw(), evArrival, j)
+			continue
+		case evBurnin:
+			e.snapshot()
+			continue
+		case evDone:
+			e.add(e.now, at, -1)
+			gate--
+		case evReach:
+			at = j
 			switch p.Regime {
 			case Gated:
-				gate = len(queues[at])
+				gate = len(e.station[at].waiting)
 			case Limited1:
 				gate = 1
 			default:
 				gate = -1 // exhaustive: no gate
 			}
 		}
-		if len(queues[at]) > 0 && (gate != 0 || p.Regime == Exhaustive) {
-			t.start(sim.Now(), take(&queues[at], 0))
-			sim.Schedule(e.lanes[at].service.draw(), complete)
-			return
+		// Serve the next job here if the regime allows, else switch over.
+		if q := &e.station[at].waiting; len(*q) > 0 && (gate != 0 || p.Regime == Exhaustive) {
+			e.start(e.now, take(q, 0))
+			e.after(e.lanes[at].service.draw(), evDone, at)
+			continue
 		}
-		end := sim.Now() + switchover(p.Switch, swStream)
-		if t.inSystem == 0 {
+		end := e.now + switchover(p.Switch, sw)
+		if e.inSystem == 0 {
 			// Every queue is empty (no job is in service while the server
 			// switches), so a switchover ending before the next pending
 			// event — an arrival or the burn-in snapshot — reaches an
@@ -126,25 +134,17 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 			// place, drawing and adding as the reach events would, and
 			// queue only the first that ends at or after that event: on a
 			// tie the pending event, scheduled earlier, fires first. The
-			// horizon ends the walk when nothing is pending.
-			// (len(queues) rather than n keeps visit's closure within
-			// the 128-byte size class it had before the walk.)
-			stop := math.Min(sim.Next(), horizon)
+			// horizon ends the walk when nothing is pending. Nothing is
+			// scheduled yet, so next sees past the event being handled.
+			stop := math.Min(e.next(), horizon)
 			for end < stop {
-				at = (at + 1) % len(queues)
-				end += switchover(p.Switch, swStream)
+				at = (at + 1) % n
+				end += switchover(p.Switch, sw)
 			}
 		}
-		sim.At(end, reach)
+		e.at(end, evReach, (at+1)%n)
 	}
-	poisson(sim, e.lanes, func(j int) {
-		t.add(sim.Now(), j, +1)
-		queues[j] = append(queues[j], job{class: j, arrival: sim.Now()})
-	})
-	sim.At(burnin, t.snapshot)
-	sim.At(0, func() { visit(true) })
-	sim.RunUntil(horizon)
-	res := t.result(horizon, holds(p.Queues))
+	res := e.result(horizon, holds(p.Queues))
 	loops.Put(e)
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"stochsched/internal/des"
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
@@ -58,38 +57,8 @@ func (v *variates) fill() {
 	v.i = 0
 }
 
-// desLoop returns recycled replication state for a loop that runs on
-// package des: a tally measured from burnin and every class's draws split
-// off s, class by class (arrival j, then service j).
-func desLoop(cs []Class, burnin float64, s *rng.Stream) *loop {
-	e := newLoop(len(cs), burnin)
-	for j, c := range cs {
-		e.lanes[j].split(s, c.ArrivalRate, c.Service)
-	}
-	return e
-}
-
-// poisson binds one self-rescheduling arrival closure per class of
-// positive rate, for the loops that run on package des, and schedules each
-// class's first arrival, in class order. At every arrival onArrive(j) runs
-// before the class's next arrival is drawn and scheduled.
-func poisson(sim *des.Simulator, lanes []lane, onArrive func(j int)) {
-	for j := range lanes {
-		v := &lanes[j].arrival
-		if !(v.rate > 0) {
-			continue
-		}
-		var next func()
-		next = func() {
-			onArrive(j)
-			sim.Schedule(v.draw(), next)
-		}
-		sim.Schedule(v.draw(), next)
-	}
-}
-
-// checkDelay returns d, panicking on a negative or NaN delay as
-// des.Simulator.Schedule does, for the loops that schedule without it.
+// checkDelay returns d, panicking on a negative or NaN delay with the text
+// des.Simulator.Schedule panics with.
 func checkDelay(d float64) float64 {
 	if d < 0 || math.IsNaN(d) {
 		panic("des: negative or NaN delay")
@@ -232,44 +201,48 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 	if err != nil {
 		return nil, err
 	}
-	sim := des.New()
-	e := desLoop(m.Classes, burnin, s)
-	t := &e.tally
-	var waiting []job
-	var cur job // the job in service
-	inService := false
-	var completion des.Handle
-
-	var dispatch, complete func()
-	dispatch = func() {
-		if inService || len(waiting) == 0 {
-			return
+	md := oneStation(m.Classes, 1, nil)
+	e := md.bind(burnin, s)
+	e.at(burnin, evBurnin, 0)
+	q := &e.station[0].waiting
+	var cur job                    // the job in service, when busy
+	busy, live := false, uint64(0) // live: the seq of cur's completion
+	for {
+		ev, ok := e.pop(horizon)
+		if !ok {
+			break
 		}
-		// Highest-priority waiting job (oldest within class).
-		cur = take(&waiting, pick(waiting, rank))
-		inService = true
-		completion = sim.Schedule(e.lanes[cur.class].service.draw(), complete)
-	}
-	complete = func() {
-		t.add(sim.Now(), cur.class, -1)
-		inService = false
-		dispatch()
-	}
-	poisson(sim, e.lanes, func(j int) {
-		t.add(sim.Now(), j, +1)
-		waiting = append(waiting, job{class: j, arrival: sim.Now()})
-		if inService && rank[j] < rank[cur.class] {
-			// Preempt: return the job in service to the queue (memoryless
-			// services make resampling on resumption exact).
-			completion.Cancel()
-			waiting = append(waiting, cur)
-			inService = false
+		e.now = ev.time
+		j := int(ev.class)
+		switch ev.kind {
+		case evArrival:
+			e.add(e.now, j, +1)
+			*q = append(*q, job{class: j, arrival: e.now})
+			if busy && rank[j] < rank[cur.class] {
+				// Preempt: requeue the job in service, whose completion then
+				// fires as a stale slot (memoryless services make resampling
+				// on resumption exact).
+				*q = append(*q, cur)
+				busy = false
+			}
+		case evDone:
+			if !busy || ev.seq != live {
+				continue // revoked by a preemption
+			}
+			e.add(e.now, cur.class, -1)
+			busy = false
+		case evBurnin:
+			e.snapshot()
 		}
-		dispatch()
-	})
-	sim.At(burnin, t.snapshot)
-	sim.RunUntil(horizon)
-	res := t.result(horizon, holds(m.Classes))
+		if !busy && len(*q) > 0 {
+			cur, busy, live = take(q, pick(*q, rank)), true, e.seq
+			e.after(e.lanes[cur.class].service.draw(), evDone, cur.class)
+		}
+		if ev.kind == evArrival {
+			e.after(e.lanes[j].arrival.draw(), evArrival, j)
+		}
+	}
+	res := e.result(horizon, holds(m.Classes))
 	loops.Put(e)
 	return res, nil
 }
