@@ -26,12 +26,15 @@ type KlimovNetwork struct {
 	Feedback *linalg.Matrix // P[i][j]; row sums ≤ 1, deficit = exit prob.
 }
 
-// Validate checks dimensions, substochastic feedback, and stability of the
-// effective loads.
+// Validate checks the classes, dimensions, substochastic feedback, and
+// stability of the effective loads.
 func (k *KlimovNetwork) Validate() error {
 	n := len(k.Classes)
 	if n == 0 {
 		return fmt.Errorf("queueing: klimov: no classes")
+	}
+	if err := checkClasses(k.Classes); err != nil {
+		return err
 	}
 	if k.Feedback.Rows != n || k.Feedback.Cols != n {
 		return fmt.Errorf("queueing: klimov: feedback is %dx%d, want %dx%d", k.Feedback.Rows, k.Feedback.Cols, n, n)
@@ -40,8 +43,8 @@ func (k *KlimovNetwork) Validate() error {
 		sum := 0.0
 		for j := 0; j < n; j++ {
 			v := k.Feedback.At(i, j)
-			if v < 0 {
-				return fmt.Errorf("queueing: klimov: negative feedback P[%d][%d]", i, j)
+			if !(v >= 0) {
+				return fmt.Errorf("queueing: klimov: negative or NaN feedback P[%d][%d]", i, j)
 			}
 			sum += v
 		}

@@ -50,21 +50,38 @@ type MG1 struct {
 	Classes []Class
 }
 
-// Validate checks rates, service laws, and stability (ρ < 1).
+// checkClass rejects class i unless its arrival rate and holding cost are
+// nonnegative and its service law has a positive mean. Every test fails on
+// NaN.
+func checkClass(i int, rate float64, service dist.Distribution, hold float64) error {
+	switch {
+	case !(rate >= 0):
+		return fmt.Errorf("queueing: class %d needs a nonnegative arrival rate, got %v", i, rate)
+	case service == nil || !(service.Mean() > 0):
+		return fmt.Errorf("queueing: class %d needs a positive-mean service law", i)
+	case !(hold >= 0):
+		return fmt.Errorf("queueing: class %d needs a nonnegative holding cost, got %v", i, hold)
+	}
+	return nil
+}
+
+// checkClasses applies checkClass to every class in turn.
+func checkClasses(cs []Class) error {
+	for i, c := range cs {
+		if err := checkClass(i, c.ArrivalRate, c.Service, c.HoldCost); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate checks rates, service laws, holding costs, and stability (ρ < 1).
 func (m *MG1) Validate() error {
 	if len(m.Classes) == 0 {
 		return fmt.Errorf("queueing: no classes")
 	}
-	for i, c := range m.Classes {
-		if c.ArrivalRate < 0 {
-			return fmt.Errorf("queueing: class %d negative arrival rate", i)
-		}
-		if c.Service == nil || c.Service.Mean() <= 0 {
-			return fmt.Errorf("queueing: class %d needs a positive-mean service law", i)
-		}
-		if c.HoldCost < 0 {
-			return fmt.Errorf("queueing: class %d negative holding cost", i)
-		}
+	if err := checkClasses(m.Classes); err != nil {
+		return err
 	}
 	if rho := m.Load(); rho >= 1 {
 		return fmt.Errorf("queueing: total load ρ = %v ≥ 1 (unstable)", rho)

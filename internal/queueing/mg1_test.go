@@ -362,6 +362,128 @@ func TestValidationMG1(t *testing.T) {
 	}
 }
 
+// TestValidatorsRejectNaNAndNegatives: each model's Validate rejects, with
+// an error rather than a panic, a class whose arrival rate or holding cost
+// is negative or NaN or whose service law is missing or has a NaN mean, and
+// a NaN switchover mean, feedback entry or routing probability. Each row
+// used to pass or panic, and a simulator then dropped the class, returned
+// NaN estimates or panicked mid-run.
+func TestValidatorsRejectNaNAndNegatives(t *testing.T) {
+	nan := math.NaN()
+	nanLaw := dist.Exponential{Rate: nan}
+	routed := func() *Network {
+		return &Network{Stations: 1, Classes: []NetClass{
+			{ArrivalRate: 0.5, Service: dist.Exponential{Rate: 2}, HoldCost: 1, Routes: []Route{{To: 1, Prob: 0.5}}},
+			{Service: dist.Exponential{Rate: 3}, Next: -1, HoldCost: 1},
+		}}
+	}
+	for _, tc := range []struct {
+		name  string
+		valid func() error // the model unbroken: must pass
+		bad   func() error
+	}{
+		{"MG1 NaN arrival rate", twoClassMM1().Validate, func() error {
+			m := twoClassMM1()
+			m.Classes[0].ArrivalRate = nan
+			return m.Validate()
+		}},
+		{"MG1 NaN-mean service", twoClassMM1().Validate, func() error {
+			m := twoClassMM1()
+			m.Classes[1].Service = nanLaw
+			return m.Validate()
+		}},
+		{"MG1 NaN holding cost", twoClassMM1().Validate, func() error {
+			m := twoClassMM1()
+			m.Classes[1].HoldCost = nan
+			return m.Validate()
+		}},
+		{"Klimov negative arrival rate", feedbackNetwork().Validate, func() error {
+			k := feedbackNetwork()
+			k.Classes[1].ArrivalRate = -0.5
+			return k.Validate()
+		}},
+		{"Klimov negative holding cost", feedbackNetwork().Validate, func() error {
+			k := feedbackNetwork()
+			k.Classes[2].HoldCost = -1
+			return k.Validate()
+		}},
+		{"Klimov nil service", feedbackNetwork().Validate, func() error {
+			k := feedbackNetwork()
+			k.Classes[0].Service = nil
+			return k.Validate()
+		}},
+		{"Klimov NaN feedback", feedbackNetwork().Validate, func() error {
+			k := feedbackNetwork()
+			k.Feedback.Set(1, 0, nan)
+			return k.Validate()
+		}},
+		{"MMm negative arrival rate", mmmSystem(1).Validate, func() error {
+			m := mmmSystem(1)
+			m.Classes[0].ArrivalRate = -1
+			return m.Validate()
+		}},
+		{"MMm negative holding cost", mmmSystem(1).Validate, func() error {
+			m := mmmSystem(1)
+			m.Classes[1].HoldCost = -2
+			return m.Validate()
+		}},
+		{"MMm NaN-rate service", mmmSystem(1).Validate, func() error {
+			m := mmmSystem(1)
+			m.Classes[1].Service = nanLaw
+			return m.Validate()
+		}},
+		{"polling NaN arrival rate", pollingSystem(Gated, 0.1).Validate, func() error {
+			p := pollingSystem(Gated, 0.1)
+			p.Queues[1].ArrivalRate = nan
+			return p.Validate()
+		}},
+		{"polling NaN-mean switchover", pollingSystem(Gated, 0.1).Validate, func() error {
+			p := pollingSystem(Gated, 0.1)
+			p.Switch = dist.Deterministic{Value: nan}
+			return p.Validate()
+		}},
+		{"polling negative holding cost", pollingSystem(Gated, 0.1).Validate, func() error {
+			p := pollingSystem(Gated, 0.1)
+			p.Queues[0].HoldCost = -1
+			return p.Validate()
+		}},
+		{"network NaN arrival rate", routed().Validate, func() error {
+			nw := routed()
+			nw.Classes[0].ArrivalRate = nan
+			return nw.Validate()
+		}},
+		{"network NaN routing probability", routed().Validate, func() error {
+			nw := routed()
+			nw.Classes[0].Routes[0].Prob = nan
+			return nw.Validate()
+		}},
+		{"network NaN-mean service", routed().Validate, func() error {
+			nw := routed()
+			nw.Classes[1].Service = nanLaw
+			return nw.Validate()
+		}},
+		{"network negative holding cost", routed().Validate, func() error {
+			nw := routed()
+			nw.Classes[1].HoldCost = -1
+			return nw.Validate()
+		}},
+	} {
+		if err := tc.valid(); err != nil {
+			t.Fatalf("%s: the unbroken model is rejected: %v", tc.name, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Validate panicked: %v", tc.name, r)
+				}
+			}()
+			if err := tc.bad(); err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		}()
+	}
+}
+
 // TestPriorityOrderMustBePermutation: an order that omits, repeats, or
 // invents a class is rejected before the run starts, by every simulator
 // that takes one — alone, mixed with another, or as a plain order — and by

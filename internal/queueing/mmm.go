@@ -21,13 +21,17 @@ type MMm struct {
 	Servers int
 }
 
-// Validate checks exponential services, server count and stability.
+// Validate checks the classes, exponential services, server count and
+// stability.
 func (m *MMm) Validate() error {
 	if m.Servers < 1 {
 		return fmt.Errorf("queueing: MMm needs servers >= 1")
 	}
 	if len(m.Classes) == 0 {
 		return fmt.Errorf("queueing: MMm needs classes")
+	}
+	if err := checkClasses(m.Classes); err != nil {
+		return err
 	}
 	rho := 0.0
 	for i, c := range m.Classes {

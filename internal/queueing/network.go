@@ -62,8 +62,8 @@ func (nw *Network) Validate() error {
 				if r.To < 0 || r.To >= len(nw.Classes) {
 					return fmt.Errorf("queueing: class %d routes to invalid class %d", i, r.To)
 				}
-				if r.Prob < 0 {
-					return fmt.Errorf("queueing: class %d has a negative routing probability", i)
+				if !(r.Prob >= 0) {
+					return fmt.Errorf("queueing: class %d has a negative or NaN routing probability", i)
 				}
 				total += r.Prob
 			}
@@ -78,11 +78,8 @@ func (nw *Network) Validate() error {
 				return fmt.Errorf("queueing: class %d routes to itself", i)
 			}
 		}
-		if c.Service == nil || c.Service.Mean() <= 0 {
-			return fmt.Errorf("queueing: class %d needs positive-mean service", i)
-		}
-		if c.ArrivalRate < 0 {
-			return fmt.Errorf("queueing: class %d negative arrival rate", i)
+		if err := checkClass(i, c.ArrivalRate, c.Service, c.HoldCost); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -47,16 +47,16 @@ func (p *Polling) Validate() error {
 	if len(p.Queues) < 2 {
 		return fmt.Errorf("queueing: polling needs at least 2 queues")
 	}
-	if p.Switch == nil || p.Switch.Mean() <= 0 {
+	if p.Switch == nil || !(p.Switch.Mean() > 0) {
 		// Zero switchover would make an idle server cycle in zero time,
 		// which the event loop cannot advance past.
 		return fmt.Errorf("queueing: polling needs a positive-mean switchover law")
 	}
+	if err := checkClasses(p.Queues); err != nil {
+		return err
+	}
 	rho := 0.0
-	for i, c := range p.Queues {
-		if c.ArrivalRate < 0 || c.Service == nil || c.Service.Mean() <= 0 {
-			return fmt.Errorf("queueing: polling queue %d invalid", i)
-		}
+	for _, c := range p.Queues {
 		rho += c.ArrivalRate * c.Service.Mean()
 	}
 	if rho >= 1 {
