@@ -70,40 +70,6 @@ func RelativeValueIteration(transitions []*linalg.Matrix, rewards [][]float64, a
 	return 0, nil, nil, fmt.Errorf("markov: relative value iteration did not converge in %d iterations", maxIter)
 }
 
-// AverageGainOfPolicy computes the long-run average reward of a fixed
-// stationary policy on a unichain MDP: the stationary distribution of P_π
-// weighted by r_π.
-func AverageGainOfPolicy(transitions []*linalg.Matrix, rewards [][]float64, policy []int) (float64, error) {
-	if len(transitions) == 0 {
-		return 0, fmt.Errorf("markov: no actions")
-	}
-	n := transitions[0].Rows
-	if len(policy) != n {
-		return 0, fmt.Errorf("markov: policy length %d, want %d", len(policy), n)
-	}
-	p := linalg.NewMatrix(n, n)
-	r := make([]float64, n)
-	for s := 0; s < n; s++ {
-		a := policy[s]
-		if a < 0 || a >= len(transitions) {
-			return 0, fmt.Errorf("markov: policy action %d out of range at state %d", a, s)
-		}
-		for j := 0; j < n; j++ {
-			p.Set(s, j, transitions[a].At(s, j))
-		}
-		r[s] = rewards[a][s]
-	}
-	chain, err := NewChain(p)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(pi, r), nil
-}
-
 // PolicyIteration solves a discounted MDP by Howard's policy iteration:
 // alternate exact policy evaluation with greedy improvement. It typically
 // converges in a handful of iterations and provides an independent check on

@@ -1,12 +1,47 @@
 package markov
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 )
+
+// averageGainOfPolicy computes the long-run average reward of a fixed
+// stationary policy on a unichain MDP: the stationary distribution of P_π
+// weighted by r_π.
+func averageGainOfPolicy(transitions []*linalg.Matrix, rewards [][]float64, policy []int) (float64, error) {
+	if len(transitions) == 0 {
+		return 0, fmt.Errorf("markov: no actions")
+	}
+	n := transitions[0].Rows
+	if len(policy) != n {
+		return 0, fmt.Errorf("markov: policy length %d, want %d", len(policy), n)
+	}
+	p := linalg.NewMatrix(n, n)
+	r := make([]float64, n)
+	for s := 0; s < n; s++ {
+		a := policy[s]
+		if a < 0 || a >= len(transitions) {
+			return 0, fmt.Errorf("markov: policy action %d out of range at state %d", a, s)
+		}
+		for j := 0; j < n; j++ {
+			p.Set(s, j, transitions[a].At(s, j))
+		}
+		r[s] = rewards[a][s]
+	}
+	chain, err := NewChain(p)
+	if err != nil {
+		return 0, err
+	}
+	pi, err := chain.Stationary()
+	if err != nil {
+		return 0, err
+	}
+	return linalg.Dot(pi, r), nil
+}
 
 // A two-action chain where action 1 pays more in every state: the optimal
 // gain is the stationary average of the better action's rewards.
@@ -66,7 +101,7 @@ func TestRVIMatchesPolicyGain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check, err := AverageGainOfPolicy(transitions, rewards, pol)
+		check, err := averageGainOfPolicy(transitions, rewards, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +111,7 @@ func TestRVIMatchesPolicyGain(t *testing.T) {
 		// No other deterministic policy of the 2^3 should beat it.
 		for mask := 0; mask < 8; mask++ {
 			alt := []int{mask & 1, (mask >> 1) & 1, (mask >> 2) & 1}
-			g, err := AverageGainOfPolicy(transitions, rewards, alt)
+			g, err := averageGainOfPolicy(transitions, rewards, alt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,10 +223,10 @@ func TestPolicyIterationSettlesOnNearTie(t *testing.T) {
 
 func TestAverageGainValidation(t *testing.T) {
 	p := linalg.FromRows([][]float64{{1}})
-	if _, err := AverageGainOfPolicy([]*linalg.Matrix{p}, [][]float64{{1}}, []int{5}); err == nil {
+	if _, err := averageGainOfPolicy([]*linalg.Matrix{p}, [][]float64{{1}}, []int{5}); err == nil {
 		t.Error("out-of-range action accepted")
 	}
-	if _, err := AverageGainOfPolicy(nil, nil, nil); err == nil {
+	if _, err := averageGainOfPolicy(nil, nil, nil); err == nil {
 		t.Error("empty MDP accepted")
 	}
 }

@@ -271,17 +271,6 @@ func bestOrder(n int, cost func(order []int) (float64, error)) ([]int, float64, 
 	return bestPerm, best, nil
 }
 
-// KleinrockConserved returns Σ_j ρ_j·Wq_j, the quantity Kleinrock's
-// conservation law fixes at ρ·W0/(1−ρ) across all nonpreemptive
-// work-conserving disciplines.
-func (m *MG1) KleinrockConserved(wq []float64) float64 {
-	total := 0.0
-	for j, c := range m.Classes {
-		total += c.ArrivalRate * c.Service.Mean() * wq[j]
-	}
-	return total
-}
-
 // KleinrockRHS returns ρ·W0/(1−ρ), the invariant value of the conservation
 // law.
 func (m *MG1) KleinrockRHS() float64 {

@@ -93,8 +93,8 @@ func TestMirrorPropagatesThroughSplit(t *testing.T) {
 	even := src.Split()
 	odd := src.Split()
 	ce, co := even.Split(), odd.Split()
-	if ce.Mirrored() || !co.Mirrored() {
-		t.Fatalf("child mirror flags: even=%v odd=%v, want false/true", ce.Mirrored(), co.Mirrored())
+	if ce.mirror || !co.mirror {
+		t.Fatalf("child mirror flags: even=%v odd=%v, want false/true", ce.mirror, co.mirror)
 	}
 	for i := 0; i < 64; i++ {
 		if u, v := ce.Float64(), co.Float64(); v != 1-u {

@@ -60,9 +60,6 @@ type Stream struct {
 // untouched (substream i remains a function of (s, i) only).
 func (s *Stream) Antithetic() { s.paired = true }
 
-// Mirrored reports whether s complements its Float64 draws.
-func (s *Stream) Mirrored() bool { return s.mirror }
-
 // multiplier for the 128-bit LCG (PCG reference constant), and its
 // multiplicative inverse mod 2^128 (the multiplier is odd, so the inverse
 // exists; mul*inv ≡ 1). The inverse lets unstep run the LCG backwards.

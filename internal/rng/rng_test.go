@@ -235,7 +235,7 @@ func TestExpFillMatchesExp(t *testing.T) {
 			a.ExpFill(rate, out)
 			for i, got := range out {
 				if want := b.Exp(rate); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("stream %d (mirrored %v), block %d, value %d: %v, want %v", k, a.Mirrored(), n, i, got, want)
+					t.Fatalf("stream %d (mirrored %v), block %d, value %d: %v, want %v", k, a.mirror, n, i, got, want)
 				}
 			}
 		}
