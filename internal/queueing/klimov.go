@@ -60,7 +60,7 @@ func (k *KlimovNetwork) Validate() error {
 	for j, c := range k.Classes {
 		rho += lam[j] * c.Service.Mean()
 	}
-	if rho >= 1 {
+	if !(rho < 1) {
 		return fmt.Errorf("queueing: klimov: effective load ρ = %v ≥ 1", rho)
 	}
 	return nil

@@ -83,7 +83,7 @@ func (m *MG1) Validate() error {
 	if err := checkClasses(m.Classes); err != nil {
 		return err
 	}
-	if rho := m.Load(); rho >= 1 {
+	if rho := m.Load(); !(rho < 1) {
 		return fmt.Errorf("queueing: total load ρ = %v ≥ 1 (unstable)", rho)
 	}
 	return nil

@@ -376,9 +376,10 @@ func TestValidationMG1(t *testing.T) {
 // TestValidatorsRejectNaNAndNegatives: each model's Validate rejects, with
 // an error rather than a panic, a class whose arrival rate or holding cost
 // is negative or NaN or whose service law is missing or has a NaN mean, and
-// a NaN switchover mean, feedback entry or routing probability. Each row
-// used to pass or panic, and a simulator then dropped the class, returned
-// NaN estimates or panicked mid-run.
+// a NaN switchover mean, feedback entry or routing probability, or a load
+// that is NaN because an idle class has an infinite-mean service law. Each
+// row used to pass or panic, and a simulator then dropped the class, or a
+// run or an exact formula returned NaN estimates or panicked mid-run.
 func TestValidatorsRejectNaNAndNegatives(t *testing.T) {
 	nan := math.NaN()
 	nanLaw := dist.Exponential{Rate: nan}
@@ -407,6 +408,11 @@ func TestValidatorsRejectNaNAndNegatives(t *testing.T) {
 			m := twoClassMM1()
 			m.Classes[1].HoldCost = nan
 			return m.Validate()
+		}},
+		{"MG1 idle class of infinite-mean service", twoClassMM1().Validate, func() error {
+			m := twoClassMM1()
+			m.Classes[1] = Class{Service: dist.Deterministic{Value: math.Inf(1)}, HoldCost: 1}
+			return m.Validate() // load 0·∞ = NaN
 		}},
 		{"Klimov negative arrival rate", feedbackNetwork().Validate, func() error {
 			k := feedbackNetwork()
@@ -442,6 +448,23 @@ func TestValidatorsRejectNaNAndNegatives(t *testing.T) {
 			m := mmmSystem(1)
 			m.Classes[1].Service = nanLaw
 			return m.Validate()
+		}},
+		{"MMm idle class of zero service rate", mmmSystem(1).Validate, func() error {
+			m := mmmSystem(1)
+			m.Classes[0] = Class{Service: dist.Exponential{Rate: 0}, HoldCost: 1}
+			return m.Validate()
+		}},
+		{"Klimov idle class of zero service rate", feedbackNetwork().Validate, func() error {
+			k := feedbackNetwork()
+			k.Classes[2] = Class{Service: dist.Exponential{Rate: 0}, HoldCost: 1}
+			k.Feedback.Set(0, 2, 0) // nothing feeds class 2 either
+			k.Feedback.Set(1, 2, 0)
+			return k.Validate()
+		}},
+		{"polling idle queue of zero service rate", pollingSystem(Gated, 0.1).Validate, func() error {
+			p := pollingSystem(Gated, 0.1)
+			p.Queues[0] = Class{Service: dist.Exponential{Rate: 0}, HoldCost: 1}
+			return p.Validate()
 		}},
 		{"polling NaN arrival rate", pollingSystem(Gated, 0.1).Validate, func() error {
 			p := pollingSystem(Gated, 0.1)

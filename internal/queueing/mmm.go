@@ -40,7 +40,7 @@ func (m *MMm) Validate() error {
 		}
 		rho += c.ArrivalRate * c.Service.Mean()
 	}
-	if rho >= float64(m.Servers) {
+	if !(rho < float64(m.Servers)) {
 		return fmt.Errorf("queueing: MMm load %v ≥ servers %d", rho, m.Servers)
 	}
 	return nil

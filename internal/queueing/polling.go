@@ -59,7 +59,7 @@ func (p *Polling) Validate() error {
 	for _, c := range p.Queues {
 		rho += c.ArrivalRate * c.Service.Mean()
 	}
-	if rho >= 1 {
+	if !(rho < 1) {
 		return fmt.Errorf("queueing: polling load %v ≥ 1", rho)
 	}
 	return nil
@@ -88,7 +88,7 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 	e := md.bind(burnin, s)
 	e.at(burnin, evBurnin, 0)
 	e.at(0, evReach, 0) // the first visit
-	at, gate := 0, 0    // the queue the server is at, and its gate
+	at, gate := 0, 0    // the queue the server is at, and how many more it may serve there
 	for {
 		ev, ok := e.pop(horizon)
 		if !ok {
