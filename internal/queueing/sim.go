@@ -238,6 +238,8 @@ func (m *MG1) SimulatePreemptive(order []int, horizon, burnin float64, s *rng.St
 			cur, busy, live = take(q, pick(*q, rank)), true, e.seq
 			e.after(e.lanes[cur.class].service.draw(), evDone, cur.class)
 		}
+		// An arrival draws and schedules its class's next arrival after any
+		// service it starts, in the order every golden pins.
 		if ev.kind == evArrival {
 			e.after(e.lanes[j].arrival.draw(), evArrival, j)
 		}
