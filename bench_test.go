@@ -63,8 +63,10 @@ func BenchmarkEngineReplications(b *testing.B) {
 			pool := engine.NewPool(par)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				est, err := batch.EstimateParallel(context.Background(), pool, in, o, 2000, rng.New(uint64(i)+1))
-				if err != nil {
+				var est batch.ParallelEstimate
+				if err := engine.ReplicateReduce(context.Background(), pool, 2000, rng.New(uint64(i)+1), func(s *rng.Stream) (batch.ParallelResult, error) {
+					return batch.SimulateList(in, o, s), nil
+				}, est.Add); err != nil {
 					b.Fatal(err)
 				}
 				if est.Flowtime.N() != 2000 {

@@ -12,6 +12,7 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func main() {
@@ -26,11 +27,13 @@ func main() {
 	fmt.Println("Talwar order (µ1−µ2 decreasing):", talwar)
 
 	const reps = 20000
-	est, err := batch.EstimateFlowShop(context.Background(), engine.NewPool(0), jobs, talwar, reps, s.Split())
-	if err != nil {
+	var est stats.Running
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+		return batch.FlowShopMakespan(batch.SampleFlowShop(jobs, sub), talwar), nil
+	}, est.Add); err != nil {
 		panic(err)
 	}
-	fmt.Printf("Talwar E[makespan], infinite buffer: %v\n", est)
+	fmt.Printf("Talwar E[makespan], infinite buffer: %v\n", &est)
 
 	bestOrder, bestVal := batch.BestFlowShopOrderCRN(jobs, 5000, s.Split())
 	fmt.Printf("exhaustive-best order %v: %.4f (Talwar within noise)\n", bestOrder, bestVal)

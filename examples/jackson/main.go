@@ -12,6 +12,7 @@ import (
 	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func main() {
@@ -46,8 +47,10 @@ func main() {
 	// Simulate the same network under FCFS and compare the time-average
 	// queue lengths against the analytic answer.
 	pol := &queueing.NetworkPolicy{StationOrder: [][]int{{0}, {1}}}
-	rep, err := nw.Replicate(context.Background(), engine.NewPool(0), pol, 4000, 500, 24, rng.New(7))
-	if err != nil {
+	rep := queueing.ReplicatedResult{L: make([]stats.Running, len(nw.Classes))}
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), 24, rng.New(7), func(s *rng.Stream) (*queueing.SimResult, error) {
+		return nw.Simulate(pol, 4000, 500, 0, s)
+	}, rep.Add); err != nil {
 		panic(err)
 	}
 	fmt.Println()

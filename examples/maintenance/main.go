@@ -12,6 +12,7 @@ import (
 	"stochsched/internal/engine"
 	"stochsched/internal/restless"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func main() {
@@ -48,20 +49,16 @@ func main() {
 
 	fmt.Printf("\nfleet of %d machines, crew capacity %d per day\n", n, m)
 	fmt.Printf("%-18s %s\n", "policy", "avg daily profit")
-	w, err := fleet.EstimateStaticPriority(ctx, pool, widx, 8000, 1000, 8, s.Split())
-	if err != nil {
-		panic(err)
+	show := func(name string, sim func(*rng.Stream) (float64, error)) { // 8 runs of 8,000 days, 1,000 of burn-in
+		var est stats.Running
+		if err := engine.ReplicateReduce(ctx, pool, 8, s.Split(), sim, est.Add); err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-18s %.4f ± %.2g\n", name, est.Mean(), est.CI95())
 	}
-	fmt.Printf("%-18s %.4f ± %.2g\n", "Whittle index", w.Mean(), w.CI95())
-	my, err := fleet.EstimateStaticPriority(ctx, pool, restless.MyopicScore(machine), 8000, 1000, 8, s.Split())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%-18s %.4f ± %.2g\n", "myopic", my.Mean(), my.CI95())
-	rnd, err := fleet.EstimateRandomPolicy(ctx, pool, 8000, 1000, 8, s.Split())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%-18s %.4f ± %.2g\n", "random crew", rnd.Mean(), rnd.CI95())
+	myopic := restless.MyopicScore(machine)
+	show("Whittle index", func(sub *rng.Stream) (float64, error) { return fleet.SimulateStaticPriority(widx, 8000, 1000, sub) })
+	show("myopic", func(sub *rng.Stream) (float64, error) { return fleet.SimulateStaticPriority(myopic, 8000, 1000, sub) })
+	show("random crew", func(sub *rng.Stream) (float64, error) { return fleet.SimulateRandomPolicy(8000, 1000, sub) })
 	fmt.Printf("%-18s %.4f (not attainable: average-activation relaxation)\n", "LP upper bound", bound)
 }

@@ -56,8 +56,10 @@ func main() {
 			_, l := ws.ExactFIFO()
 			exact = ws.HoldingCostRate(l)
 		}
-		rep, err := ws.Replicate(ctx, pool, pri, 30000, 3000, 5, s.Split())
-		if err != nil {
+		var rep queueing.ReplicatedResult // the cost rate alone
+		if err := engine.ReplicateReduce(ctx, pool, 5, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return ws.Simulate(pri, 30000, 3000, sub)
+		}, rep.Add); err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-22s %-14.4f %.4f ± %.2g\n", name, exact, rep.CostRate.Mean(), rep.CostRate.CI95())

@@ -11,6 +11,7 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func main() {
@@ -33,11 +34,13 @@ func main() {
 	fmt.Printf("\nexpected weighted flowtime (exact): %.4f\n", exact)
 
 	s := rng.New(1)
-	est, err := batch.EstimateSingleMachine(context.Background(), engine.NewPool(0), jobs, order, 20000, s)
-	if err != nil {
+	var est stats.Running
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), 20000, s, func(sub *rng.Stream) (float64, error) {
+		return batch.SimulateSingleMachine(jobs, order, sub), nil
+	}, est.Add); err != nil {
 		panic(err)
 	}
-	fmt.Printf("simulated over 20000 runs:          %v\n", est)
+	fmt.Printf("simulated over 20000 runs:          %v\n", &est)
 
 	_, best := batch.BestOrderExhaustive(jobs)
 	fmt.Printf("exhaustive optimum over all 24 orders: %.4f (WSEPT matches: %v)\n",

@@ -13,9 +13,11 @@ import (
 // estimateDiscounted aggregates reps replications of SimulateDiscounted on
 // the pool, one substream of s each, folded in replication order.
 func estimateDiscounted(ctx context.Context, p *engine.Pool, b *Bandit, pol Policy, start []int, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s, func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
+	var est stats.Running
+	err := engine.ReplicateReduce(ctx, p, reps, s, func(sub *rng.Stream) (float64, error) {
 		return SimulateDiscounted(b, pol, start, 1e-9, sub), nil
-	})
+	}, est.Add)
+	return &est, err
 }
 
 func TestSimulateDiscountedBounded(t *testing.T) {

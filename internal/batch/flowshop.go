@@ -1,13 +1,10 @@
 package batch
 
 import (
-	"context"
 	"sort"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Stochastic flow shops (Wie–Pinedo 1986): each job passes through machines
@@ -103,16 +100,6 @@ func TalwarOrder(jobs []FlowShopJob) Order {
 	}
 	sort.SliceStable(o, func(a, b int) bool { return key(o[a]) > key(o[b]) })
 	return o
-}
-
-// EstimateFlowShop estimates E[makespan] of order o over reps replications
-// on the pool, byte-identical for a given seed at any parallelism level.
-// The only possible error is cancellation of ctx.
-func EstimateFlowShop(ctx context.Context, pool *engine.Pool, jobs []FlowShopJob, o Order, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, pool, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return FlowShopMakespan(SampleFlowShop(jobs, sub), o), nil
-		})
 }
 
 // BestFlowShopOrderCRN estimates the best permutation for expected makespan

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -91,18 +90,15 @@ func TestTalwarOptimal(t *testing.T) {
 	}
 }
 
+// TestEstimateFlowShopConsistent: a flow-shop makespan estimate is
+// bit-identical on pools of different widths for one seed.
 func TestEstimateFlowShopConsistent(t *testing.T) {
 	s := rng.New(501)
 	jobs := expFSJobs([]float64{1, 2}, []float64{2, 1})
 	o := Order{0, 1}
-	a, err := EstimateFlowShop(context.Background(), engine.NewPool(0), jobs, o, 20000, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EstimateFlowShop(context.Background(), engine.NewPool(1), jobs, o, 20000, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	makespan := func(sub *rng.Stream) float64 { return FlowShopMakespan(SampleFlowShop(jobs, sub), o) }
+	a := estimate(t, engine.NewPool(0), 20000, rng.New(7), makespan)
+	b := estimate(t, engine.NewPool(1), 20000, rng.New(7), makespan)
 	if a.Mean() != b.Mean() {
 		t.Fatal("estimator not deterministic under equal seeds and parallelism levels")
 	}

@@ -8,11 +8,12 @@
 // flowtime for static orders, exhaustive order enumeration, and
 // exponential-case Markov dynamic programming over job subsets.
 //
-// Simulation estimators (EstimateSingleMachine, EstimateParallel, the flow
-// shop and in-tree makespans) replicate on internal/engine, so their
-// estimates are byte-identical at any parallelism for a given seed. The
-// policy service exposes the WSEPT/SEPT/LEPT orders through POST /v1/index
-// with kind "batch"; specs enter through the batch and flowshop kinds of
+// Each simulator (SimulateSingleMachine, SimulateList, the flow shop and
+// in-tree makespans) runs one replication on the stream it is handed;
+// callers replicate it with engine.ReplicateReduce, so their estimates are
+// byte-identical at any parallelism for a given seed. The policy service
+// exposes the WSEPT/SEPT/LEPT orders through POST /v1/index with kind
+// "batch"; specs enter through the batch and flowshop kinds of
 // internal/scenario (see docs/api.md).
 package batch
 

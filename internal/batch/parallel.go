@@ -2,12 +2,10 @@ package batch
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"sync"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
@@ -91,24 +89,6 @@ func (e *ParallelEstimate) Add(r ParallelResult) {
 	e.Flowtime.Add(r.Flowtime)
 	e.WeightedFlowtime.Add(r.WeightedFlowtime)
 	e.Makespan.Add(r.Makespan)
-}
-
-// EstimateParallel runs reps independent replications of order o on the
-// instance over the pool and returns aggregate statistics for all three
-// objectives, byte-identical for a given seed at any parallelism level.
-// The only possible error is cancellation of ctx. It panics when o is not
-// a permutation of the jobs.
-func EstimateParallel(ctx context.Context, p *engine.Pool, in *Instance, o Order, reps int, s *rng.Stream) (*ParallelEstimate, error) {
-	MustOrder(o, len(in.Jobs))
-	var est ParallelEstimate
-	if err := engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (ParallelResult, error) {
-			return SimulateList(in, o, sub), nil
-		},
-		func(_ int, r ParallelResult) error { est.Add(r); return nil }); err != nil {
-		return nil, err
-	}
-	return &est, nil
 }
 
 // supportOf extracts the finite support of a distribution, when it has one.

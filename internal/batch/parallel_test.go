@@ -125,13 +125,15 @@ func TestExactDiscreteMatchesSimulation(t *testing.T) {
 	}
 }
 
-// mustEstimateParallel runs EstimateParallel on a default pool, failing the
-// test on (impossible, absent cancellation) error.
+// mustEstimateParallel folds reps replications of SimulateList, one
+// substream of s each, into a ParallelEstimate on a GOMAXPROCS pool,
+// failing the test on (impossible, absent cancellation) error.
 func mustEstimateParallel(t *testing.T, in *Instance, o Order, reps int, s *rng.Stream) *ParallelEstimate {
 	t.Helper()
-	est, err := EstimateParallel(context.Background(), engine.NewPool(0), in, o, reps, s)
-	if err != nil {
+	var est ParallelEstimate
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), reps, s,
+		func(sub *rng.Stream) (ParallelResult, error) { return SimulateList(in, o, sub), nil }, est.Add); err != nil {
 		t.Fatal(err)
 	}
-	return est
+	return &est
 }

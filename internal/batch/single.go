@@ -1,13 +1,10 @@
 package batch
 
 import (
-	"context"
 	"math"
 	"sort"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // WSEPT returns the Shortest Weighted Expected Processing Time order:
@@ -98,15 +95,4 @@ func SimulateSingleMachine(jobs []Job, o Order, s *rng.Stream) float64 {
 		total += jobs[idx].Weight * clock
 	}
 	return total
-}
-
-// EstimateSingleMachine runs reps independent replications of the order on
-// the pool and returns the running statistics of Σ w_i C_i, byte-identical
-// for a given seed at any parallelism level. The only possible error is
-// cancellation of ctx.
-func EstimateSingleMachine(ctx context.Context, p *engine.Pool, jobs []Job, o Order, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return SimulateSingleMachine(jobs, o, sub), nil
-		})
 }

@@ -9,6 +9,7 @@ import (
 	"stochsched/internal/dist"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 )
 
 func TestWSEPTMatchesExhaustive(t *testing.T) {
@@ -43,14 +44,25 @@ func TestExactWeightedFlowtimeKnown(t *testing.T) {
 	}
 }
 
+// estimate folds reps replications of sim, one substream of s each, into
+// a running mean on the pool, in replication order.
+func estimate(t *testing.T, p *engine.Pool, reps int, s *rng.Stream, sim func(*rng.Stream) float64) *stats.Running {
+	t.Helper()
+	var est stats.Running
+	if err := engine.ReplicateReduce(context.Background(), p, reps, s,
+		func(sub *rng.Stream) (float64, error) { return sim(sub), nil }, est.Add); err != nil {
+		t.Fatal(err)
+	}
+	return &est
+}
+
 func TestSimulationMatchesExact(t *testing.T) {
 	s := rng.New(101)
 	in := RandomInstance(6, 1, s.Split())
 	o := WSEPT(in.Jobs)
-	est, err := EstimateSingleMachine(context.Background(), engine.NewPool(0), in.Jobs, o, 20000, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := estimate(t, engine.NewPool(0), 20000, s.Split(), func(sub *rng.Stream) float64 {
+		return SimulateSingleMachine(in.Jobs, o, sub)
+	})
 	exact := ExactWeightedFlowtime(in.Jobs, o)
 	if math.Abs(est.Mean()-exact) > 4*est.CI95() {
 		t.Fatalf("simulated %v (±%v), exact %v", est.Mean(), est.CI95(), exact)

@@ -1,13 +1,10 @@
 package batch
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // In-tree precedence: every job has at most one successor ("parent" in the
@@ -172,16 +169,6 @@ func SimulateTreeMakespan(t *InTree, m int, rate float64, sel TreeSelector, s *r
 		remaining--
 	}
 	return clock
-}
-
-// EstimateTreeMakespan aggregates replications of SimulateTreeMakespan on
-// the pool, byte-identical for a given seed at any parallelism level. The
-// only possible error is cancellation of ctx.
-func EstimateTreeMakespan(ctx context.Context, p *engine.Pool, t *InTree, m int, rate float64, sel TreeSelector, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return SimulateTreeMakespan(t, m, rate, sel, sub), nil
-		})
 }
 
 // TreeOptimalDP computes the exact minimal expected makespan for identical

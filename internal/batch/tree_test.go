@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"context"
 	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 )
@@ -147,10 +146,9 @@ func TestSimulationMatchesPolicyDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateTreeMakespan(context.Background(), engine.NewPool(0), tree, 2, 1.5, HLF, 30000, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := estimate(t, engine.NewPool(0), 30000, s.Split(), func(sub *rng.Stream) float64 {
+		return SimulateTreeMakespan(tree, 2, 1.5, HLF, sub)
+	})
 	if math.Abs(est.Mean()-exact) > 4*est.CI95() {
 		t.Fatalf("simulated %v (±%v), exact %v", est.Mean(), est.CI95(), exact)
 	}

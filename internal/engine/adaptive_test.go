@@ -10,22 +10,20 @@ import (
 	"stochsched/internal/stats"
 )
 
-// noisyMean is a scalar replication function with known mean 1 and
-// moderate noise: mean 1, sd ~0.29.
-func noisyMean(_ context.Context, _ int, s *rng.Stream) (float64, error) {
+// noisyMean is a scalar replication with known mean 1 and moderate noise:
+// mean 1, sd ~0.29.
+func noisyMean(s *rng.Stream) (float64, error) {
 	return 0.5 + s.Float64(), nil
 }
 
-// adaptive runs fn in adaptive rounds until pr is met (or its budget
+// adaptive runs sim in adaptive rounds until pr is met (or its budget
 // spent), composing AdaptiveRounds and ReplicateReduce the way
 // scenario.replicate does: each round folds further replications into one
 // accumulator, continuing src's substream sequence.
-func adaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
+func adaptive(ctx context.Context, p *Pool, pr Precision, src *rng.Stream, sim func(s *rng.Stream) (float64, error)) (*stats.Running, int, error) {
 	var r stats.Running
 	used, err := AdaptiveRounds(ctx, pr,
-		func(ctx context.Context, n int) error {
-			return ReplicateReduce(ctx, p, n, src, fn, func(_ int, v float64) error { r.Add(v); return nil })
-		},
+		func(ctx context.Context, n int) error { return ReplicateReduce(ctx, p, n, src, sim, r.Add) },
 		func() bool { return pr.Met(&r) })
 	return &r, used, err
 }
@@ -44,8 +42,8 @@ func TestAdaptiveMatchesFixedBitwise(t *testing.T) {
 	if used <= 0 || used > pr.MaxReplications {
 		t.Fatalf("used = %d outside (0, %d]", used, pr.MaxReplications)
 	}
-	fixed, err := Replicate(ctx, NewPool(4), used, rng.New(5), noisyMean)
-	if err != nil {
+	var fixed stats.Running
+	if err := ReplicateReduce(ctx, NewPool(4), used, rng.New(5), noisyMean, fixed.Add); err != nil {
 		t.Fatal(err)
 	}
 	if r.Mean() != fixed.Mean() || r.Var() != fixed.Var() || r.N() != fixed.N() {
@@ -104,7 +102,7 @@ func TestAdaptiveSchedule(t *testing.T) {
 func TestAdaptiveStopsEarlyOnEasySpec(t *testing.T) {
 	_, used, err := adaptive(context.Background(), nil,
 		Precision{TargetRelCI: 0.01, MaxReplications: 100000}, rng.New(1),
-		func(_ context.Context, _ int, _ *rng.Stream) (float64, error) { return 3.5, nil })
+		func(*rng.Stream) (float64, error) { return 3.5, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,14 @@
 //     Substreams are split in blocks (rng.SplitInto) into chunk-owned
 //     storage; the derivation is draw-for-draw identical to per-task
 //     splitting, so chunk boundaries are invisible to the results.
-//   - Reduce/Map/Replicate: fan-out with a streaming, strictly in-order
-//     fold. Results are consumed in replication order no matter when the
-//     workers finish, which keeps floating-point accumulation order — and
-//     therefore every reported digit — independent of scheduling.
+//   - Reduce, Map and ReplicateReduce: fan-out with a streaming, strictly
+//     in-order fold. Results are consumed in replication order no matter
+//     when the workers finish, which keeps floating-point accumulation
+//     order — and therefore every reported digit — independent of
+//     scheduling. ReplicateReduce is the replication loop of every
+//     solver's callers: a solver simulates one replication on the
+//     substream it is handed, and the caller passes that simulator and a
+//     fold to ReplicateReduce.
 //
 // Cancellation is context-based: cancel the context (or let a timeout
 // fire) and in-flight replications are abandoned at the next dispatch
@@ -407,22 +411,35 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 	return out, nil
 }
 
-// Replicate fans reps scalar replications out over the pool. Replication i
-// draws its randomness from the i-th substream of src and the observations
-// are folded into the Running accumulator in replication order, so the
-// returned aggregate is byte-identical at every parallelism level.
+// ReplicateReduce runs reps replications of sim on the pool and hands
+// their results to fold in replication order. Replication i draws its
+// randomness from the i-th substream of src alone, and fold runs on the
+// calling goroutine one result at a time, so whatever it accumulates is
+// byte-identical at every parallelism level. sim runs concurrently, so
+// what it captures (a model, a policy, an order) must be safe for
+// concurrent reads.
+func ReplicateReduce[T any](ctx context.Context, p *Pool, reps int, src *rng.Stream, sim func(s *rng.Stream) (T, error), fold func(v T)) error {
+	return replicate(ctx, p, reps, src,
+		func(_ context.Context, _ int, s *rng.Stream) (T, error) { return sim(s) },
+		func(_ int, v T) error { fold(v); return nil })
+}
+
+// Replicate is a scalar replication loop whose replications also see the
+// run's context and their index, folded into a Running accumulator in
+// replication order. bench/layers times the engine's per-replication
+// overhead through it.
 func Replicate(ctx context.Context, p *Pool, reps int, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (float64, error)) (*stats.Running, error) {
 	var r stats.Running
-	if err := ReplicateReduce(ctx, p, reps, src, fn, func(_ int, v float64) error { r.Add(v); return nil }); err != nil {
+	if err := replicate(ctx, p, reps, src, fn, func(_ int, v float64) error { r.Add(v); return nil }); err != nil {
 		return nil, err
 	}
 	return &r, nil
 }
 
-// ReplicateReduce is Replicate for replications with structured results:
-// each replication gets its own substream, and reduce consumes the results
-// strictly in replication order.
-func ReplicateReduce[T any](ctx context.Context, p *Pool, reps int, src *rng.Stream, fn func(ctx context.Context, rep int, s *rng.Stream) (T, error), reduce func(rep int, v T) error) error {
+// replicate is the fan-out of both replication loops: each replication
+// gets its own substream of src, and reduce consumes the results strictly
+// in replication order.
+func replicate[T any](ctx context.Context, p *Pool, reps int, src *rng.Stream, run func(ctx context.Context, rep int, s *rng.Stream) (T, error), reduce func(rep int, v T) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -430,6 +447,5 @@ func ReplicateReduce[T any](ctx context.Context, p *Pool, reps int, src *rng.Str
 		// Blocks are split in ascending index order, so substream i is fixed
 		// by (src, i) regardless of chunking or scheduling.
 		func(_ int, args []rng.Stream) { src.SplitInto(args) },
-		func(ctx context.Context, i int, s *rng.Stream) (T, error) { return fn(ctx, i, s) },
-		reduce, nil)
+		run, reduce, nil)
 }

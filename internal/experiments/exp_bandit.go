@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stochsched/internal/bandit"
+	"stochsched/internal/engine"
 	"stochsched/internal/restless"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
@@ -150,20 +151,21 @@ func runE11(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, widx, horizon, horizon/5, reps, s.Split())
-		if err != nil {
-			return nil, err
+		var est [3]stats.Running // Whittle, myopic, then the random crew
+		for i, score := range [][]float64{widx, restless.MyopicScore(p)} {
+			if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+				return fleet.SimulateStaticPriority(score, horizon, horizon/5, sub)
+			}, est[i].Add); err != nil {
+				return nil, err
+			}
 		}
-		my, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, restless.MyopicScore(p), horizon, horizon/5, reps, s.Split())
-		if err != nil {
-			return nil, err
-		}
-		rnd, err := fleet.EstimateRandomPolicy(cfg.Context(), cfg.Pool, horizon, horizon/5, reps, s.Split())
-		if err != nil {
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+			return fleet.SimulateRandomPolicy(horizon, horizon/5, sub)
+		}, est[2].Add); err != nil {
 			return nil, err
 		}
 		nf := float64(n)
-		t.AddRow(fmt.Sprint(n), f(bound/nf), f(w.Mean()/nf), f(my.Mean()/nf), f(rnd.Mean()/nf))
+		t.AddRow(fmt.Sprint(n), f(bound/nf), f(est[0].Mean()/nf), f(est[1].Mean()/nf), f(est[2].Mean()/nf))
 	}
 	t.Notes = "both index policies (Whittle, myopic) operate near the unattainable relaxation bound on this instance; the random crew lags far behind"
 	return t, nil
@@ -198,8 +200,10 @@ func runE12(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, widx, horizon, horizon/5, reps, s.Split())
-		if err != nil {
+		var w stats.Running
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+			return fleet.SimulateStaticPriority(widx, horizon, horizon/5, sub)
+		}, w.Add); err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(n), f(bound), f(w.Mean()), pct((bound-w.Mean())/bound))
@@ -237,19 +241,15 @@ func runE13(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, widx, horizon, horizon/5, reps, s.Split())
-		if err != nil {
-			return nil, err
+		var est [3]stats.Running // Whittle, primal–dual, then myopic
+		for i, score := range [][]float64{widx, sol.PDIndex, restless.MyopicScore(p)} {
+			if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+				return fleet.SimulateStaticPriority(score, horizon, horizon/5, sub)
+			}, est[i].Add); err != nil {
+				return nil, err
+			}
 		}
-		pd, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, sol.PDIndex, horizon, horizon/5, reps, s.Split())
-		if err != nil {
-			return nil, err
-		}
-		my, err := fleet.EstimateStaticPriority(cfg.Context(), cfg.Pool, restless.MyopicScore(p), horizon, horizon/5, reps, s.Split())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("#%d", k+1), f(bound), f(w.Mean()), f(pd.Mean()), f(my.Mean()))
+		t.AddRow(fmt.Sprintf("#%d", k+1), f(bound), f(est[0].Mean()), f(est[1].Mean()), f(est[2].Mean()))
 	}
 	t.Notes = "both index heuristics approach the LP bound; primal–dual tracks Whittle closely at a fraction of the computation"
 	return t, nil

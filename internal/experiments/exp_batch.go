@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -71,17 +70,16 @@ func runE02(cfg Config) (*Table, error) {
 	}
 	var sev, wsept stats.Running
 	err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) ([2]float64, error) {
+		func(sub *rng.Stream) ([2]float64, error) {
 			v, err := batch.SimulateSevcik(jobs, sub.Split())
 			if err != nil {
 				return [2]float64{}, err
 			}
 			return [2]float64{v, batch.SimulateNonpreemptiveWSEPTDiscrete(jobs, sub.Split())}, nil
 		},
-		func(_ int, pair [2]float64) error {
+		func(pair [2]float64) {
 			sev.Add(pair[0])
 			wsept.Add(pair[1])
-			return nil
 		})
 	if err != nil {
 		return nil, err
@@ -174,14 +172,15 @@ func runE05(cfg Config) (*Table, error) {
 			jobs[i] = batch.Job{ID: i, Weight: 1, Dist: dist.Weibull{K: shape, Lambda: scale}}
 		}
 		in := &batch.Instance{Jobs: jobs, Machines: 3}
-		se, err := batch.EstimateParallel(cfg.Context(), cfg.Pool, in, batch.SEPT(jobs), reps, s.Split())
-		if err != nil {
-			return nil, err
+		var est [2]batch.ParallelEstimate // SEPT, then LEPT
+		for i, o := range []batch.Order{batch.SEPT(jobs), batch.LEPT(jobs)} {
+			if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (batch.ParallelResult, error) {
+				return batch.SimulateList(in, o, sub), nil
+			}, est[i].Add); err != nil {
+				return nil, err
+			}
 		}
-		le, err := batch.EstimateParallel(cfg.Context(), cfg.Pool, in, batch.LEPT(jobs), reps, s.Split())
-		if err != nil {
-			return nil, err
-		}
+		se, le := &est[0], &est[1]
 		hazard := dist.MonotoneHazard(jobs[0].Dist, 10, 0.01)
 		flowWinner := "SEPT"
 		if le.Flowtime.Mean() < se.Flowtime.Mean() {
@@ -310,17 +309,13 @@ func runE08(cfg Config) (*Table, error) {
 		if r < 200 {
 			r = 200
 		}
-		hlf, err := batch.EstimateTreeMakespan(cfg.Context(), cfg.Pool, tree, 3, 1, batch.HLF, r, s.Split())
-		if err != nil {
-			return nil, err
-		}
-		llf, err := batch.EstimateTreeMakespan(cfg.Context(), cfg.Pool, tree, 3, 1, batch.LLF, r, s.Split())
-		if err != nil {
-			return nil, err
-		}
-		rnd, err := batch.EstimateTreeMakespan(cfg.Context(), cfg.Pool, tree, 3, 1, batch.RandomSelector, r, s.Split())
-		if err != nil {
-			return nil, err
+		var est [3]stats.Running // HLF, LLF, then random
+		for i, sel := range []batch.TreeSelector{batch.HLF, batch.LLF, batch.RandomSelector} {
+			if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, r, s.Split(), func(sub *rng.Stream) (float64, error) {
+				return batch.SimulateTreeMakespan(tree, 3, 1, sel, sub), nil
+			}, est[i].Add); err != nil {
+				return nil, err
+			}
 		}
 		optStr, gapStr := "–", "–"
 		if n <= 14 {
@@ -335,7 +330,7 @@ func runE08(cfg Config) (*Table, error) {
 			optStr = f(opt)
 			gapStr = pct(stats.RelGap(hlfExact, opt))
 		}
-		t.AddRow(fmt.Sprint(n), optStr, f(hlf.Mean()), f(llf.Mean()), f(rnd.Mean()), gapStr)
+		t.AddRow(fmt.Sprint(n), optStr, f(est[0].Mean()), f(est[1].Mean()), f(est[2].Mean()), gapStr)
 	}
 	t.Notes = "HLF dominates LLF/random at every size; exact DP gap shown where the subset DP is feasible"
 	return t, nil

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"stochsched/internal/batch"
@@ -46,18 +45,13 @@ func runE23(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		pr := m.HoldingCostRate(lP)
-		sim, err := engine.Replicate(cfg.Context(), cfg.Pool, reps, s.Split(),
-			func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-				res, err := m.SimulatePreemptive(order, horizon, horizon/10, sub)
-				if err != nil {
-					return 0, err
-				}
-				return res.CostRate, nil
-			})
-		if err != nil {
+		var sim queueing.ReplicatedResult
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return m.SimulatePreemptive(order, horizon, horizon/10, sub)
+		}, sim.Add); err != nil {
 			return nil, err
 		}
-		t.AddRow(f2(rho), f(np), f(pr), ci(sim.Mean(), sim.CI95()), pct((np-pr)/np))
+		t.AddRow(f2(rho), f(np), f(pr), ci(sim.CostRate.Mean(), sim.CostRate.CI95()), pct((np-pr)/np))
 	}
 	t.Notes = "preemption helps most when high-cµ classes arrive during long low-priority services; the simulator matches the preemptive-resume formula"
 	return t, nil
@@ -236,21 +230,22 @@ func runE28(cfg Config) (*Table, error) {
 			}
 		}
 		talwar := batch.TalwarOrder(jobs)
-		tEst, err := batch.EstimateFlowShop(cfg.Context(), cfg.Pool, jobs, talwar, reps, s.Split())
-		if err != nil {
+		var tEst stats.Running
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (float64, error) {
+			return batch.FlowShopMakespan(batch.SampleFlowShop(jobs, sub), talwar), nil
+		}, tEst.Add); err != nil {
 			return nil, err
 		}
 		_, best := batch.BestFlowShopOrderCRN(jobs, crnReps, s.Split())
 		var nb, bl float64
-		err = engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(),
-			func(_ context.Context, _ int, sub *rng.Stream) ([2]float64, error) {
+		err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(),
+			func(sub *rng.Stream) ([2]float64, error) {
 				p := batch.SampleFlowShop(jobs, sub)
 				return [2]float64{batch.FlowShopMakespan(p, talwar), batch.FlowShopBlockingMakespan(p, talwar)}, nil
 			},
-			func(_ int, mk [2]float64) error {
+			func(mk [2]float64) {
 				nb += mk[0]
 				bl += mk[1]
-				return nil
 			})
 		if err != nil {
 			return nil, err
@@ -287,21 +282,10 @@ func runE27(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var l0, l1 stats.Running
-	err = engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(),
-		func(_ context.Context, _ int, sub *rng.Stream) ([2]float64, error) {
-			res, err := m.Simulate(queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, sub)
-			if err != nil {
-				return [2]float64{}, err
-			}
-			return [2]float64{res.L[0], res.L[1]}, nil
-		},
-		func(_ int, l [2]float64) error {
-			l0.Add(l[0])
-			l1.Add(l[1])
-			return nil
-		})
-	if err != nil {
+	rep := queueing.ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
+	if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+		return m.Simulate(queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, sub)
+	}, rep.Add); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -309,8 +293,8 @@ func runE27(cfg Config) (*Table, error) {
 		Ref:     "[15]",
 		Columns: []string{"class (law)", "SCV", "E[L] exact (Cobham)", "E[L] simulated"},
 	}
-	t.AddRow(m.Classes[0].Name, f(dist.SCV(ph1)), f(lE[0]), ci(l0.Mean(), l0.CI95()))
-	t.AddRow(m.Classes[1].Name, f(dist.SCV(ph2)), f(lE[1]), ci(l1.Mean(), l1.CI95()))
+	t.AddRow(m.Classes[0].Name, f(dist.SCV(ph1)), f(lE[0]), ci(rep.L[0].Mean(), rep.L[0].CI95()))
+	t.AddRow(m.Classes[1].Name, f(dist.SCV(ph2)), f(lE[1]), ci(rep.L[1].Mean(), rep.L[1].CI95()))
 	t.Notes = "phase-type laws (dense in all service laws) plug into both the simulator and the two-moment formulas; agreement validates the general-distribution machinery"
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -62,8 +61,10 @@ func runE14(cfg Config) (*Table, error) {
 		revExact := m.HoldingCostRate(lR)
 		_, lF := m.ExactFIFO()
 		fifoExact := m.HoldingCostRate(lF)
-		rep, err := m.Replicate(cfg.Context(), cfg.Pool, queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, reps, s.Split())
-		if err != nil {
+		var rep queueing.ReplicatedResult // the cost rate alone
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return m.Simulate(queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, sub)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		t.AddRow(f2(rho), f(cmuExact), ci(rep.CostRate.Mean(), rep.CostRate.CI95()),
@@ -103,15 +104,17 @@ func runE15(cfg Config) (*Table, error) {
 	}
 	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for _, o := range orders {
-		est, err := k.ReplicateKlimov(cfg.Context(), cfg.Pool, o, horizon, horizon/10, reps, s.Split())
-		if err != nil {
+		var rep queueing.ReplicatedResult
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return k.Simulate(o, horizon, horizon/10, sub)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		mark := ""
 		if o[0] == korder[0] && o[1] == korder[1] && o[2] == korder[2] {
 			mark = "← Klimov"
 		}
-		t.AddRow(fmt.Sprint(o), f(est.Mean()), f(est.CI95()), mark)
+		t.AddRow(fmt.Sprint(o), f(rep.CostRate.Mean()), f(rep.CostRate.CI95()), mark)
 	}
 	t.Notes = fmt.Sprintf("Klimov's adaptive-greedy order %v attains the minimum simulated cost", korder)
 	return t, nil
@@ -142,17 +145,13 @@ func runE16(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost, err := engine.Replicate(cfg.Context(), cfg.Pool, reps, s.Split(),
-			func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-				res, err := m.Simulate(m.CMuOrder(), horizon, horizon/10, sub)
-				if err != nil {
-					return 0, err
-				}
-				return res.CostRate, nil
-			})
-		if err != nil {
+		var rep queueing.ReplicatedResult
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return m.Simulate(m.CMuOrder(), horizon, horizon/10, sub)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
+		cost := &rep.CostRate
 		load := (1.2*scale/1.5 + 1.0*scale) / 3
 		t.AddRow(f2(load), ci(cost.Mean(), cost.CI95()), f(bound), pct((cost.Mean()-bound)/cost.Mean()))
 	}
@@ -188,8 +187,10 @@ func runE17(cfg Config) (*Table, error) {
 	}
 	s.Split() // unused, but the splits after it, and so the table, depend on it
 	for _, d := range disciplines {
-		rep, err := m.Replicate(cfg.Context(), cfg.Pool, d.pri, horizon, horizon/10, reps, s.Split())
-		if err != nil {
+		rep := queueing.ReplicatedResult{Wq: make([]stats.Running, len(m.Classes))}
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return m.Simulate(d.pri, horizon, horizon/10, sub)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		conserved := 0.0
@@ -231,8 +232,10 @@ func runE18(cfg Config) (*Table, error) {
 	for _, w := range []float64{0.75, 0.5, 0.25} {
 		mix := queueing.Priority{Orders: [][]int{{0, 1}, {1, 0}}, Weights: []float64{w, 1 - w}}
 		s.Split() // unused, but the splits after it, and so the table, depend on it
-		rep, err := m.Replicate(cfg.Context(), cfg.Pool, mix, horizon, horizon/10, reps, s.Split())
-		if err != nil {
+		rep := queueing.ReplicatedResult{Wq: make([]stats.Running, len(m.Classes))}
+		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+			return m.Simulate(mix, horizon, horizon/10, sub)
+		}, rep.Add); err != nil {
 			return nil, err
 		}
 		onSeg := "yes"
@@ -345,7 +348,7 @@ func runE21(cfg Config) (*Table, error) {
 	}
 	var kl, rv, diff stats.Running
 	err = engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(),
-		func(_ context.Context, _ int, sub *rng.Stream) ([2]float64, error) {
+		func(sub *rng.Stream) ([2]float64, error) {
 			// Paired seeds: both policies see identical arrival/service draws.
 			seed := sub.Uint64()
 			a, err := k.SimulateDiscounted(order, 0.02, horizon, rng.New(seed))
@@ -358,11 +361,10 @@ func runE21(cfg Config) (*Table, error) {
 			}
 			return [2]float64{a, b}, nil
 		},
-		func(_ int, ab [2]float64) error {
+		func(ab [2]float64) {
 			kl.Add(ab[0])
 			rv.Add(ab[1])
 			diff.Add(ab[1] - ab[0])
-			return nil
 		})
 	if err != nil {
 		return nil, err
@@ -397,18 +399,13 @@ func runE22(cfg Config) (*Table, error) {
 				Switch: dist.Deterministic{Value: setup},
 				Regime: regime,
 			}
-			cost, err := engine.Replicate(cfg.Context(), cfg.Pool, reps, s.Split(),
-				func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-					res, err := p.Simulate(horizon, horizon/10, sub)
-					if err != nil {
-						return 0, err
-					}
-					return res.CostRate, nil
-				})
-			if err != nil {
+			var rep queueing.ReplicatedResult
+			if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
+				return p.Simulate(horizon, horizon/10, sub)
+			}, rep.Add); err != nil {
 				return nil, err
 			}
-			row = append(row, f(cost.Mean()))
+			row = append(row, f(rep.CostRate.Mean()))
 		}
 		t.AddRow(row...)
 	}

@@ -82,7 +82,7 @@ func refStatic(order []int) func([]job) int {
 
 // refMG1 is MG1.Simulate with its own single-server loop. A mixture draws
 // its order from a stream split off s ahead of the class streams, as
-// MG1.Replicate gave each replication.
+// MG1.Simulate does on each replication's substream.
 func refMG1(m *MG1, orders [][]int, weights []float64, horizon, burnin float64, s *rng.Stream) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err

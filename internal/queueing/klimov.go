@@ -1,14 +1,11 @@
 package queueing
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Klimov's model (Klimov 1974): a multiclass M/G/1 queue with Markovian
@@ -213,20 +210,6 @@ func (k *KlimovNetwork) stations(order []int) (stationModel, error) {
 	md := oneStation(k.Classes, 1, k.Feedback)
 	md.ranks = [][]int{rank}
 	return md, nil
-}
-
-// ReplicateKlimov aggregates replications of Simulate under one order on
-// the pool; the aggregate is byte-identical for a given seed at any
-// parallelism level.
-func (k *KlimovNetwork) ReplicateKlimov(ctx context.Context, p *engine.Pool, order []int, horizon, burnin float64, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			res, err := k.Simulate(order, horizon, burnin, sub)
-			if err != nil {
-				return 0, err
-			}
-			return res.CostRate, nil
-		})
 }
 
 // NoFeedback builds a KlimovNetwork with zero feedback from an MG1 model,

@@ -1,12 +1,10 @@
 package queueing
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
@@ -117,17 +115,20 @@ func TestKlimovOrderBeatsAlternatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon, burnin, reps = 30000, 3000, 6
-	kEst, err := k.ReplicateKlimov(context.Background(), engine.NewPool(0), korder, horizon, burnin, reps, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	worst := 0.0
-	for _, o := range orders {
-		est, err := k.ReplicateKlimov(context.Background(), engine.NewPool(0), o, horizon, burnin, reps, s.Split())
+	cost := func(o []int) *stats.Running {
+		rep, err := replicate(len(k.Classes), reps, s.Split(), func(sub *rng.Stream) (*SimResult, error) {
+			return k.Simulate(o, horizon, burnin, sub)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return &rep.CostRate
+	}
+	kEst := cost(korder)
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	worst := 0.0
+	for _, o := range orders {
+		est := cost(o)
 		// Klimov must not be significantly worse than any order.
 		if kEst.Mean() > est.Mean()+3*(kEst.CI95()+est.CI95()) {
 			t.Fatalf("Klimov order %v cost %v (±%v) significantly worse than %v cost %v (±%v)",

@@ -17,12 +17,11 @@
 // preemptive priority and polling run their own switches on that agenda.
 // Every loop draws each class's interarrival and service times a block at
 // a time from the class's private substreams, and takes its per-run state
-// from a pool, so a replication allocates little beyond its result. The
-// replication loops (MG1.Replicate, ReplicateKlimov,
-// Network.Replicate, the served kinds in internal/scenario and the
-// experiment helpers) run on internal/engine with per-replication RNG
-// substreams, so estimates are byte-identical at any parallelism for a
-// given seed. The policy service exposes the cµ/Klimov orders through
+// from a pool, so a replication allocates little beyond its result. Each
+// simulator runs one replication on the substream it is handed; callers
+// replicate it with engine.ReplicateReduce, folding into a
+// ReplicatedResult, so estimates are byte-identical at any parallelism
+// for a given seed. The policy service exposes the cµ/Klimov orders through
 // POST /v1/index and the simulators through POST /v1/simulate — which the
 // sweep subsystem (internal/sweep) fans out over whole parameter grids;
 // specs enter through the mg1, mmm, polling, and jackson kinds of

@@ -11,6 +11,17 @@ import (
 	"stochsched/internal/stats"
 )
 
+// replicate folds reps replications of sim, one substream of s each, into
+// per-class L and Wq for n classes on a GOMAXPROCS pool, the way the served
+// queueing kinds fold theirs.
+func replicate(n, reps int, s *rng.Stream, sim func(*rng.Stream) (*SimResult, error)) (*ReplicatedResult, error) {
+	rep := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), reps, s, sim, rep.Add); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
 // twoClassMM1 is a convenient stable 2-class M/M/1 test system.
 func twoClassMM1() *MG1 {
 	return &MG1{Classes: []Class{
@@ -130,7 +141,9 @@ func TestKleinrockConservationExact(t *testing.T) {
 func TestSimulationMatchesExactFIFO(t *testing.T) {
 	m := twoClassMM1()
 	s := rng.New(1001)
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{}, 30000, 3000, 8, s)
+	rep, err := replicate(len(m.Classes), 8, s, func(sub *rng.Stream) (*SimResult, error) {
+		return m.Simulate(Priority{}, 30000, 3000, sub)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +159,9 @@ func TestSimulationMatchesExactPriority(t *testing.T) {
 	m := twoClassMM1()
 	s := rng.New(1002)
 	order := m.CMuOrder()
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{Orders: [][]int{order}}, 30000, 3000, 8, s)
+	rep, err := replicate(len(m.Classes), 8, s, func(sub *rng.Stream) (*SimResult, error) {
+		return m.Simulate(Priority{Orders: [][]int{order}}, 30000, 3000, sub)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +191,9 @@ func TestSimulationMatchesExactMG1General(t *testing.T) {
 		{ArrivalRate: 0.2, Service: he, HoldCost: 1},
 	}}
 	s := rng.New(1003)
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), Priority{Orders: [][]int{{0, 1}}}, 40000, 4000, 8, s)
+	rep, err := replicate(len(m.Classes), 8, s, func(sub *rng.Stream) (*SimResult, error) {
+		return m.Simulate(Priority{Orders: [][]int{{0, 1}}}, 40000, 4000, sub)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +307,9 @@ func TestRandomMixInterpolates(t *testing.T) {
 	s := rng.New(1005)
 	mix := Priority{Orders: [][]int{{0, 1}, {1, 0}}, Weights: []float64{0.5, 0.5}}
 	s.Split() // unused, but the replications' stream after it depends on it
-	rep, err := m.Replicate(context.Background(), engine.NewPool(0), mix, 30000, 3000, 8, s.Split())
+	rep, err := replicate(len(m.Classes), 8, s.Split(), func(sub *rng.Stream) (*SimResult, error) {
+		return m.Simulate(mix, 30000, 3000, sub)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +359,10 @@ func TestPriorityRejectsBadMixtures(t *testing.T) {
 		if s.Uint64() != rng.New(1).Uint64() {
 			t.Errorf("%s: Simulate drew before rejecting", tc.name)
 		}
-		if _, err := m.Replicate(context.Background(), engine.NewPool(2), tc.p, 100, 10, 4, rng.New(1)); err == nil {
-			t.Errorf("%s: Replicate accepted %+v", tc.name, tc.p)
+		if _, err := replicate(len(m.Classes), 4, rng.New(1), func(sub *rng.Stream) (*SimResult, error) {
+			return m.Simulate(tc.p, 100, 10, sub)
+		}); err == nil {
+			t.Errorf("%s: replications accepted %+v", tc.name, tc.p)
 		}
 	}
 	for _, p := range []Priority{

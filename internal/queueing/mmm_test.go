@@ -1,30 +1,24 @@
 package queueing
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
-// replicateMMm folds reps replications of Simulate (FIFO for a nil order)
-// into a fresh result through ReplicatedResult.Add, one substream of s
-// each.
+// replicateMMm replicates Simulate (FIFO for a nil order), one substream
+// of s each.
 func replicateMMm(t *testing.T, m *MMm, order []int, horizon, burnin float64, reps int, s *rng.Stream) *ReplicatedResult {
 	t.Helper()
-	out := &ReplicatedResult{L: make([]stats.Running, len(m.Classes))}
-	if err := engine.ReplicateReduce(context.Background(), nil, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			return m.Simulate(order, horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
+	rep, err := replicate(len(m.Classes), reps, s, func(sub *rng.Stream) (*SimResult, error) {
+		return m.Simulate(order, horizon, burnin, sub)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return rep
 }
 
 func mmmSystem(scale float64) *MMm {

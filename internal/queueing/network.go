@@ -1,15 +1,12 @@
 package queueing
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/linalg"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Multi-station multiclass queueing networks. Each class is served at one
@@ -171,20 +168,6 @@ func (nw *Network) Simulate(pol *NetworkPolicy, horizon, burnin, sampleEvery flo
 	}
 	md := stationModel{network: nw.Classes, stations: nw.Stations, servers: 1, ranks: [][]int{rank}, routed: true}
 	return md.run(horizon, burnin, sampleEvery, s), nil
-}
-
-// Replicate aggregates independent replications of Simulate on the pool
-// (trajectory sampling disabled — sampleEvery 0), without per-class delays.
-func (nw *Network) Replicate(ctx context.Context, p *engine.Pool, pol *NetworkPolicy, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
-	out := &ReplicatedResult{L: make([]stats.Running, len(nw.Classes))}
-	if err := engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			return nw.Simulate(pol, horizon, burnin, 0, sub)
-		},
-		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // LuKumar builds the classical two-station, four-class reentrant network:

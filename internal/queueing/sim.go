@@ -1,12 +1,10 @@
 package queueing
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"stochsched/internal/dist"
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
 	"stochsched/internal/stats"
 )
@@ -160,24 +158,6 @@ func (r *ReplicatedResult) Add(res *SimResult) {
 		r.Wq[j].Add(res.Wq[j])
 	}
 	r.CostRate.Add(res.CostRate)
-}
-
-// Replicate aggregates independent replications of Simulate on the pool.
-// Each replication draws from its own substream (a mixture's order draws
-// included), and the per-class statistics are folded in replication
-// order, so the result is byte-identical for a given seed at any
-// parallelism level.
-func (m *MG1) Replicate(ctx context.Context, p *engine.Pool, pri Priority, horizon, burnin float64, reps int, s *rng.Stream) (*ReplicatedResult, error) {
-	n := len(m.Classes)
-	out := &ReplicatedResult{L: make([]stats.Running, n), Wq: make([]stats.Running, n)}
-	if err := engine.ReplicateReduce(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (*SimResult, error) {
-			return m.Simulate(pri, horizon, burnin, sub)
-		},
-		func(_ int, res *SimResult) error { out.Add(res); return nil }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SimulatePreemptive runs a preemptive-resume static priority M/M/1

@@ -1,12 +1,9 @@
 package restless
 
 import (
-	"context"
 	"fmt"
 
-	"stochsched/internal/engine"
 	"stochsched/internal/rng"
-	"stochsched/internal/stats"
 )
 
 // Fleet is N iid copies of one restless project, of which exactly M must be
@@ -134,23 +131,4 @@ func MyopicScore(p *Project) []float64 {
 		out[i] = p.R[Active][i] - p.R[Passive][i]
 	}
 	return out
-}
-
-// EstimateStaticPriority aggregates replications of SimulateStaticPriority
-// on the pool; the aggregate is byte-identical for a given seed at any
-// parallelism level.
-func (f *Fleet) EstimateStaticPriority(ctx context.Context, p *engine.Pool, score []float64, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return f.SimulateStaticPriority(score, horizon, burnin, sub)
-		})
-}
-
-// EstimateRandomPolicy aggregates replications of SimulateRandomPolicy on
-// the pool — the unprioritized baseline at fleet scale.
-func (f *Fleet) EstimateRandomPolicy(ctx context.Context, p *engine.Pool, horizon, burnin, reps int, s *rng.Stream) (*stats.Running, error) {
-	return engine.Replicate(ctx, p, reps, s,
-		func(_ context.Context, _ int, sub *rng.Stream) (float64, error) {
-			return f.SimulateRandomPolicy(horizon, burnin, sub)
-		})
 }

@@ -67,7 +67,7 @@ func TestLPBoundDominatesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, score := range [][]float64{widx, MyopicScore(p)} {
-		est, err := fleet.EstimateStaticPriority(context.Background(), engine.NewPool(0), score, 4000, 500, 10, s.Split())
+		est, err := estimateStaticPriority(context.Background(), engine.NewPool(0), fleet, score, 4000, 500, 10, s.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestWhittleBeatsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wEst, err := fleet.EstimateStaticPriority(context.Background(), engine.NewPool(0), widx, 6000, 1000, 10, s.Split())
+	wEst, err := estimateStaticPriority(context.Background(), engine.NewPool(0), fleet, widx, 6000, 1000, 10, s.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAsymptoticGapShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := fleet.EstimateStaticPriority(context.Background(), engine.NewPool(0), widx, 8000, 1000, 6, s.Split())
+		est, err := estimateStaticPriority(context.Background(), engine.NewPool(0), fleet, widx, 8000, 1000, 6, s.Split())
 		if err != nil {
 			t.Fatal(err)
 		}

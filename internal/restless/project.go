@@ -13,7 +13,8 @@
 // Bertsimas–Niño-Mora (2000), and a fleet simulator used for the
 // Weber–Weiss (1990) asymptotic-optimality experiment.
 //
-// Fleet replications fan out over internal/engine, so estimates are
+// The fleet simulators run one replication on the stream they are handed;
+// callers replicate them with engine.ReplicateReduce, so estimates are
 // byte-identical at any parallelism for a given seed. The policy service
 // exposes WhittleIndex and CheckIndexability through POST /v1/index with
 // kind "restless" (see docs/api.md); specs enter through the restless kind

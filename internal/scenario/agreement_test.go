@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"stochsched/internal/engine"
+	"stochsched/internal/queueing"
 	"stochsched/internal/rng"
+	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
 
@@ -56,8 +58,10 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := networkPolicy(model, "fcfs")
-	rep, err := model.Replicate(context.Background(), engine.NewPool(0), pol, 4000, 500, 24, rng.New(3))
-	if err != nil {
+	rep := queueing.ReplicatedResult{L: make([]stats.Running, len(model.Classes))}
+	if err := engine.ReplicateReduce(context.Background(), engine.NewPool(0), 24, rng.New(3), func(s *rng.Stream) (*queueing.SimResult, error) {
+		return model.Simulate(pol, 4000, 500, 0, s)
+	}, rep.Add); err != nil {
 		t.Fatal(err)
 	}
 	// With one class per station the class L is the station L. An 8%

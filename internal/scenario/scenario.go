@@ -175,9 +175,7 @@ type Exec struct {
 // spent.
 func replicate[T any](ctx context.Context, x *Exec, primary *stats.Running, sim func(s *rng.Stream) (T, error), fold func(T)) error {
 	round := func(ctx context.Context, n int) error {
-		return engine.ReplicateReduce(ctx, x.pool, n, x.src,
-			func(_ context.Context, _ int, s *rng.Stream) (T, error) { return sim(s) },
-			func(_ int, v T) error { fold(v); return nil })
+		return engine.ReplicateReduce(ctx, x.pool, n, x.src, sim, fold)
 	}
 	if x.precision == nil {
 		x.used = x.reps
