@@ -234,6 +234,7 @@ type loop struct {
 	weights []float64
 	choice  rng.Stream // draws among several priority orders
 	route   rng.Stream // routing draws
+	sw      rng.Stream // polling's switchover draws
 	lanes   []lane
 	station []station
 

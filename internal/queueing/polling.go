@@ -82,10 +82,12 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 		return nil, err
 	}
 	n := len(p.Queues)
-	sw := s.Split() // the switchover stream, ahead of the class streams
+	var sw [1]rng.Stream
+	s.SplitInto(sw[:]) // the switchover stream, ahead of the class streams
 	md := oneStation(p.Queues, 1, nil)
 	md.stations = n // station j holds queue j's jobs
 	e := md.bind(burnin, s)
+	e.sw = sw[0] // kept in the recycled loop: Sample would move a stream of its own to the heap
 	e.at(burnin, evBurnin, 0)
 	e.at(0, evReach, 0) // the first visit
 	at, gate := 0, 0    // the queue the server is at, and how many more it may serve there
@@ -125,7 +127,7 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 			e.after(e.lanes[at].service.draw(), evDone, at)
 			continue
 		}
-		end := e.now + switchover(p.Switch, sw)
+		end := e.now + switchover(p.Switch, &e.sw)
 		if e.inSystem == 0 {
 			// Every queue is empty (no job is in service while the server
 			// switches), so a switchover ending before the next pending
@@ -139,7 +141,7 @@ func (p *Polling) Simulate(horizon, burnin float64, s *rng.Stream) (*SimResult, 
 			stop := math.Min(e.next(), horizon)
 			for end < stop {
 				at = (at + 1) % n
-				end += switchover(p.Switch, sw)
+				end += switchover(p.Switch, &e.sw)
 			}
 		}
 		e.at(end, evReach, (at+1)%n)

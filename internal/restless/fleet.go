@@ -37,8 +37,8 @@ func (f *Fleet) SimulateStaticPriority(score []float64, horizon, burnin int, s *
 	if len(score) != f.Type.N() {
 		return 0, fmt.Errorf("restless: score length %d, want %d", len(score), f.Type.N())
 	}
-	if horizon <= burnin {
-		return 0, fmt.Errorf("restless: horizon %d must exceed burnin %d", horizon, burnin)
+	if err := checkWindow(horizon, burnin); err != nil {
+		return 0, err
 	}
 	idx := make([]int, f.N)
 	bucket, slot := scoreBuckets(score), make([]int, f.Type.N())
@@ -89,10 +89,19 @@ func (f *Fleet) SimulateRandomPolicy(horizon, burnin int, s *rng.Stream) (float6
 	if err := f.Validate(); err != nil {
 		return 0, err
 	}
-	if horizon <= burnin {
-		return 0, fmt.Errorf("restless: horizon %d must exceed burnin %d", horizon, burnin)
+	if err := checkWindow(horizon, burnin); err != nil {
+		return 0, err
 	}
 	return f.run(horizon, burnin, s, func([]int) []int { return s.Perm(f.N) }), nil
+}
+
+// checkWindow rejects a measurement window run cannot average over: the
+// reward of horizon epochs would be divided by horizon − burnin.
+func checkWindow(horizon, burnin int) error {
+	if burnin < 0 || horizon <= burnin {
+		return fmt.Errorf("restless: need 0 <= burnin < horizon, got burnin=%d horizon=%d", burnin, horizon)
+	}
+	return nil
 }
 
 // run simulates the fleet from every project in state 0 for horizon

@@ -172,6 +172,29 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsNegativeBurnin: both fleet simulators measure over
+// [burnin, horizon), so a negative burn-in is rejected before any draw.
+// Accepted, it summed the reward of horizon epochs and divided it by
+// horizon − burnin: burn-in −50 at horizon 100 read 2/3 of the average.
+func TestFleetRejectsNegativeBurnin(t *testing.T) {
+	f, _ := repairFleet(t, 8, 2)
+	for _, w := range []struct{ horizon, burnin int }{{100, -50}, {100, -1}, {100, 100}, {10, 20}} {
+		s := rng.New(1)
+		if v, err := f.SimulateStaticPriority(MyopicScore(f.Type), w.horizon, w.burnin, s); err == nil {
+			t.Errorf("static priority: burnin %d, horizon %d accepted, read %v", w.burnin, w.horizon, v)
+		}
+		if v, err := f.SimulateRandomPolicy(w.horizon, w.burnin, s); err == nil {
+			t.Errorf("random policy: burnin %d, horizon %d accepted, read %v", w.burnin, w.horizon, v)
+		}
+		if s.Uint64() != rng.New(1).Uint64() {
+			t.Errorf("burnin %d, horizon %d: a simulator drew before rejecting", w.burnin, w.horizon)
+		}
+	}
+	if _, err := f.SimulateStaticPriority(MyopicScore(f.Type), 100, 0, rng.New(1)); err != nil {
+		t.Errorf("burnin 0 rejected: %v", err)
+	}
+}
+
 // TestRankProjectsMatchesStableSort: the counting sort ranks projects
 // exactly as a stable sort by decreasing score does, including states that
 // share a score.
