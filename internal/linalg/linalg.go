@@ -205,15 +205,3 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b), nil
 }
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}

@@ -89,14 +89,6 @@ func TestSubScale(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("dot = %v, want 32", Dot(a, b))
-	}
-}
-
 func TestPanicsOnBadShapes(t *testing.T) {
 	defer func() {
 		if recover() == nil {

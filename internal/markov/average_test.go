@@ -36,11 +36,15 @@ func averageGainOfPolicy(transitions []*linalg.Matrix, rewards [][]float64, poli
 	if err != nil {
 		return 0, err
 	}
-	pi, err := chain.Stationary()
+	pi, err := stationary(chain)
 	if err != nil {
 		return 0, err
 	}
-	return linalg.Dot(pi, r), nil
+	gain := 0.0
+	for i := range pi {
+		gain += pi[i] * r[i]
+	}
+	return gain, nil
 }
 
 // A two-action chain where action 1 pays more in every state: the optimal

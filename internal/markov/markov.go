@@ -1,5 +1,5 @@
-// Package markov provides finite Markov-chain analysis: stationary
-// distributions, discounted value evaluation, and MDP solvers.
+// Package markov provides finite Markov-chain analysis: discounted value
+// evaluation and MDP solvers.
 //
 // The bandit models (Gittins, Whittle) and the Klimov network all reduce to
 // computations on small finite chains; this package is their shared engine.
@@ -41,41 +41,6 @@ func NewChain(p *linalg.Matrix) (*Chain, error) {
 
 // N returns the number of states.
 func (c *Chain) N() int { return c.P.Rows }
-
-// Stationary returns the stationary distribution π with π P = π, Σπ = 1,
-// computed by solving the linear system (replacing one balance equation with
-// the normalization). The chain must be irreducible for the result to be the
-// unique stationary law; reducible chains yield an error from the singular
-// solve or a distribution over one closed class.
-func (c *Chain) Stationary() ([]float64, error) {
-	n := c.N()
-	// Build (Pᵀ - I) with last row replaced by ones; rhs = e_n.
-	a := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, c.P.At(j, i))
-		}
-		a.Set(i, i, a.At(i, i)-1)
-	}
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	pi, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("markov: stationary solve failed: %w", err)
-	}
-	for i, v := range pi {
-		if v < -1e-9 {
-			return nil, fmt.Errorf("markov: stationary solution has negative mass π[%d] = %v (chain reducible?)", i, v)
-		}
-		if v < 0 {
-			pi[i] = 0
-		}
-	}
-	return pi, nil
-}
 
 // DiscountedValue returns v = r + β P v, i.e. v = (I − βP)⁻¹ r, the expected
 // total discounted reward from each state when reward r(i) is earned on each
