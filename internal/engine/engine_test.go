@@ -99,6 +99,27 @@ func TestReplicateMatchesNilPool(t *testing.T) {
 	}
 }
 
+// TestReplicateReduceMatchesReplicate: both replication loops hand
+// replication i the i-th substream and fold in replication order, so a
+// Running folded by ReplicateReduce has Replicate's bits at every width.
+func TestReplicateReduceMatchesReplicate(t *testing.T) {
+	want, err := Replicate(context.Background(), nil, 300, rng.New(11), simWork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 8} {
+		var r stats.Running
+		if err := ReplicateReduce(context.Background(), NewPool(par), 300, rng.New(11), func(s *rng.Stream) (float64, error) {
+			return simWork(context.Background(), 0, s)
+		}, r.Add); err != nil {
+			t.Fatal(err)
+		}
+		if r.N() != want.N() || runningBits(&r) != runningBits(want) {
+			t.Errorf("parallel %d: ReplicateReduce bits %v (n %d), Replicate %v (n %d)", par, runningBits(&r), r.N(), runningBits(want), want.N())
+		}
+	}
+}
+
 func TestMapOrderAndValues(t *testing.T) {
 	out, err := Map(context.Background(), NewPool(4), 64, func(_ context.Context, i int) (int, error) {
 		return i * i, nil
