@@ -61,7 +61,7 @@ func runE14(cfg Config) (*Table, error) {
 		revExact := m.HoldingCostRate(lR)
 		_, lF := m.ExactFIFO()
 		fifoExact := m.HoldingCostRate(lF)
-		var rep queueing.ReplicatedResult // the cost rate alone
+		var rep queueing.ReplicatedResult
 		if err := engine.ReplicateReduce(cfg.Context(), cfg.Pool, reps, s.Split(), func(sub *rng.Stream) (*queueing.SimResult, error) {
 			return m.Simulate(queueing.Priority{Orders: [][]int{order}}, horizon, horizon/10, sub)
 		}, rep.Add); err != nil {

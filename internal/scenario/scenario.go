@@ -164,13 +164,11 @@ type Exec struct {
 }
 
 // replicate spends x's budget on sim, which simulates one replication on
-// the substream it is handed: one round of the fixed count, or
-// engine.AdaptiveRounds re-checking the stopping rule on primary after each
-// round. sim runs concurrently on the pool, so whatever it captures (a
-// model, a policy, an order) must be safe for concurrent reads. Replication
-// i draws the i-th substream of x.src, and fold consumes the results in
-// replication order into the Sim's accumulators (primary among them). Each
-// round continues src and the accumulators where the last stopped, so an
+// the substream it is handed, through engine.ReplicateReduce: one round of
+// the fixed count, or engine.AdaptiveRounds re-checking the stopping rule
+// on primary after each round. fold consumes the results in replication
+// order into the Sim's accumulators (primary among them). Each round
+// continues x.src and the accumulators where the last stopped, so an
 // adaptive result is byte-identical to a fixed-budget run of the count
 // spent.
 func replicate[T any](ctx context.Context, x *Exec, primary *stats.Running, sim func(s *rng.Stream) (T, error), fold func(T)) error {
