@@ -47,40 +47,92 @@ func (ss *stateSpace) with(code, i, v int) int {
 
 const maxProductStates = 1 << 14
 
+// productSpace validates b and returns its state space, refusing a chain
+// of more than maxProductStates states when each product state comes in L
+// copies (see chain).
+func productSpace(b *Bandit, L int) (*stateSpace, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	ss := newStateSpace(b)
+	if n := ss.size * L; n > maxProductStates {
+		space := "product"
+		if L > 1 {
+			space = "extended"
+		}
+		return nil, fmt.Errorf("bandit: %s space %d exceeds limit %d", space, n, maxProductStates)
+	}
+	return ss, nil
+}
+
+// chain builds the transition matrix and rewards of the product chain
+// whose state st = code·L + last also records the last project engaged
+// modulo L: L = 1 forgets it, L = len(b.Projects) keeps it. In each
+// product state the chain engages project a = act(comp), moves to
+// with(code, a, next)·L + a%L with project a's transition probability, and
+// earns R_a(s_a), less cost when last ≠ a%L, which never holds at L = 1.
+func (ss *stateSpace) chain(b *Bandit, L int, cost float64, act func(comp []int) int) (*linalg.Matrix, []float64) {
+	n := ss.size * L
+	p := linalg.NewMatrix(n, n)
+	r := make([]float64, n)
+	comp := make([]int, len(b.Projects))
+	for code := 0; code < ss.size; code++ {
+		ss.decode(code, comp)
+		a := act(comp)
+		proj := b.Projects[a]
+		sa := comp[a]
+		for last := 0; last < L; last++ {
+			st := code*L + last
+			r[st] = proj.R[sa]
+			if last != a%L {
+				r[st] -= cost
+			}
+			for next := 0; next < proj.N(); next++ {
+				if pr := proj.P.At(sa, next); pr > 0 {
+					tgt := ss.with(code, a, next)*L + a%L
+					p.Set(st, tgt, p.At(st, tgt)+pr)
+				}
+			}
+		}
+	}
+	return p, r
+}
+
+// optimalValue solves the chain with L copies of each product state (see
+// chain) by value iteration, action a engaging project a everywhere.
+func optimalValue(b *Bandit, L int, cost float64) ([]float64, []int, error) {
+	ss, err := productSpace(b, L)
+	if err != nil {
+		return nil, nil, err
+	}
+	transitions := make([]*linalg.Matrix, len(b.Projects))
+	rewards := make([][]float64, len(b.Projects))
+	for a := range b.Projects {
+		transitions[a], rewards[a] = ss.chain(b, L, cost, func([]int) int { return a })
+	}
+	return markov.ValueIteration(transitions, rewards, nil, b.Beta, 1e-10, 1_000_000)
+}
+
+// policyValue evaluates pol exactly on the chain with L copies of each
+// product state: v = (I − βP_π)⁻¹ r_π.
+func policyValue(b *Bandit, L int, cost float64, pol Policy) ([]float64, error) {
+	ss, err := productSpace(b, L)
+	if err != nil {
+		return nil, err
+	}
+	p, r := ss.chain(b, L, cost, pol)
+	chain, err := markov.NewChain(p)
+	if err != nil {
+		return nil, err
+	}
+	return chain.DiscountedValue(r, b.Beta)
+}
+
 // OptimalValue solves the bandit exactly on the product chain and returns
 // the optimal value for every product state (indexed by mixed-radix code)
 // and the optimal action (project to engage).
 func OptimalValue(b *Bandit) ([]float64, []int, error) {
-	if err := b.Validate(); err != nil {
-		return nil, nil, err
-	}
-	ss := newStateSpace(b)
-	if ss.size > maxProductStates {
-		return nil, nil, fmt.Errorf("bandit: product space %d exceeds limit %d", ss.size, maxProductStates)
-	}
-	nProj := len(b.Projects)
-	transitions := make([]*linalg.Matrix, nProj)
-	rewards := make([][]float64, nProj)
-	comp := make([]int, nProj)
-	for a := 0; a < nProj; a++ {
-		tr := linalg.NewMatrix(ss.size, ss.size)
-		rw := make([]float64, ss.size)
-		proj := b.Projects[a]
-		for code := 0; code < ss.size; code++ {
-			ss.decode(code, comp)
-			sa := comp[a]
-			rw[code] = proj.R[sa]
-			for next := 0; next < proj.N(); next++ {
-				pr := proj.P.At(sa, next)
-				if pr > 0 {
-					tr.Set(code, ss.with(code, a, next), tr.At(code, ss.with(code, a, next))+pr)
-				}
-			}
-		}
-		transitions[a] = tr
-		rewards[a] = rw
-	}
-	v, pol, err := markov.ValueIteration(transitions, rewards, nil, b.Beta, 1e-10, 1_000_000)
+	v, pol, err := optimalValue(b, 1, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -123,35 +175,7 @@ func GreedyPolicy(b *Bandit) Policy {
 // PolicyValue evaluates a stationary policy exactly on the product chain:
 // v = (I − βP_π)⁻¹ r_π.
 func PolicyValue(b *Bandit, pol Policy) ([]float64, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	ss := newStateSpace(b)
-	if ss.size > maxProductStates {
-		return nil, fmt.Errorf("bandit: product space %d exceeds limit %d", ss.size, maxProductStates)
-	}
-	p := linalg.NewMatrix(ss.size, ss.size)
-	r := make([]float64, ss.size)
-	comp := make([]int, len(b.Projects))
-	for code := 0; code < ss.size; code++ {
-		ss.decode(code, comp)
-		a := pol(comp)
-		proj := b.Projects[a]
-		sa := comp[a]
-		r[code] = proj.R[sa]
-		for next := 0; next < proj.N(); next++ {
-			pr := proj.P.At(sa, next)
-			if pr > 0 {
-				tgt := ss.with(code, a, next)
-				p.Set(code, tgt, p.At(code, tgt)+pr)
-			}
-		}
-	}
-	chain, err := markov.NewChain(p)
-	if err != nil {
-		return nil, err
-	}
-	return chain.DiscountedValue(r, b.Beta)
+	return policyValue(b, 1, 0, pol)
 }
 
 // ---------------------------------------------------------------------------
@@ -162,85 +186,12 @@ func PolicyValue(b *Bandit, pol Policy) ([]float64, error) {
 // state is (product state, last project); the returned slices are indexed by
 // code*N + last.
 func SwitchingOptimalValue(b *Bandit, cost float64) ([]float64, []int, error) {
-	if err := b.Validate(); err != nil {
-		return nil, nil, err
-	}
-	ss := newStateSpace(b)
-	nProj := len(b.Projects)
-	ext := ss.size * nProj
-	if ext > maxProductStates {
-		return nil, nil, fmt.Errorf("bandit: extended space %d exceeds limit %d", ext, maxProductStates)
-	}
-	transitions := make([]*linalg.Matrix, nProj)
-	rewards := make([][]float64, nProj)
-	comp := make([]int, nProj)
-	for a := 0; a < nProj; a++ {
-		tr := linalg.NewMatrix(ext, ext)
-		rw := make([]float64, ext)
-		proj := b.Projects[a]
-		for code := 0; code < ss.size; code++ {
-			ss.decode(code, comp)
-			sa := comp[a]
-			for last := 0; last < nProj; last++ {
-				st := code*nProj + last
-				rw[st] = proj.R[sa]
-				if last != a {
-					rw[st] -= cost
-				}
-				for next := 0; next < proj.N(); next++ {
-					pr := proj.P.At(sa, next)
-					if pr > 0 {
-						tgt := ss.with(code, a, next)*nProj + a
-						tr.Set(st, tgt, tr.At(st, tgt)+pr)
-					}
-				}
-			}
-		}
-		transitions[a] = tr
-		rewards[a] = rw
-	}
-	return markov.ValueIteration(transitions, rewards, nil, b.Beta, 1e-10, 1_000_000)
+	return optimalValue(b, len(b.Projects), cost)
 }
 
 // SwitchingPolicyValue evaluates, on the extended chain, a policy that sees
 // only the component states (e.g. the Gittins rule, which ignores switching
 // costs). Indexing matches SwitchingOptimalValue.
 func SwitchingPolicyValue(b *Bandit, cost float64, pol Policy) ([]float64, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	ss := newStateSpace(b)
-	nProj := len(b.Projects)
-	ext := ss.size * nProj
-	if ext > maxProductStates {
-		return nil, fmt.Errorf("bandit: extended space %d exceeds limit %d", ext, maxProductStates)
-	}
-	p := linalg.NewMatrix(ext, ext)
-	r := make([]float64, ext)
-	comp := make([]int, nProj)
-	for code := 0; code < ss.size; code++ {
-		ss.decode(code, comp)
-		a := pol(comp)
-		proj := b.Projects[a]
-		sa := comp[a]
-		for last := 0; last < nProj; last++ {
-			st := code*nProj + last
-			r[st] = proj.R[sa]
-			if last != a {
-				r[st] -= cost
-			}
-			for next := 0; next < proj.N(); next++ {
-				pr := proj.P.At(sa, next)
-				if pr > 0 {
-					tgt := ss.with(code, a, next)*nProj + a
-					p.Set(st, tgt, p.At(st, tgt)+pr)
-				}
-			}
-		}
-	}
-	chain, err := markov.NewChain(p)
-	if err != nil {
-		return nil, err
-	}
-	return chain.DiscountedValue(r, b.Beta)
+	return policyValue(b, len(b.Projects), cost, pol)
 }
