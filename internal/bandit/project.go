@@ -44,18 +44,7 @@ func (p *Project) N() int { return p.P.Rows }
 // RandomProject generates a random project with n states: Dirichlet-like
 // rows (normalized uniforms) and rewards in [0, 1).
 func RandomProject(n int, s *rng.Stream) *Project {
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = s.Float64Open()
-			sum += row[j]
-		}
-		for j := range row {
-			m.Set(i, j, row[j]/sum)
-		}
-	}
+	m := markov.RandomStochastic(n, s)
 	r := make([]float64, n)
 	for i := range r {
 		r[i] = s.Float64()

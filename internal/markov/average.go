@@ -86,16 +86,11 @@ func PolicyIteration(transitions []*linalg.Matrix, rewards [][]float64, beta flo
 	qs := make([]float64, len(transitions))
 	for iter := 0; iter < maxIter; iter++ {
 		// Evaluate: v = (I − βP_π)⁻¹ r_π.
-		p := linalg.NewMatrix(n, n)
 		r := make([]float64, n)
 		for s := 0; s < n; s++ {
-			a := policy[s]
-			for j := 0; j < n; j++ {
-				p.Set(s, j, transitions[a].At(s, j))
-			}
-			r[s] = rewards[a][s]
+			r[s] = rewards[policy[s]][s]
 		}
-		sys := linalg.Identity(n).Sub(p.Scale(beta))
+		sys := discountedSystem(n, beta, func(s int) []float64 { return transitions[policy[s]].Data[s*n : (s+1)*n] })
 		v, err := linalg.Solve(sys, r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("markov: policy evaluation: %w", err)

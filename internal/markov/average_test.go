@@ -144,22 +144,7 @@ func TestPolicyIterationMatchesValueIteration(t *testing.T) {
 	s := rng.New(51)
 	for trial := 0; trial < 20; trial++ {
 		n := 4
-		mk := func() *linalg.Matrix {
-			m := linalg.NewMatrix(n, n)
-			for i := 0; i < n; i++ {
-				sum := 0.0
-				row := make([]float64, n)
-				for j := range row {
-					row[j] = s.Float64Open()
-					sum += row[j]
-				}
-				for j := range row {
-					m.Set(i, j, row[j]/sum)
-				}
-			}
-			return m
-		}
-		transitions := []*linalg.Matrix{mk(), mk(), mk()}
+		transitions := []*linalg.Matrix{RandomStochastic(n, s), RandomStochastic(n, s), RandomStochastic(n, s)}
 		rewards := make([][]float64, 3)
 		for a := range rewards {
 			rewards[a] = make([]float64, n)

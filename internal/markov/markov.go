@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"stochsched/internal/linalg"
+	"stochsched/internal/rng"
 )
 
 // Chain is a finite discrete-time Markov chain with transition matrix P.
@@ -53,12 +54,44 @@ func (c *Chain) DiscountedValue(r []float64, beta float64) ([]float64, error) {
 	if !(beta > 0 && beta < 1) {
 		return nil, fmt.Errorf("markov: discount beta = %v outside (0,1)", beta)
 	}
-	a := linalg.Identity(n).Sub(c.P.Scale(beta))
-	v, err := linalg.Solve(a, r)
+	v, err := linalg.Solve(discountedSystem(n, beta, func(s int) []float64 { return c.P.Data[s*n : (s+1)*n] }), r)
 	if err != nil {
 		return nil, fmt.Errorf("markov: discounted solve failed: %w", err)
 	}
 	return v, nil
+}
+
+// discountedSystem returns I − βP for the n-state chain whose row s is
+// row(s), written in place row by row: each entry is the identity's, less
+// p·β. A zero p gives 0 − 0 = +0 where −p·β would be −0, and a −0 can
+// survive the LU into a printed value.
+func discountedSystem(n int, beta float64, row func(s int) []float64) *linalg.Matrix {
+	a := linalg.NewMatrix(n, n)
+	for s := 0; s < n; s++ {
+		a.Set(s, s, 1)
+		for j, p := range row(s) {
+			a.Data[s*n+j] -= p * beta
+		}
+	}
+	return a
+}
+
+// RandomStochastic returns a random n×n row-stochastic matrix, each row
+// n uniforms on (0, 1) drawn from s in order and divided by their sum.
+func RandomStochastic(n int, s *rng.Stream) *linalg.Matrix {
+	m := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		sum := 0.0
+		for j := range row {
+			row[j] = s.Float64Open()
+			sum += row[j]
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+	}
+	return m
 }
 
 // ValueIteration computes the optimal value function of a finite

@@ -120,49 +120,14 @@ func (m *MDP) SimulateAverage(choose ActionChooser, start, horizon, burnin int, 
 }
 
 // AverageRewardLP solves the occupation-measure linear program
-//
-//	max Σ_{s,a} r_a(s) x(s,a)
-//	s.t. Σ_a x(j,a) = Σ_{s,a} x(s,a) P_a(s,j)  ∀j,  Σ x = 1,  x ≥ 0
-//
-// and returns the optimal average reward per epoch — the same value
-// relative value iteration converges to, via an independent method
-// (unichain assumption, as in Solve).
+// (OccupationLP) and returns the optimal average reward per epoch — the
+// same value relative value iteration converges to, via an independent
+// method (unichain assumption, as in Solve).
 func (m *MDP) AverageRewardLP() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	n, na := m.N(), m.A()
-	nv := n * na // x(s,a) at s*na + a
-	c := make([]float64, nv)
-	for s := 0; s < n; s++ {
-		for a := 0; a < na; a++ {
-			c[s*na+a] = m.Rewards[a][s]
-		}
-	}
-	var rows [][]float64
-	var rels []lp.Rel
-	var b []float64
-	for j := 0; j < n; j++ {
-		row := make([]float64, nv)
-		for a := 0; a < na; a++ {
-			row[j*na+a] += 1
-			for s := 0; s < n; s++ {
-				row[s*na+a] -= m.Transitions[a].At(s, j)
-			}
-		}
-		rows = append(rows, row)
-		rels = append(rels, lp.EQ)
-		b = append(b, 0)
-	}
-	norm := make([]float64, nv)
-	for k := range norm {
-		norm[k] = 1
-	}
-	rows = append(rows, norm)
-	rels = append(rels, lp.EQ)
-	b = append(b, 1)
-
-	res, err := lp.Solve(&lp.Problem{C: c, A: rows, Rels: rels, B: b, Maximize: true})
+	res, err := lp.Solve(OccupationLP(m.Transitions, m.Rewards))
 	if err != nil {
 		return 0, err
 	}
@@ -170,4 +135,44 @@ func (m *MDP) AverageRewardLP() (float64, error) {
 		return 0, fmt.Errorf("markov: occupation-measure LP %v", res.Status)
 	}
 	return res.Obj, nil
+}
+
+// OccupationLP returns the occupation-measure linear program of the MDP
+// whose action a has transitions[a] and rewards[a]:
+//
+//	max Σ_{s,a} r_a(s) x(s,a)
+//	s.t. Σ_a x(j,a) = Σ_{s,a} x(s,a) P_a(s,j)  ∀j,  Σ x = 1,  x ≥ 0,
+//
+// with x(s,a) at s·A + a for A actions, the n balance rows first and the
+// normalization row last. A caller may append constraints before solving.
+// The shapes must be valid (see MDP.Validate).
+func OccupationLP(transitions []*linalg.Matrix, rewards [][]float64) *lp.Problem {
+	n, na := transitions[0].Rows, len(transitions)
+	nv := n * na
+	prob := &lp.Problem{C: make([]float64, nv), Maximize: true}
+	for s := 0; s < n; s++ {
+		for a := 0; a < na; a++ {
+			prob.C[s*na+a] = rewards[a][s]
+		}
+	}
+	for j := 0; j < n; j++ {
+		row := make([]float64, nv)
+		for a := 0; a < na; a++ {
+			row[j*na+a] += 1
+			for s := 0; s < n; s++ {
+				row[s*na+a] -= transitions[a].At(s, j)
+			}
+		}
+		prob.A = append(prob.A, row)
+		prob.Rels = append(prob.Rels, lp.EQ)
+		prob.B = append(prob.B, 0)
+	}
+	norm := make([]float64, nv)
+	for k := range norm {
+		norm[k] = 1
+	}
+	prob.A = append(prob.A, norm)
+	prob.Rels = append(prob.Rels, lp.EQ)
+	prob.B = append(prob.B, 1)
+	return prob
 }

@@ -3,7 +3,9 @@ package restless
 import (
 	"fmt"
 
+	"stochsched/internal/linalg"
 	"stochsched/internal/lp"
+	"stochsched/internal/markov"
 )
 
 // The Whittle relaxation: requiring m of N projects active *on average*
@@ -60,11 +62,9 @@ func perturb(p *Project, eps float64) *Project {
 	n := p.N()
 	out := &Project{}
 	for a := 0; a < 2; a++ {
-		m := p.P[a].Scale(1 - eps)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				m.Set(i, j, m.At(i, j)+eps/float64(n))
-			}
+		m := linalg.NewMatrix(n, n)
+		for k, v := range p.P[a].Data {
+			m.Data[k] = v*(1-eps) + eps/float64(n)
 		}
 		out.P[a] = m
 		out.R[a] = append([]float64(nil), p.R[a]...)
@@ -79,47 +79,19 @@ func solveRelaxationLP(p *Project, alpha float64) (*RelaxationSolution, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("restless: activation fraction %v outside [0,1]", alpha)
 	}
+	// The occupation-measure LP of the two-action MDP, x(i, Passive) at 2i
+	// and x(i, Active) at 2i+1, with the average activation row appended.
+	prob := markov.OccupationLP(p.P[:], p.R[:])
 	n := p.N()
-	nv := 2 * n // variable layout: x(i, Passive) at 2i, x(i, Active) at 2i+1
-	c := make([]float64, nv)
-	for i := 0; i < n; i++ {
-		c[2*i] = p.R[Passive][i]
-		c[2*i+1] = p.R[Active][i]
-	}
-	var a [][]float64
-	var rels []lp.Rel
-	var b []float64
-	// Balance: for each j, Σ_a x(j,a) − Σ_{i,a} x(i,a) P_a(i,j) = 0.
-	for j := 0; j < n; j++ {
-		row := make([]float64, nv)
-		row[2*j] += 1
-		row[2*j+1] += 1
-		for i := 0; i < n; i++ {
-			row[2*i] -= p.P[Passive].At(i, j)
-			row[2*i+1] -= p.P[Active].At(i, j)
-		}
-		a = append(a, row)
-		rels = append(rels, lp.EQ)
-		b = append(b, 0)
-	}
-	// Normalization.
-	norm := make([]float64, nv)
-	for k := range norm {
-		norm[k] = 1
-	}
-	a = append(a, norm)
-	rels = append(rels, lp.EQ)
-	b = append(b, 1)
-	// Average activation.
-	act := make([]float64, nv)
+	act := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		act[2*i+1] = 1
 	}
-	a = append(a, act)
-	rels = append(rels, lp.EQ)
-	b = append(b, alpha)
+	prob.A = append(prob.A, act)
+	prob.Rels = append(prob.Rels, lp.EQ)
+	prob.B = append(prob.B, alpha)
 
-	res, err := lp.Solve(&lp.Problem{C: c, A: a, Rels: rels, B: b, Maximize: true})
+	res, err := lp.Solve(prob)
 	if err != nil {
 		return nil, err
 	}
@@ -136,11 +108,11 @@ func solveRelaxationLP(p *Project, alpha float64) (*RelaxationSolution, error) {
 	// The primal–dual index is c̄(i,Active) − c̄(i,Passive).
 	sol.PDIndex = make([]float64, n)
 	for i := 0; i < n; i++ {
-		rbarA := c[2*i+1]
-		rbarP := c[2*i]
-		for r := range a {
-			rbarA -= res.Duals[r] * a[r][2*i+1]
-			rbarP -= res.Duals[r] * a[r][2*i]
+		rbarA := prob.C[2*i+1]
+		rbarP := prob.C[2*i]
+		for r, row := range prob.A {
+			rbarA -= res.Duals[r] * row[2*i+1]
+			rbarP -= res.Duals[r] * row[2*i]
 		}
 		sol.PDIndex[i] = rbarA - rbarP
 	}

@@ -99,26 +99,13 @@ func MachineRepair(n int, decay, repairCost float64, revenue []float64) (*Projec
 // stochastic rows under both actions, active rewards in [0,1), passive
 // rewards in [0, 0.5).
 func RandomProject(n int, s *rng.Stream) *Project {
-	mk := func() *linalg.Matrix {
-		m := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = s.Float64Open()
-				sum += row[j]
-			}
-			for j := range row {
-				m.Set(i, j, row[j]/sum)
-			}
-		}
-		return m
-	}
 	r0 := make([]float64, n)
 	r1 := make([]float64, n)
 	for i := 0; i < n; i++ {
 		r0[i] = 0.5 * s.Float64()
 		r1[i] = s.Float64()
 	}
-	return &Project{P: [2]*linalg.Matrix{mk(), mk()}, R: [2][]float64{r0, r1}}
+	p0 := markov.RandomStochastic(n, s)
+	p1 := markov.RandomStochastic(n, s)
+	return &Project{P: [2]*linalg.Matrix{p0, p1}, R: [2][]float64{r0, r1}}
 }
