@@ -65,13 +65,11 @@ func (k *KlimovNetwork) Validate() error {
 
 // EffectiveArrivalRates solves the traffic equations λ = α + Pᵀ λ.
 func (k *KlimovNetwork) EffectiveArrivalRates() ([]float64, error) {
-	n := len(k.Classes)
-	a := linalg.Identity(n).Sub(k.Feedback.Transpose())
-	alpha := make([]float64, n)
+	alpha := make([]float64, len(k.Classes))
 	for j, c := range k.Classes {
 		alpha[j] = c.ArrivalRate
 	}
-	lam, err := linalg.Solve(a, alpha)
+	lam, err := solveTraffic(k.Feedback, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("queueing: klimov traffic equations: %w", err)
 	}

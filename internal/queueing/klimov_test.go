@@ -48,6 +48,92 @@ func TestTrafficEquations(t *testing.T) {
 	}
 }
 
+// refTrafficRates solves λ = α + Rᵀλ the way both traffic solves did
+// before they shared solveTraffic: linalg.Identity(n).Sub(r.Transpose())
+// through temporaries.
+func refTrafficRates(r *linalg.Matrix, alpha []float64) ([]float64, error) {
+	n := len(alpha)
+	tr := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			tr.Set(j, i, r.At(i, j))
+		}
+	}
+	a := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+	}
+	for i := range a.Data {
+		a.Data[i] -= tr.Data[i]
+	}
+	return linalg.Solve(a, alpha)
+}
+
+// TestTrafficRatesMatchReference holds KlimovNetwork.EffectiveArrivalRates
+// and Network.EffectiveRates to the reference bit for bit on 300 random
+// models each: Klimov feedback rows with zeros and exit deficits, and
+// networks mixing probabilistic routes, deterministic successors and
+// exits.
+func TestTrafficRatesMatchReference(t *testing.T) {
+	s := rng.New(1310)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + s.Intn(6)
+		k := &KlimovNetwork{Feedback: linalg.NewMatrix(n, n)}
+		nw := &Network{Stations: 1}
+		alpha := make([]float64, n)
+		for i := 0; i < n; i++ {
+			alpha[i] = s.Float64()
+			k.Classes = append(k.Classes, Class{ArrivalRate: alpha[i]})
+			keep := 0.9 * s.Float64()
+			for j := 0; j < n; j++ {
+				if s.Float64() < 0.6 {
+					k.Feedback.Set(i, j, keep*s.Float64()/float64(n))
+				}
+			}
+			c := NetClass{ArrivalRate: alpha[i], Next: -1}
+			switch s.Intn(3) {
+			case 0:
+				// Successors only forward, so no job cycles forever.
+				if next := i + 1 + s.Intn(n); next < n {
+					c.Next = next
+				}
+			case 1:
+				for j := 0; j < 1+s.Intn(3); j++ {
+					c.Routes = append(c.Routes, Route{To: s.Intn(n), Prob: keep * s.Float64() / 3})
+				}
+			}
+			nw.Classes = append(nw.Classes, c)
+		}
+		got, err := k.EffectiveArrivalRates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refTrafficRates(k.Feedback, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRates(t, trial, "klimov", got, want)
+		got, err = nw.EffectiveRates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = refTrafficRates(nw.routingMatrix(), alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRates(t, trial, "network", got, want)
+	}
+}
+
+func sameRates(t *testing.T, trial int, model string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("trial %d %s: λ[%d] = %v, want %v", trial, model, i, got[i], want[i])
+		}
+	}
+}
+
 func TestKlimovReducesToCMu(t *testing.T) {
 	// With zero feedback the Klimov order must coincide with cµ.
 	m := twoClassMM1()

@@ -101,17 +101,30 @@ func (nw *Network) routingMatrix() *linalg.Matrix {
 // EffectiveRates solves the traffic equations λ = α + Rᵀλ for the
 // per-class effective arrival rates.
 func (nw *Network) EffectiveRates() ([]float64, error) {
-	n := len(nw.Classes)
-	a := linalg.Identity(n).Sub(nw.routingMatrix().Transpose())
-	alpha := make([]float64, n)
+	alpha := make([]float64, len(nw.Classes))
 	for i, c := range nw.Classes {
 		alpha[i] = c.ArrivalRate
 	}
-	lam, err := linalg.Solve(a, alpha)
+	lam, err := solveTraffic(nw.routingMatrix(), alpha)
 	if err != nil {
 		return nil, fmt.Errorf("queueing: network traffic equations: %w", err)
 	}
 	return lam, nil
+}
+
+// solveTraffic solves the traffic equations λ = α + Rᵀλ, the system
+// (I − Rᵀ)λ = α written in place: each entry is the identity's, less
+// R[j][i], so a zero route gives +0, never −0.
+func solveTraffic(r *linalg.Matrix, alpha []float64) ([]float64, error) {
+	n := len(alpha)
+	a := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+		for j := 0; j < n; j++ {
+			a.Data[i*n+j] -= r.At(j, i)
+		}
+	}
+	return linalg.Solve(a, alpha)
 }
 
 // StationLoads returns the nominal load of each station from the traffic
