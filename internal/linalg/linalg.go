@@ -1,5 +1,5 @@
 // Package linalg implements the small dense linear-algebra kernel the
-// scheduling library needs: matrix/vector arithmetic, LU factorization with
+// scheduling library needs: a row-major matrix, LU factorization with
 // partial pivoting, and linear solves.
 //
 // Matrices in the models here are tiny (tens to a few hundreds of states), so
@@ -42,15 +42,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -62,59 +53,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] -= b.Data[i]
-	}
-	return c
-}
-
-// Scale returns s * m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] *= s
-	}
-	return c
-}
-
-// MulVec returns the matrix-vector product m * x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic("linalg: MulVec shape mismatch")
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-func (m *Matrix) checkSameShape(b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: shape mismatch")
-	}
 }
 
 // LU is an LU factorization with partial pivoting: P*A = L*U.
