@@ -92,7 +92,15 @@ func (f *Fleet) SimulateRandomPolicy(horizon, burnin int, s *rng.Stream) (float6
 	if err := checkWindow(horizon, burnin); err != nil {
 		return 0, err
 	}
-	return f.run(horizon, burnin, s, func([]int) []int { return s.Perm(f.N) }), nil
+	idx := make([]int, f.N)
+	return f.run(horizon, burnin, s, func([]int) []int {
+		// The draws and the permutation of s.Perm(f.N), in one slice.
+		for i := range idx {
+			idx[i] = i
+		}
+		s.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		return idx
+	}), nil
 }
 
 // checkWindow rejects a measurement window run cannot average over: the
