@@ -278,14 +278,12 @@ func (d TwoPoint) String() string { return fmt.Sprintf("TwoPoint(%g@%g,%g)", d.A
 // Discrete
 
 // Discrete is a finite discrete law on the given support. Construct with
-// NewDiscrete, which validates; the zero value is not usable.
+// NewDiscrete, which validates; neither the zero value nor a struct
+// literal can sample.
 //
 // NewDiscrete also precomputes a Walker/Vose alias table, so Sample runs in
 // O(1) regardless of support size — one uniform draw selects both the
-// bucket and the stay-or-alias decision. Values constructed as struct
-// literals (without NewDiscrete) carry no table and fall back to the linear
-// CDF walk; both paths consume exactly one Float64 per sample and draw from
-// the identical law.
+// bucket and the stay-or-alias decision.
 type Discrete struct {
 	Values []float64
 	Probs  []float64
@@ -366,13 +364,9 @@ func buildAlias(probs []float64) (alias []int32, stay []float64) {
 	return alias, stay
 }
 
-// pick draws an index according to Probs: via the alias table when the law
-// was built by NewDiscrete, via the linear CDF walk otherwise. Both consume
-// exactly one Float64 from s.
+// pick draws an index according to Probs through the alias table,
+// consuming exactly one Float64 from s.
 func (d Discrete) pick(s *rng.Stream) int {
-	if len(d.stay) != len(d.Probs) {
-		return s.Categorical(d.Probs)
-	}
 	x := s.Float64() * float64(len(d.stay))
 	i := int(x)
 	if i >= len(d.stay) { // guard the u→1 rounding edge

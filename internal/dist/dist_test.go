@@ -316,10 +316,11 @@ func TestAliasTableExactMass(t *testing.T) {
 	}
 }
 
-// The alias fast path and the linear CDF walk must consume the same
-// randomness (exactly one Float64 per sample) and draw from the same law.
-// Consumption is pinned by comparing the parent stream's state after
-// sampling; the law by comparing empirical frequencies on a shared stream.
+// The alias table must consume the same randomness as a linear CDF walk
+// over the same probabilities, rng.Stream.Categorical (exactly one Float64
+// per sample), and draw from the same law. Consumption is pinned by
+// comparing the parent stream's state after sampling; the law by comparing
+// empirical frequencies.
 func TestDiscreteAliasVsLinearEquivalence(t *testing.T) {
 	values := []float64{1, 5, 20, 7}
 	probs := []float64{0.5, 0.3, 0.15, 0.05}
@@ -327,39 +328,38 @@ func TestDiscreteAliasVsLinearEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A literal-built copy has no table and samples via the linear walk.
-	linear := Discrete{Values: values, Probs: probs}
+	// The linear walk samples an index of probs.
+	linear := func(s *rng.Stream) float64 { return values[s.Categorical(probs)] }
 
-	// RNG consumption: both paths must advance an identical stream
-	// identically, so downstream draws cannot shift when a law gains a
-	// table.
+	// RNG consumption: both must advance an identical stream identically,
+	// so downstream draws do not depend on how a law is sampled.
 	sa, sl := rng.New(99), rng.New(99)
 	for i := 0; i < 1000; i++ {
 		aliased.Sample(sa)
-		linear.Sample(sl)
+		linear(sl)
 		if got, want := sa.Uint64(), sl.Uint64(); got != want {
 			t.Fatalf("sample %d: stream state diverged after alias sample (%d != %d)", i, got, want)
 		}
 	}
 
-	// Distributional equivalence: frequencies from both paths agree with
-	// each other and with the law within Monte Carlo tolerance.
-	count := func(d Discrete, seed uint64) map[float64]float64 {
+	// Distributional equivalence: frequencies from both agree with the law
+	// within Monte Carlo tolerance.
+	count := func(sample func(*rng.Stream) float64, seed uint64) map[float64]float64 {
 		s := rng.New(seed)
 		const n = 200000
 		freq := map[float64]float64{}
 		for i := 0; i < n; i++ {
-			freq[d.Sample(s)] += 1.0 / n
+			freq[sample(s)] += 1.0 / n
 		}
 		return freq
 	}
-	fa, fl := count(aliased, 7), count(linear, 11)
+	fa, fl := count(aliased.Sample, 7), count(linear, 11)
 	for i, v := range values {
 		if math.Abs(fa[v]-probs[i]) > 0.01 {
 			t.Errorf("alias path: P(%v) = %v, want %v", v, fa[v], probs[i])
 		}
 		if math.Abs(fl[v]-probs[i]) > 0.01 {
-			t.Errorf("linear path: P(%v) = %v, want %v", v, fl[v], probs[i])
+			t.Errorf("linear walk: P(%v) = %v, want %v", v, fl[v], probs[i])
 		}
 	}
 }

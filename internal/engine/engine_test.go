@@ -47,40 +47,34 @@ func TestReplicateDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestReplicateDiscreteAliasAcrossParallelism pushes the alias-table
-// sampling fast path (dist.NewDiscrete) and the linear-CDF fallback
-// (literal dist.Discrete) through the chunked scratch-reuse dispatch and
-// requires bit-identical aggregates at parallel 1 vs 8 for each path. The
-// two paths draw the same law but map a given uniform to different atoms,
-// so identity is asserted per path, never across them.
+// TestReplicateDiscreteAliasAcrossParallelism pushes alias-table sampling
+// (dist.NewDiscrete) through the chunked scratch-reuse dispatch and
+// requires bit-identical aggregates at parallel 1 vs 8.
 func TestReplicateDiscreteAliasAcrossParallelism(t *testing.T) {
 	values := []float64{0.5, 1, 2, 4, 8, 16, 32}
 	probs := []float64{0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05}
-	aliased, err := dist.NewDiscrete(values, probs)
+	law, err := dist.NewDiscrete(values, probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	linear := dist.Discrete{Values: values, Probs: probs} // no alias table
-	for name, law := range map[string]dist.Discrete{"alias": aliased, "linear": linear} {
-		work := func(_ context.Context, _ int, s *rng.Stream) (float64, error) {
-			total := 0.0
-			for k := 0; k < 40; k++ {
-				total += math.Log1p(law.Sample(s)) * s.Float64()
-			}
-			return total, nil
+	work := func(_ context.Context, _ int, s *rng.Stream) (float64, error) {
+		total := 0.0
+		for k := 0; k < 40; k++ {
+			total += math.Log1p(law.Sample(s)) * s.Float64()
 		}
-		var want [2]uint64
-		for i, par := range []int{1, 8} {
-			r, err := Replicate(context.Background(), NewPool(par), 400, rng.New(99), work)
-			if err != nil {
-				t.Fatalf("%s parallel %d: %v", name, par, err)
-			}
-			got := runningBits(r)
-			if i == 0 {
-				want = got
-			} else if got != want {
-				t.Errorf("%s: parallel %d aggregate bits %v differ from sequential %v", name, par, got, want)
-			}
+		return total, nil
+	}
+	var want [2]uint64
+	for i, par := range []int{1, 8} {
+		r, err := Replicate(context.Background(), NewPool(par), 400, rng.New(99), work)
+		if err != nil {
+			t.Fatalf("parallel %d: %v", par, err)
+		}
+		got := runningBits(r)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("parallel %d aggregate bits %v differ from sequential %v", par, got, want)
 		}
 	}
 }
