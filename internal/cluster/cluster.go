@@ -18,8 +18,7 @@ import (
 // nodes briefly disagree about ownership (e.g. mismatched -peers lists).
 const ForwardHeader = "X-Stochsched-Forwarded"
 
-// DefaultProbeInterval is the /readyz health-probe period when Config
-// leaves it zero.
+// DefaultProbeInterval is the /readyz health-probe period.
 const DefaultProbeInterval = 2 * time.Second
 
 // Config describes one node's view of the cluster.
@@ -29,13 +28,9 @@ type Config struct {
 	// Peers is the full static peer list, self included. Every node must
 	// be configured with the same set (order-insensitive).
 	Peers []string
-	// VNodes is the virtual-node count per peer (0 = DefaultVNodes).
-	VNodes int
 	// Dial returns the transport for one peer. Nil dials real HTTP with a
 	// shared client; tests inject in-process handler transports here.
 	Dial func(peer string) client.Doer
-	// ProbeInterval is the /readyz probe period (0 = DefaultProbeInterval).
-	ProbeInterval time.Duration
 }
 
 // peerState is the runtime state this node keeps per remote peer.
@@ -56,10 +51,9 @@ type peerState struct {
 // forwarding clients, health state, and per-peer counters. Construct with
 // New; safe for concurrent use.
 type Cluster struct {
-	self          string
-	ring          *Ring
-	peers         map[string]*peerState // remote peers only
-	probeInterval time.Duration
+	self  string
+	ring  *Ring
+	peers map[string]*peerState // remote peers only
 }
 
 // New validates cfg and builds the node's cluster runtime. Forwarding
@@ -67,7 +61,7 @@ type Cluster struct {
 // caller's degraded-mode fallback is the retry policy) and the forwarding
 // header stamped so the owner always serves the request locally.
 func New(cfg Config) (*Cluster, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -86,15 +80,10 @@ func New(cfg Config) (*Cluster, error) {
 		shared := &http.Client{Timeout: 30 * time.Second}
 		dial = func(string) client.Doer { return shared }
 	}
-	probe := cfg.ProbeInterval
-	if probe <= 0 {
-		probe = DefaultProbeInterval
-	}
 	c := &Cluster{
-		self:          cfg.Self,
-		ring:          ring,
-		peers:         make(map[string]*peerState, len(ring.Peers())-1),
-		probeInterval: probe,
+		self:  cfg.Self,
+		ring:  ring,
+		peers: make(map[string]*peerState, len(ring.Peers())-1),
 	}
 	for _, addr := range ring.Peers() {
 		if addr == cfg.Self {
@@ -206,7 +195,7 @@ func (c *Cluster) Start(ctx context.Context) {
 		return
 	}
 	go func() {
-		t := time.NewTicker(c.probeInterval)
+		t := time.NewTicker(DefaultProbeInterval)
 		defer t.Stop()
 		for {
 			select {

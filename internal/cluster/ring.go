@@ -34,8 +34,8 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per peer when Config leaves it
-// zero. 64 points per peer keeps the maximum/minimum ownership share
+// DefaultVNodes is the virtual-node count per peer of every cluster's
+// ring. 64 points per peer keeps the maximum/minimum ownership share
 // within a few tens of percent for small clusters while the ring stays a
 // few hundred entries — binary-searchable in a handful of comparisons.
 const DefaultVNodes = 64
