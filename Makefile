@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check bench-pairs smoke cluster-smoke docs-check examples-check suite-check fmt fmt-check vet ci
+.PHONY: build test bench-test race conformance fuzz bench bench-simulate bench-precision bench-cluster bench-check bench-pairs lines smoke cluster-smoke docs-check examples-check suite-check fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,14 @@ race:
 # through the full Scenario contract, Index included (internal/scenario),
 # and all four public endpoints (internal/service), sweep submission's
 # agreement with /v1/simulate, plus the analytic-vs-simulation agreement
-# tests. A named gate so a kind that regresses the registry contract is
-# called out by name in CI. The golden tests, every kind's adaptive
-# (round continuation) and antithetic suites, and the quick-suite table
-# golden then run at GOMAXPROCS 1, 2 and 4: response bytes and tables must
-# not depend on the core count.
+# tests (jackson's product form, the bandit's exact policy values, the mdp
+# gain and the restless LP bound). A named gate so a kind that regresses
+# the registry contract is called out by name in CI. The golden tests,
+# every kind's adaptive (round continuation) and antithetic suites, and
+# the quick-suite table golden then run at GOMAXPROCS 1, 2 and 4: response
+# bytes and tables must not depend on the core count.
 conformance:
-	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestValidateSimulateAgreement|TestJacksonProductForm|TestMDPOptimalGain|TestRestlessLPBound' \
+	$(GO) test -count=1 -run 'TestConformance|TestEveryKind|TestEveryIndexer|TestValidateSimulateAgreement|TestJacksonProductForm|TestBanditPolicyValue|TestMDPOptimalGain|TestRestlessLPBound' \
 		./internal/scenario/... ./internal/service/...
 	$(GO) test -count=1 -cpu 1,2,4 -run 'TestGoldenBodies|TestSweepGoldenRows|TestAdaptiveConformance|TestAntitheticConformance|TestAllExperimentsRunQuick' \
 		./internal/scenario ./internal/service ./internal/experiments
@@ -118,11 +119,17 @@ bench-check:
 # (default sweep), each side's median and quartiles per metric, the win
 # count, and whether a claimed gain meets the 9-in-10 and base-spread
 # rule. About a minute and a half a pair, so not part of `make ci`.
-BASE ?= HEAD
 WORKLOAD ?= sweep
 PAIRS ?= 10
 bench-pairs:
-	./scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+	./scripts/bench_pairs.sh $(or $(BASE),HEAD) $(WORKLOAD) $(PAIRS)
+
+# The non-test Go lines outside bench/ in the working tree, per package
+# and in total: the size figure each CHANGES.md entry reports. With
+# BASE=rev, also that commit's count and the difference per package. A
+# report, not a gate, so not part of `make ci`.
+lines:
+	./scripts/lines.sh $(BASE)
 
 # End-to-end smoke of the stochschedd HTTP server: build, start, curl every
 # endpoint against golden bodies, verify cache hits, sweep submit/poll/

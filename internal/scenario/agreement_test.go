@@ -10,9 +10,11 @@ import (
 	"math"
 	"testing"
 
+	"stochsched/internal/bandit"
 	"stochsched/internal/engine"
 	"stochsched/internal/queueing"
 	"stochsched/internal/rng"
+	"stochsched/internal/scenario/scenariotest"
 	"stochsched/internal/stats"
 	"stochsched/pkg/api"
 )
@@ -70,6 +72,64 @@ func TestJacksonProductFormMatchesSimulation(t *testing.T) {
 		got := rep.L[st].Mean()
 		if math.Abs(got-want) > 0.08*want {
 			t.Errorf("simulated station %d L = %v, want %v (analytic)", st, got, want)
+		}
+	}
+}
+
+// TestBanditPolicyValueMatchesSimulation holds the served bandit kind to
+// the exact product-chain value of each policy. The canonical body starts
+// at [0, 0], product state 0, so its mean discounted reward over 2,000
+// replications must lie within three standard errors of
+// bandit.PolicyValue(b, pol)[0]: 7.560331 under gittins, 7.094776 under
+// greedy. The two values are about 30 standard errors apart, so episodes
+// run under the wrong policy fail.
+func TestBanditPolicyValueMatchesSimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long simulation")
+	}
+	body := withReplications(t, []byte(scenariotest.SimulateBody("bandit", 1)), 2000)
+	req, err := ParseRequest(body, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := req.Payload.(*api.BanditSim)
+	b, err := banditModel(&p.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indices := make([][]float64, len(b.Projects))
+	for i, pr := range b.Projects {
+		if indices[i], err = bandit.GittinsRestart(pr, b.Beta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		policy string
+		pol    bandit.Policy
+		exact  float64
+	}{
+		{"gittins", bandit.IndexPolicy(indices), 7.560331},
+		{"greedy", bandit.GreedyPolicy(b), 7.094776},
+	} {
+		v, err := bandit.PolicyValue(b, tc.pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(v[0]-tc.exact) > 5e-7 {
+			t.Fatalf("%s: exact value from [0, 0] = %v, want %v", tc.policy, v[0], tc.exact)
+		}
+		payload := *p
+		payload.Policy = tc.policy
+		res, _, err := req.Scenario.Simulate(context.Background(), engine.NewPool(0), &payload, req.Seed, req.Replications, SimOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := res.(*api.BanditResult)
+		z := (sim.RewardMean - v[0]) / (sim.RewardCI95 / 1.96)
+		t.Logf("%s: simulated %v ± %v, exact %v, z = %.2f", tc.policy, sim.RewardMean, sim.RewardCI95, v[0], z)
+		if math.Abs(z) > 3 {
+			t.Errorf("%s: simulated reward %v ± %v is %.2f standard errors from the exact %v",
+				tc.policy, sim.RewardMean, sim.RewardCI95, z, v[0])
 		}
 	}
 }
